@@ -9,7 +9,10 @@
 // number of shards, each protected by its own mutex and holding an
 // independent LRU list, so concurrent requests for different worksheets
 // rarely contend. Values are stored by shared_ptr and returned without
-// copying the prediction vector.
+// copying the prediction vector. The shard comes from the fingerprint's
+// high 32 bits: rat_router picks a worker by `fingerprint % n_workers`,
+// so every key a worker sees shares those low bits, and sharding on them
+// too would leave most of each worker's shards empty.
 //
 // Capacity is per-cache and split evenly across shards (each shard holds
 // at most ceil(capacity / n_shards) entries), so the worst-case resident
@@ -92,7 +95,9 @@ class ResultCache {
         index;
   };
 
-  Shard& shard_for(std::uint64_t fp) { return *shards_[fp % shards_.size()]; }
+  Shard& shard_for(std::uint64_t fp) {
+    return *shards_[(fp >> 32) % shards_.size()];
+  }
 
   std::size_t capacity_ = 0;
   std::size_t per_shard_capacity_ = 0;

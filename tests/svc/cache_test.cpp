@@ -93,6 +93,25 @@ TEST(SvcCache, ShardsNeverExceedTotalCapacityByMuchAndClearEmpties) {
   EXPECT_EQ(cache.get("key99", fnv1a64("key99")), nullptr);
 }
 
+TEST(SvcCache, KeysRoutedToOneWorkerStillFillEveryShard) {
+  // rat_router sends a worksheet to worker fp % n_workers, so all of one
+  // worker's keys share that residue. The shard must come from other
+  // bits, or each cache of a 2-worker fleet would fill only 4 of its 8
+  // shards and hold half its capacity.
+  for (const std::uint64_t workers : {2u, 4u}) {
+    ResultCache cache(64, 8);
+    core::RatInputs in = core::pdf1d_inputs();
+    for (std::size_t i = 0; i < 2000; ++i) {
+      in.dataset.elements_in = 1000 + i;
+      const std::string key = canonical_text(in);
+      const std::uint64_t fp = fnv1a64(key);
+      if (fp % workers != 1) continue;
+      cache.put(key, fp, value_for(static_cast<double>(i)));
+    }
+    EXPECT_EQ(cache.stats().size, 64u) << workers << " workers";
+  }
+}
+
 TEST(SvcCache, PutReportsInsertRefreshAndEviction) {
   ResultCache cache(2, 1);
   const std::uint64_t fp_a = fnv1a64("a");
