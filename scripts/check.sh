@@ -158,13 +158,15 @@ ctest --test-dir build-tsan --output-on-failure \
 # code 2 (partial failure) while the three good worksheets still
 # evaluate. rat_serve is built in this tree because test_svc's router
 # suite supervises real worker processes (RAT_SERVE_BIN), so the
-# SIGPIPE/EMFILE/router regression tests all run sanitized here too.
-echo "==== AddressSanitizer+UBSan pass (ingestion + store + batch + svc)"
+# SIGPIPE/EMFILE/router regression tests all run sanitized here too. The
+# Load suites (test_load) run here as well: the load runner drives the
+# same LineChannel connection core as the server and the router.
+echo "==== AddressSanitizer+UBSan pass (ingestion + store + batch + svc + load)"
 cmake -B build-asan -G Ninja -DRAT_SANITIZE=address,undefined
 cmake --build build-asan --target test_io test_store test_batch test_svc \
-  rat_batch rat_serve
+  test_load rat_batch rat_serve
 ctest --test-dir build-asan --output-on-failure \
-  -R '^(LoadWorksheet|WorksheetDir|Batch|Store|Svc)'
+  -R '^(LoadWorksheet|WorksheetDir|Batch|Store|Svc|Load)'
 
 # Scalar-fallback pass: the same identity suite with SIMD forced off
 # (-DRAT_SIMD=off), so the width-1 reference build — what a host without

@@ -2,7 +2,6 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -10,12 +9,11 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
-#include <cstring>
 #include <stdexcept>
 
 #include "io/json.hpp"
 #include "obs/metrics.hpp"
-#include "svc/fdio.hpp"
+#include "svc/channel.hpp"
 #include "util/rng.hpp"
 
 namespace rat::load {
@@ -24,16 +22,6 @@ namespace {
 
 constexpr double kNsPerSec = 1e9;
 constexpr double kNsPerMs = 1e6;
-
-/// One simulated client: a non-blocking socket plus its buffered,
-/// not-yet-written requests and its partially-read response stream.
-struct Conn {
-  int fd = -1;
-  bool alive = false;
-  std::string wbuf;        ///< pending request bytes
-  std::size_t woff = 0;    ///< already-written prefix of wbuf
-  std::string rbuf;        ///< partial response line
-};
 
 /// Blocking connect to a loopback/IPv4 endpoint, retrying briefly so a
 /// just-forked server that has not called listen(2) yet does not fail
@@ -48,7 +36,6 @@ int connect_with_retry(const std::string& host, int port,
     const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
     if (fd < 0) return -1;
     if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) == 0) {
-      svc::set_nonblock(fd);
       svc::set_cloexec(fd);
       return fd;
     }
@@ -147,18 +134,17 @@ StepResult run_step(const RunConfig& config, Mix& mix) {
   // choices never interleave draws (each is reproducible on its own).
   util::Rng payload_rng(config.seed ^ 0x9e3779b97f4a7c15ull);
 
+  // One simulated client per channel: a non-blocking socket, its queued
+  // not-yet-written requests and its partially read response stream.
   const std::size_t nconn =
       std::max<std::size_t>(1, std::min(config.connections, total));
-  std::vector<Conn> conns(nconn);
-  for (std::size_t c = 0; c < nconn; ++c) {
-    conns[c].fd = connect_with_retry(config.host, config.port);
-    if (conns[c].fd < 0) {
-      for (Conn& conn : conns)
-        if (conn.fd >= 0) ::close(conn.fd);
+  std::vector<svc::LineChannel> conns(nconn);
+  for (svc::LineChannel& conn : conns) {
+    const int fd = connect_with_retry(config.host, config.port);
+    if (fd < 0)
       throw std::runtime_error("run_step: cannot connect to " + config.host +
                                ":" + std::to_string(config.port));
-    }
-    conns[c].alive = true;
+    conn.open(fd, fd);
   }
 
   std::vector<std::uint8_t> resolved(total, 0);
@@ -171,21 +157,19 @@ StepResult run_step(const RunConfig& config, Mix& mix) {
       t0 + offsets.back() +
       static_cast<std::uint64_t>(config.timeout_sec * kNsPerSec);
 
-  auto kill_conn = [&](Conn& conn) {
-    if (!conn.alive) return;
-    conn.alive = false;
-    ::close(conn.fd);
-    conn.fd = -1;
+  auto kill_conn = [&](svc::LineChannel& conn) {
+    if (conn.read_fd() < 0) return;
+    conn.close();
     --alive_count;
     ++step.connection_drops;
   };
 
   auto enqueue = [&](std::size_t i) {
-    Conn& conn = conns[i % nconn];
+    svc::LineChannel& conn = conns[i % nconn];
     // The payload draw happens even for dead connections so the request
     // stream stays identical whether or not drops occurred.
     const std::string worksheet = mix.next(payload_rng, config.duplicate_ratio);
-    if (!conn.alive) {
+    if (conn.read_fd() < 0) {
       if (!resolved[i]) {
         resolved[i] = 1;
         ++n_resolved;
@@ -199,31 +183,9 @@ StepResult run_step(const RunConfig& config, Mix& mix) {
     if (config.deadline_ms > 0.0)
       line += ",\"deadline_ms\":" + io::json_number(config.deadline_ms);
     if (config.no_cache) line += ",\"no_cache\":true";
-    line += "}\n";
-    conn.wbuf += line;
+    line += '}';
+    conn.queue_line(line);  // written on the next POLLOUT
     ++step.sent;
-  };
-
-  auto flush_writes = [&](Conn& conn) {
-    while (conn.woff < conn.wbuf.size()) {
-      const ssize_t n =
-          ::send(conn.fd, conn.wbuf.data() + conn.woff,
-                 conn.wbuf.size() - conn.woff, MSG_NOSIGNAL);
-      if (n > 0) {
-        conn.woff += static_cast<std::size_t>(n);
-        continue;
-      }
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-      kill_conn(conn);
-      return;
-    }
-    if (conn.woff == conn.wbuf.size()) {
-      conn.wbuf.clear();
-      conn.woff = 0;
-    } else if (conn.woff > 65536) {
-      conn.wbuf.erase(0, conn.woff);
-      conn.woff = 0;
-    }
   };
 
   auto handle_line = [&](const std::string& line, std::uint64_t now) {
@@ -243,31 +205,7 @@ StepResult run_step(const RunConfig& config, Mix& mix) {
     }
   };
 
-  auto drain_reads = [&](Conn& conn, std::uint64_t now) {
-    char chunk[65536];
-    for (;;) {
-      const ssize_t n = ::read(conn.fd, chunk, sizeof chunk);
-      if (n > 0) {
-        conn.rbuf.append(chunk, static_cast<std::size_t>(n));
-        std::size_t start = 0;
-        for (;;) {
-          const std::size_t nl = conn.rbuf.find('\n', start);
-          if (nl == std::string::npos) break;
-          handle_line(conn.rbuf.substr(start, nl - start), now);
-          start = nl + 1;
-        }
-        if (start) conn.rbuf.erase(0, start);
-        if (static_cast<std::size_t>(n) == sizeof chunk) continue;
-        return;
-      }
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
-      kill_conn(conn);
-      return;
-    }
-  };
-
-  std::vector<pollfd> pfds;
-  std::vector<std::size_t> pidx;
+  std::vector<pollfd> pfds(nconn);
   while (n_resolved < total) {
     std::uint64_t now = obs::now_ns();
     if (now >= give_up_ns) {
@@ -294,41 +232,35 @@ StepResult run_step(const RunConfig& config, Mix& mix) {
       if (timeout_ms > 100) timeout_ms = 100;
     }
 
-    pfds.clear();
-    pidx.clear();
-    for (std::size_t c = 0; c < nconn; ++c) {
-      Conn& conn = conns[c];
-      if (!conn.alive) continue;
-      pollfd p{};
-      p.fd = conn.fd;
-      p.events = POLLIN;
-      if (conn.woff < conn.wbuf.size()) p.events |= POLLOUT;
-      pfds.push_back(p);
-      pidx.push_back(c);
-    }
-    const int nready =
-        ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()), timeout_ms);
-    if (nready <= 0) continue;
+    // Dead connections poll as fd -1, which poll(2) skips.
+    for (std::size_t c = 0; c < nconn; ++c)
+      pfds[c] = {conns[c].read_fd(),
+                 static_cast<short>(POLLIN |
+                                    (conns[c].pending() > 0 ? POLLOUT : 0)),
+                 0};
+    if (::poll(pfds.data(), static_cast<nfds_t>(nconn), timeout_ms) <= 0)
+      continue;
 
     now = obs::now_ns();
-    for (std::size_t k = 0; k < pfds.size(); ++k) {
-      Conn& conn = conns[pidx[k]];
-      if (!conn.alive) continue;
-      if (pfds[k].revents & (POLLIN | POLLHUP | POLLERR))
-        drain_reads(conn, now);
-      if (conn.alive && (pfds[k].revents & POLLOUT)) flush_writes(conn);
-      if (conn.alive && (pfds[k].revents & POLLNVAL)) kill_conn(conn);
+    for (std::size_t c = 0; c < nconn; ++c) {
+      svc::LineChannel& conn = conns[c];
+      const short rev = pfds[c].revents;
+      // EOF or a read error drops the connection, and with it any
+      // unterminated last line: its requests count as lost.
+      if ((rev & (POLLIN | POLLHUP | POLLERR)) != 0 &&
+          conn.read_lines([&](const std::string& line) {
+            handle_line(line, now);
+          }) != svc::IoStatus::kOk)
+        kill_conn(conn);
+      if ((rev & POLLOUT) != 0 && conn.read_fd() >= 0 &&
+          conn.flush() != svc::IoStatus::kOk)
+        kill_conn(conn);
+      if ((rev & POLLNVAL) != 0) kill_conn(conn);
     }
   }
 
   // Whatever is still open: unanswered (or never-injected, when every
   // connection died early) requests are lost, not silently dropped.
-  for (std::size_t i = next_to_send; i < total; ++i)
-    if (!resolved[i]) {
-      resolved[i] = 1;
-      ++step.lost;
-      ++n_resolved;
-    }
   for (std::size_t i = 0; i < total; ++i)
     if (!resolved[i]) ++step.lost;
 
@@ -340,8 +272,6 @@ StepResult run_step(const RunConfig& config, Mix& mix) {
           ? static_cast<double>(answered) / step.duration_sec
           : 0.0;
 
-  for (Conn& conn : conns)
-    if (conn.fd >= 0) ::close(conn.fd);
   return step;
 }
 

@@ -2,10 +2,11 @@
 // rat.svc.v1 TCP endpoint (rat_serve or rat_router — the protocol is the
 // same) and measures the latency distribution the *clients* saw.
 //
-// The runner multiplexes every simulated client on one poll(2) loop with
-// non-blocking sockets (the svc/fdio.hpp discipline): request i is
-// enqueued on connection i % connections at exactly t0 + offsets[i],
-// whether or not earlier responses have arrived, and its latency is
+// The runner multiplexes every simulated client on one poll(2) loop, each
+// one svc::LineChannel (svc/channel.hpp, the connection core the servers
+// run too). Request i is enqueued on connection i % connections at
+// exactly t0 + offsets[i], whether or not earlier responses have
+// arrived, and its latency is
 // measured from that scheduled send time — not from when write(2)
 // happened to drain — so server stalls surface as tail latency instead
 // of being absorbed by a waiting client (coordinated omission; see
