@@ -69,15 +69,17 @@ std::string error_code_of(const std::string& line) {
 /// evaluations queue behind it deterministically.
 class PoolBlocker {
  public:
-  PoolBlocker() {
-    const std::size_t n = util::ThreadPool::shared().size();
-    gate_ = release_.get_future().share();
-    for (std::size_t i = 0; i < n; ++i)
-      util::ThreadPool::shared().submit([this] {
+  PoolBlocker() : n_(util::ThreadPool::shared().size()) {
+    const std::shared_future<void> gate = release_.get_future().share();
+    // Each task waits on its own copy of the gate, and its last touch of
+    // this object is the left_ increment the destructor waits for.
+    for (std::size_t i = 0; i < n_; ++i)
+      util::ThreadPool::shared().submit([this, gate] {
         blocked_.fetch_add(1);
-        gate_.wait();
+        gate.wait();
+        left_.fetch_add(1);
       });
-    while (blocked_.load() < n) std::this_thread::yield();
+    while (blocked_.load() < n_) std::this_thread::yield();
   }
 
   void release() {
@@ -85,12 +87,16 @@ class PoolBlocker {
     released_ = true;
   }
 
-  ~PoolBlocker() { release(); }
+  ~PoolBlocker() {
+    release();
+    while (left_.load() < n_) std::this_thread::yield();
+  }
 
  private:
+  const std::size_t n_;
   std::promise<void> release_;
-  std::shared_future<void> gate_;
   std::atomic<std::size_t> blocked_{0};
+  std::atomic<std::size_t> left_{0};
   bool released_ = false;
 };
 
