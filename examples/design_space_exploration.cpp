@@ -4,32 +4,29 @@
 // suitable version of the algorithm is formulated or all reasonable
 // permutations are exhausted." This example sweeps the 1-D PDF design's
 // axes — pipeline count x clock estimate — through the design-space
-// enumerator, cheapest point first, and lets the state machine settle on
+// explorer, cheapest point first, and lets the state machine settle on
 // the first permutation that passes the throughput, precision and
-// resource tests.
+// resource tests. stderr reports the explorer's effort counters.
 //
 // Usage: design_space_exploration [--goal=9] [--tolerance=2.0] [--threads=N]
-//                                 [--checkpoint=<path>] [--metrics=<path>]
-//                                 [--prune] [--plan-cache=<dir>]
-//                                 [--throttle-ms=N]
+//                                 [--metrics=<path>] [--prune]
+//                                 [--plan-cache=<dir>] [--throttle-ms=N]
 //   --threads=0 sizes the worker count automatically (RAT_THREADS override
 //   or hardware concurrency); the outcome is identical at any thread count.
-//   --checkpoint records every evaluated permutation in a durable campaign
-//   checkpoint (docs/STORE.md); rerunning after a crash replays completed
-//   points and produces byte-identical output. Changing the goal,
-//   tolerance or axes makes an old checkpoint stale (E_STALE_CHECKPOINT).
-//   --prune routes the sweep through the branch-and-bound explorer
-//   (docs/EXPLORATION.md); stdout stays byte-identical, stderr gains the
-//   explore.* effort counters.
+//   --prune turns on branch-and-bound (docs/EXPLORATION.md); without it
+//   every permutation up to the winner is evaluated in enumeration order.
+//   stdout is byte-identical either way.
 //   --plan-cache persists every full evaluation in a content-addressed
 //   DurableStore keyed by candidate+requirements+device fingerprints, so
-//   a rerun — same campaign or an overlapping one — replays instead of
-//   recomputing. Survives kill -9 (it rides the store's journal).
+//   a rerun — after a crash, or of an overlapping campaign — replays
+//   instead of recomputing and produces byte-identical output. Survives
+//   kill -9 (it rides the store's journal); changing the goal, tolerance
+//   or device changes every key, so stale entries are never replayed.
 //   --throttle-ms sleeps that long inside each precision kernel run,
 //   slowing evaluations down so crash-recovery harnesses can interrupt a
 //   live campaign deterministically.
 //   --metrics (or the RAT_METRICS env var) writes a rat.metrics.v1 JSON
-//   document with designspace.* counters and evaluation timers.
+//   document with explore.* counters and evaluation timers.
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -52,7 +49,6 @@ int main(int argc, char** argv) {
   const double goal = cli.get_double("goal", 9.0);
   const double tolerance = cli.get_double("tolerance", 2.0);
   const std::size_t threads = cli.get_size_t("threads", 1, 0, 256);
-  const std::string checkpoint_path = cli.get_or("checkpoint", "");
   const bool prune = cli.get_bool("prune", false);
   const std::string plan_cache_dir = cli.get_or("plan-cache", "");
   const std::size_t throttle_ms = cli.get_size_t("throttle-ms", 0, 0, 60000);
@@ -99,41 +95,29 @@ int main(int argc, char** argv) {
   req.min_speedup = goal;
   req.precision = core::PrecisionRequirements{tolerance, 12, 20, 0};
 
-  core::DesignSpaceCheckpoint ckpt;
   core::DesignSpaceResult result;
   try {
-    if (!checkpoint_path.empty()) ckpt.path = checkpoint_path;
-    if (prune || !plan_cache_dir.empty()) {
-      std::unique_ptr<explore::PlanCache> cache;
-      if (!plan_cache_dir.empty())
-        cache = std::make_unique<explore::PlanCache>(plan_cache_dir);
-      explore::ExploreOptions opt;
-      opt.policy.prune = prune;
-      opt.n_threads = threads;
-      opt.checkpoint = checkpoint_path.empty() ? nullptr : &ckpt;
-      opt.plan_cache = cache.get();
-      const auto explored = explore::explore_design_space_pruned(
-          axes, factory, req, rcsim::virtex4_lx100(), opt);
-      result = explored.design;
-      const auto& st = explored.stats;
-      std::fprintf(stderr,
-                   "explore: evaluated %zu bounded %zu restored %zu "
-                   "pruned %zu of %zu (cache hits %zu puts %zu)\n",
-                   st.points_evaluated, st.points_bounded,
-                   st.points_restored, st.points_pruned, st.points_total,
-                   st.cache_hits, st.cache_puts);
-    } else {
-      result = core::explore_design_space(
-          axes, factory, req, rcsim::virtex4_lx100(), threads,
-          checkpoint_path.empty() ? nullptr : &ckpt);
-    }
+    std::unique_ptr<explore::PlanCache> cache;
+    if (!plan_cache_dir.empty())
+      cache = std::make_unique<explore::PlanCache>(plan_cache_dir);
+    explore::ExploreOptions opt;
+    opt.policy.prune = prune;
+    opt.n_threads = threads;
+    opt.plan_cache = cache.get();
+    const auto explored = explore::explore_design_space_pruned(
+        axes, factory, req, rcsim::virtex4_lx100(), opt);
+    result = explored.design;
+    const auto& st = explored.stats;
+    std::fprintf(stderr,
+                 "explore: evaluated %zu bounded %zu restored %zu "
+                 "pruned %zu of %zu (cache hits %zu puts %zu)\n",
+                 st.points_evaluated, st.points_bounded, st.points_restored,
+                 st.points_pruned, st.points_total, st.cache_hits,
+                 st.cache_puts);
   } catch (const store::StoreError& e) {
     std::fprintf(stderr, "design_space_exploration: %s\n", e.what());
     return 1;
   }
-  if (!checkpoint_path.empty())
-    std::fprintf(stderr, "checkpoint: restored %zu previously evaluated "
-                 "point(s)\n", result.points_restored);
 
   std::printf("explored %zu of %zu permutations (%zu skipped) against a "
               "%.1fx goal:\n\n%s\n",

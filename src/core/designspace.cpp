@@ -1,31 +1,11 @@
 #include "core/designspace.hpp"
 
-#include <optional>
 #include <stdexcept>
 
 #include "core/units.hpp"
-#include "obs/metrics.hpp"
-#include "store/checkpoint.hpp"
-#include "store/checksum.hpp"
 #include "util/format.hpp"
 
 namespace rat::core {
-
-std::uint64_t design_space_campaign_fingerprint(const DesignAxes& axes,
-                                                const Requirements& req,
-                                                const rcsim::Device& device) {
-  store::Fnv1a fp;
-  fp.add_string("rat.designspace.v1");
-  fp.add_u64(axes.parallelism.size());
-  for (std::size_t p : axes.parallelism) fp.add_u64(p);
-  fp.add_u64(axes.fclock_hz.size());
-  for (double f : axes.fclock_hz) fp.add_double(f);
-  fp.add_u64(axes.format_bits.size());
-  for (int b : axes.format_bits)
-    fp.add_u64(static_cast<std::uint64_t>(b));
-  fp.add_u64(requirements_fingerprint(req, device));
-  return fp.value();
-}
 
 std::string DesignPoint::label() const {
   return std::to_string(parallelism) + "x @ " +
@@ -109,37 +89,16 @@ DesignSpaceResult explore_design_space(const DesignAxes& axes,
                                        const CandidateFactory& factory,
                                        const Requirements& requirements,
                                        const rcsim::Device& device,
-                                       std::size_t n_threads,
-                                       const DesignSpaceCheckpoint* checkpoint) {
-  obs::ScopedTimer timer("designspace.explore");
+                                       std::size_t n_threads) {
   DesignSpaceResult result;
   result.points_total = axes.size();
-  auto candidates =
+  const auto candidates =
       enumerate_design_space(axes, factory, &result.skipped_labels);
   result.points_skipped = result.skipped_labels.size();
   if (candidates.empty())
     throw std::invalid_argument(
         "explore_design_space: factory skipped every point");
-  if (obs::enabled()) {
-    obs::Registry& reg = obs::Registry::global();
-    reg.add_counter("designspace.points_total", result.points_total);
-    reg.add_counter("designspace.points_skipped", result.points_skipped);
-    reg.add_counter("designspace.points_evaluated", candidates.size());
-  }
-  std::optional<store::CampaignCheckpoint> ckpt;
-  if (checkpoint != nullptr) {
-    store::CampaignCheckpoint::Options opts;
-    opts.sync_every_append = checkpoint->sync_every_append;
-    ckpt.emplace(
-        checkpoint->path, "rat.designspace.v1",
-        design_space_campaign_fingerprint(axes, requirements, device), opts);
-  }
-  result.outcome =
-      run_methodology(candidates, requirements, device, n_threads,
-                      ckpt ? &*ckpt : nullptr, &result.points_restored);
-  if (obs::enabled() && ckpt)
-    obs::Registry::global().add_counter("designspace.points_restored",
-                                        result.points_restored);
+  result.outcome = run_methodology(candidates, requirements, device, n_threads);
   return result;
 }
 

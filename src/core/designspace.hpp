@@ -10,7 +10,6 @@
 // passing design.
 #pragma once
 
-#include <filesystem>
 #include <functional>
 #include <string>
 #include <vector>
@@ -63,9 +62,8 @@ std::vector<DesignCandidate> enumerate_design_space(
     std::vector<std::string>* skipped_labels = nullptr,
     std::vector<DesignPoint>* points = nullptr);
 
-/// Convenience: enumerate + run the methodology, returning the outcome
-/// plus exactly which points the factory skipped — so parallel and serial
-/// runs can assert identical coverage.
+/// An exploration's outcome plus exactly which points the factory
+/// skipped — so parallel and serial runs can assert identical coverage.
 struct DesignSpaceResult {
   MethodologyOutcome outcome;
   std::size_t points_total = 0;
@@ -73,43 +71,22 @@ struct DesignSpaceResult {
   /// Labels of the skipped points, in enumeration order
   /// (size() == points_skipped).
   std::vector<std::string> skipped_labels;
-  /// Candidates replayed from the checkpoint instead of evaluated
-  /// (0 when no checkpoint was given).
-  std::size_t points_restored = 0;
 };
 
-/// Checkpoint configuration for a resumable exploration (docs/STORE.md).
-/// The campaign identity covers the axes, the requirements and the
-/// device, so a checkpoint written for one sweep is rejected
-/// (E_STALE_CHECKPOINT) when any of them change.
-struct DesignSpaceCheckpoint {
-  std::filesystem::path path;
-  bool sync_every_append = true;
-};
-
+/// The exhaustive reference scan: enumerate_design_space +
+/// run_methodology, no pruning and no persistence. Campaigns run through
+/// explore::explore_design_space_pruned (src/explore), which resumes via
+/// its plan cache; this scan is the oracle the identity suites and
+/// benches compare that explorer against.
+///
 /// @p n_threads > 1 (or 0 = auto) evaluates the enumerated candidates
 /// concurrently; results are merged in enumeration order, so the outcome
 /// (cheapest passing design, trace, predictions) is byte-identical to the
 /// serial run. Factories and precision kernels must then be thread-safe.
-///
-/// @p checkpoint, when non-null, records every completed candidate in a
-/// durable campaign checkpoint; rerunning after a crash replays recorded
-/// evaluations (points_restored counts them) and produces a byte-identical
-/// DesignSpaceResult. Throws store::StoreError (kStaleCheckpoint /
-/// kCorrupt / kIo) when the checkpoint cannot be used.
-DesignSpaceResult explore_design_space(
-    const DesignAxes& axes, const CandidateFactory& factory,
-    const Requirements& requirements, const rcsim::Device& device,
-    std::size_t n_threads = 1,
-    const DesignSpaceCheckpoint* checkpoint = nullptr);
-
-/// Campaign identity of one exploration: the swept axes plus everything
-/// the evaluation depends on (requirements + device). Any change makes an
-/// existing checkpoint stale rather than silently mixing two sweeps.
-/// Shared by explore_design_space and the pruned explorer so their
-/// checkpoints are interchangeable.
-std::uint64_t design_space_campaign_fingerprint(const DesignAxes& axes,
-                                                const Requirements& req,
-                                                const rcsim::Device& device);
+DesignSpaceResult explore_design_space(const DesignAxes& axes,
+                                       const CandidateFactory& factory,
+                                       const Requirements& requirements,
+                                       const rcsim::Device& device,
+                                       std::size_t n_threads = 1);
 
 }  // namespace rat::core

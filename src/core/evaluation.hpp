@@ -1,10 +1,10 @@
 // Per-candidate evaluation of the Figure-1 gate pipeline.
 //
-// Split out of run_methodology so other drivers — the branch-and-bound
-// explorer (src/explore) and its persistent plan cache — can produce,
-// serialize and replay evaluations that are byte-identical to the ones
-// the methodology state machine computes inline. Everything here is
-// pure per-candidate work: no shared state, safe on any thread.
+// Split out of run_methodology so the branch-and-bound explorer
+// (src/explore) and its persistent plan cache can produce, serialize and
+// replay evaluations that are byte-identical to the ones the methodology
+// state machine computes inline. Everything here is pure per-candidate
+// work: no shared state, safe on any thread.
 #pragma once
 
 #include <cstddef>
@@ -45,38 +45,41 @@ CandidateEvaluation evaluate_candidate(std::size_t i,
                                        const rcsim::Device& device,
                                        const ThroughputPrediction& pred);
 
-/// Checkpoint payload codec: one CandidateEvaluation per checkpoint item,
-/// every double as its exact bit pattern and every trace string verbatim,
-/// so a replayed evaluation merges into a byte-identical outcome. The
-/// byte format is stable — existing campaign checkpoints keep replaying.
-std::string encode_evaluation(const CandidateEvaluation& ev);
-CandidateEvaluation decode_evaluation(std::string_view payload);
-
 /// Position-independent codec for the content-addressed plan cache: the
 /// encoded form strips the candidate index and name from every trace
 /// entry (both are redundant — the index is the enumeration position and
 /// the name is the candidate's own), so a point evaluated at index 17 of
-/// one campaign can be replayed at index 3 of an overlapping one.
-/// decode re-stamps @p index and @p name on every entry.
+/// one campaign can be replayed at index 3 of an overlapping one. Every
+/// double is stored as its exact bit pattern and every trace detail
+/// verbatim, so a replayed evaluation merges into a byte-identical
+/// outcome. decode re-stamps @p index and @p name on every entry and
+/// throws store::StoreError(kCorrupt) for a truncated or overlong
+/// payload, a trace count the payload cannot hold, or an out-of-range
+/// step or reject reason.
 std::string encode_evaluation_unindexed(const CandidateEvaluation& ev);
 CandidateEvaluation decode_evaluation_unindexed(std::string_view payload,
                                                 std::size_t index,
                                                 const std::string& name);
 
-/// Throughput predictions for one enumeration-order window of candidates,
-/// evaluated in a single SoA batch. A candidate whose worksheet fails
-/// validation does not abort the fill: its error is deferred and rethrown
-/// only if and when that candidate is actually evaluated fresh, so the
-/// serial early-exit semantics (an accepted design before the bad
-/// candidate means the bad candidate is never touched) and the
-/// checkpoint-restore semantics (a restored candidate is never
-/// re-validated) are preserved exactly.
+/// Throughput predictions for a list of candidates, evaluated in a single
+/// SoA batch: an enumeration-order window (run_methodology, the
+/// explorer's trace assembly) or an arbitrary index list (the explorer's
+/// box corners and leaves). A candidate whose worksheet fails validation
+/// does not abort the fill: its error is deferred and rethrown only if
+/// and when that candidate is actually evaluated, so the serial
+/// early-exit semantics (an accepted design before the bad candidate
+/// means the bad candidate is never touched) are preserved exactly.
+/// Entry k of batch/errors belongs to the k-th listed candidate.
 struct WindowPredictions {
   ThroughputBatch batch;
   std::vector<std::exception_ptr> errors;
 
+  /// Candidates [start, start + count).
   void fill(const std::vector<DesignCandidate>& candidates,
             std::size_t start, std::size_t count);
+  /// Candidates candidates[indices[0]], candidates[indices[1]], ...
+  void fill(const std::vector<DesignCandidate>& candidates,
+            const std::vector<std::size_t>& indices);
 };
 
 }  // namespace rat::core

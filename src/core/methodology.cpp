@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "core/evaluation.hpp"
-#include "store/checkpoint.hpp"
 #include "store/checksum.hpp"
 #include "util/parallel_for.hpp"
 
@@ -37,39 +36,6 @@ std::string MethodologyOutcome::render_trace() const {
   }
   return os.str();
 }
-
-namespace {
-
-/// Replay a recorded evaluation, or evaluate and record a fresh one.
-/// @p window_index addresses the candidate inside the pre-evaluated
-/// window batch.
-CandidateEvaluation evaluate_or_restore(std::size_t i,
-                                        const DesignCandidate& cand,
-                                        const Requirements& req,
-                                        const rcsim::Device& device,
-                                        store::CampaignCheckpoint* checkpoint,
-                                        bool* restored,
-                                        const WindowPredictions& window,
-                                        std::size_t window_index) {
-  std::uint64_t fp = 0;
-  if (checkpoint != nullptr) {
-    fp = candidate_fingerprint(cand);
-    if (const std::string* payload = checkpoint->restored_payload(i, fp)) {
-      if (restored != nullptr) *restored = true;
-      return decode_evaluation(*payload);
-    }
-  }
-  // Fresh evaluation: surface the validation error predict() would have
-  // thrown for this candidate, at the same point in the run.
-  if (window.errors[window_index])
-    std::rethrow_exception(window.errors[window_index]);
-  CandidateEvaluation ev = evaluate_candidate(
-      i, cand, req, device, window.batch.prediction(window_index));
-  if (checkpoint != nullptr) checkpoint->record(i, fp, encode_evaluation(ev));
-  return ev;
-}
-
-}  // namespace
 
 std::uint64_t candidate_fingerprint(const DesignCandidate& cand) {
   store::Fnv1a fp;
@@ -140,13 +106,11 @@ std::uint64_t requirements_fingerprint(const Requirements& req,
 
 MethodologyOutcome run_methodology(
     const std::vector<DesignCandidate>& candidates, const Requirements& req,
-    const rcsim::Device& device, std::size_t n_threads,
-    store::CampaignCheckpoint* checkpoint, std::size_t* n_restored) {
+    const rcsim::Device& device, std::size_t n_threads) {
   if (candidates.empty())
     throw std::invalid_argument("run_methodology: no candidates");
   if (req.min_speedup <= 0.0)
     throw std::invalid_argument("run_methodology: min_speedup <= 0");
-  if (n_restored != nullptr) *n_restored = 0;
 
   MethodologyOutcome out;
   // Append one candidate's results in enumeration order; true = accepted,
@@ -173,47 +137,26 @@ MethodologyOutcome run_methodology(
   // accepted design is bounded by one window, and absorbing in order
   // keeps the trace byte-identical to the serial run.
   WindowPredictions window_preds;
-  if (threads <= 1) {
-    constexpr std::size_t kSerialWindow = 256;
-    for (std::size_t start = 0; start < candidates.size();
-         start += kSerialWindow) {
-      const std::size_t count =
-          std::min(kSerialWindow, candidates.size() - start);
-      window_preds.fill(candidates, start, count);
-      for (std::size_t k = 0; k < count; ++k) {
-        bool restored = false;
-        CandidateEvaluation ev =
-            evaluate_or_restore(start + k, candidates[start + k], req,
-                                device, checkpoint, &restored,
-                                window_preds, k);
-        if (restored && n_restored != nullptr) ++*n_restored;
-        if (absorb(start + k, std::move(ev))) return out;
-      }
-    }
-    return out;  // all permutations exhausted without a satisfactory solution
-  }
-
-  const std::size_t window = threads * 4;
+  // A candidate that failed validation surfaces the error predict() would
+  // have thrown for it, at the same point in the run.
+  auto evaluate = [&](std::size_t start, std::size_t k) {
+    if (window_preds.errors[k]) std::rethrow_exception(window_preds.errors[k]);
+    return evaluate_candidate(start + k, candidates[start + k], req, device,
+                              window_preds.batch.prediction(k));
+  };
+  const std::size_t window = threads <= 1 ? 256 : threads * 4;
   for (std::size_t start = 0; start < candidates.size(); start += window) {
     const std::size_t count = std::min(window, candidates.size() - start);
     window_preds.fill(candidates, start, count);
-    // One flag per item, each written by exactly one worker — no race.
-    std::vector<unsigned char> restored(count, 0);
-    auto evals = util::parallel_map(
-        count,
-        [&](std::size_t k) {
-          bool r = false;
-          CandidateEvaluation ev =
-              evaluate_or_restore(start + k, candidates[start + k], req,
-                                  device, checkpoint, &r, window_preds, k);
-          restored[k] = r ? 1 : 0;
-          return ev;
-        },
-        threads);
-    for (std::size_t k = 0; k < count; ++k) {
-      if (restored[k] && n_restored != nullptr) ++*n_restored;
-      if (absorb(start + k, std::move(evals[k]))) return out;
+    if (threads <= 1) {
+      for (std::size_t k = 0; k < count; ++k)
+        if (absorb(start + k, evaluate(start, k))) return out;
+      continue;
     }
+    auto evals = util::parallel_map(
+        count, [&](std::size_t k) { return evaluate(start, k); }, threads);
+    for (std::size_t k = 0; k < count; ++k)
+      if (absorb(start + k, std::move(evals[k]))) return out;
   }
   return out;  // all permutations exhausted without a satisfactory solution
 }

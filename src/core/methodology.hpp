@@ -30,10 +30,6 @@
 #include "core/throughput.hpp"
 #include "rcsim/device.hpp"
 
-namespace rat::store {
-class CampaignCheckpoint;
-}  // namespace rat::store
-
 namespace rat::core {
 
 /// What the designer requires of a migration for it to be worth doing
@@ -119,33 +115,23 @@ struct MethodologyOutcome {
 /// independent and results are merged in order, truncated at the first
 /// passing design. Parallel runs require the candidates' precision
 /// kernels (when any) to be safe to call from different threads.
-///
-/// @p checkpoint, when non-null, makes the run resumable (docs/STORE.md):
-/// each candidate's full evaluation is recorded as it completes, keyed by
-/// enumeration index + candidate_fingerprint, and a rerun replays
-/// recorded evaluations through the same in-order merge — so the resumed
-/// outcome (trace strings included) is byte-identical to an
-/// uninterrupted run. @p n_restored, when non-null, receives the number
-/// of candidates replayed instead of evaluated. The caller owns the
-/// checkpoint's campaign identity (see candidate_fingerprint's caveats).
 MethodologyOutcome run_methodology(const std::vector<DesignCandidate>& candidates,
                                    const Requirements& req,
                                    const rcsim::Device& device,
-                                   std::size_t n_threads = 1,
-                                   store::CampaignCheckpoint* checkpoint = nullptr,
-                                   std::size_t* n_restored = nullptr);
+                                   std::size_t n_threads = 1);
 
-/// Fingerprint of everything checkpoint replay depends on for one
+/// Fingerprint of everything a cached evaluation depends on for one
 /// candidate: worksheet inputs (exact double bit patterns), decision
-/// clock, resource items and the precision *reference* vector. The
-/// precision kernel is an arbitrary functor and cannot be fingerprinted —
-/// a kernel whose behaviour changes between runs defeats staleness
-/// detection; delete the checkpoint after changing one.
+/// clock, resource items and the precision *reference* vector. Half of
+/// the plan-cache key (explore/plan_cache.hpp). The precision kernel is
+/// an arbitrary functor and cannot be fingerprinted — a kernel whose
+/// behaviour changes between runs defeats the key; delete the cache
+/// after changing one.
 std::uint64_t candidate_fingerprint(const DesignCandidate& candidate);
 
 /// Fingerprint of the campaign-level evaluation context: requirements
-/// (every gate and model parameter) and the device inventory. Combined
-/// with the axes by explore_design_space to form the campaign identity.
+/// (every gate and model parameter) and the device inventory. The other
+/// half of the plan-cache key.
 std::uint64_t requirements_fingerprint(const Requirements& req,
                                        const rcsim::Device& device);
 

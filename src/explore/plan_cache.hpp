@@ -1,12 +1,12 @@
 // Persistent, content-addressed plan cache for design-space exploration.
 //
-// The campaign checkpoint (store/checkpoint.hpp) is positional: it replays
-// "item #i of this exact campaign". The plan cache is the complementary
-// memoization: evaluations keyed by *what was evaluated* — the candidate's
-// fingerprint plus the requirements/device context — so overlapping
-// campaigns (shifted axes, a re-run after editing an unrelated axis, a
-// different process) reuse already-scored points. The same pattern as
-// poplibs' ConvReuse: compiled plans cached under a canonical spec key.
+// The explorer's only persistence path. Evaluations are keyed by *what
+// was evaluated* — the candidate's fingerprint plus the requirements/device
+// context — not by grid position, so one mechanism covers both a crashed
+// campaign's resume and overlapping campaigns (shifted axes, a re-run
+// after editing an unrelated axis, a different process) reusing
+// already-scored points. The same pattern as poplibs' ConvReuse: compiled
+// plans cached under a canonical spec key.
 //
 // Key schema (docs/EXPLORATION.md): the canonical text
 //
@@ -58,8 +58,9 @@ class PlanCache {
   /// Replay a cached evaluation, re-stamped with this campaign's
   /// enumeration @p index and candidate @p name. Returns nullopt on a
   /// miss — including an entry whose payload fails to decode (version
-  /// mismatch or bit rot below the store's CRC granularity), which is
-  /// treated as absent rather than fatal.
+  /// mismatch, truncation, a garbage trace count, or bit rot below the
+  /// store's CRC granularity), which is treated as absent rather than
+  /// fatal.
   std::optional<core::CandidateEvaluation> lookup(const std::string& key,
                                                   std::size_t index,
                                                   const std::string& name);

@@ -1,12 +1,14 @@
 // CampaignCheckpoint: resumable-campaign journal for long evaluation
-// runs (rat_batch worksheet campaigns, design-space exploration).
+// runs whose work items are addressed by position (rat_batch worksheet
+// campaigns). Design-space exploration resumes through the
+// content-keyed plan cache (explore/plan_cache.hpp) instead.
 //
 // A checkpoint is a single rat.store.v1 journal whose first record is a
 // campaign header {kind, campaign fingerprint} and whose remaining
 // records are completed work items {index, item fingerprint, payload}.
 // Reopening validates the header against the caller's current campaign:
 // a kind or fingerprint mismatch means the checkpoint belongs to a
-// different campaign (different file list, axes, requirements, device…)
+// different campaign (a different file list, say)
 // and is rejected with StoreError(kStaleCheckpoint) — resuming it would
 // silently mix results from two different runs.
 //

@@ -4,7 +4,8 @@
 // without depending on the io layer: the store sits at the bottom of the
 // stack, so it carries its own structured error with a stable E_* name,
 // the path involved, and a human message. Consumers (rat_serve,
-// rat_batch, explore_design_space) surface the rendered form verbatim.
+// rat_batch, the design-space explorer's plan cache) surface the
+// rendered form verbatim.
 #pragma once
 
 #include <stdexcept>

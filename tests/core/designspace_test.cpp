@@ -2,12 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <stdexcept>
 #include <string>
 
 #include "core/units.hpp"
-#include "store/error.hpp"
 
 namespace rat::core {
 namespace {
@@ -157,105 +155,8 @@ TEST(DesignSpace, ResourceGateCanExhaustTheSpace) {
   EXPECT_FALSE(result.outcome.proceed);
 }
 
-namespace fs = std::filesystem;
-
-fs::path fresh_dir(const std::string& name) {
-  const fs::path dir = fs::path(::testing::TempDir()) / name;
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir;
-}
-
-/// Render the full result (trace + exact prediction bits + coverage) so
-/// "byte-identical resume" is asserted on everything the caller can see.
-std::string render_result(const DesignSpaceResult& r) {
-  std::string out = r.outcome.render_trace();
-  out += "proceed=" + std::to_string(r.outcome.proceed);
-  out += " accepted=" +
-         (r.outcome.accepted_index
-              ? std::to_string(*r.outcome.accepted_index)
-              : std::string("none"));
-  out += " reject=" + std::to_string(static_cast<int>(r.outcome.last_reject));
-  out += " total=" + std::to_string(r.points_total);
-  out += " skipped=" + std::to_string(r.points_skipped);
-  for (const auto& p : r.outcome.predictions) {
-    const char* bytes = reinterpret_cast<const char*>(&p);
-    out.append(bytes, sizeof p);
-  }
-  return out;
-}
-
-TEST(DesignSpaceCheckpointed, ResumeIsByteIdenticalAndSkipsDoneWork) {
-  DesignAxes axes;
-  axes.parallelism = {1, 2, 4, 8, 16};
-  axes.fclock_hz = {mhz(100)};
-  Requirements req;
-  req.min_speedup = 7.0;
-  const auto plain = explore_design_space(axes, simple_factory(), req,
-                                          rcsim::virtex4_lx100());
-
-  const fs::path dir = fresh_dir("designspace_ckpt");
-  DesignSpaceCheckpoint ckpt;
-  ckpt.path = dir / "sweep.ckpt";
-  const auto first = explore_design_space(axes, simple_factory(), req,
-                                          rcsim::virtex4_lx100(), 1, &ckpt);
-  EXPECT_EQ(first.points_restored, 0u);
-  EXPECT_EQ(render_result(first), render_result(plain));
-
-  // Tear off the journal's last record (kill -9 mid-final-evaluation),
-  // then resume: the torn point re-evaluates, the rest replay, and the
-  // result is byte-identical — serial or parallel.
-  fs::resize_file(ckpt.path, fs::file_size(ckpt.path) - 1);
-  const auto resumed = explore_design_space(axes, simple_factory(), req,
-                                            rcsim::virtex4_lx100(), 1, &ckpt);
-  // The run stops at the accepted 4th candidate (index 3): 3 replays.
-  EXPECT_EQ(resumed.points_restored, 3u);
-  EXPECT_EQ(render_result(resumed), render_result(plain));
-
-  const auto parallel = explore_design_space(
-      axes, simple_factory(), req, rcsim::virtex4_lx100(), 4, &ckpt);
-  EXPECT_EQ(render_result(parallel), render_result(plain));
-}
-
-TEST(DesignSpaceCheckpointed, ChangedRequirementsMakeCheckpointStale) {
-  DesignAxes axes;
-  axes.parallelism = {1, 2};
-  axes.fclock_hz = {mhz(100)};
-  Requirements req;
-  req.min_speedup = 7.0;
-  const fs::path dir = fresh_dir("designspace_ckpt_stale");
-  DesignSpaceCheckpoint ckpt;
-  ckpt.path = dir / "sweep.ckpt";
-  (void)explore_design_space(axes, simple_factory(), req,
-                             rcsim::virtex4_lx100(), 1, &ckpt);
-  req.min_speedup = 2.0;  // a different campaign entirely
-  try {
-    (void)explore_design_space(axes, simple_factory(), req,
-                               rcsim::virtex4_lx100(), 1, &ckpt);
-    FAIL() << "changed requirements must reject the checkpoint";
-  } catch (const store::StoreError& e) {
-    EXPECT_EQ(e.code(), store::StoreErrorCode::kStaleCheckpoint);
-  }
-}
-
-TEST(DesignSpaceCheckpointed, ChangedAxesMakeCheckpointStale) {
-  DesignAxes axes;
-  axes.parallelism = {1, 2};
-  axes.fclock_hz = {mhz(100)};
-  Requirements req;
-  req.min_speedup = 7.0;
-  const fs::path dir = fresh_dir("designspace_ckpt_axes");
-  DesignSpaceCheckpoint ckpt;
-  ckpt.path = dir / "sweep.ckpt";
-  (void)explore_design_space(axes, simple_factory(), req,
-                             rcsim::virtex4_lx100(), 1, &ckpt);
-  axes.parallelism = {1, 2, 4};
-  EXPECT_THROW((void)explore_design_space(axes, simple_factory(), req,
-                                          rcsim::virtex4_lx100(), 1, &ckpt),
-               store::StoreError);
-}
-
-TEST(DesignSpaceCheckpointed, CandidateFingerprintIsBitSensitive) {
+// The two fingerprints that key the plan cache (explore/plan_cache.hpp).
+TEST(DesignSpaceFingerprint, CandidateFingerprintIsBitSensitive) {
   DesignCandidate a;
   a.inputs = pdf1d_inputs();
   DesignCandidate b = a;
@@ -270,7 +171,7 @@ TEST(DesignSpaceCheckpointed, CandidateFingerprintIsBitSensitive) {
   EXPECT_NE(candidate_fingerprint(a), candidate_fingerprint(b));
 }
 
-TEST(DesignSpaceCheckpointed, RequirementsFingerprintCoversDeviceAndGates) {
+TEST(DesignSpaceFingerprint, RequirementsFingerprintCoversDeviceAndGates) {
   Requirements req;
   const auto device = rcsim::virtex4_lx100();
   const std::uint64_t base = requirements_fingerprint(req, device);
