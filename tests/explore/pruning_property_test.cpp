@@ -127,6 +127,10 @@ TEST(ExploreProperty, FuzzedSpacesMatchExhaustiveBitForBit) {
     EXPECT_EQ(s.points_skipped + s.points_bounded + s.points_evaluated +
                   s.points_restored + s.points_pruned,
               s.points_total);
+    EXPECT_EQ(s.rejected_throughput + s.rejected_precision +
+                  s.rejected_resource + s.rejected_power +
+                  (pruned.design.outcome.proceed ? 1u : 0u),
+              pruned.design.outcome.predictions.size());
     EXPECT_EQ(s.points_total, axes.size());
     EXPECT_EQ(s.points_skipped, exhaustive.points_skipped);
     if (!non_monotone) EXPECT_EQ(s.bound_violations, 0u);
