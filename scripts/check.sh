@@ -160,13 +160,16 @@ ctest --test-dir build-tsan --output-on-failure \
 # suite supervises real worker processes (RAT_SERVE_BIN), so the
 # SIGPIPE/EMFILE/router regression tests all run sanitized here too. The
 # Load suites (test_load) run here as well: the load runner drives the
-# same LineChannel connection core as the server and the router.
-echo "==== AddressSanitizer+UBSan pass (ingestion + store + batch + svc + load)"
+# same LineChannel connection core as the server and the router. So do
+# the Explore suites (test_explore): the plan cache decodes evaluation
+# payloads read back from disk, and it is exploration's only persistence
+# path.
+echo "==== AddressSanitizer+UBSan pass (ingestion + store + batch + svc + load + explore)"
 cmake -B build-asan -G Ninja -DRAT_SANITIZE=address,undefined
 cmake --build build-asan --target test_io test_store test_batch test_svc \
-  test_load rat_batch rat_serve
+  test_load test_explore rat_batch rat_serve
 ctest --test-dir build-asan --output-on-failure \
-  -R '^(LoadWorksheet|WorksheetDir|Batch|Store|Svc|Load)'
+  -R '^(LoadWorksheet|WorksheetDir|Batch|Store|Svc|Load|Explore)'
 
 # Scalar-fallback pass: the same identity suite with SIMD forced off
 # (-DRAT_SIMD=off), so the width-1 reference build — what a host without
