@@ -157,27 +157,15 @@ void Service::run_evaluation(Request req, std::uint64_t deadline_ns,
       return;
     }
 
+    // Inline text takes the same parse + validate path as a worksheet
+    // file, so both get the same grammar and E_INVALID_VALUE diagnostics.
     core::RatInputs inputs;
     try {
-      if (req.has_file) {
-        inputs = io::load_worksheet(req.file);
-      } else {
-        inputs = core::RatInputs::parse(req.worksheet, "<request>");
-        inputs.validate();
-      }
+      inputs = req.has_file
+                   ? io::load_worksheet(req.file)
+                   : io::parse_worksheet_text(req.worksheet, "<request>");
     } catch (const core::ParseError& e) {
       respond(on_response, diagnostic_response(req.id, e.diagnostic()),
-              /*ok=*/false);
-      finish_one();
-      return;
-    } catch (const std::invalid_argument& e) {
-      // validate() rejected a parseable worksheet; same taxonomy as the
-      // file loader (E_INVALID_VALUE).
-      respond(on_response,
-              diagnostic_response(
-                  req.id, core::Diagnostic{"<request>", 0, 0,
-                                           core::ParseErrorCode::kInvalidValue,
-                                           "", e.what()}),
               /*ok=*/false);
       finish_one();
       return;

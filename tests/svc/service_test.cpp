@@ -17,6 +17,7 @@
 
 #include "core/parameters.hpp"
 #include "io/json.hpp"
+#include "io/loader.hpp"
 #include "store/store.hpp"
 #include "util/thread_pool.hpp"
 
@@ -284,9 +285,30 @@ TEST(SvcService, ValidationFailureMapsToInvalidValue) {
   Collector out;
   core::RatInputs in = core::pdf1d_inputs();
   in.comm.alpha_write = 2.0;  // alphas live in (0, 1]
-  service.submit(evaluate_line("v", in.serialize()), out.sink());
+  const std::string text = in.serialize();
+  service.submit(evaluate_line("v", text), out.sink());
   service.drain();
-  EXPECT_EQ(error_code_of(out.wait_for(1)[0]), "E_INVALID_VALUE");
+  const std::string line = out.wait_for(1)[0];
+  EXPECT_EQ(error_code_of(line), "E_INVALID_VALUE");
+
+  // The response carries exactly the diagnostic the worksheet loader
+  // throws for the same text: one validation path, one taxonomy.
+  core::Diagnostic expected;
+  try {
+    (void)io::parse_worksheet_text(text, "<request>");
+    FAIL() << "the worksheet must fail validation";
+  } catch (const core::ParseError& e) {
+    expected = e.diagnostic();
+  }
+  const io::JsonValue doc = io::parse_json(line);
+  const io::JsonValue* d = doc.find("error")->find("diagnostic");
+  ASSERT_NE(d, nullptr);
+  EXPECT_EQ(d->find("file")->string, expected.file);
+  EXPECT_EQ(d->find("line")->number, static_cast<double>(expected.line));
+  EXPECT_EQ(d->find("column")->number, static_cast<double>(expected.column));
+  EXPECT_EQ(d->find("code")->string, core::error_code_name(expected.code));
+  EXPECT_EQ(d->find("key")->string, expected.key);
+  EXPECT_EQ(d->find("message")->string, expected.message);
 }
 
 TEST(SvcService, ProtocolErrorsAreAnsweredInline) {
