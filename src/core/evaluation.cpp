@@ -128,12 +128,7 @@ std::string encode_evaluation_unindexed(const CandidateEvaluation& ev) {
     store::put_u8(out, e.passed ? 1 : 0);
     store::put_string(out, e.detail);
   }
-  const ThroughputPrediction& p = ev.prediction;
-  for (double v : {p.fclock_hz, p.t_write_sec, p.t_read_sec, p.t_comm_sec,
-                   p.t_comp_sec, p.t_rc_sb_sec, p.t_rc_db_sec, p.speedup_sb,
-                   p.speedup_db, p.util_comp_sb, p.util_comm_sb,
-                   p.util_comp_db, p.util_comm_db})
-    store::put_f64(out, v);
+  put_prediction(out, ev.prediction);
   store::put_u8(out, ev.passed ? 1 : 0);
   store::put_u8(out, static_cast<std::uint8_t>(ev.reject));
   return out;
@@ -163,13 +158,7 @@ CandidateEvaluation decode_evaluation_unindexed(std::string_view payload,
     e.detail = cur.string();
     ev.trace.push_back(std::move(e));
   }
-  ThroughputPrediction& p = ev.prediction;
-  for (double* v : {&p.fclock_hz, &p.t_write_sec, &p.t_read_sec,
-                    &p.t_comm_sec, &p.t_comp_sec, &p.t_rc_sb_sec,
-                    &p.t_rc_db_sec, &p.speedup_sb, &p.speedup_db,
-                    &p.util_comp_sb, &p.util_comm_sb, &p.util_comp_db,
-                    &p.util_comm_db})
-    *v = cur.f64();
+  ev.prediction = get_prediction(cur);
   ev.passed = cur.u8() != 0;
   const std::uint8_t reject = cur.u8();
   if (reject > kMaxReject) throw corrupt("reject reason out of range");

@@ -5,11 +5,12 @@
 // every single-byte flip — is detected, which is what lets recovery keep
 // exactly the valid prefix of a torn or bit-rotted journal.
 //
-// FNV-1a 64 is the identity hash used for campaign and work-item
-// fingerprints (same function as svc::fnv1a64, re-homed here so layers
-// below svc can fingerprint without depending on it). Fnv1a is the
-// incremental form: feed it length-delimited fields so "ab"+"c" and
-// "a"+"bc" cannot collide by framing.
+// FNV-1a 64 is the identity hash behind every fingerprint: the service's
+// worksheet fingerprints (svc::fnv1a64 forwards here) and the plan
+// cache's candidate and context keys. It lives at the bottom of the
+// stack so every layer can fingerprint without depending on svc. Fnv1a
+// is the incremental form: feed it length-delimited fields so "ab"+"c"
+// and "a"+"bc" cannot collide by framing.
 #pragma once
 
 #include <cstddef>

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "io/json.hpp"
+#include "store/checksum.hpp"
 
 namespace rat::svc {
 
@@ -35,12 +36,7 @@ std::string canonical_text(const core::RatInputs& in) {
 }
 
 std::uint64_t fnv1a64(const std::string& text) {
-  std::uint64_t h = 14695981039346656037ull;
-  for (unsigned char c : text) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
+  return store::fnv1a64(text);
 }
 
 std::uint64_t fingerprint(const core::RatInputs& inputs) {

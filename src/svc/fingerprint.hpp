@@ -31,7 +31,7 @@ namespace rat::svc {
 /// identical text; any differing field produces differing text.
 std::string canonical_text(const core::RatInputs& inputs);
 
-/// 64-bit FNV-1a of @p text.
+/// 64-bit FNV-1a of @p text (store::fnv1a64, under the service's name).
 std::uint64_t fnv1a64(const std::string& text);
 
 /// fnv1a64(canonical_text(inputs)).
