@@ -11,19 +11,9 @@ namespace {
 
 constexpr std::uint8_t kPayloadVersion = 1;
 
-store::DurableStore::Options store_options(const PlanCache::Options& opts) {
-  store::DurableStore::Options o;
-  o.sync_every_append = opts.sync_every_append;
-  return o;
-}
-
 }  // namespace
 
-PlanCache::PlanCache(const std::filesystem::path& dir)
-    : PlanCache(dir, Options()) {}
-
-PlanCache::PlanCache(const std::filesystem::path& dir, const Options& options)
-    : store_(dir, store_options(options)) {}
+PlanCache::PlanCache(const std::filesystem::path& dir) : store_(dir) {}
 
 std::string PlanCache::key(std::uint64_t candidate_fp,
                            std::uint64_t context_fp) {

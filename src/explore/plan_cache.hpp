@@ -34,16 +34,10 @@ namespace rat::explore {
 
 class PlanCache {
  public:
-  struct Options {
-    /// fsync after every insert (crash-durability; see docs/STORE.md).
-    bool sync_every_append = true;
-  };
-
   /// Open or create the cache at @p dir. Throws store::StoreError (kIo,
   /// kCorrupt) exactly like DurableStore — a corrupt *snapshot* refuses
   /// to open; a torn journal tail is dropped silently.
   explicit PlanCache(const std::filesystem::path& dir);
-  PlanCache(const std::filesystem::path& dir, const Options& options);
 
   /// Canonical cache key for one (candidate, requirements, device)
   /// triple. Pure function of the fingerprints; campaign-independent.
@@ -65,8 +59,8 @@ class PlanCache {
                                                   std::size_t index,
                                                   const std::string& name);
 
-  /// Memoize one fresh evaluation. Durable on return under
-  /// sync_every_append. Thread-safe (DurableStore::put is).
+  /// Memoize one fresh evaluation. Durable on return (the store fsyncs
+  /// every append). Thread-safe (DurableStore::put is).
   void insert(const std::string& key, const core::CandidateEvaluation& ev);
 
   std::size_t size() const { return store_.size(); }

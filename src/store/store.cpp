@@ -95,7 +95,7 @@ DurableStore::DurableStore(const std::filesystem::path& dir, Options options)
     reg.set_gauge("store.entries", static_cast<double>(map_.size()));
   }
 
-  if (options_.background_compaction && options_.compact_journal_bytes > 0)
+  if (options_.compact_journal_bytes > 0)
     compact_thread_ = std::thread([this] { compaction_worker(); });
 }
 
@@ -345,15 +345,11 @@ void DurableStore::maybe_trigger_compaction() {
     over = journal_->bytes() > options_.compact_journal_bytes;
   }
   if (!over) return;
-  if (options_.background_compaction) {
-    {
-      std::lock_guard<std::mutex> lk(compact_mu_);
-      compact_requested_ = true;
-    }
-    compact_cv_.notify_one();
-  } else {
-    compact();
+  {
+    std::lock_guard<std::mutex> lk(compact_mu_);
+    compact_requested_ = true;
   }
+  compact_cv_.notify_one();
 }
 
 void DurableStore::compaction_worker() {

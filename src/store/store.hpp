@@ -53,11 +53,10 @@ inline constexpr char kSnapshotMagic[8] = {'R', 'A', 'T', 'S',
 struct DurableStoreOptions {
   /// fsync after every journal append (see docs/STORE.md §durability).
   bool sync_every_append = true;
-  /// Compact once the journal exceeds this many bytes (0 = never
-  /// automatically; explicit compact() always works).
+  /// Compact on the background thread once the journal exceeds this
+  /// many bytes (0 = never automatically; explicit compact() always
+  /// works).
   std::uint64_t compact_journal_bytes = 8u << 20;
-  /// Run automatic compaction on a background thread instead of inline.
-  bool background_compaction = true;
 };
 
 class DurableStore {

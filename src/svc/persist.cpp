@@ -9,8 +9,8 @@
 namespace rat::svc {
 
 PersistentResultCache::PersistentResultCache(
-    const std::filesystem::path& dir, store::DurableStoreOptions options)
-    : store_(dir, options) {}
+    const std::filesystem::path& dir)
+    : store_(dir) {}
 
 std::size_t PersistentResultCache::warm(ResultCache& cache) {
   std::size_t loaded = 0;

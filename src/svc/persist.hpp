@@ -33,8 +33,7 @@ class PersistentResultCache {
   /// Open (or create) the store under @p dir. Throws store::StoreError
   /// on unreadable directories or a corrupt snapshot; a torn journal
   /// tail is recovered silently (that is a normal crash, not damage).
-  explicit PersistentResultCache(const std::filesystem::path& dir,
-                                 store::DurableStoreOptions options = {});
+  explicit PersistentResultCache(const std::filesystem::path& dir);
 
   /// Replay every persisted entry into @p cache (oldest write first) and
   /// return how many were loaded. Entries beyond the cache's capacity
@@ -42,7 +41,8 @@ class PersistentResultCache {
   std::size_t warm(ResultCache& cache);
 
   /// Persist one freshly computed result. Call only for genuine inserts
-  /// (see file comment); durable on return under sync_every_append.
+  /// (see file comment); durable on return (the store fsyncs every
+  /// append).
   void append(const std::string& key, const ResultCache::Value& value);
 
   store::DurableStore& store() { return store_; }
