@@ -41,8 +41,9 @@ void BM_JournalAppendSynced(benchmark::State& state) {
 BENCHMARK(BM_JournalAppendSynced)->Arg(64)->Arg(1024)->Arg(16384);
 
 void BM_JournalAppendUnsynced(benchmark::State& state) {
-  // What a plan cache or batch checkpoint opened with
-  // sync_every_append=false pays per record.
+  // What compaction's journal rewrite pays per record: it appends the
+  // surviving records unsynced and fsyncs the file once before its
+  // rename.
   const fs::path dir = fresh_dir("append_unsynced");
   store::JournalWriter writer(dir / "journal", {.sync_every_append = false});
   const std::string payload(static_cast<std::size_t>(state.range(0)), 'x');

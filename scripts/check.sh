@@ -146,7 +146,7 @@ ctest --test-dir build-tsan --output-on-failure \
 
 # ASan+UBSan pass over the worksheet ingestion path, the durable store,
 # the SIMD batch kernel and the prediction service: the io tests (strict
-# parser, loaders, batch runner + checkpoint resume), the store tests
+# parser, loaders, batch runner), the store tests
 # (including the recovery property suite, which truncates journals at
 # every byte boundary and bit-flips payloads), the BatchIdentity suite
 # (the '^Batch' pattern covers it: lane loads/stores and the SoA arena
@@ -207,12 +207,24 @@ rm -f "$smoke_out" "$smoke_err"
 # with non-zero batch + thread-pool activity (--threads=2 forces the pool
 # into play even on a single-core runner), and collection must not change
 # the batch outputs — the JSON/CSV written with metrics on are byte-
-# identical to a run with metrics off.
+# identical to a run with metrics off. --dir only names the files: each
+# worksheet is parsed once, by the batch runner (no io.load_worksheet
+# timer), and the same four files passed positionally give byte-identical
+# stdout, stderr, JSON and CSV.
 echo "==== rat_batch metrics smoke (rat.metrics.v1 export)"
 metrics_dir=$(mktemp -d)
 build/src/apps/rat_batch --dir=tests/fixtures/worksheets --quiet \
   --threads=2 --json="$metrics_dir/plain.json" \
-  --csv="$metrics_dir/plain.csv" >/dev/null 2>&1 || true
+  --csv="$metrics_dir/plain.csv" >"$metrics_dir/plain.out" \
+  2>"$metrics_dir/plain.err" || true
+build/src/apps/rat_batch --quiet --threads=2 \
+  tests/fixtures/worksheets/broken.rat tests/fixtures/worksheets/md.rat \
+  tests/fixtures/worksheets/pdf1d.rat tests/fixtures/worksheets/pdf2d.rat \
+  --json="$metrics_dir/positional.json" --csv="$metrics_dir/positional.csv" \
+  >"$metrics_dir/positional.out" 2>"$metrics_dir/positional.err" || true
+for ext in out err json csv; do
+  cmp "$metrics_dir/plain.$ext" "$metrics_dir/positional.$ext"
+done
 build/src/apps/rat_batch --dir=tests/fixtures/worksheets --quiet \
   --threads=2 --json="$metrics_dir/observed.json" \
   --csv="$metrics_dir/observed.csv" \
@@ -228,6 +240,8 @@ assert c["batch.files"] == 4, c
 assert c["batch.files_ok"] == 3, c
 assert c["pool.tasks_completed"] > 0, c
 assert doc["timers"]["batch.file"]["count"] == 4, doc["timers"]
+# --dir lists the directory without parsing it; only batch.file loads.
+assert "io.load_worksheet" not in doc["timers"], doc["timers"]
 assert any(s["name"] == "batch.file" for s in doc["spans"]), doc["spans"]
 print("metrics OK:", len(c), "counters,", len(doc["timers"]), "timers,",
       len(doc["spans"]), "spans")
@@ -606,47 +620,6 @@ grep -q '"id":"p","status":"ok","op":"ping"' "$stdio_out"
 grep -q '"id":"e","status":"ok","op":"evaluate"' "$stdio_out"
 [ "$(wc -l <"$stdio_out")" -eq 2 ]
 rm -f "$stdio_out"
-
-# Crash-recovery smoke (docs/STORE.md): a checkpointed rat_batch is
-# kill -9'd mid-campaign (throttled so evaluations are slow enough to
-# interrupt) and then resumed; the resumed run must restore at least one
-# recorded item and its JSON output must be byte-for-byte identical to
-# an uninterrupted run's. Uses the ASan+UBSan build so the recovery path
-# itself runs sanitized.
-echo "==== rat_batch kill -9 crash-recovery smoke (checkpoint resume)"
-crash_dir=$(mktemp -d)
-rc=0
-build-asan/src/apps/rat_batch --dir=tests/fixtures/worksheets --quiet \
-  --json="$crash_dir/plain.json" >/dev/null 2>&1 || rc=$?
-[ "$rc" -eq 2 ]  # broken.rat: documented partial-failure exit code
-build-asan/src/apps/rat_batch --dir=tests/fixtures/worksheets --quiet \
-  --checkpoint="$crash_dir/campaign.ckpt" --throttle-ms=300 \
-  --json="$crash_dir/interrupted.json" >/dev/null 2>&1 &
-batch_pid=$!
-# Wait for the first completed item to hit the checkpoint journal
-# (header + campaign record + one item record), then pull the plug.
-for _ in $(seq 200); do
-  size=$(stat -c %s "$crash_dir/campaign.ckpt" 2>/dev/null || echo 0)
-  [ "$size" -ge 150 ] && break
-  sleep 0.05
-done
-kill -9 "$batch_pid" 2>/dev/null || true
-wait "$batch_pid" 2>/dev/null || true
-rc=0
-build-asan/src/apps/rat_batch --dir=tests/fixtures/worksheets --quiet \
-  --checkpoint="$crash_dir/campaign.ckpt" \
-  --json="$crash_dir/resumed.json" >/dev/null 2>"$crash_dir/resume.err" \
-  || rc=$?
-[ "$rc" -eq 2 ]
-if ! grep -q 'checkpoint: restored [1-4] of 4' "$crash_dir/resume.err"; then
-  echo "rat_batch: resumed run restored nothing from the checkpoint"
-  cat "$crash_dir/resume.err"
-  exit 1
-fi
-cmp "$crash_dir/plain.json" "$crash_dir/resumed.json"
-echo "crash-recovery OK: $(grep -o 'restored [0-9] of 4' \
-  "$crash_dir/resume.err"), resumed JSON byte-identical"
-rm -rf "$crash_dir"
 
 # Plan-cache crash-recovery smoke (docs/EXPLORATION.md): a throttled
 # pruned campaign (tolerance far below what any format reaches, so every

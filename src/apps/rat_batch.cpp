@@ -8,6 +8,10 @@
 // inputs and every Eq. 1-11 prediction (both buffering modes) alongside
 // the paper-style printed tables.
 //
+// The output depends only on the worksheet files, and evaluating one
+// takes microseconds, so a batch keeps no state: a crashed run recovers
+// by running again, with byte-identical output.
+//
 // Usage:
 //   rat_batch --dir=<worksheet dir> [files.rat ...]
 //             [--out=<dir>]          write <dir>/batch.json + batch.csv
@@ -15,14 +19,6 @@
 //             [--threads=N]          0 = auto (RAT_THREADS override)
 //             [--mode=sb|db]         printed tables' buffering mode
 //             [--quiet]              summary + diagnostics only
-//             [--checkpoint=<path>]  durable campaign checkpoint
-//                                    (docs/STORE.md): record each
-//                                    completed worksheet; a rerun after a
-//                                    crash replays recorded results and
-//                                    only evaluates the remainder, with
-//                                    byte-identical output
-//             [--throttle-ms=N]      crash-drill hook: sleep N ms after
-//                                    each fresh evaluation (tests only)
 //             [--metrics=<path>]     collect observability metrics and
 //                                    write a rat.metrics.v1 JSON document
 //                                    (RAT_METRICS env var is an implicit
@@ -30,8 +26,8 @@
 //
 // Exit codes (documented in docs/WORKSHEET_FORMAT.md):
 //   0  every worksheet evaluated
-//   1  fatal: bad flags, unreadable directory, no worksheets found, or a
-//      stale/corrupt --checkpoint (E_STALE_CHECKPOINT / E_STORE_CORRUPT)
+//   1  fatal: bad flags, missing or unreadable directory, no worksheets
+//      found, or an output file that cannot be written
 //   2  partial failure: at least one worksheet had a diagnostic
 #include <algorithm>
 #include <cstdio>
@@ -43,7 +39,6 @@
 #include "core/worksheet.hpp"
 #include "io/batch.hpp"
 #include "obs/metrics.hpp"
-#include "store/error.hpp"
 #include "util/cli.hpp"
 #include "util/format.hpp"
 #include "util/parallel_for.hpp"
@@ -57,7 +52,6 @@ int usage(const char* program) {
                "usage: %s --dir=<worksheet dir> [files.rat ...] "
                "[--out=<dir>] [--json=<path>] [--csv=<path>] "
                "[--threads=N] [--mode=sb|db] [--quiet] "
-               "[--checkpoint=<path>] [--throttle-ms=N] "
                "[--metrics=<path>]\n",
                program);
   return 1;
@@ -81,8 +75,8 @@ int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
 
   static const std::vector<std::string> known{
-      "dir", "out", "json", "csv", "threads", "mode", "quiet", "checkpoint",
-      "throttle-ms", "metrics", "help"};
+      "dir", "out", "json", "csv", "threads", "mode", "quiet", "metrics",
+      "help"};
   for (const std::string& k : cli.keys()) {
     if (std::find(known.begin(), known.end(), k) == known.end()) {
       std::fprintf(stderr, "rat_batch: unknown flag --%s\n", k.c_str());
@@ -100,17 +94,10 @@ int main(int argc, char** argv) {
                                       : core::WorksheetMode::kDoubleBuffered;
 
   std::size_t n_threads = 0;
-  std::size_t throttle_ms = 0;
   try {
     n_threads = cli.get_size_t("threads", 0, 0, 4096);
-    throttle_ms = cli.get_size_t("throttle-ms", 0, 0, 60000);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "rat_batch: %s\n", e.what());
-    return usage(argv[0]);
-  }
-  const std::string checkpoint_path = cli.get_or("checkpoint", "");
-  if (cli.has("checkpoint") && checkpoint_path.empty()) {
-    std::fprintf(stderr, "rat_batch: --checkpoint needs a path\n");
     return usage(argv[0]);
   }
 
@@ -134,8 +121,7 @@ int main(int argc, char** argv) {
   std::vector<std::filesystem::path> files;
   if (cli.has("dir")) {
     try {
-      for (const auto& r : io::load_worksheet_dir(cli.get("dir").value()))
-        files.push_back(r.path);
+      files = io::list_worksheets(cli.get("dir").value());
     } catch (const core::ParseError& e) {
       std::fprintf(stderr, "rat_batch: %s\n", e.what());
       return 1;
@@ -148,23 +134,7 @@ int main(int argc, char** argv) {
     return usage(argv[0]);
   }
 
-  io::BatchOptions options;
-  options.n_threads = n_threads;
-  options.throttle_ms = static_cast<unsigned>(throttle_ms);
-  if (!checkpoint_path.empty())
-    options.checkpoint = io::BatchCheckpointConfig{checkpoint_path};
-
-  io::BatchResult result;
-  try {
-    result = io::run_batch(files, options);
-  } catch (const store::StoreError& e) {
-    // Stale / corrupt / unwritable checkpoint: structured E_* message.
-    std::fprintf(stderr, "rat_batch: %s\n", e.what());
-    return 1;
-  }
-  if (!checkpoint_path.empty())
-    std::fprintf(stderr, "rat_batch: checkpoint: restored %zu of %zu\n",
-                 result.n_restored, result.entries.size());
+  const io::BatchResult result = io::run_batch(files, n_threads);
 
   // Per-file summary table on stdout, one diagnostic per line on stderr.
   util::Table summary({"file", "status", "name", "clocks",

@@ -1,13 +1,9 @@
 #include "io/batch.hpp"
 
-#include <chrono>
 #include <sstream>
-#include <thread>
 
 #include "io/json.hpp"
 #include "obs/metrics.hpp"
-#include "store/checkpoint.hpp"
-#include "store/checksum.hpp"
 #include "store/codec.hpp"
 #include "util/parallel_for.hpp"
 #include "util/table.hpp"
@@ -60,23 +56,9 @@ void append_prediction_json(std::ostream& os,
 std::string encode_predictions(
     const std::vector<core::ThroughputPrediction>& predictions) {
   std::string out;
-  out.reserve(4 + predictions.size() * 13 * 8);
+  out.reserve(4 + predictions.size() * core::kPredictionBytes);
   store::put_u32(out, static_cast<std::uint32_t>(predictions.size()));
-  for (const auto& p : predictions) {
-    store::put_f64(out, p.fclock_hz);
-    store::put_f64(out, p.t_write_sec);
-    store::put_f64(out, p.t_read_sec);
-    store::put_f64(out, p.t_comm_sec);
-    store::put_f64(out, p.t_comp_sec);
-    store::put_f64(out, p.t_rc_sb_sec);
-    store::put_f64(out, p.t_rc_db_sec);
-    store::put_f64(out, p.speedup_sb);
-    store::put_f64(out, p.speedup_db);
-    store::put_f64(out, p.util_comp_sb);
-    store::put_f64(out, p.util_comm_sb);
-    store::put_f64(out, p.util_comp_db);
-    store::put_f64(out, p.util_comm_db);
-  }
+  for (const auto& p : predictions) core::put_prediction(out, p);
   return out;
 }
 
@@ -87,7 +69,8 @@ std::vector<core::ThroughputPrediction> decode_predictions(
   // Validate the declared count against the actual byte budget before
   // reserving: a garbage count from corrupt bytes must surface as
   // kCorrupt, not as an allocation failure.
-  if (cur.remaining() != static_cast<std::size_t>(count) * 13 * 8)
+  if (cur.remaining() !=
+      static_cast<std::size_t>(count) * core::kPredictionBytes)
     throw store::StoreError(
         store::StoreErrorCode::kCorrupt, "",
         "prediction payload declares " + std::to_string(count) +
@@ -95,23 +78,8 @@ std::vector<core::ThroughputPrediction> decode_predictions(
             " byte(s)");
   std::vector<core::ThroughputPrediction> out;
   out.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    core::ThroughputPrediction p;
-    p.fclock_hz = cur.f64();
-    p.t_write_sec = cur.f64();
-    p.t_read_sec = cur.f64();
-    p.t_comm_sec = cur.f64();
-    p.t_comp_sec = cur.f64();
-    p.t_rc_sb_sec = cur.f64();
-    p.t_rc_db_sec = cur.f64();
-    p.speedup_sb = cur.f64();
-    p.speedup_db = cur.f64();
-    p.util_comp_sb = cur.f64();
-    p.util_comm_sb = cur.f64();
-    p.util_comp_db = cur.f64();
-    p.util_comm_db = cur.f64();
-    out.push_back(p);
-  }
+  for (std::uint32_t i = 0; i < count; ++i)
+    out.push_back(core::get_prediction(cur));
   cur.expect_done();
   return out;
 }
@@ -125,164 +93,48 @@ void append_diagnostic_json(std::ostream& os, const core::Diagnostic& d) {
      << ",\"rendered\":" << json_str(d.to_string()) << '}';
 }
 
-namespace {
-
-// Checkpoint item payload: u8 status (1 = ok, 0 = parse/validate
-// failure), then the encoded predictions for ok items. Inputs and
-// diagnostics are NOT stored — they are regenerated by re-parsing the
-// worksheet text, which the item fingerprint guarantees is byte-for-byte
-// what the recorded run parsed, so the regenerated values (and therefore
-// the final batch output) are identical.
-constexpr std::uint8_t kItemFailed = 0;
-constexpr std::uint8_t kItemOk = 1;
-
-std::uint64_t batch_campaign_fingerprint(
-    const std::vector<std::filesystem::path>& files) {
-  store::Fnv1a fp;
-  fp.add_string("rat.batch.v1");
-  fp.add_u64(files.size());
-  for (const auto& f : files) fp.add_string(f.string());
-  return fp.value();
-}
-
-/// Parse + evaluate one worksheet text, filling entry (never throws).
-void evaluate_text(const std::string& text, BatchEntry& entry) {
-  try {
-    entry.load.inputs =
-        parse_worksheet_text(text, entry.load.path.string());
-    entry.predictions = core::predict_all(*entry.load.inputs);
-  } catch (const core::ParseError& e) {
-    entry.load.diagnostic = e.diagnostic();
-  } catch (const std::exception& e) {
-    entry.load.diagnostic =
-        core::Diagnostic{entry.load.path.string(), 0, 0,
-                         core::ParseErrorCode::kInternalError, "", e.what()};
-  }
-}
-
-}  // namespace
-
 BatchResult run_batch(const std::vector<std::filesystem::path>& files,
-                      const BatchOptions& options) {
+                      std::size_t n_threads) {
   obs::ScopedTimer batch_timer("batch.run");
-
-  std::optional<store::CampaignCheckpoint> ckpt;
-  if (options.checkpoint) {
-    store::CampaignCheckpointOptions copts;
-    copts.sync_every_append = options.checkpoint->sync_every_append;
-    ckpt.emplace(options.checkpoint->path, "rat.batch.v1",
-                 batch_campaign_fingerprint(files), copts);
-  }
-
   BatchResult result;
   result.entries = util::parallel_map(
       files.size(),
-      [&files, &ckpt, &options](std::size_t i) {
-        // Per-file parse+evaluate span; detail carries the worksheet path
+      [&files](std::size_t i) {
+        // Per-file load+evaluate span; detail carries the worksheet path
         // so the exported timeline names every file.
         obs::ScopedTimer file_timer("batch.file", files[i].string(),
                                     /*record_span=*/true);
         BatchEntry entry;
         entry.load.path = files[i];
-
-        std::string text;
         try {
-          text = read_worksheet_text(files[i]);
+          core::RatInputs inputs = load_worksheet(files[i]);
+          entry.predictions = core::predict_all(inputs);
+          entry.load.inputs = std::move(inputs);
         } catch (const core::ParseError& e) {
-          // Unreadable file: fail this entry but never checkpoint it —
-          // there are no input bytes to fingerprint, and a resume should
-          // retry it (the file may be back).
           entry.load.diagnostic = e.diagnostic();
-          return entry;
         } catch (const std::exception& e) {
           entry.load.diagnostic =
               core::Diagnostic{files[i].string(), 0, 0,
                                core::ParseErrorCode::kInternalError, "",
                                e.what()};
-          return entry;
         }
-
-        const std::uint64_t item_fp = store::fnv1a64(text);
-        if (ckpt) {
-          // Throws StoreError(kStaleCheckpoint) if this file's bytes
-          // changed since the item was recorded.
-          if (const std::string* payload =
-                  ckpt->restored_payload(i, item_fp)) {
-            entry.restored = true;
-            store::Cursor cur(*payload);
-            if (cur.u8() == kItemOk) {
-              entry.predictions = decode_predictions(
-                  std::string_view(*payload).substr(1));
-              // Same bytes => same parse; regenerating the inputs keeps
-              // the payload small and the output byte-identical.
-              entry.load.inputs =
-                  parse_worksheet_text(text, files[i].string());
-            } else {
-              cur.expect_done();
-              evaluate_text(text, entry);  // regenerate the diagnostic
-            }
-            return entry;
-          }
-        }
-
-        evaluate_text(text, entry);
-        if (ckpt) {
-          std::string payload;
-          store::put_u8(payload, entry.ok() ? kItemOk : kItemFailed);
-          if (entry.ok()) payload += encode_predictions(entry.predictions);
-          ckpt->record(i, item_fp, payload);
-        }
-        if (options.throttle_ms > 0)
-          std::this_thread::sleep_for(
-              std::chrono::milliseconds(options.throttle_ms));
         return entry;
       },
-      options.n_threads);
-  for (const auto& e : result.entries) {
+      n_threads);
+  for (const auto& e : result.entries)
     (e.ok() ? result.n_ok : result.n_failed) += 1;
-    if (e.restored) ++result.n_restored;
-  }
   if (obs::enabled()) {
     obs::Registry& reg = obs::Registry::global();
     reg.add_counter("batch.files", result.entries.size());
     reg.add_counter("batch.files_ok", result.n_ok);
     reg.add_counter("batch.files_failed", result.n_failed);
-    reg.add_counter("batch.files_restored", result.n_restored);
   }
   return result;
 }
 
-BatchResult run_batch(const std::vector<std::filesystem::path>& files,
-                      std::size_t n_threads) {
-  BatchOptions options;
-  options.n_threads = n_threads;
-  return run_batch(files, options);
-}
-
-BatchResult run_batch_dir(const std::filesystem::path& dir,
-                          const BatchOptions& options) {
-  // Enumerate serially (deterministic sorted order), evaluate in parallel.
-  std::error_code ec;
-  if (!std::filesystem::is_directory(dir, ec))
-    throw core::ParseError({dir.string(), 0, 0,
-                            core::ParseErrorCode::kIoError, "",
-                            ec ? "cannot stat directory: " + ec.message()
-                               : "not a directory"});
-  std::vector<std::filesystem::path> files;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (entry.is_regular_file() &&
-        entry.path().extension() == kWorksheetExtension)
-      files.push_back(entry.path());
-  }
-  std::sort(files.begin(), files.end());
-  return run_batch(files, options);
-}
-
 BatchResult run_batch_dir(const std::filesystem::path& dir,
                           std::size_t n_threads) {
-  BatchOptions options;
-  options.n_threads = n_threads;
-  return run_batch_dir(dir, options);
+  return run_batch(list_worksheets(dir), n_threads);
 }
 
 std::string batch_json(const BatchResult& result) {

@@ -7,6 +7,10 @@
 // emitted machine-readably (JSON with the full input set and every
 // Eq. 1-11 output for both buffering modes, or flat CSV) so the batch
 // pipeline can be scripted; the rat_batch app adds the human tables.
+//
+// A batch keeps no state of its own: its output is a pure function of
+// the worksheet files, so a crashed batch recovers by running again and
+// produces byte-identical output.
 #pragma once
 
 #include <cstddef>
@@ -22,13 +26,20 @@
 
 namespace rat::io {
 
+/// One file's load outcome: exactly one of inputs / diagnostic is set.
+struct LoadResult {
+  std::filesystem::path path;
+  std::optional<core::RatInputs> inputs;
+  std::optional<core::Diagnostic> diagnostic;
+
+  bool ok() const { return inputs.has_value(); }
+};
+
 /// One worksheet file's batch outcome: the load result plus, on success,
 /// the per-clock predictions (exactly core::predict_all on the inputs).
 struct BatchEntry {
   LoadResult load;
   std::vector<core::ThroughputPrediction> predictions;
-  /// Replayed from a checkpoint instead of evaluated this run.
-  bool restored = false;
 
   bool ok() const { return load.ok(); }
 };
@@ -38,45 +49,20 @@ struct BatchResult {
   std::vector<BatchEntry> entries;
   std::size_t n_ok = 0;
   std::size_t n_failed = 0;
-  std::size_t n_restored = 0;  ///< entries replayed from the checkpoint
 
   bool all_ok() const { return n_failed == 0; }
 };
 
-/// Checkpoint/resume configuration for run_batch (docs/STORE.md). The
-/// campaign identity is the ordered file list; each item's identity is
-/// its raw worksheet bytes, so editing a file between runs is rejected
-/// as E_STALE_CHECKPOINT rather than silently replaying a result for
-/// data that changed. Unreadable files are never checkpointed — they are
-/// retried on every resume.
-struct BatchCheckpointConfig {
-  std::filesystem::path path;
-  bool sync_every_append = true;
-};
-
-struct BatchOptions {
-  std::size_t n_threads = 0;  ///< 0 = auto (RAT_THREADS / hardware)
-  std::optional<BatchCheckpointConfig> checkpoint;
-  /// Crash-drill hook (scripts/check.sh): sleep this long after each
-  /// *fresh* evaluation so a kill -9 reliably lands mid-campaign.
-  /// Restored entries never sleep.
-  unsigned throttle_ms = 0;
-};
-
 /// Evaluate each file (load_worksheet + predict_all), in parallel across
-/// the pool. Never throws for a bad file — see BatchEntry::load
-/// .diagnostic; with a checkpoint, throws store::StoreError for a stale
-/// or unusable checkpoint file.
-BatchResult run_batch(const std::vector<std::filesystem::path>& files,
-                      const BatchOptions& options);
+/// @p n_threads pool threads (0 = auto: RAT_THREADS / hardware). Never
+/// throws for a bad file: an unreadable one gets an E_IO diagnostic, a
+/// malformed one its grammar or E_INVALID_VALUE diagnostic, and any
+/// other failure E_INTERNAL (BatchEntry::load.diagnostic).
 BatchResult run_batch(const std::vector<std::filesystem::path>& files,
                       std::size_t n_threads = 0);
 
-/// run_batch over every "*.rat" file directly inside @p dir, sorted by
-/// path. Throws core::ParseError (E_IO) only when the directory itself is
-/// missing or unreadable.
-BatchResult run_batch_dir(const std::filesystem::path& dir,
-                          const BatchOptions& options);
+/// run_batch over list_worksheets(@p dir). Throws core::ParseError (E_IO)
+/// only when the directory itself is missing or unreadable.
 BatchResult run_batch_dir(const std::filesystem::path& dir,
                           std::size_t n_threads = 0);
 
@@ -95,10 +81,10 @@ void append_prediction_json(std::ostream& os,
                             const core::ThroughputPrediction& prediction);
 void append_diagnostic_json(std::ostream& os, const core::Diagnostic& d);
 
-/// rat.store.v1 predictions payload: u32 count, then 13 f64 bit patterns
-/// per prediction in declaration order. Exact IEEE-754 round-trip — the
-/// basis for byte-identical checkpoint resume and cache warm-start.
-/// decode throws store::StoreError(kCorrupt) on malformed payloads.
+/// rat.store.v1 predictions payload: u32 count, then each prediction in
+/// the core::put_prediction layout. Exact IEEE-754 round-trip — the
+/// basis for byte-identical cache warm-start (svc/persist.hpp). decode
+/// throws store::StoreError(kCorrupt) on malformed payloads.
 std::string encode_predictions(
     const std::vector<core::ThroughputPrediction>& predictions);
 std::vector<core::ThroughputPrediction> decode_predictions(

@@ -4,8 +4,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "obs/metrics.hpp"
-
 namespace rat::io {
 
 namespace {
@@ -52,7 +50,7 @@ core::RatInputs load_worksheet(const std::filesystem::path& path) {
   return parse_worksheet_text(read_worksheet_text(path), path.string());
 }
 
-std::vector<LoadResult> load_worksheet_dir(
+std::vector<std::filesystem::path> list_worksheets(
     const std::filesystem::path& dir) {
   std::error_code ec;
   if (!std::filesystem::is_directory(dir, ec))
@@ -61,33 +59,18 @@ std::vector<LoadResult> load_worksheet_dir(
                               : "not a directory"));
 
   std::vector<std::filesystem::path> files;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (entry.is_regular_file() &&
-        entry.path().extension() == kWorksheetExtension)
-      files.push_back(entry.path());
+  std::filesystem::directory_iterator it(dir, ec);
+  for (; !ec && it != std::filesystem::directory_iterator(); it.increment(ec)) {
+    std::error_code type_ec;  // e.g. a dangling symlink: not a worksheet
+    if (it->is_regular_file(type_ec) &&
+        it->path().extension() == kWorksheetExtension)
+      files.push_back(it->path());
   }
+  if (ec)
+    throw core::ParseError(
+        io_diagnostic(dir, "cannot read directory: " + ec.message()));
   std::sort(files.begin(), files.end());
-
-  obs::ScopedTimer dir_timer("io.load_worksheet_dir");
-  std::vector<LoadResult> results;
-  results.reserve(files.size());
-  for (const auto& path : files) {
-    obs::ScopedTimer file_timer("io.load_worksheet", path.string(),
-                                /*record_span=*/true);
-    LoadResult r;
-    r.path = path;
-    try {
-      r.inputs = load_worksheet(path);
-    } catch (const core::ParseError& e) {
-      r.diagnostic = e.diagnostic();
-    } catch (const std::exception& e) {
-      r.diagnostic = core::Diagnostic{path.string(), 0, 0,
-                                      core::ParseErrorCode::kInternalError,
-                                      "", e.what()};
-    }
-    results.push_back(std::move(r));
-  }
-  return results;
+  return files;
 }
 
 }  // namespace rat::io

@@ -4,13 +4,13 @@
 // input parameters and the resulting performance values are returned"
 // (§4). This layer turns worksheet *files* into validated RatInputs with
 // structured diagnostics (io/diagnostics.hpp): load_worksheet throws a
-// core::ParseError whose Diagnostic names the file, line and column;
-// load_worksheet_dir has partial-failure semantics — one bad file yields
-// a per-file Diagnostic, never a dead batch.
+// core::ParseError whose Diagnostic names the file, line and column.
+// list_worksheets only names the files of a worksheet directory; the
+// batch runner (io/batch.hpp) loads them, one diagnostic per bad file.
 #pragma once
 
 #include <filesystem>
-#include <optional>
+#include <string>
 #include <vector>
 
 #include "core/parameters.hpp"
@@ -19,7 +19,7 @@
 namespace rat::io {
 
 /// Extension a worksheet file must carry to be picked up by
-/// load_worksheet_dir (load_worksheet itself accepts any path).
+/// list_worksheets (load_worksheet itself accepts any path).
 inline constexpr const char* kWorksheetExtension = ".rat";
 
 /// Read, parse and validate one worksheet file. Throws core::ParseError
@@ -27,31 +27,20 @@ inline constexpr const char* kWorksheetExtension = ".rat";
 /// and values rejected by RatInputs::validate() (E_INVALID_VALUE).
 core::RatInputs load_worksheet(const std::filesystem::path& path);
 
-/// The two halves of load_worksheet, split so checkpoint/resume can hash
-/// the raw bytes between them (io/batch.hpp): identical bytes through
-/// parse_worksheet_text yield identical RatInputs *and* identical
-/// diagnostics, which is what makes a resumed batch byte-identical to an
-/// uninterrupted one. read throws E_IO; parse throws the same grammar /
-/// E_INVALID_VALUE diagnostics as load_worksheet, attributed to
-/// @p origin.
+/// The two halves of load_worksheet, for callers that need only one: the
+/// service parses inline request text, and load mixes (load/mix.hpp)
+/// replay a file's raw bytes.
+/// read throws E_IO; parse throws the same grammar / E_INVALID_VALUE
+/// diagnostics as load_worksheet, attributed to @p origin.
 std::string read_worksheet_text(const std::filesystem::path& path);
 core::RatInputs parse_worksheet_text(const std::string& text,
                                      const std::string& origin);
 
-/// One file's outcome from load_worksheet_dir: exactly one of inputs /
-/// diagnostic is set.
-struct LoadResult {
-  std::filesystem::path path;
-  std::optional<core::RatInputs> inputs;
-  std::optional<core::Diagnostic> diagnostic;
-
-  bool ok() const { return inputs.has_value(); }
-};
-
-/// Load every "*.rat" file directly inside @p dir (not recursive), sorted
-/// by path so results are deterministic across platforms. Per-file
-/// failures land in LoadResult::diagnostic; only an unreadable or missing
-/// directory throws (core::ParseError, E_IO).
-std::vector<LoadResult> load_worksheet_dir(const std::filesystem::path& dir);
+/// Every regular "*.rat" file directly inside @p dir (not recursive),
+/// sorted by path so the order is deterministic across platforms. Reads
+/// no file. Throws core::ParseError (E_IO) when the directory is missing
+/// or cannot be read.
+std::vector<std::filesystem::path> list_worksheets(
+    const std::filesystem::path& dir);
 
 }  // namespace rat::io

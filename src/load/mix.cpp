@@ -1,35 +1,16 @@
 #include "load/mix.hpp"
 
-#include <algorithm>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 #include "core/parameters.hpp"
+#include "io/loader.hpp"
 
 namespace rat::load {
 
 Mix Mix::from_fixture_dir(const std::filesystem::path& dir) {
-  std::error_code ec;
-  std::vector<std::filesystem::path> files;
-  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-    if (entry.is_regular_file() && entry.path().extension() == ".rat")
-      files.push_back(entry.path());
-  }
-  if (ec)
-    throw std::runtime_error("Mix: cannot read fixture dir " + dir.string() +
-                             ": " + ec.message());
-  std::sort(files.begin(), files.end());
-
   Mix mix;
-  for (const auto& path : files) {
-    std::ifstream f(path);
-    if (!f)
-      throw std::runtime_error("Mix: cannot open " + path.string());
-    std::ostringstream text;
-    text << f.rdbuf();
-    mix.add(path.filename().string(), text.str());
-  }
+  for (const auto& path : io::list_worksheets(dir))
+    mix.add(path.filename().string(), io::read_worksheet_text(path));
   if (mix.size() == 0)
     throw std::runtime_error("Mix: no *.rat worksheets in " + dir.string());
   return mix;

@@ -24,9 +24,10 @@ namespace rat::load {
 
 class Mix {
  public:
-  /// All "*.rat" files under @p dir, sorted by filename. Throws
-  /// std::runtime_error when the directory has none or a file cannot
-  /// be read.
+  /// All "*.rat" files directly in @p dir (io::list_worksheets), sorted
+  /// by filename, verbatim. Throws core::ParseError (E_IO) when the
+  /// directory or a file cannot be read, std::runtime_error when the
+  /// directory has no worksheets.
   static Mix from_fixture_dir(const std::filesystem::path& dir);
 
   void add(std::string name, std::string worksheet);

@@ -1,6 +1,6 @@
 // Little-endian binary encoding helpers shared by every rat.store.v1
-// payload (journal records, snapshot entries, checkpoint items, cached
-// prediction values).
+// payload (journal records, snapshot entries, cached prediction values,
+// plan-cache evaluations).
 //
 // Writers append to a std::string; the Cursor reader is bounds-checked
 // and throws StoreError(kCorrupt) instead of reading past the end, so a

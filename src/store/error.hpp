@@ -3,9 +3,9 @@
 // Mirrors the spirit of the worksheet E_* codes (io/diagnostics.hpp)
 // without depending on the io layer: the store sits at the bottom of the
 // stack, so it carries its own structured error with a stable E_* name,
-// the path involved, and a human message. Consumers (rat_serve,
-// rat_batch, the design-space explorer's plan cache) surface the
-// rendered form verbatim.
+// the path involved, and a human message. Consumers (rat_serve's result
+// cache, the design-space explorer's plan cache) surface the rendered
+// form verbatim.
 #pragma once
 
 #include <stdexcept>
@@ -14,16 +14,14 @@
 namespace rat::store {
 
 enum class StoreErrorCode {
-  kIo,               ///< open/read/write/fsync/rename failed
-  kCorrupt,          ///< snapshot or value bytes fail validation
-  kStaleCheckpoint,  ///< checkpoint does not match the current campaign
+  kIo,       ///< open/read/write/fsync/rename failed
+  kCorrupt,  ///< snapshot or value bytes fail validation
 };
 
 constexpr const char* store_error_code_name(StoreErrorCode code) {
   switch (code) {
     case StoreErrorCode::kIo: return "E_IO";
     case StoreErrorCode::kCorrupt: return "E_STORE_CORRUPT";
-    case StoreErrorCode::kStaleCheckpoint: return "E_STALE_CHECKPOINT";
   }
   return "E_STORE_CORRUPT";
 }

@@ -8,7 +8,6 @@
 #include <fstream>
 
 #include "core/throughput.hpp"
-#include "store/error.hpp"
 
 namespace rat::io {
 namespace {
@@ -174,123 +173,6 @@ TEST(Batch, ExplicitFileListPreservesOrder) {
 TEST(Batch, MissingDirectoryThrowsIoError) {
   EXPECT_THROW(run_batch_dir(fresh_dir("batch_gone") / "nope"),
                core::ParseError);
-}
-
-// --- Checkpoint / resume -------------------------------------------------
-
-BatchOptions checkpointed(const fs::path& path, std::size_t threads = 1) {
-  BatchOptions o;
-  o.n_threads = threads;
-  o.checkpoint = BatchCheckpointConfig{path};
-  return o;
-}
-
-TEST(BatchCheckpoint, ResumeReplaysAndMatchesUninterruptedRunExactly) {
-  const fs::path dir = mixed_fixture("batch_ckpt_resume");
-  const std::vector<fs::path> files = {dir / "pdf1d.rat", dir / "pdf2d.rat",
-                                       dir / "md.rat", dir / "broken.rat"};
-  const std::string uninterrupted = batch_json(run_batch(files));
-
-  // First run with a checkpoint: everything is fresh.
-  const fs::path ckpt = dir / "campaign.ckpt";
-  const BatchResult first = run_batch(files, checkpointed(ckpt));
-  EXPECT_EQ(first.n_restored, 0u);
-  EXPECT_EQ(batch_json(first), uninterrupted);
-
-  // Second run: everything replays — including broken.rat, whose parse
-  // failure was recorded (the file was readable, so its bytes were
-  // fingerprintable) and whose diagnostic is regenerated on restore.
-  const BatchResult second = run_batch(files, checkpointed(ckpt));
-  EXPECT_EQ(second.n_restored, 4u);
-  EXPECT_EQ(batch_json(second), uninterrupted);
-  for (const BatchEntry& e : second.entries) EXPECT_TRUE(e.restored);
-  EXPECT_FALSE(second.entries[3].ok());  // still the same parse failure
-}
-
-TEST(BatchCheckpoint, PartialCheckpointEvaluatesOnlyTheRemainder) {
-  // Simulate a crash mid-campaign: run the first two files under the
-  // checkpoint, then run the full list. Only the last two evaluate.
-  const fs::path dir = mixed_fixture("batch_ckpt_partial");
-  const std::vector<fs::path> files = {dir / "pdf1d.rat", dir / "pdf2d.rat",
-                                       dir / "md.rat"};
-  const fs::path ckpt = dir / "campaign.ckpt";
-  const std::string full = batch_json(run_batch(files));
-
-  // Run the whole campaign serially, then tear the journal's final
-  // record — byte-for-byte what kill -9 during the third evaluation
-  // leaves behind.
-  { (void)run_batch(files, checkpointed(ckpt)); }
-  const std::uintmax_t size = fs::file_size(ckpt);
-  fs::resize_file(ckpt, size - 1);
-
-  const BatchResult resumed = run_batch(files, checkpointed(ckpt));
-  EXPECT_EQ(resumed.n_restored, 2u);
-  EXPECT_EQ(batch_json(resumed), full);
-}
-
-TEST(BatchCheckpoint, UnreadableFileIsRetriedOnResume) {
-  // An unreadable worksheet has no bytes to fingerprint, so it is never
-  // checkpointed; once it becomes readable, the resumed run evaluates it.
-  const fs::path dir = fresh_dir("batch_ckpt_retry");
-  write_file(dir / "good.rat", core::pdf1d_inputs().serialize());
-  const fs::path flaky = dir / "flaky.rat";  // missing on the first run
-  const fs::path ckpt = dir / "campaign.ckpt";
-  const std::vector<fs::path> files = {dir / "good.rat", flaky};
-
-  const BatchResult first = run_batch(files, checkpointed(ckpt));
-  EXPECT_EQ(first.n_ok, 1u);
-  EXPECT_EQ(first.n_failed, 1u);
-
-  write_file(flaky, core::md_inputs().serialize());
-  const BatchResult second = run_batch(files, checkpointed(ckpt));
-  EXPECT_EQ(second.n_restored, 1u);  // only good.rat replays
-  EXPECT_EQ(second.n_ok, 2u);
-  ASSERT_TRUE(second.entries[1].ok());
-  EXPECT_FALSE(second.entries[1].restored);
-  expect_same_predictions(second.entries[1].predictions,
-                          core::predict_all(core::md_inputs()));
-}
-
-TEST(BatchCheckpoint, EditedWorksheetMakesItsRecordStale) {
-  const fs::path dir = fresh_dir("batch_ckpt_edited");
-  write_file(dir / "w.rat", core::pdf1d_inputs().serialize());
-  const fs::path ckpt = dir / "campaign.ckpt";
-  const std::vector<fs::path> files = {dir / "w.rat"};
-  { (void)run_batch(files, checkpointed(ckpt)); }
-  // Same file, different bytes: replaying the old result would be wrong.
-  write_file(dir / "w.rat", core::pdf2d_inputs().serialize());
-  try {
-    (void)run_batch(files, checkpointed(ckpt));
-    FAIL() << "stale item must be rejected";
-  } catch (const store::StoreError& e) {
-    EXPECT_EQ(e.code(), store::StoreErrorCode::kStaleCheckpoint);
-  }
-}
-
-TEST(BatchCheckpoint, DifferentFileListIsAStaleCampaign) {
-  const fs::path dir = mixed_fixture("batch_ckpt_campaign");
-  const fs::path ckpt = dir / "campaign.ckpt";
-  { (void)run_batch({dir / "pdf1d.rat"}, checkpointed(ckpt)); }
-  EXPECT_THROW(
-      (void)run_batch({dir / "pdf1d.rat", dir / "md.rat"},
-                      checkpointed(ckpt)),
-      store::StoreError);
-}
-
-TEST(BatchCheckpoint, ParallelResumeMatchesSerial) {
-  const fs::path dir = mixed_fixture("batch_ckpt_parallel");
-  const std::vector<fs::path> files = {dir / "broken.rat", dir / "md.rat",
-                                       dir / "pdf1d.rat", dir / "pdf2d.rat"};
-  const fs::path ckpt_s = dir / "serial.ckpt";
-  const fs::path ckpt_p = dir / "parallel.ckpt";
-  { (void)run_batch(files, checkpointed(ckpt_s, 1)); }
-  { (void)run_batch(files, checkpointed(ckpt_p, 4)); }
-  const BatchResult serial = run_batch(files, checkpointed(ckpt_s, 4));
-  const BatchResult parallel = run_batch(files, checkpointed(ckpt_p, 1));
-  EXPECT_EQ(serial.n_restored, 4u);
-  EXPECT_EQ(parallel.n_restored, 4u);
-  EXPECT_EQ(batch_json(serial), batch_json(parallel));
-  EXPECT_EQ(batch_json(serial), batch_json(run_batch(files)));
 }
 
 }  // namespace

@@ -6,8 +6,10 @@
 
 #include <filesystem>
 #include <fstream>
+#include <vector>
 
 #include "core/throughput.hpp"
+#include "io/batch.hpp"
 
 namespace rat::io {
 namespace {
@@ -89,36 +91,41 @@ TEST(WorksheetDir, LoadsSortedAndIgnoresOtherExtensions) {
   write_file(dir / "b.rat", core::pdf2d_inputs().serialize());
   write_file(dir / "a.rat", core::pdf1d_inputs().serialize());
   write_file(dir / "notes.txt", "not a worksheet");
-  const auto results = load_worksheet_dir(dir);
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_EQ(results[0].path.filename(), "a.rat");
-  EXPECT_EQ(results[1].path.filename(), "b.rat");
-  ASSERT_TRUE(results[0].ok());
-  ASSERT_TRUE(results[1].ok());
-  EXPECT_EQ(results[0].inputs->name, core::pdf1d_inputs().name);
-  EXPECT_EQ(results[1].inputs->name, core::pdf2d_inputs().name);
+  fs::create_directories(dir / "nested.rat");  // not a regular file
+  const std::vector<fs::path> files = list_worksheets(dir);
+  ASSERT_EQ(files.size(), 2u);
+  EXPECT_EQ(files[0].filename(), "a.rat");
+  EXPECT_EQ(files[1].filename(), "b.rat");
+  EXPECT_EQ(load_worksheet(files[0]).name, core::pdf1d_inputs().name);
+  EXPECT_EQ(load_worksheet(files[1]).name, core::pdf2d_inputs().name);
 }
 
 TEST(WorksheetDir, OneBadFileDoesNotKillTheBatch) {
   const fs::path dir = fresh_dir("dir_partial");
   write_file(dir / "good.rat", core::md_inputs().serialize());
   write_file(dir / "broken.rat", "name = broken\nelements_in = nope\n");
-  const auto results = load_worksheet_dir(dir);
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_FALSE(results[0].ok());  // broken.rat sorts first
-  EXPECT_TRUE(results[1].ok());
-  ASSERT_TRUE(results[0].diagnostic.has_value());
-  EXPECT_EQ(results[0].diagnostic->line, 2u);
-  EXPECT_EQ(results[0].diagnostic->key, "elements_in");
+  const BatchResult r = run_batch_dir(dir);
+  ASSERT_EQ(r.entries.size(), 2u);
+  EXPECT_FALSE(r.entries[0].ok());  // broken.rat sorts first
+  EXPECT_TRUE(r.entries[1].ok());
+  ASSERT_TRUE(r.entries[0].load.diagnostic.has_value());
+  EXPECT_EQ(r.entries[0].load.diagnostic->line, 2u);
+  EXPECT_EQ(r.entries[0].load.diagnostic->key, "elements_in");
 }
 
 TEST(WorksheetDir, MissingDirectoryThrows) {
   const fs::path dir = fresh_dir("dir_gone") / "nope";
-  EXPECT_THROW(load_worksheet_dir(dir), core::ParseError);
+  try {
+    (void)list_worksheets(dir);
+    FAIL() << "a missing directory must throw";
+  } catch (const core::ParseError& e) {
+    EXPECT_EQ(e.diagnostic().code, core::ParseErrorCode::kIoError);
+    EXPECT_EQ(e.diagnostic().file, dir.string());
+  }
 }
 
 TEST(WorksheetDir, EmptyDirectoryYieldsNoResults) {
-  EXPECT_TRUE(load_worksheet_dir(fresh_dir("dir_empty")).empty());
+  EXPECT_TRUE(list_worksheets(fresh_dir("dir_empty")).empty());
 }
 
 }  // namespace

@@ -66,7 +66,7 @@ TEST(StoreChecksum, DoublesHashByBitPattern) {
   pos.add_double(0.0);
   neg.add_double(-0.0);
   // +0.0 == -0.0 numerically, but the bit patterns differ and so must the
-  // fingerprints (checkpoint identity is bit-exact).
+  // fingerprints (plan-cache keys are bit-exact).
   EXPECT_NE(pos.value(), neg.value());
 }
 
