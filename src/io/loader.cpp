@@ -59,8 +59,9 @@ std::vector<std::filesystem::path> list_worksheets(
                               : "not a directory"));
 
   std::vector<std::filesystem::path> files;
-  std::filesystem::directory_iterator it(dir, ec);
-  for (; !ec && it != std::filesystem::directory_iterator(); it.increment(ec)) {
+  const std::filesystem::directory_iterator end;
+  for (std::filesystem::directory_iterator it(dir, ec); !ec && it != end;
+       it.increment(ec)) {
     std::error_code type_ec;  // e.g. a dangling symlink: not a worksheet
     if (it->is_regular_file(type_ec) &&
         it->path().extension() == kWorksheetExtension)

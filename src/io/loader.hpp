@@ -29,9 +29,9 @@ core::RatInputs load_worksheet(const std::filesystem::path& path);
 
 /// The two halves of load_worksheet, for callers that need only one: the
 /// service parses inline request text, and load mixes (load/mix.hpp)
-/// replay a file's raw bytes.
-/// read throws E_IO; parse throws the same grammar / E_INVALID_VALUE
-/// diagnostics as load_worksheet, attributed to @p origin.
+/// replay a file's raw bytes. read throws E_IO; parse throws the same
+/// grammar / E_INVALID_VALUE diagnostics as load_worksheet, attributed
+/// to @p origin.
 std::string read_worksheet_text(const std::filesystem::path& path);
 core::RatInputs parse_worksheet_text(const std::string& text,
                                      const std::string& origin);
