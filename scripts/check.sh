@@ -313,6 +313,10 @@ assert c["svc.requests"] == 1000, c.get("svc.requests")
 assert c["svc.cache.hit"] > 0, c.get("svc.cache.hit")
 assert c["svc.responses.ok"] == 750, c.get("svc.responses.ok")
 assert c["svc.responses.error"] == 250, c.get("svc.responses.error")
+# Each of the 750 valid worksheets makes exactly one cache lookup: the
+# drain-time export neither drops nor double-counts one.
+assert c["svc.cache.hit"] + c["svc.cache.miss"] == c["svc.responses.ok"] \
+    == 750, (c.get("svc.cache.hit"), c.get("svc.cache.miss"))
 print("service metrics OK:", c["svc.cache.hit"], "cache hits,",
       c["svc.responses.ok"], "ok,", c["svc.responses.error"], "errors")
 EOF

@@ -24,7 +24,6 @@ std::uint32_t thread_index() {
   return id;
 }
 
-#ifndef RAT_OBS_DISABLE
 namespace detail {
 std::atomic<bool> g_enabled{false};
 }  // namespace detail
@@ -32,7 +31,6 @@ std::atomic<bool> g_enabled{false};
 void set_enabled(bool on) {
   detail::g_enabled.store(on, std::memory_order_relaxed);
 }
-#endif
 
 const char* env_metrics_path() {
   const char* v = std::getenv("RAT_METRICS");

@@ -7,8 +7,6 @@
 //   * disabled by default — every instrumentation site is guarded by
 //     enabled(), a single relaxed atomic load, so the uninstrumented hot
 //     path costs one predictable branch;
-//   * compiling with RAT_OBS_DISABLE turns enabled() into constexpr false
-//     and dead-codes every site entirely (for byte-identical baselines);
 //   * thread-safe by construction: the Registry stripes its maps across
 //     mutex shards keyed by metric-name hash, so concurrent workers
 //     updating different metrics rarely contend;
@@ -44,10 +42,6 @@ std::uint64_t now_ns();
 /// order). Stable for the thread's lifetime; used to attribute spans.
 std::uint32_t thread_index();
 
-#ifdef RAT_OBS_DISABLE
-constexpr bool enabled() { return false; }
-inline void set_enabled(bool) {}
-#else
 namespace detail {
 extern std::atomic<bool> g_enabled;
 }  // namespace detail
@@ -60,7 +54,6 @@ inline bool enabled() {
 
 /// Flip collection on or off process-wide (default: off).
 void set_enabled(bool on);
-#endif
 
 /// Value of the RAT_METRICS environment variable when set and non-empty:
 /// the path metrics should be exported to (apps honour it as an implicit

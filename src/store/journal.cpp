@@ -58,20 +58,10 @@ std::string journal_header_bytes() {
   return h;
 }
 
-std::uint32_t read_u32_le(const char* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i)
-    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(p[i]))
-         << (8 * i);
-  return v;
-}
-
-std::uint64_t read_u64_le(const char* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i)
-    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(p[i]))
-         << (8 * i);
-  return v;
+/// CRC32C over len || seq || payload of a whole frame: every byte but
+/// the crc field itself, which sits between len and seq on disk.
+std::uint32_t frame_crc(std::string_view frame) {
+  return crc32c(frame.substr(8), crc32c(frame.substr(0, 4)));
 }
 
 }  // namespace
@@ -80,34 +70,40 @@ std::string frame_record(std::uint64_t seq, std::string_view payload) {
   std::string frame;
   frame.reserve(kRecordHeaderBytes + payload.size());
   put_u32(frame, static_cast<std::uint32_t>(payload.size()));
-  // CRC covers len || seq || payload; the crc field itself sits between
-  // len and seq on disk, so assemble in two steps.
-  std::string crc_input;
-  crc_input.reserve(12 + payload.size());
-  put_u32(crc_input, static_cast<std::uint32_t>(payload.size()));
-  put_u64(crc_input, seq);
-  crc_input.append(payload.data(), payload.size());
-  put_u32(frame, crc32c(crc_input));
+  put_u32(frame, 0);  // crc, filled in once the frame is whole
   put_u64(frame, seq);
   frame.append(payload.data(), payload.size());
+  std::string crc;
+  put_u32(crc, frame_crc(frame));
+  frame.replace(4, 4, crc);
+  return frame;
+}
+
+DecodedFrame decode_frame(std::string_view data) {
+  DecodedFrame frame;
+  if (data.size() < kRecordHeaderBytes) return frame;
+  Cursor header(data.substr(0, kRecordHeaderBytes));
+  const std::uint32_t len = header.u32();
+  const std::uint32_t crc = header.u32();
+  frame.seq = header.u64();
+  if (len > kMaxRecordBytes || data.size() - kRecordHeaderBytes < len)
+    return frame;
+  frame.size = kRecordHeaderBytes + len;
+  if (frame_crc(data.substr(0, frame.size)) != crc) {
+    frame.status = DecodedFrame::Status::kBadCrc;
+    return frame;
+  }
+  frame.status = DecodedFrame::Status::kOk;
+  frame.payload = data.substr(kRecordHeaderBytes, len);
   return frame;
 }
 
 RecoveredJournal recover_journal(const std::filesystem::path& path) {
   obs::ScopedTimer timer("store.recover");
   RecoveredJournal out;
-
-  std::error_code ec;
-  if (!std::filesystem::exists(path, ec)) return out;
-
-  std::ifstream f(path, std::ios::binary);
-  if (!f)
-    throw StoreError(StoreErrorCode::kIo, path.string(), "cannot open file");
-  std::ostringstream os;
-  os << f.rdbuf();
-  if (f.bad())
-    throw StoreError(StoreErrorCode::kIo, path.string(), "read error");
-  const std::string data = os.str();
+  const std::optional<std::string> file = read_file(path);
+  if (!file) return out;
+  const std::string_view data = *file;
 
   // Header: anything short or mismatched invalidates the whole file (the
   // framing cannot be trusted without it).
@@ -117,33 +113,23 @@ RecoveredJournal recover_journal(const std::filesystem::path& path) {
   };
   if (data.size() < kJournalHeaderBytes ||
       std::memcmp(data.data(), kJournalMagic, sizeof kJournalMagic) != 0 ||
-      read_u32_le(data.data() + 8) != kStoreFormatVersion ||
-      read_u32_le(data.data() + 12) != crc32c(data.data(), 12)) {
+      Cursor(data.substr(8, 4)).u32() != kStoreFormatVersion ||
+      Cursor(data.substr(12, 4)).u32() != crc32c(data.substr(0, 12))) {
     invalid_from(0);
     return out;
   }
 
+  // A torn, over-long or corrupt frame, or a seq regression, ends the
+  // valid prefix.
   std::uint64_t offset = kJournalHeaderBytes;
   std::uint64_t prev_seq = 0;
-  while (true) {
-    if (data.size() - offset < kRecordHeaderBytes) break;  // torn header
-    const char* h = data.data() + offset;
-    const std::uint32_t len = read_u32_le(h);
-    const std::uint32_t crc = read_u32_le(h + 4);
-    const std::uint64_t seq = read_u64_le(h + 8);
-    if (len > kMaxRecordBytes) break;                       // absurd length
-    if (data.size() - offset - kRecordHeaderBytes < len) break;  // torn body
-    std::string crc_input;
-    crc_input.reserve(12 + len);
-    crc_input.append(h, 4);
-    crc_input.append(h + 8, 8);
-    crc_input.append(h + kRecordHeaderBytes, len);
-    if (crc32c(crc_input) != crc) break;                    // corrupt record
-    if (seq <= prev_seq) break;                             // seq regression
-    out.records.push_back(
-        {seq, std::string(h + kRecordHeaderBytes, len)});
-    prev_seq = seq;
-    offset += kRecordHeaderBytes + len;
+  for (;;) {
+    const DecodedFrame frame = decode_frame(data.substr(offset));
+    if (frame.status != DecodedFrame::Status::kOk || frame.seq <= prev_seq)
+      break;
+    out.records.push_back({frame.seq, std::string(frame.payload)});
+    prev_seq = frame.seq;
+    offset += frame.size;
   }
   invalid_from(offset);
   out.last_seq = prev_seq;
@@ -304,6 +290,19 @@ void write_file_durable(const std::filesystem::path& path,
     throw;
   }
   ::close(fd);
+}
+
+std::optional<std::string> read_file(const std::filesystem::path& path) {
+  std::error_code ec;
+  if (!std::filesystem::exists(path, ec)) return std::nullopt;
+  std::ifstream f(path, std::ios::binary);
+  if (!f)
+    throw StoreError(StoreErrorCode::kIo, path.string(), "cannot open file");
+  std::ostringstream os;
+  os << f.rdbuf();
+  if (f.bad())
+    throw StoreError(StoreErrorCode::kIo, path.string(), "read error");
+  return std::move(os).str();
 }
 
 void fsync_parent_dir(const std::filesystem::path& child) {

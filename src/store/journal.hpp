@@ -26,6 +26,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -135,6 +136,25 @@ class JournalWriter {
 /// Exposed for tests that build journals byte-by-byte.
 std::string frame_record(std::uint64_t seq, std::string_view payload);
 
+/// One record frame read back by decode_frame.
+struct DecodedFrame {
+  enum class Status {
+    kOk,
+    kTruncated,  ///< header or payload runs past the end, or the length
+                 ///< field exceeds kMaxRecordBytes
+    kBadCrc,     ///< the CRC over len || seq || payload does not match
+  };
+  Status status = Status::kTruncated;
+  std::uint64_t seq = 0;
+  std::string_view payload;  ///< views the decoded bytes
+  std::size_t size = 0;      ///< header + payload: where the next frame starts
+};
+
+/// Decode the frame at the front of @p data: the inverse of frame_record.
+/// What a bad frame means is the caller's policy — the journal keeps the
+/// prefix before it, a snapshot is corrupt.
+DecodedFrame decode_frame(std::string_view data);
+
 /// fsync the directory containing @p child so a just-created or
 /// just-renamed entry survives a crash of the directory itself.
 void fsync_parent_dir(const std::filesystem::path& child);
@@ -143,5 +163,9 @@ void fsync_parent_dir(const std::filesystem::path& child);
 /// The building block for write-temp-then-atomic-rename.
 void write_file_durable(const std::filesystem::path& path,
                         std::string_view data);
+
+/// The whole of @p path, or nullopt when it does not exist. Throws
+/// StoreError(kIo) when it exists but cannot be read.
+std::optional<std::string> read_file(const std::filesystem::path& path);
 
 }  // namespace rat::store

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -17,22 +15,6 @@ namespace {
 // Snapshot header: magic "RATSTRS1" | u32 version | u64 last_seq |
 // u32 entry count | u32 CRC32C over the preceding 24 bytes.
 constexpr std::size_t kSnapshotHeaderBytes = 28;
-
-std::uint32_t read_u32_le(const char* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i)
-    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(p[i]))
-         << (8 * i);
-  return v;
-}
-
-std::uint64_t read_u64_le(const char* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i)
-    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(p[i]))
-         << (8 * i);
-  return v;
-}
 
 }  // namespace
 
@@ -117,63 +99,46 @@ DurableStore::~DurableStore() {
 void DurableStore::load_snapshot(std::uint64_t* last_seq) {
   *last_seq = 0;
   const std::filesystem::path path = snapshot_path();
-  std::error_code ec;
-  if (!std::filesystem::exists(path, ec)) return;
-
-  std::ifstream f(path, std::ios::binary);
-  if (!f)
-    throw StoreError(StoreErrorCode::kIo, path.string(), "cannot open file");
-  std::ostringstream os;
-  os << f.rdbuf();
-  if (f.bad())
-    throw StoreError(StoreErrorCode::kIo, path.string(), "read error");
-  const std::string data = os.str();
+  const std::optional<std::string> file = read_file(path);
+  if (!file) return;
+  const std::string_view data = *file;
 
   // Unlike the journal, a snapshot is written whole and atomically
   // renamed: any corruption here is bit rot, and truncating it would
   // silently drop acknowledged data. Fail loudly instead.
   if (data.size() < kSnapshotHeaderBytes ||
-      std::memcmp(data.data(), kSnapshotMagic, sizeof kSnapshotMagic) != 0 ||
-      read_u32_le(data.data() + 8) != kStoreFormatVersion)
+      std::memcmp(data.data(), kSnapshotMagic, sizeof kSnapshotMagic) != 0)
     throw StoreError(StoreErrorCode::kCorrupt, path.string(),
                      "bad snapshot header");
-  if (read_u32_le(data.data() + 24) != crc32c(data.data(), 24))
+  Cursor header(data.substr(8, kSnapshotHeaderBytes - 8));
+  if (header.u32() != kStoreFormatVersion)
+    throw StoreError(StoreErrorCode::kCorrupt, path.string(),
+                     "bad snapshot header");
+  const std::uint64_t snap_seq = header.u64();
+  const std::uint32_t count = header.u32();
+  if (header.u32() != crc32c(data.substr(0, 24)))
     throw StoreError(StoreErrorCode::kCorrupt, path.string(),
                      "snapshot header checksum mismatch");
-  const std::uint64_t snap_seq = read_u64_le(data.data() + 12);
-  const std::uint32_t count = read_u32_le(data.data() + 20);
 
   std::size_t offset = kSnapshotHeaderBytes;
   for (std::uint32_t i = 0; i < count; ++i) {
-    if (data.size() - offset < kRecordHeaderBytes)
+    const DecodedFrame frame = decode_frame(data.substr(offset));
+    if (frame.status == DecodedFrame::Status::kTruncated)
       throw StoreError(StoreErrorCode::kCorrupt, path.string(),
                        "snapshot truncated at entry " + std::to_string(i));
-    const char* h = data.data() + offset;
-    const std::uint32_t len = read_u32_le(h);
-    const std::uint32_t crc = read_u32_le(h + 4);
-    const std::uint64_t seq = read_u64_le(h + 8);
-    if (len > kMaxRecordBytes ||
-        data.size() - offset - kRecordHeaderBytes < len)
-      throw StoreError(StoreErrorCode::kCorrupt, path.string(),
-                       "snapshot truncated at entry " + std::to_string(i));
-    std::string crc_input;
-    crc_input.reserve(12 + len);
-    crc_input.append(h, 4);
-    crc_input.append(h + 8, 8);
-    crc_input.append(h + kRecordHeaderBytes, len);
-    if (crc32c(crc_input) != crc)
+    if (frame.status == DecodedFrame::Status::kBadCrc)
       throw StoreError(StoreErrorCode::kCorrupt, path.string(),
                        "snapshot entry " + std::to_string(i) +
                            " checksum mismatch");
-    Cursor cur(std::string_view(h + kRecordHeaderBytes, len));
+    Cursor cur(frame.payload);
     std::string key = cur.string();
     std::string value = cur.string();
     cur.expect_done();
     // Snapshot entries carry ordinal seqs 1..count in last-write order
     // (count ≤ snap_seq, so journal records always sort after them and
     // unconditionally overwrite on replay).
-    map_[std::move(key)] = Entry{std::move(value), seq};
-    offset += kRecordHeaderBytes + len;
+    map_[std::move(key)] = Entry{std::move(value), frame.seq};
+    offset += frame.size;
   }
   if (offset != data.size())
     throw StoreError(StoreErrorCode::kCorrupt, path.string(),

@@ -1,14 +1,8 @@
 #include "svc/cache.hpp"
 
-#include "obs/metrics.hpp"
-
 namespace rat::svc {
 
 namespace {
-
-void obs_count(const char* name) {
-  if (obs::enabled()) obs::Registry::global().add_counter(name);
-}
 
 /// Approximate resident footprint of one entry: key bytes plus the
 /// prediction vector's payload (bookkeeping overhead excluded — the
@@ -46,16 +40,7 @@ ResultCache::Value ResultCache::get(const std::string& key,
       found = it->second->second;
     }
   }
-  if (found) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    obs_count("svc.cache.hit");
-  } else {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    obs_count("svc.cache.miss");
-  }
-  // The derived hit_ratio gauge is refreshed in stats() (stats op /
-  // metrics export), not here: a gauge write per lookup would tax the
-  // hit fast path for a number nobody reads mid-flight.
+  (found ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
   return found;
 }
 
@@ -93,21 +78,12 @@ ResultCache::PutOutcome ResultCache::put(const std::string& key,
       s.index.emplace(key, s.lru.begin());
     }
   }
-  if (outcome == PutOutcome::kInsertedEvicting) {
+  if (outcome == PutOutcome::kInsertedEvicting)
     evictions_.fetch_add(1, std::memory_order_relaxed);
-    obs_count("svc.cache.eviction");
-  }
   if (outcome == PutOutcome::kInserted)
     size_.fetch_add(1, std::memory_order_relaxed);
   bytes_.fetch_add(static_cast<std::uint64_t>(bytes_delta),
                    std::memory_order_relaxed);
-  if (obs::enabled()) {
-    obs::Registry& reg = obs::Registry::global();
-    reg.set_gauge("svc.cache.size",
-                  static_cast<double>(size_.load(std::memory_order_relaxed)));
-    reg.set_gauge("svc.cache.bytes", static_cast<double>(bytes_.load(
-                                         std::memory_order_relaxed)));
-  }
   return outcome;
 }
 
@@ -118,10 +94,6 @@ ResultCache::Stats ResultCache::stats() const {
   st.evictions = evictions_.load(std::memory_order_relaxed);
   st.size = size_.load(std::memory_order_relaxed);
   st.bytes = bytes_.load(std::memory_order_relaxed);
-  // Reading stats is the export point (stats op, metrics flush), so the
-  // derived gauge is brought current here rather than on every get().
-  if (obs::enabled())
-    obs::Registry::global().set_gauge("svc.cache.hit_ratio", hit_ratio(st));
   return st;
 }
 
@@ -133,13 +105,6 @@ void ResultCache::clear() {
   }
   size_.store(0, std::memory_order_relaxed);
   bytes_.store(0, std::memory_order_relaxed);
-  // Push the zeroed gauges too: exported metrics must not keep reporting
-  // the pre-clear footprint as phantom resident entries.
-  if (obs::enabled()) {
-    obs::Registry& reg = obs::Registry::global();
-    reg.set_gauge("svc.cache.size", 0.0);
-    reg.set_gauge("svc.cache.bytes", 0.0);
-  }
 }
 
 }  // namespace rat::svc

@@ -20,10 +20,11 @@
 // disables storage entirely: every get misses, every put is dropped —
 // useful for benchmarking the cold path.
 //
-// Stats are tracked natively (atomics, always on, exposed through the
-// service's "stats" op) and mirrored into the obs registry when
-// observability is enabled: svc.cache.hit / svc.cache.miss /
-// svc.cache.eviction counters and an svc.cache.size gauge.
+// Stats are counted here and only here (relaxed atomics, always on).
+// The service's "stats" op renders them, and a drained server records
+// them once into the obs registry as the svc.cache.* metrics
+// (docs/SERVICE.md); the lookup and insert paths never touch the
+// registry.
 #pragma once
 
 #include <atomic>

@@ -97,7 +97,6 @@ IoStatus LineChannel::fill() {
   rbuf_.erase(0, roff_);
   roff_ = 0;
   rbuf_.append(chunk, static_cast<std::size_t>(n));
-  counters_.bytes_in += static_cast<std::uint64_t>(n);
   return IoStatus::kOk;
 }
 
@@ -117,7 +116,6 @@ bool LineChannel::next_line(std::string& line) {
     if (end > start && rbuf_[end - 1] == '\r') --end;
     if (end == start) continue;  // blank keepalive line
     line.assign(rbuf_, start, end - start);
-    ++counters_.lines_in;
     return true;
   }
   rbuf_.clear();
@@ -130,14 +128,12 @@ std::string LineChannel::take_partial() {
   rbuf_.clear();
   roff_ = 0;
   if (!rest.empty() && rest.back() == '\r') rest.pop_back();
-  if (!rest.empty()) ++counters_.lines_in;
   return rest;
 }
 
 void LineChannel::queue_line(std::string_view line) {
   wbuf_.append(line);
   wbuf_ += '\n';
-  ++counters_.lines_out;
 }
 
 IoStatus LineChannel::flush() {
@@ -155,7 +151,6 @@ IoStatus LineChannel::flush() {
       return status;
     }
     woff_ += static_cast<std::size_t>(n);
-    counters_.bytes_out += static_cast<std::uint64_t>(n);
   }
   if (pending() == 0) {
     wbuf_.clear();

@@ -47,13 +47,6 @@ class LineChannel {
   static constexpr std::size_t kUnbounded =
       std::numeric_limits<std::size_t>::max();
 
-  struct Counters {
-    std::uint64_t lines_in = 0;   ///< framed lines handed to the caller
-    std::uint64_t bytes_in = 0;
-    std::uint64_t lines_out = 0;  ///< lines queued for writing
-    std::uint64_t bytes_out = 0;  ///< bytes the fd accepted
-  };
-
   LineChannel() = default;
   ~LineChannel() { close(); }
   LineChannel(const LineChannel&) = delete;
@@ -98,7 +91,6 @@ class LineChannel {
   IoStatus flush();
 
   std::size_t pending() const { return wbuf_.size() - woff_; }
-  const Counters& counters() const { return counters_; }
 
  private:
   IoStatus fill();
@@ -113,7 +105,6 @@ class LineChannel {
   std::size_t roff_ = 0;
   std::string wbuf_;  ///< outbound bytes; [woff_, size) unsent
   std::size_t woff_ = 0;
-  Counters counters_;
 };
 
 class Listener {

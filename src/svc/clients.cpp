@@ -10,25 +10,25 @@
 
 namespace rat::svc {
 
-ClientSet::ClientSet(const ClientPolicy& policy, const std::string& side,
-                     OnLine on_line, std::function<void()> on_stdio_end)
+namespace {
+
+void count(std::atomic<std::uint64_t>& counter) {
+  counter.fetch_add(1, std::memory_order_relaxed);
+}
+
+}  // namespace
+
+ClientSet::ClientSet(const ClientPolicy& policy, OnLine on_line,
+                     std::function<void()> on_stdio_end)
     : policy_(policy),
       on_line_(std::move(on_line)),
-      on_stdio_end_(std::move(on_stdio_end)),
-      metric_prefix_("svc." + side + ".") {}
+      on_stdio_end_(std::move(on_stdio_end)) {}
 
 void ClientSet::add_stdio(int in_fd, int out_fd) {
   auto c = std::make_shared<Client>();
   c->ch.open(in_fd, out_fd, policy_.max_line_bytes, /*owns_fds=*/false);
   c->stdio = true;
   clients_.push_back(std::move(c));
-}
-
-void ClientSet::count(std::atomic<std::uint64_t>& counter,
-                      const char* metric) {
-  counter.fetch_add(1, std::memory_order_relaxed);
-  if (obs::enabled())
-    obs::Registry::global().add_counter(metric_prefix_ + metric);
 }
 
 int ClientSet::add_to_poll(std::vector<pollfd>& pfds) {
@@ -83,12 +83,12 @@ void ClientSet::accept_all() {
     if (policy_.so_sndbuf > 0)
       ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &policy_.so_sndbuf,
                    sizeof policy_.so_sndbuf);
-    count(counters_.connections, "connections");
+    count(counters_.connections);
     auto c = std::make_shared<Client>();
     c->ch.open(fd, fd, policy_.max_line_bytes);
     clients_.push_back(std::move(c));
   }
-  if (exhausted) count(counters_.accept_failures, "accept_failed");
+  if (exhausted) count(counters_.accept_failures);
 }
 
 void ClientSet::on_readable(const ClientPtr& c) {
@@ -120,7 +120,7 @@ void ClientSet::on_readable(const ClientPtr& c) {
 
 void ClientSet::respond(const ClientPtr& c, std::string_view line) {
   if (c->dead()) {
-    count(counters_.responses_dropped, "responses_dropped");
+    count(counters_.responses_dropped);
     return;
   }
   c->ch.queue_line(line);
@@ -135,12 +135,12 @@ void ClientSet::flush(Client& c) {
   // EPIPE/ECONNRESET mean the reader is gone: a normal close, not a
   // transport failure.
   if (status == IoStatus::kError)
-    count(counters_.write_failures, "write_failed");
+    count(counters_.write_failures);
   close(c);
 }
 
 void ClientSet::drop_slow(Client& c) {
-  count(counters_.slow_clients_dropped, "slow_client_dropped");
+  count(counters_.slow_clients_dropped);
   close(c);
 }
 

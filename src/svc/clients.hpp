@@ -66,7 +66,8 @@ class ClientSet {
   using ClientPtr = std::shared_ptr<Client>;
   using OnLine = std::function<void(const ClientPtr&, std::string)>;
 
-  /// The svc.<side>.* counters, readable from any thread.
+  /// Client-side event counts, readable from any thread; the owner's
+  /// stats() reports them.
   struct Counters {
     std::atomic<std::uint64_t> connections{0};
     std::atomic<std::uint64_t> slow_clients_dropped{0};
@@ -75,9 +76,8 @@ class ClientSet {
     std::atomic<std::uint64_t> accept_failures{0};
   };
 
-  /// @p side names the metrics: "server" counts svc.server.*.
-  ClientSet(const ClientPolicy& policy, const std::string& side,
-            OnLine on_line, std::function<void()> on_stdio_end = {});
+  ClientSet(const ClientPolicy& policy, OnLine on_line,
+            std::function<void()> on_stdio_end = {});
 
   /// Listen on 127.0.0.1:@p port; returns the bound port.
   int listen(int port, int backlog) { return listener_.open(port, backlog); }
@@ -123,7 +123,6 @@ class ClientSet {
   void flush(Client& c);
   void drop_slow(Client& c);
   void close(Client& c);
-  void count(std::atomic<std::uint64_t>& counter, const char* metric);
 
   ClientPolicy policy_;
   OnLine on_line_;
@@ -135,7 +134,6 @@ class ClientSet {
   std::size_t first_ = 0;          ///< pfds index of the stop latch
   std::vector<ClientPtr> polled_;  ///< pfds[first_ + 2 + i] -> client
   std::uint64_t flush_deadline_ns_ = 0;
-  std::string metric_prefix_;  ///< "svc.server." or "svc.router."
   Counters counters_;
 };
 

@@ -24,10 +24,6 @@ namespace rat::svc {
 
 namespace {
 
-void obs_count(const char* name) {
-  if (obs::enabled()) obs::Registry::global().add_counter(name);
-}
-
 [[noreturn]] void throw_errno(const char* what) {
   throw std::system_error(errno, std::generic_category(), what);
 }
@@ -198,7 +194,7 @@ void accumulate_stats(std::map<std::string, std::uint64_t>& sums,
 
 Router::Router(RouterConfig config)
     : config_(std::move(config)),
-      clients_(ClientPolicy(config_), "router",
+      clients_(ClientPolicy(config_),
                [this](const ClientPtr& conn, std::string line) {
                  route_line(conn, std::move(line));
                }) {
@@ -240,14 +236,39 @@ void Router::start() {
 
 void Router::run() {
   if (loop_thread_.joinable()) loop_thread_.join();
+  if (!ran_ && obs::enabled()) {
+    // The front-end's own stats, recorded once now that it has drained;
+    // the fleet's arrived as svc.fleet.* gauges during the drain.
+    const Stats st = stats();
+    const std::pair<const char*, std::uint64_t> counters[] = {
+        {"svc.router.connections", st.connections},
+        {"svc.router.requests", st.requests},
+        {"svc.router.forwarded", st.forwarded},
+        {"svc.router.rerouted", st.rerouted},
+        {"svc.router.worker_death", st.worker_deaths},
+        {"svc.router.respawn", st.respawns},
+        {"svc.router.worker_abandoned", st.workers_abandoned},
+        {"svc.router.overloaded_local", st.overloaded_local},
+        {"svc.router.slow_client_dropped", st.slow_clients_dropped},
+        {"svc.router.responses_dropped", st.responses_dropped},
+        {"svc.router.write_failed", st.write_failures},
+        {"svc.router.accept_failed", st.accept_failures},
+    };
+    // A zero counter is left out, as in the server's export.
+    for (const auto& [name, n] : counters)
+      if (n > 0) obs::Registry::global().add_counter(name, n);
+  }
   ran_ = true;
 }
 
 Router::Stats Router::stats() const {
   const ClientSet::Counters& c = clients_.counters();
-  return {c.connections, requests_, forwarded_, rerouted_, worker_deaths_,
-          respawns_, overloaded_local_, c.slow_clients_dropped,
-          c.responses_dropped, c.accept_failures};
+  return {c.connections,          requests_,
+          forwarded_,             rerouted_,
+          worker_deaths_,         respawns_,
+          overloaded_local_,      c.slow_clients_dropped,
+          c.responses_dropped,    c.accept_failures,
+          c.write_failures,       workers_abandoned_};
 }
 
 std::vector<pid_t> Router::worker_pids() const {
@@ -379,20 +400,18 @@ void Router::worker_died(std::size_t slot) {
   if (workers_stopping_) return;  // drain: this EOF is the expected exit
 
   worker_deaths_.fetch_add(1, std::memory_order_relaxed);
-  obs_count("svc.router.worker_death");
   w.fast_deaths = w.responded_since_spawn ? 0 : w.fast_deaths + 1;
   // Dying over and over without a single response means the worker
   // binary itself is broken (bad path, bad flags, instant crash);
   // respawning forever would be a fork storm, not fault tolerance.
   if (w.fast_deaths >= config_.max_fast_deaths || !spawn_worker(slot)) {
-    obs_count("svc.router.worker_abandoned");
+    workers_abandoned_.fetch_add(1, std::memory_order_relaxed);
     // Answer everything that was in flight to the shard; an admitted
     // request is never silently dropped.
     fail_pending(slot, "worker for this shard is unavailable");
     return;
   }
   respawns_.fetch_add(1, std::memory_order_relaxed);
-  obs_count("svc.router.respawn");
   // The replacement inherits the dead worker's hash range, so every
   // in-flight request re-forwards to the same slot — deterministic
   // rebalance, and deterministic evaluation makes the retried response
@@ -401,7 +420,6 @@ void Router::worker_died(std::size_t slot) {
   for (const auto& [token, p] : pending_) {
     if (p.worker != slot) continue;
     rerouted_.fetch_add(1, std::memory_order_relaxed);
-    obs_count("svc.router.rerouted");
     forward_to(slot, p.fwd_line);
   }
 }
@@ -438,7 +456,6 @@ void Router::reap_zombies(bool block) {
 
 void Router::route_line(const ClientPtr& conn, std::string line) {
   requests_.fetch_add(1, std::memory_order_relaxed);
-  obs_count("svc.router.requests");
 
   Request req;
   try {
@@ -479,7 +496,6 @@ void Router::route_line(const ClientPtr& conn, std::string line) {
     // The shard owner has stopped draining its stdin: local admission
     // control, same contract as the service's bounded queue.
     overloaded_local_.fetch_add(1, std::memory_order_relaxed);
-    obs_count("svc.router.overloaded_local");
     clients_.respond(conn,
                      error_response(req.id, SvcErrorCode::kOverloaded,
                                     "worker pipe full; retry later"));
@@ -498,10 +514,8 @@ void Router::forward_new(std::size_t slot, const ClientPtr& conn,
   p.worker = slot;
   p.fwd_line = encode_forward(token, req);
   p.fanout = std::move(fanout);
-  if (conn) {  // the drain-time sweep is not client traffic
+  if (conn)  // the drain-time sweep is not client traffic
     forwarded_.fetch_add(1, std::memory_order_relaxed);
-    obs_count("svc.router.forwarded");
-  }
   const auto it = pending_.emplace(token, std::move(p)).first;
   forward_to(slot, it->second.fwd_line);
 }

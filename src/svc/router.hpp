@@ -40,7 +40,8 @@
 // E_INTERNAL responses instead of a respawn storm.
 //
 // ping / stats fan out to every live worker; stats responses aggregate
-// the workers' counters plus the router's own (svc.router.* in obs).
+// the workers' counters plus the router's own (exported at drain as the
+// svc.router.* metrics).
 // A shutdown op — or SIGINT/SIGTERM via wake_fd(), exactly like the
 // server — drains: stop accepting, stop reading, answer everything in
 // flight, then close the workers' stdins so each worker runs its own
@@ -100,8 +101,7 @@ struct RouterConfig {
 
 class Router {
  public:
-  /// Front-end counters (the svc.router.* metrics, readable without the
-  /// obs registry).
+  /// Front-end counters (exported at drain as svc.router.*).
   struct Stats {
     std::uint64_t connections = 0;     ///< client sockets accepted
     std::uint64_t requests = 0;        ///< client lines parsed
@@ -113,6 +113,9 @@ class Router {
     std::uint64_t slow_clients_dropped = 0;
     std::uint64_t responses_dropped = 0;  ///< response to a gone client
     std::uint64_t accept_failures = 0;    ///< accept(2) EMFILE/ENFILE
+    // Exported at drain, not rendered by the stats op.
+    std::uint64_t write_failures = 0;     ///< hard client write errors
+    std::uint64_t workers_abandoned = 0;  ///< shards given up on
   };
 
   explicit Router(RouterConfig config);
@@ -137,7 +140,8 @@ class Router {
   void trigger_stop();
 
   /// Join the loop: blocks until stopped, drained, and every worker has
-  /// exited (or been killed after worker_exit_timeout_ms).
+  /// exited (or been killed after worker_exit_timeout_ms). With
+  /// observability on, then records stats() into the obs registry, once.
   void run();
 
   Stats stats() const;
@@ -197,6 +201,7 @@ class Router {
   std::atomic<std::uint64_t> worker_deaths_{0};
   std::atomic<std::uint64_t> respawns_{0};
   std::atomic<std::uint64_t> overloaded_local_{0};
+  std::atomic<std::uint64_t> workers_abandoned_{0};
 
   std::thread loop_thread_;  ///< after everything the loop uses
   bool started_ = false;

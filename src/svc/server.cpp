@@ -10,10 +10,47 @@
 
 namespace rat::svc {
 
+namespace {
+
+/// Record the drained service's and server's own stats into the registry,
+/// once, under the metric names docs/SERVICE.md lists. A zero counter is
+/// left out, so the export names only the events the run had.
+void record_metrics(const Service& service, const Server::Stats& server) {
+  const Service::Stats st = service.stats();
+  const std::pair<const char*, std::uint64_t> counters[] = {
+      {"svc.requests", st.requests},
+      {"svc.responses.ok", st.responses_ok},
+      {"svc.responses.error", st.responses_error},
+      {"svc.responses.delivery_failed", st.delivery_failed},
+      {"svc.rejected.overloaded", st.rejected_overloaded},
+      {"svc.rejected.draining", st.rejected_draining},
+      {"svc.rejected.deadline", st.deadline_expired},
+      {"svc.cache.hit", st.cache.hits},
+      {"svc.cache.miss", st.cache.misses},
+      {"svc.cache.eviction", st.cache.evictions},
+      {"svc.server.connections", server.connections},
+      {"svc.server.slow_client_dropped", server.slow_clients_dropped},
+      {"svc.server.responses_dropped", server.responses_dropped},
+      {"svc.server.write_failed", server.write_failures},
+      {"svc.server.accept_failed", server.accept_failures},
+  };
+  obs::Registry& r = obs::Registry::global();
+  for (const auto& [name, n] : counters)
+    if (n > 0) r.add_counter(name, n);
+  r.max_gauge("svc.queue_depth", static_cast<double>(st.in_flight_max));
+  r.set_gauge("svc.cache.size", static_cast<double>(st.cache.size));
+  r.set_gauge("svc.cache.bytes", static_cast<double>(st.cache.bytes));
+  r.set_gauge("svc.cache.hit_ratio", hit_ratio(st.cache));
+  if (!service.config().cache_dir.empty())
+    r.set_gauge("svc.cache.warmed", static_cast<double>(st.cache_warmed));
+}
+
+}  // namespace
+
 Server::Server(Service& service, ServerConfig config)
     : service_(service),
       config_(config),
-      clients_(ClientPolicy(config), "server",
+      clients_(ClientPolicy(config),
                [this](const ClientSet::ClientPtr& client, std::string line) {
                  submit_line(client, std::move(line));
                },
@@ -53,6 +90,7 @@ void Server::run() {
   // the transport entirely.
   service_.begin_drain();
   service_.wait_drained();
+  if (!ran_ && obs::enabled()) record_metrics(service_, stats());
   ran_ = true;
 }
 

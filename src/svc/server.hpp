@@ -31,7 +31,10 @@
 //            3. every admitted request's response is flushed through the
 //               still-open connections; clients that refuse to read get
 //               drain_flush_timeout_ms before being dropped as slow,
-//            4. sockets close, the loop thread exits.
+//            4. sockets close, the loop thread exits,
+//            5. with observability on, the service's, its cache's and
+//               the server's stats are recorded into the obs registry,
+//               once (the svc.* metrics, docs/SERVICE.md).
 //
 // Stop triggers: trigger_stop() from any thread, a shutdown op (the
 // server installs itself as the Service's shutdown handler), stdin EOF
@@ -88,8 +91,7 @@ struct ServerConfig {
 
 class Server {
  public:
-  /// Transport-level counters (the svc.server.* metrics, readable
-  /// without the obs registry).
+  /// Transport-level counters (exported at drain as svc.server.*).
   struct Stats {
     std::uint64_t connections = 0;          ///< sockets accepted
     std::uint64_t slow_clients_dropped = 0; ///< write queue bound exceeded

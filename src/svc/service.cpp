@@ -1,5 +1,6 @@
 #include "svc/service.hpp"
 
+#include <algorithm>
 #include <exception>
 #include <sstream>
 #include <utility>
@@ -13,23 +14,12 @@
 
 namespace rat::svc {
 
-namespace {
-
-void obs_count(const char* name) {
-  if (obs::enabled()) obs::Registry::global().add_counter(name);
-}
-
-}  // namespace
-
 Service::Service(ServiceConfig config)
     : config_(config),
       cache_(config.cache_capacity, config.cache_shards) {
   if (!config_.cache_dir.empty()) {
     persist_ = std::make_unique<PersistentResultCache>(config_.cache_dir);
     warmed_ = persist_->warm(cache_);
-    if (obs::enabled())
-      obs::Registry::global().set_gauge("svc.cache.warmed",
-                                        static_cast<double>(warmed_));
   }
 }
 
@@ -44,20 +34,18 @@ void Service::respond(const std::function<void(std::string)>& on_response,
                       std::string line, bool ok) {
   (ok ? responses_ok_ : responses_error_)
       .fetch_add(1, std::memory_order_relaxed);
-  obs_count(ok ? "svc.responses.ok" : "svc.responses.error");
   try {
     on_response(std::move(line));
   } catch (...) {
     // The transport failed to deliver (e.g. client hung up). The
     // request was still answered from the service's point of view.
-    obs_count("svc.responses.delivery_failed");
+    delivery_failed_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
 void Service::submit(const std::string& line,
                      std::function<void(std::string)> on_response) {
   requests_.fetch_add(1, std::memory_order_relaxed);
-  obs_count("svc.requests");
 
   Request req;
   try {
@@ -97,7 +85,6 @@ void Service::submit(const std::string& line,
     std::lock_guard lock(mu_);
     if (draining_) {
       rejected_draining_.fetch_add(1, std::memory_order_relaxed);
-      obs_count("svc.rejected.draining");
       respond(on_response,
               error_response(req.id, SvcErrorCode::kShuttingDown,
                              "service is draining"),
@@ -106,7 +93,6 @@ void Service::submit(const std::string& line,
     }
     if (in_flight_ >= config_.queue_capacity) {
       rejected_overloaded_.fetch_add(1, std::memory_order_relaxed);
-      obs_count("svc.rejected.overloaded");
       respond(on_response,
               error_response(
                   req.id, SvcErrorCode::kOverloaded,
@@ -116,10 +102,7 @@ void Service::submit(const std::string& line,
               /*ok=*/false);
       return;
     }
-    ++in_flight_;
-    if (obs::enabled())
-      obs::Registry::global().max_gauge("svc.queue_depth",
-                                        static_cast<double>(in_flight_));
+    in_flight_max_ = std::max(in_flight_max_, ++in_flight_);
   }
 
   const double deadline_ms =
@@ -148,7 +131,6 @@ void Service::run_evaluation(Request req, std::uint64_t deadline_ns,
   try {
     if (deadline_ns != 0 && obs::now_ns() > deadline_ns) {
       deadline_expired_.fetch_add(1, std::memory_order_relaxed);
-      obs_count("svc.rejected.deadline");
       respond(on_response,
               error_response(req.id, SvcErrorCode::kDeadlineExpired,
                              "deadline expired before evaluation started"),
@@ -238,9 +220,11 @@ Service::Stats Service::stats() const {
       rejected_overloaded_.load(std::memory_order_relaxed);
   st.rejected_draining = rejected_draining_.load(std::memory_order_relaxed);
   st.deadline_expired = deadline_expired_.load(std::memory_order_relaxed);
+  st.delivery_failed = delivery_failed_.load(std::memory_order_relaxed);
   {
     std::lock_guard lock(mu_);
     st.in_flight = in_flight_;
+    st.in_flight_max = in_flight_max_;
   }
   st.cache_warmed = warmed_;
   st.cache = cache_.stats();

@@ -71,6 +71,9 @@ class Service {
     std::uint64_t in_flight = 0;         ///< admitted, response not yet sent
     std::uint64_t cache_warmed = 0;      ///< entries restored at startup
     ResultCache::Stats cache;
+    // Exported at drain (docs/SERVICE.md), not rendered by the stats op.
+    std::uint64_t delivery_failed = 0;   ///< on_response threw
+    std::uint64_t in_flight_max = 0;     ///< high-water mark of in_flight
   };
 
   explicit Service(ServiceConfig config = {});
@@ -104,6 +107,9 @@ class Service {
   /// The stats op's response body (also reachable over the wire).
   std::string stats_response(const std::string& id) const;
 
+  /// Drop every cached result; the cache counters keep counting (tests).
+  void clear_cache() { cache_.clear(); }
+
  private:
   void run_evaluation(Request request, std::uint64_t deadline_ns,
                       std::function<void(std::string)> on_response);
@@ -120,6 +126,7 @@ class Service {
   mutable std::mutex mu_;
   std::condition_variable drained_cv_;
   std::size_t in_flight_ = 0;
+  std::size_t in_flight_max_ = 0;
   bool draining_ = false;
   std::function<void()> shutdown_handler_;
 
@@ -129,6 +136,7 @@ class Service {
   std::atomic<std::uint64_t> rejected_overloaded_{0};
   std::atomic<std::uint64_t> rejected_draining_{0};
   std::atomic<std::uint64_t> deadline_expired_{0};
+  std::atomic<std::uint64_t> delivery_failed_{0};
 };
 
 }  // namespace rat::svc

@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/metrics.hpp"
 #include "svc/fingerprint.hpp"
 
 namespace rat::svc {
@@ -173,47 +172,6 @@ TEST(SvcCache, HitRatioDerivesFromStats) {
   cache.get("k", fp);  // hit
   const ResultCache::Stats st = cache.stats();
   EXPECT_DOUBLE_EQ(hit_ratio(st), 2.0 / 3.0);
-}
-
-TEST(SvcCache, ClearZeroesTheExportedFootprintGauges) {
-  // Regression: clear() zeroed size_/bytes_ but never pushed the zeroed
-  // svc.cache.size / svc.cache.bytes gauges, so the metrics export kept
-  // reporting the pre-clear footprint as phantom resident entries.
-  obs::set_enabled(true);
-  obs::Registry::global().reset();
-  ResultCache cache(4, 1);
-  cache.put("k1", fnv1a64("k1"), value_for(1.0));
-  cache.put("k2", fnv1a64("k2"), value_for(2.0));
-  auto gauges = obs::Registry::global().gauges();
-  EXPECT_GT(gauges.at("svc.cache.size"), 0.0);
-  EXPECT_GT(gauges.at("svc.cache.bytes"), 0.0);
-
-  cache.clear();
-  gauges = obs::Registry::global().gauges();
-  EXPECT_EQ(gauges.at("svc.cache.size"), 0.0);
-  EXPECT_EQ(gauges.at("svc.cache.bytes"), 0.0);
-  obs::Registry::global().reset();
-  obs::set_enabled(false);
-}
-
-TEST(SvcCache, HitRatioGaugeRefreshesAtStatsTimeNotPerLookup) {
-  // The per-get gauge write was hoisted out of the hot path: lookups
-  // alone leave the gauge stale, reading stats() (the export point)
-  // brings it current.
-  obs::set_enabled(true);
-  obs::Registry::global().reset();
-  ResultCache cache(4, 1);
-  const std::uint64_t fp = fnv1a64("k");
-  cache.get("k", fp);  // miss; no gauge write on the lookup path
-  EXPECT_EQ(obs::Registry::global().gauges().count("svc.cache.hit_ratio"),
-            0u);
-  cache.put("k", fp, value_for(1.0));
-  cache.get("k", fp);  // hit
-  const ResultCache::Stats st = cache.stats();
-  EXPECT_DOUBLE_EQ(obs::Registry::global().gauges().at("svc.cache.hit_ratio"),
-                   hit_ratio(st));
-  obs::Registry::global().reset();
-  obs::set_enabled(false);
 }
 
 TEST(SvcCache, DistinctKeysWithEqualFingerprintsDoNotAlias) {

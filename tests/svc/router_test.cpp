@@ -9,10 +9,7 @@
 // points at the build-tree binary) behind an in-process Router.
 #include "svc/router.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <signal.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -20,8 +17,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <cstring>
-#include <functional>
 #include <future>
 #include <map>
 #include <optional>
@@ -31,71 +26,13 @@
 
 #include "core/parameters.hpp"
 #include "io/json.hpp"
+#include "loopback_client.hpp"
 #include "obs/metrics.hpp"
 #include "svc/fingerprint.hpp"
 #include "svc/service.hpp"
 
 namespace rat::svc {
 namespace {
-
-/// Blocking line-oriented loopback client (same shape as the server
-/// suite's).
-class Client {
- public:
-  explicit Client(int port) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    EXPECT_GE(fd_, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<std::uint16_t>(port));
-    EXPECT_EQ(
-        ::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0)
-        << std::strerror(errno);
-  }
-
-  ~Client() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-
-  void send_line(const std::string& line) {
-    std::string out = line;
-    out += '\n';
-    std::size_t off = 0;
-    while (off < out.size()) {
-      const ssize_t n =
-          ::send(fd_, out.data() + off, out.size() - off, MSG_NOSIGNAL);
-      ASSERT_GT(n, 0);
-      off += static_cast<std::size_t>(n);
-    }
-  }
-
-  std::optional<std::string> read_line() {
-    for (;;) {
-      const std::size_t nl = buffer_.find('\n');
-      if (nl != std::string::npos) {
-        std::string line = buffer_.substr(0, nl);
-        buffer_.erase(0, nl + 1);
-        return line;
-      }
-      char chunk[4096];
-      const ssize_t n = ::read(fd_, chunk, sizeof chunk);
-      if (n <= 0) return std::nullopt;
-      buffer_.append(chunk, static_cast<std::size_t>(n));
-    }
-  }
-
- private:
-  int fd_ = -1;
-  std::string buffer_;
-};
-
-std::string evaluate_line(const std::string& id, const std::string& sheet,
-                          const std::string& extra = "") {
-  return "{\"id\":" + io::json_str(id) +
-         ",\"op\":\"evaluate\",\"worksheet\":" + io::json_str(sheet) + extra +
-         "}";
-}
 
 RouterConfig worker_fleet(std::size_t n,
                           std::vector<std::string> extra_flags = {}) {
@@ -116,48 +53,12 @@ std::string direct_response(Service& service, const std::string& line) {
   return future.get();
 }
 
-bool wait_until(const std::function<bool()>& cond, int timeout_ms = 10000) {
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
-  while (std::chrono::steady_clock::now() < deadline) {
-    if (cond()) return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  return cond();
-}
-
 Request evaluate_request(const std::string& sheet) {
   Request req;
   req.op = Request::Op::kEvaluate;
   req.worksheet = sheet;
   req.has_worksheet = true;
   return req;
-}
-
-/// Raw connected socket with a small receive window (set before connect
-/// so it sizes the window), for clients that never read.
-int connect_raw(int port, int rcvbuf) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof rcvbuf);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0)
-      << std::strerror(errno);
-  return fd;
-}
-
-/// Best-effort pipelined send; stops quietly once the router hangs up.
-void send_best_effort(int fd, const std::string& data) {
-  std::size_t off = 0;
-  while (off < data.size()) {
-    const ssize_t n =
-        ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
-    if (n <= 0) return;
-    off += static_cast<std::size_t>(n);
-  }
 }
 
 std::string evaluate_burst(const std::string& prefix, int count) {
@@ -569,6 +470,84 @@ TEST(SvcRouter, DrainFlushesAggregatedFleetStatsIntoMetrics) {
   EXPECT_EQ(gauges.at("svc.fleet.workers_alive"), 2.0);
   ASSERT_NE(gauges.find("svc.fleet.cache.misses"), gauges.end());
   EXPECT_GE(gauges.at("svc.fleet.cache.misses"), 1.0);
+  obs::Registry::global().reset();
+}
+
+TEST(SvcRouter, DrainRecordsTheRouterStatsOnceAsMetrics) {
+  // The front-end counts its events once, in Router::stats(); the drained
+  // router records those into the registry next to the fleet sweep's
+  // svc.fleet.* gauges. Every exported svc.router.* counter equals its
+  // stats field, and the fleet's cache gauges equal the workers' own
+  // stats as the stats op reported them.
+  obs::Registry::global().reset();
+  obs::set_enabled(true);
+  std::optional<std::string> stats_line;
+  Router router(worker_fleet(1, {"--cache-capacity=1"}));
+  router.start();
+  {
+    Client client(router.port());
+    const std::string pdf1d = core::pdf1d_inputs().serialize();
+    for (const std::string& line :
+         {evaluate_line("miss", pdf1d), evaluate_line("hit", pdf1d),
+          evaluate_line("evict", core::md_inputs().serialize()),
+          evaluate_line("bad", "not a worksheet"), std::string("{not json"),
+          evaluate_line("late", pdf1d, ",\"deadline_ms\":0.000001")}) {
+      client.send_line(line);
+      ASSERT_TRUE(client.read_line().has_value());
+    }
+    client.send_line("{\"id\":\"s\",\"op\":\"stats\"}");
+    stats_line = client.read_line();
+  }
+  router.trigger_stop();
+  router.run();
+  obs::set_enabled(false);
+
+  const Router::Stats st = router.stats();
+  EXPECT_EQ(st.requests, 7u);
+  EXPECT_EQ(st.forwarded, 6u);  // the protocol error is answered locally
+  // A counter is exported iff its stats field is nonzero, with its value;
+  // the router process runs no Service, so no other svc.* counter exists.
+  const std::map<std::string, std::uint64_t> expected = {
+      {"svc.router.connections", st.connections},
+      {"svc.router.requests", st.requests},
+      {"svc.router.forwarded", st.forwarded},
+      {"svc.router.rerouted", st.rerouted},
+      {"svc.router.worker_death", st.worker_deaths},
+      {"svc.router.respawn", st.respawns},
+      {"svc.router.worker_abandoned", st.workers_abandoned},
+      {"svc.router.overloaded_local", st.overloaded_local},
+      {"svc.router.slow_client_dropped", st.slow_clients_dropped},
+      {"svc.router.responses_dropped", st.responses_dropped},
+      {"svc.router.write_failed", st.write_failures},
+      {"svc.router.accept_failed", st.accept_failures},
+  };
+  std::map<std::string, std::uint64_t> exported;
+  for (const auto& [name, value] : obs::Registry::global().counters())
+    if (name.rfind("svc.", 0) == 0) exported[name] = value;
+  std::map<std::string, std::uint64_t> nonzero;
+  for (const auto& [name, value] : expected)
+    if (value > 0) nonzero[name] = value;
+  EXPECT_EQ(exported, nonzero);
+
+  ASSERT_TRUE(stats_line.has_value());
+  const io::JsonValue doc = io::parse_json(*stats_line);
+  const io::JsonValue* agg = doc.find("stats");
+  ASSERT_NE(agg, nullptr);
+  const io::JsonValue* cache = agg->find("cache");
+  ASSERT_NE(cache, nullptr);
+  EXPECT_EQ(cache->find("evictions")->number, 1.0);
+  const auto gauges = obs::Registry::global().gauges();
+  for (const char* key : {"hits", "misses", "evictions", "size", "bytes"})
+    EXPECT_EQ(gauges.at(std::string("svc.fleet.cache.") + key),
+              cache->find(key)->number)
+        << key;
+  for (const auto& [name, value] : gauges)
+    EXPECT_TRUE(name.rfind("svc.", 0) != 0 || name.rfind("svc.fleet.", 0) == 0)
+        << name;
+
+  // The export happens once: another run() records nothing more.
+  router.run();
+  EXPECT_EQ(obs::Registry::global().counters().at("svc.router.requests"), 7u);
   obs::Registry::global().reset();
 }
 

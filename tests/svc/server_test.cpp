@@ -17,10 +17,9 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <functional>
+#include <map>
 #include <optional>
 #include <string>
 #include <thread>
@@ -28,94 +27,11 @@
 
 #include "core/parameters.hpp"
 #include "io/json.hpp"
+#include "loopback_client.hpp"
+#include "obs/metrics.hpp"
 
 namespace rat::svc {
 namespace {
-
-/// Blocking line-oriented loopback client.
-class Client {
- public:
-  explicit Client(int port) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    EXPECT_GE(fd_, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<std::uint16_t>(port));
-    EXPECT_EQ(
-        ::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0)
-        << std::strerror(errno);
-  }
-
-  ~Client() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-
-  void send_line(const std::string& line) {
-    std::string out = line;
-    out += '\n';
-    std::size_t off = 0;
-    while (off < out.size()) {
-      const ssize_t n = ::send(fd_, out.data() + off, out.size() - off, 0);
-      ASSERT_GT(n, 0);
-      off += static_cast<std::size_t>(n);
-    }
-  }
-
-  /// Next '\n'-terminated line, or nullopt on EOF.
-  std::optional<std::string> read_line() {
-    for (;;) {
-      const std::size_t nl = buffer_.find('\n');
-      if (nl != std::string::npos) {
-        std::string line = buffer_.substr(0, nl);
-        buffer_.erase(0, nl + 1);
-        return line;
-      }
-      char chunk[4096];
-      const ssize_t n = ::read(fd_, chunk, sizeof chunk);
-      if (n <= 0) return std::nullopt;
-      buffer_.append(chunk, static_cast<std::size_t>(n));
-    }
-  }
-
- private:
-  int fd_ = -1;
-  std::string buffer_;
-};
-
-std::string evaluate_line(const std::string& id, const std::string& sheet) {
-  return "{\"id\":" + io::json_str(id) +
-         ",\"op\":\"evaluate\",\"worksheet\":" + io::json_str(sheet) + "}";
-}
-
-/// Raw connected socket; rcvbuf (set before connect so it sizes the
-/// receive window) shrinks how much the kernel buffers for a client
-/// that never reads, making slow-client tests deterministic.
-int connect_raw(int port, int rcvbuf = 0) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
-  if (rcvbuf > 0)
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof rcvbuf);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0)
-      << std::strerror(errno);
-  return fd;
-}
-
-/// Best-effort pipelined send; stops quietly when the server hangs up
-/// mid-stream (expected once it drops us as a slow client).
-void send_best_effort(int fd, const std::string& data) {
-  std::size_t off = 0;
-  while (off < data.size()) {
-    const ssize_t n =
-        ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
-    if (n <= 0) return;
-    off += static_cast<std::size_t>(n);
-  }
-}
 
 int thread_count() {
   std::ifstream f("/proc/self/status");
@@ -124,16 +40,6 @@ int thread_count() {
     if (line.rfind("Threads:", 0) == 0)
       return std::atoi(line.c_str() + 8);
   return -1;
-}
-
-bool wait_until(const std::function<bool()>& cond, int timeout_ms = 10000) {
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
-  while (std::chrono::steady_clock::now() < deadline) {
-    if (cond()) return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  return cond();
 }
 
 TEST(SvcServer, EvaluateOverLoopbackMatchesCacheSemantics) {
@@ -539,6 +445,89 @@ TEST(SvcServer, ConfigurableBacklogStillAcceptsConnections) {
   }
   server.trigger_stop();
   server.run();
+}
+
+TEST(SvcServer, DrainRecordsEachComponentsStatsOnceAsMetrics) {
+  // Serving events are counted once, in the components' own stats; the
+  // drained server records those into the registry. After hits, misses,
+  // an eviction, a worksheet error, a protocol error, a deadline
+  // rejection and a cache clear(), every exported svc.* counter and gauge
+  // equals the stats field it came from.
+  obs::Registry::global().reset();
+  obs::set_enabled(true);
+  Service service({.cache_capacity = 1, .cache_shards = 1});
+  Server server(service, {.port = 0});
+  server.start();
+  {
+    Client client(server.port());
+    const std::string pdf1d = core::pdf1d_inputs().serialize();
+    for (const std::string& line :
+         {evaluate_line("miss", pdf1d), evaluate_line("hit", pdf1d),
+          evaluate_line("evict", core::md_inputs().serialize()),
+          evaluate_line("bad", "not a worksheet"), std::string("{not json"),
+          evaluate_line("late", pdf1d, ",\"deadline_ms\":0.000001")}) {
+      client.send_line(line);
+      ASSERT_TRUE(client.read_line().has_value());
+    }
+  }
+  service.clear_cache();
+  server.trigger_stop();
+  server.run();
+  obs::set_enabled(false);
+
+  const Service::Stats st = service.stats();
+  const Server::Stats ss = server.stats();
+  EXPECT_EQ(st.requests, 6u);
+  EXPECT_EQ(st.cache.hits, 1u);
+  EXPECT_EQ(st.cache.misses, 2u);
+  EXPECT_EQ(st.cache.evictions, 1u);
+  EXPECT_EQ(st.responses_error, 3u);
+  EXPECT_EQ(st.deadline_expired, 1u);
+  EXPECT_EQ(st.cache.size, 0u);
+
+  // A counter is exported iff its stats field is nonzero, with its value.
+  const std::map<std::string, std::uint64_t> expected = {
+      {"svc.requests", st.requests},
+      {"svc.responses.ok", st.responses_ok},
+      {"svc.responses.error", st.responses_error},
+      {"svc.responses.delivery_failed", st.delivery_failed},
+      {"svc.rejected.overloaded", st.rejected_overloaded},
+      {"svc.rejected.draining", st.rejected_draining},
+      {"svc.rejected.deadline", st.deadline_expired},
+      {"svc.cache.hit", st.cache.hits},
+      {"svc.cache.miss", st.cache.misses},
+      {"svc.cache.eviction", st.cache.evictions},
+      {"svc.server.connections", ss.connections},
+      {"svc.server.slow_client_dropped", ss.slow_clients_dropped},
+      {"svc.server.responses_dropped", ss.responses_dropped},
+      {"svc.server.write_failed", ss.write_failures},
+      {"svc.server.accept_failed", ss.accept_failures},
+  };
+  std::map<std::string, std::uint64_t> exported;
+  for (const auto& [name, value] : obs::Registry::global().counters())
+    if (name.rfind("svc.", 0) == 0) exported[name] = value;
+  std::map<std::string, std::uint64_t> nonzero;
+  for (const auto& [name, value] : expected)
+    if (value > 0) nonzero[name] = value;
+  EXPECT_EQ(exported, nonzero);
+
+  std::map<std::string, double> gauges;
+  for (const auto& [name, value] : obs::Registry::global().gauges())
+    if (name.rfind("svc.", 0) == 0) gauges[name] = value;
+  const std::map<std::string, double> expected_gauges = {
+      {"svc.queue_depth", static_cast<double>(st.in_flight_max)},
+      {"svc.cache.size", static_cast<double>(st.cache.size)},
+      {"svc.cache.bytes", static_cast<double>(st.cache.bytes)},
+      {"svc.cache.hit_ratio", hit_ratio(st.cache)},
+  };
+  EXPECT_EQ(gauges, expected_gauges);
+  EXPECT_EQ(gauges["svc.cache.bytes"], 0.0) << "no phantom footprint";
+  EXPECT_DOUBLE_EQ(gauges["svc.cache.hit_ratio"], 1.0 / 3.0);
+
+  // The export happens once: another run() records nothing more.
+  server.run();
+  EXPECT_EQ(obs::Registry::global().counters().at("svc.requests"), 6u);
+  obs::Registry::global().reset();
 }
 
 }  // namespace
