@@ -1,4 +1,5 @@
-// Sharded LRU result cache: hit/miss/eviction semantics and stats.
+// Sharded LRU result cache: hit/miss/eviction semantics and stats, and
+// the cache gauges a drained server exports from those stats.
 #include "svc/cache.hpp"
 
 #include <gtest/gtest.h>
@@ -7,7 +8,12 @@
 #include <string>
 #include <vector>
 
+#include "core/parameters.hpp"
+#include "io/json.hpp"
+#include "obs/metrics.hpp"
 #include "svc/fingerprint.hpp"
+#include "svc/server.hpp"
+#include "svc/service.hpp"
 
 namespace rat::svc {
 namespace {
@@ -17,6 +23,15 @@ ResultCache::Value value_for(double fclock) {
   p.fclock_hz = fclock;
   return std::make_shared<const std::vector<core::ThroughputPrediction>>(
       std::vector<core::ThroughputPrediction>{p});
+}
+
+/// Evaluates @p sheet through @p service and waits for the response, so
+/// the result is cached (or counted as a hit) before the call returns.
+void evaluate(Service& service, const std::string& sheet) {
+  service.submit("{\"id\":\"r\",\"op\":\"evaluate\",\"worksheet\":" +
+                     io::json_str(sheet) + "}",
+                 [](const std::string&) {});
+  service.wait_drained();
 }
 
 TEST(SvcCache, MissThenHit) {
@@ -172,6 +187,61 @@ TEST(SvcCache, HitRatioDerivesFromStats) {
   cache.get("k", fp);  // hit
   const ResultCache::Stats st = cache.stats();
   EXPECT_DOUBLE_EQ(hit_ratio(st), 2.0 / 3.0);
+}
+
+TEST(SvcCache, ClearZeroesTheExportedFootprintGauges) {
+  // Regression: a clear() once left svc.cache.size / svc.cache.bytes at
+  // the pre-clear footprint, reported as phantom resident entries. The
+  // cache writes no gauge itself; the drained server exports them from
+  // stats(), so a clear() before the drain exports a zero footprint.
+  obs::Registry::global().reset();
+  obs::set_enabled(true);
+  Service service({.cache_capacity = 4, .cache_shards = 1});
+  Server server(service, {.tcp = false});
+  evaluate(service, core::pdf1d_inputs().serialize());
+  evaluate(service, core::md_inputs().serialize());
+  EXPECT_EQ(service.stats().cache.size, 2u);
+  EXPECT_GT(service.stats().cache.bytes, 0u);
+  EXPECT_EQ(obs::Registry::global().gauges().count("svc.cache.size"), 0u);
+
+  service.clear_cache();
+  server.run();
+  obs::set_enabled(false);
+  const auto gauges = obs::Registry::global().gauges();
+  EXPECT_EQ(gauges.at("svc.cache.size"), 0.0);
+  EXPECT_EQ(gauges.at("svc.cache.bytes"), 0.0);
+  obs::Registry::global().reset();
+}
+
+TEST(SvcCache, HitRatioGaugeRefreshesAtStatsTimeNotPerLookup) {
+  // Neither a lookup nor a stats() read writes the gauge; the drained
+  // server exports svc.cache.hit_ratio once, from the stats it reads.
+  obs::Registry::global().reset();
+  obs::set_enabled(true);
+  ResultCache cache(4, 1);
+  const std::uint64_t fp = fnv1a64("k");
+  cache.get("k", fp);  // miss
+  cache.put("k", fp, value_for(1.0));
+  cache.get("k", fp);  // hit
+  EXPECT_DOUBLE_EQ(hit_ratio(cache.stats()), 0.5);
+  EXPECT_EQ(obs::Registry::global().gauges().count("svc.cache.hit_ratio"),
+            0u);
+
+  Service service({.cache_capacity = 4, .cache_shards = 1});
+  Server server(service, {.tcp = false});
+  const std::string sheet = core::pdf1d_inputs().serialize();
+  evaluate(service, sheet);  // miss
+  evaluate(service, sheet);  // hit
+  evaluate(service, sheet);  // hit
+  const Service::Stats st = service.stats();
+  EXPECT_EQ(obs::Registry::global().gauges().count("svc.cache.hit_ratio"),
+            0u);
+  server.run();
+  obs::set_enabled(false);
+  EXPECT_DOUBLE_EQ(obs::Registry::global().gauges().at("svc.cache.hit_ratio"),
+                   hit_ratio(st.cache));
+  EXPECT_DOUBLE_EQ(hit_ratio(st.cache), 2.0 / 3.0);
+  obs::Registry::global().reset();
 }
 
 TEST(SvcCache, DistinctKeysWithEqualFingerprintsDoNotAlias) {
