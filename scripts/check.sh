@@ -163,13 +163,18 @@ ctest --test-dir build-tsan --output-on-failure \
 # same LineChannel connection core as the server and the router. So do
 # the Explore suites (test_explore): the plan cache decodes evaluation
 # payloads read back from disk, and it is exploration's only persistence
-# path.
-echo "==== AddressSanitizer+UBSan pass (ingestion + store + batch + svc + load + explore)"
+# path. Finally the number formatters and the JSON reader: the Json and
+# JsonParse suites (test_io) parse every rat.svc.v1 line, the
+# FixedFormat, PercentFormat and FormatOracle suites (test_util) drive
+# std::to_chars into fixed char buffers, and the golden-byte suites
+# (SvcResponseGolden, BatchGolden; the Svc and Batch patterns cover
+# them) render whole responses and batch documents.
+echo "==== AddressSanitizer+UBSan pass (ingestion + store + batch + svc + load + explore + formatters)"
 cmake -B build-asan -G Ninja -DRAT_SANITIZE=address,undefined
 cmake --build build-asan --target test_io test_store test_batch test_svc \
-  test_load test_explore rat_batch rat_serve
+  test_load test_explore test_util rat_batch rat_serve
 ctest --test-dir build-asan --output-on-failure \
-  -R '^(LoadWorksheet|WorksheetDir|Batch|Store|Svc|Load|Explore)'
+  -R '^(LoadWorksheet|WorksheetDir|Batch|Store|Svc|Load|Explore|Json|JsonParse|FixedFormat|PercentFormat|FormatOracle)'
 
 # Scalar-fallback pass: the same identity suite with SIMD forced off
 # (-DRAT_SIMD=off), so the width-1 reference build — what a host without

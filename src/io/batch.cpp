@@ -1,10 +1,9 @@
 #include "io/batch.hpp"
 
-#include <sstream>
-
 #include "io/json.hpp"
 #include "obs/metrics.hpp"
 #include "store/codec.hpp"
+#include "util/format.hpp"
 #include "util/parallel_for.hpp"
 #include "util/table.hpp"
 
@@ -12,45 +11,57 @@ namespace rat::io {
 
 namespace {
 
-/// Shortest decimal string that round-trips the double (io/json.hpp).
-std::string num(double x) { return json_number(x); }
+/// Append @p key (a literal carrying its own punctuation, such as
+/// ",\"alpha_read\":") and then @p x in json_number's spelling.
+void append_number(std::string& out, const char* key, double x) {
+  out += key;
+  util::append_round_trip(out, x);
+}
+
+void append_count(std::string& out, const char* key, std::size_t n) {
+  out += key;
+  out += std::to_string(n);
+}
 
 }  // namespace
 
-void append_inputs_json(std::ostream& os, const core::RatInputs& in) {
-  os << "{\"name\":" << json_str(in.name)
-     << ",\"elements_in\":" << in.dataset.elements_in
-     << ",\"elements_out\":" << in.dataset.elements_out
-     << ",\"bytes_per_element\":" << num(in.dataset.bytes_per_element)
-     << ",\"ideal_bw_bytes_per_sec\":" << num(in.comm.ideal_bw_bytes_per_sec)
-     << ",\"alpha_write\":" << num(in.comm.alpha_write)
-     << ",\"alpha_read\":" << num(in.comm.alpha_read)
-     << ",\"ops_per_element\":" << num(in.comp.ops_per_element)
-     << ",\"throughput_ops_per_cycle\":"
-     << num(in.comp.throughput_ops_per_cycle) << ",\"fclock_hz\":[";
-  for (std::size_t i = 0; i < in.comp.fclock_hz.size(); ++i) {
-    if (i) os << ',';
-    os << num(in.comp.fclock_hz[i]);
-  }
-  os << "],\"tsoft_sec\":" << num(in.software.tsoft_sec)
-     << ",\"n_iterations\":" << in.software.n_iterations << '}';
+void append_inputs_json(std::string& out, const core::RatInputs& in) {
+  out += "{\"name\":";
+  append_json_str(out, in.name);
+  append_count(out, ",\"elements_in\":", in.dataset.elements_in);
+  append_count(out, ",\"elements_out\":", in.dataset.elements_out);
+  append_number(out, ",\"bytes_per_element\":", in.dataset.bytes_per_element);
+  append_number(out, ",\"ideal_bw_bytes_per_sec\":",
+                in.comm.ideal_bw_bytes_per_sec);
+  append_number(out, ",\"alpha_write\":", in.comm.alpha_write);
+  append_number(out, ",\"alpha_read\":", in.comm.alpha_read);
+  append_number(out, ",\"ops_per_element\":", in.comp.ops_per_element);
+  append_number(out, ",\"throughput_ops_per_cycle\":",
+                in.comp.throughput_ops_per_cycle);
+  out += ",\"fclock_hz\":[";
+  for (std::size_t i = 0; i < in.comp.fclock_hz.size(); ++i)
+    append_number(out, i ? "," : "", in.comp.fclock_hz[i]);
+  append_number(out, "],\"tsoft_sec\":", in.software.tsoft_sec);
+  append_count(out, ",\"n_iterations\":", in.software.n_iterations);
+  out += '}';
 }
 
-void append_prediction_json(std::ostream& os,
+void append_prediction_json(std::string& out,
                             const core::ThroughputPrediction& p) {
-  os << "{\"fclock_hz\":" << num(p.fclock_hz)
-     << ",\"t_write_sec\":" << num(p.t_write_sec)
-     << ",\"t_read_sec\":" << num(p.t_read_sec)
-     << ",\"t_comm_sec\":" << num(p.t_comm_sec)
-     << ",\"t_comp_sec\":" << num(p.t_comp_sec)
-     << ",\"t_rc_sb_sec\":" << num(p.t_rc_sb_sec)
-     << ",\"t_rc_db_sec\":" << num(p.t_rc_db_sec)
-     << ",\"speedup_sb\":" << num(p.speedup_sb)
-     << ",\"speedup_db\":" << num(p.speedup_db)
-     << ",\"util_comp_sb\":" << num(p.util_comp_sb)
-     << ",\"util_comm_sb\":" << num(p.util_comm_sb)
-     << ",\"util_comp_db\":" << num(p.util_comp_db)
-     << ",\"util_comm_db\":" << num(p.util_comm_db) << '}';
+  append_number(out, "{\"fclock_hz\":", p.fclock_hz);
+  append_number(out, ",\"t_write_sec\":", p.t_write_sec);
+  append_number(out, ",\"t_read_sec\":", p.t_read_sec);
+  append_number(out, ",\"t_comm_sec\":", p.t_comm_sec);
+  append_number(out, ",\"t_comp_sec\":", p.t_comp_sec);
+  append_number(out, ",\"t_rc_sb_sec\":", p.t_rc_sb_sec);
+  append_number(out, ",\"t_rc_db_sec\":", p.t_rc_db_sec);
+  append_number(out, ",\"speedup_sb\":", p.speedup_sb);
+  append_number(out, ",\"speedup_db\":", p.speedup_db);
+  append_number(out, ",\"util_comp_sb\":", p.util_comp_sb);
+  append_number(out, ",\"util_comm_sb\":", p.util_comm_sb);
+  append_number(out, ",\"util_comp_db\":", p.util_comp_db);
+  append_number(out, ",\"util_comm_db\":", p.util_comm_db);
+  out += '}';
 }
 
 std::string encode_predictions(
@@ -84,13 +95,20 @@ std::vector<core::ThroughputPrediction> decode_predictions(
   return out;
 }
 
-void append_diagnostic_json(std::ostream& os, const core::Diagnostic& d) {
-  os << "{\"file\":" << json_str(d.file) << ",\"line\":" << d.line
-     << ",\"column\":" << d.column
-     << ",\"code\":" << json_str(core::error_code_name(d.code))
-     << ",\"key\":" << json_str(d.key)
-     << ",\"message\":" << json_str(d.message)
-     << ",\"rendered\":" << json_str(d.to_string()) << '}';
+void append_diagnostic_json(std::string& out, const core::Diagnostic& d) {
+  out += "{\"file\":";
+  append_json_str(out, d.file);
+  append_count(out, ",\"line\":", d.line);
+  append_count(out, ",\"column\":", d.column);
+  out += ",\"code\":";
+  append_json_str(out, core::error_code_name(d.code));
+  out += ",\"key\":";
+  append_json_str(out, d.key);
+  out += ",\"message\":";
+  append_json_str(out, d.message);
+  out += ",\"rendered\":";
+  append_json_str(out, d.to_string());
+  out += '}';
 }
 
 BatchResult run_batch(const std::vector<std::filesystem::path>& files,
@@ -138,32 +156,34 @@ BatchResult run_batch_dir(const std::filesystem::path& dir,
 }
 
 std::string batch_json(const BatchResult& result) {
-  std::ostringstream os;
-  os << "{\"schema\":\"rat.batch.v1\",\"n_worksheets\":"
-     << result.entries.size() << ",\"n_ok\":" << result.n_ok
-     << ",\"n_failed\":" << result.n_failed << ",\"worksheets\":[";
+  std::string out;
+  append_count(out, "{\"schema\":\"rat.batch.v1\",\"n_worksheets\":",
+               result.entries.size());
+  append_count(out, ",\"n_ok\":", result.n_ok);
+  append_count(out, ",\"n_failed\":", result.n_failed);
+  out += ",\"worksheets\":[";
   for (std::size_t i = 0; i < result.entries.size(); ++i) {
     const BatchEntry& e = result.entries[i];
-    if (i) os << ',';
-    os << "{\"file\":" << json_str(e.load.path.string()) << ",\"status\":\""
-       << (e.ok() ? "ok" : "error") << '"';
+    out += i ? ",{\"file\":" : "{\"file\":";
+    append_json_str(out, e.load.path.string());
+    out += e.ok() ? ",\"status\":\"ok\"" : ",\"status\":\"error\"";
     if (e.ok()) {
-      os << ",\"inputs\":";
-      append_inputs_json(os, *e.load.inputs);
-      os << ",\"predictions\":[";
+      out += ",\"inputs\":";
+      append_inputs_json(out, *e.load.inputs);
+      out += ",\"predictions\":[";
       for (std::size_t j = 0; j < e.predictions.size(); ++j) {
-        if (j) os << ',';
-        append_prediction_json(os, e.predictions[j]);
+        if (j) out += ',';
+        append_prediction_json(out, e.predictions[j]);
       }
-      os << ']';
+      out += ']';
     } else {
-      os << ",\"diagnostic\":";
-      append_diagnostic_json(os, *e.load.diagnostic);
+      out += ",\"diagnostic\":";
+      append_diagnostic_json(out, *e.load.diagnostic);
     }
-    os << '}';
+    out += '}';
   }
-  os << "]}";
-  return os.str();
+  out += "]}";
+  return out;
 }
 
 std::string batch_csv(const BatchResult& result) {
@@ -188,18 +208,21 @@ std::string batch_csv(const BatchResult& result) {
       t.add_row({e.load.path.string(), "ok", in.name,
                  std::to_string(in.dataset.elements_in),
                  std::to_string(in.dataset.elements_out),
-                 num(in.dataset.bytes_per_element),
-                 num(in.comm.ideal_bw_bytes_per_sec),
-                 num(in.comm.alpha_write), num(in.comm.alpha_read),
-                 num(in.comp.ops_per_element),
-                 num(in.comp.throughput_ops_per_cycle),
-                 num(in.software.tsoft_sec),
-                 std::to_string(in.software.n_iterations), num(p.fclock_hz),
-                 num(p.t_write_sec), num(p.t_read_sec), num(p.t_comm_sec),
-                 num(p.t_comp_sec), num(p.t_rc_sb_sec), num(p.t_rc_db_sec),
-                 num(p.speedup_sb), num(p.speedup_db), num(p.util_comm_sb),
-                 num(p.util_comp_sb), num(p.util_comm_db),
-                 num(p.util_comp_db), ""});
+                 json_number(in.dataset.bytes_per_element),
+                 json_number(in.comm.ideal_bw_bytes_per_sec),
+                 json_number(in.comm.alpha_write),
+                 json_number(in.comm.alpha_read),
+                 json_number(in.comp.ops_per_element),
+                 json_number(in.comp.throughput_ops_per_cycle),
+                 json_number(in.software.tsoft_sec),
+                 std::to_string(in.software.n_iterations),
+                 json_number(p.fclock_hz), json_number(p.t_write_sec),
+                 json_number(p.t_read_sec), json_number(p.t_comm_sec),
+                 json_number(p.t_comp_sec), json_number(p.t_rc_sb_sec),
+                 json_number(p.t_rc_db_sec), json_number(p.speedup_sb),
+                 json_number(p.speedup_db), json_number(p.util_comm_sb),
+                 json_number(p.util_comp_sb), json_number(p.util_comm_db),
+                 json_number(p.util_comp_db), ""});
     }
   }
   return t.to_csv();

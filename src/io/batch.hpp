@@ -16,7 +16,6 @@
 #include <cstddef>
 #include <filesystem>
 #include <optional>
-#include <ostream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -75,11 +74,13 @@ std::string batch_csv(const BatchResult& result);
 
 /// The shared JSON fragment renderers behind batch_json, public so the
 /// prediction service emits byte-identical inputs / prediction /
-/// diagnostic payloads (numbers via io::json_number round-trip exactly).
-void append_inputs_json(std::ostream& os, const core::RatInputs& inputs);
-void append_prediction_json(std::ostream& os,
+/// diagnostic payloads. Each appends one object to @p out; its numbers
+/// are io::json_number's spelling (the first of "%.15g", "%.16g" and
+/// "%.17g" that parses back to the same double).
+void append_inputs_json(std::string& out, const core::RatInputs& inputs);
+void append_prediction_json(std::string& out,
                             const core::ThroughputPrediction& prediction);
-void append_diagnostic_json(std::ostream& os, const core::Diagnostic& d);
+void append_diagnostic_json(std::string& out, const core::Diagnostic& d);
 
 /// rat.store.v1 predictions payload: u32 count, then each prediction in
 /// the core::put_prediction layout. Exact IEEE-754 round-trip — the

@@ -5,22 +5,19 @@
 #include <cstdio>
 #include <stdexcept>
 
+#include "util/format.hpp"
+
 namespace rat::io {
 
 std::string json_number(double x) {
-  char buf[64];
-  for (int prec = 15; prec <= 17; ++prec) {
-    std::snprintf(buf, sizeof buf, "%.*g", prec, x);
-    double back = 0.0;
-    std::sscanf(buf, "%lf", &back);
-    if (back == x) break;
-  }
-  return buf;
+  std::string out;
+  util::append_round_trip(out, x);
+  return out;
 }
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
+namespace {
+
+void append_escaped(std::string& out, std::string_view s) {
   for (char ch : s) {
     switch (ch) {
       case '"': out += "\\\""; break;
@@ -38,11 +35,27 @@ std::string json_escape(std::string_view s) {
         }
     }
   }
+}
+
+}  // namespace
+
+std::string json_escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  append_escaped(out, s);
   return out;
 }
 
 std::string json_str(std::string_view s) {
-  return '"' + json_escape(s) + '"';
+  std::string out;
+  append_json_str(out, s);
+  return out;
+}
+
+void append_json_str(std::string& out, std::string_view s) {
+  out += '"';
+  append_escaped(out, s);
+  out += '"';
 }
 
 const JsonValue* JsonValue::find(std::string_view key) const {

@@ -2,11 +2,12 @@
 // protocol.
 //
 // Writing: the escape/number helpers that batch_json always used, made
-// public so every JSON producer in the tree (batch runner, metrics
-// export, service responses) renders numbers and strings identically —
-// in particular json_number emits the shortest decimal string that
-// round-trips the double, which is what makes "same inputs => byte-
-// identical output" guarantees possible across layers.
+// public so every JSON producer above io (batch runner, service
+// responses, router, load generator) renders numbers and strings
+// identically — in particular json_number emits the first of "%.15g",
+// "%.16g" and "%.17g" that round-trips the double
+// (util::append_round_trip), which is what makes "same inputs =>
+// byte-identical output" guarantees possible across layers.
 //
 // Reading: a small strict recursive-descent parser for the service's
 // newline-delimited request objects. Deliberately minimal but not
@@ -23,9 +24,9 @@
 
 namespace rat::io {
 
-/// Shortest decimal string that round-trips @p x through a double
-/// ("%.17g" prints noise digits for most values; precision is increased
-/// only until the value survives a parse back).
+/// @p x as the first of printf "%.15g", "%.16g" and "%.17g" whose text
+/// parses back to @p x (util::append_round_trip). Not always the
+/// shortest round-trip text: denorm_min is "4.94065645841247e-324".
 std::string json_number(double x);
 
 /// Backslash-escape @p s for inclusion inside a JSON string literal
@@ -34,6 +35,9 @@ std::string json_escape(std::string_view s);
 
 /// @p s as a complete JSON string literal, quotes included.
 std::string json_str(std::string_view s);
+
+/// Append json_str(@p s) to @p out.
+void append_json_str(std::string& out, std::string_view s);
 
 /// One parsed JSON value. Object members keep their source order so
 /// re-rendering (tests) is deterministic.

@@ -1,38 +1,54 @@
 #include "svc/fingerprint.hpp"
 
 #include <cstdio>
-#include <sstream>
 
-#include "io/json.hpp"
 #include "store/checksum.hpp"
+#include "util/format.hpp"
 
 namespace rat::svc {
 
+namespace {
+
+/// One "key=value" line; @p x takes io::json_number's spelling.
+void append_line(std::string& out, const char* key, double x) {
+  out += key;
+  util::append_round_trip(out, x);
+  out += '\n';
+}
+
+void append_line(std::string& out, const char* key, std::size_t n) {
+  out += key;
+  out += std::to_string(n);
+  out += '\n';
+}
+
+}  // namespace
+
 std::string canonical_text(const core::RatInputs& in) {
-  std::ostringstream os;
-  os << "rat.fp.v1\n";
-  os << "name=" << in.name << '\n';
-  os << "elements_in=" << in.dataset.elements_in << '\n';
-  os << "elements_out=" << in.dataset.elements_out << '\n';
-  os << "bytes_per_element=" << io::json_number(in.dataset.bytes_per_element)
-     << '\n';
-  os << "ideal_bw_bytes_per_sec="
-     << io::json_number(in.comm.ideal_bw_bytes_per_sec) << '\n';
-  os << "alpha_write=" << io::json_number(in.comm.alpha_write) << '\n';
-  os << "alpha_read=" << io::json_number(in.comm.alpha_read) << '\n';
-  os << "ops_per_element=" << io::json_number(in.comp.ops_per_element)
-     << '\n';
-  os << "throughput_ops_per_cycle="
-     << io::json_number(in.comp.throughput_ops_per_cycle) << '\n';
-  os << "fclock_hz=";
+  std::string out;
+  // The keys take 190 bytes; a number takes at most 24.
+  out.reserve(190 + in.name.size() + 24 * (10 + in.comp.fclock_hz.size()));
+  out += "rat.fp.v1\nname=";
+  out += in.name;
+  out += '\n';
+  append_line(out, "elements_in=", in.dataset.elements_in);
+  append_line(out, "elements_out=", in.dataset.elements_out);
+  append_line(out, "bytes_per_element=", in.dataset.bytes_per_element);
+  append_line(out, "ideal_bw_bytes_per_sec=", in.comm.ideal_bw_bytes_per_sec);
+  append_line(out, "alpha_write=", in.comm.alpha_write);
+  append_line(out, "alpha_read=", in.comm.alpha_read);
+  append_line(out, "ops_per_element=", in.comp.ops_per_element);
+  append_line(out, "throughput_ops_per_cycle=",
+              in.comp.throughput_ops_per_cycle);
+  out += "fclock_hz=";
   for (std::size_t i = 0; i < in.comp.fclock_hz.size(); ++i) {
-    if (i) os << ',';
-    os << io::json_number(in.comp.fclock_hz[i]);
+    if (i) out += ',';
+    util::append_round_trip(out, in.comp.fclock_hz[i]);
   }
-  os << '\n';
-  os << "tsoft_sec=" << io::json_number(in.software.tsoft_sec) << '\n';
-  os << "n_iterations=" << in.software.n_iterations << '\n';
-  return os.str();
+  out += '\n';
+  append_line(out, "tsoft_sec=", in.software.tsoft_sec);
+  append_line(out, "n_iterations=", in.software.n_iterations);
+  return out;
 }
 
 std::uint64_t fnv1a64(const std::string& text) {

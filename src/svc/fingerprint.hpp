@@ -5,9 +5,9 @@
 // comments, CRLF endings, "+1e2" vs "100.0" — none of it may matter.
 // The canonical form is therefore computed from the *parsed* struct, not
 // the source text: a fixed key order, one canonical spelling per value
-// (the shortest decimal string that round-trips the double, so distinct
-// bit patterns always get distinct spellings), and a schema tag so the
-// key space can evolve.
+// (io::json_number's: the first of "%.15g", "%.16g" and "%.17g" that
+// parses back to the same double, so distinct bit patterns always get
+// distinct spellings), and a schema tag so the key space can evolve.
 //
 // The candidate clock list keeps its order: predict_all evaluates clocks
 // in worksheet order and the response carries one prediction per clock,

@@ -1,7 +1,6 @@
 #include "svc/protocol.hpp"
 
 #include <cmath>
-#include <sstream>
 
 #include "io/batch.hpp"
 #include "io/json.hpp"
@@ -11,21 +10,26 @@ namespace rat::svc {
 
 namespace {
 
-/// "id":"..." or "id":null — empty ids render as null so a response to an
-/// unparseable request is still well-formed.
-void append_id(std::ostream& os, const std::string& id) {
-  os << "\"id\":";
-  if (id.empty())
-    os << "null";
-  else
-    os << io::json_str(id);
-}
+/// Bytes reserved for an evaluate response: the head and inputs object
+/// take about 450, each prediction object up to about 450 (13 keys and
+/// 13 numbers of up to 24 characters).
+constexpr std::size_t kEvaluateHeadBytes = 512;
+constexpr std::size_t kPredictionJsonBytes = 480;
 
-void append_head(std::ostream& os, const std::string& id,
+/// {"schema":...,"id":...,"status":"<status>" — empty ids render as null
+/// so a response to an unparseable request is still well-formed.
+void append_head(std::string& out, const std::string& id,
                  const char* status) {
-  os << "{\"schema\":\"" << kProtocolSchema << "\",";
-  append_id(os, id);
-  os << ",\"status\":\"" << status << '"';
+  out += "{\"schema\":\"";
+  out += kProtocolSchema;
+  out += "\",\"id\":";
+  if (id.empty())
+    out += "null";
+  else
+    io::append_json_str(out, id);
+  out += ",\"status\":\"";
+  out += status;
+  out += '"';
 }
 
 }  // namespace
@@ -108,63 +112,70 @@ Request parse_request(const std::string& line) {
 std::string evaluate_response(
     const std::string& id, std::uint64_t fp, const core::RatInputs& inputs,
     const std::vector<core::ThroughputPrediction>& predictions) {
-  std::ostringstream os;
-  append_head(os, id, "ok");
-  os << ",\"op\":\"evaluate\",\"fingerprint\":\"" << fingerprint_hex(fp)
-     << "\",\"inputs\":";
-  io::append_inputs_json(os, inputs);
-  os << ",\"predictions\":[";
+  std::string out;
+  out.reserve(kEvaluateHeadBytes + predictions.size() * kPredictionJsonBytes);
+  append_head(out, id, "ok");
+  out += ",\"op\":\"evaluate\",\"fingerprint\":\"";
+  out += fingerprint_hex(fp);
+  out += "\",\"inputs\":";
+  io::append_inputs_json(out, inputs);
+  out += ",\"predictions\":[";
   for (std::size_t i = 0; i < predictions.size(); ++i) {
-    if (i) os << ',';
-    io::append_prediction_json(os, predictions[i]);
+    if (i) out += ',';
+    io::append_prediction_json(out, predictions[i]);
   }
-  os << "]}";
-  return os.str();
+  out += "]}";
+  return out;
 }
 
 std::string error_response(const std::string& id, SvcErrorCode code,
                            const std::string& message) {
-  std::ostringstream os;
-  append_head(os, id, "error");
-  os << ",\"error\":{\"code\":\"" << svc_error_code_name(code)
-     << "\",\"message\":" << io::json_str(message) << "}}";
-  return os.str();
+  std::string out;
+  append_head(out, id, "error");
+  out += ",\"error\":{\"code\":\"";
+  out += svc_error_code_name(code);
+  out += "\",\"message\":";
+  io::append_json_str(out, message);
+  out += "}}";
+  return out;
 }
 
 std::string diagnostic_response(const std::string& id,
                                 const core::Diagnostic& diagnostic) {
-  std::ostringstream os;
-  append_head(os, id, "error");
-  os << ",\"error\":{\"code\":\""
-     << core::error_code_name(diagnostic.code)
-     << "\",\"message\":" << io::json_str(diagnostic.message)
-     << ",\"diagnostic\":";
-  io::append_diagnostic_json(os, diagnostic);
-  os << "}}";
-  return os.str();
+  std::string out;
+  append_head(out, id, "error");
+  out += ",\"error\":{\"code\":\"";
+  out += core::error_code_name(diagnostic.code);
+  out += "\",\"message\":";
+  io::append_json_str(out, diagnostic.message);
+  out += ",\"diagnostic\":";
+  io::append_diagnostic_json(out, diagnostic);
+  out += "}}";
+  return out;
 }
 
 std::string internal_error_response(const std::string& id,
                                     const std::string& message) {
-  std::ostringstream os;
-  append_head(os, id, "error");
-  os << ",\"error\":{\"code\":\"E_INTERNAL\",\"message\":"
-     << io::json_str(message) << "}}";
-  return os.str();
+  std::string out;
+  append_head(out, id, "error");
+  out += ",\"error\":{\"code\":\"E_INTERNAL\",\"message\":";
+  io::append_json_str(out, message);
+  out += "}}";
+  return out;
 }
 
 std::string pong_response(const std::string& id) {
-  std::ostringstream os;
-  append_head(os, id, "ok");
-  os << ",\"op\":\"ping\"}";
-  return os.str();
+  std::string out;
+  append_head(out, id, "ok");
+  out += ",\"op\":\"ping\"}";
+  return out;
 }
 
 std::string shutdown_response(const std::string& id) {
-  std::ostringstream os;
-  append_head(os, id, "ok");
-  os << ",\"op\":\"shutdown\",\"draining\":true}";
-  return os.str();
+  std::string out;
+  append_head(out, id, "ok");
+  out += ",\"op\":\"shutdown\",\"draining\":true}";
+  return out;
 }
 
 }  // namespace rat::svc

@@ -1,10 +1,67 @@
 #include "util/format.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <limits>
+#include <stdexcept>
+#include <system_error>
 
 namespace rat::util {
+
+namespace {
+
+/// Integer digits of the widest "%f" output: DBL_MAX has 309.
+constexpr int kMaxIntegerDigits =
+    std::numeric_limits<double>::max_exponent10 + 1;
+
+/// Decimals the stack buffer of append_fixed holds; wider requests take
+/// a heap buffer of the exact bound.
+constexpr int kStackDecimals = 32;
+
+/// std::to_chars of @p x into [first, last), which the caller sized for
+/// the widest output of (@p fmt, @p precision).
+char* put_chars(char* first, char* last, double x, std::chars_format fmt,
+                int precision) {
+  const std::to_chars_result r =
+      std::to_chars(first, last, x, fmt, precision);
+  if (r.ec != std::errc{})
+    throw std::logic_error("util: number buffer too small for to_chars");
+  return r.ptr;
+}
+
+}  // namespace
+
+void append_fixed(std::string& out, double value, int decimals) {
+  // Sign, integer digits, '.', decimals; printf reads a negative
+  // precision as 6.
+  const std::size_t width =
+      2 + kMaxIntegerDigits + static_cast<std::size_t>(std::max(decimals, 6));
+  char stack[2 + kMaxIntegerDigits + kStackDecimals];
+  std::string heap;
+  char* buf = stack;
+  if (width > sizeof stack) {
+    heap.resize(width);
+    buf = heap.data();
+  }
+  out.append(buf, put_chars(buf, buf + width, value, std::chars_format::fixed,
+                            decimals));
+}
+
+void append_round_trip(std::string& out, double x) {
+  // '-', 17 digits, '.', "e-308": 24 characters at most.
+  char buf[32];
+  char* end = buf;
+  for (int precision = 15; precision <= 17; ++precision) {
+    end = put_chars(buf, buf + sizeof buf, x, std::chars_format::general,
+                    precision);
+    double back = 0.0;
+    std::from_chars(buf, end, back);
+    if (back == x) break;
+  }
+  out.append(buf, end);
+}
 
 std::string sci(double value, int sig_figs) {
   if (std::isnan(value)) return "nan";
@@ -27,15 +84,16 @@ std::string sci(double value, int sig_figs) {
 }
 
 std::string percent(double fraction, int decimals) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f%%", decimals, fraction * 100.0);
-  return buf;
+  std::string out;
+  append_fixed(out, fraction * 100.0, decimals);
+  out += '%';
+  return out;
 }
 
 std::string fixed(double value, int decimals) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f", decimals, value);
-  return buf;
+  std::string out;
+  append_fixed(out, value, decimals);
+  return out;
 }
 
 std::string bytes(double n) {

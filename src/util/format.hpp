@@ -20,6 +20,21 @@ std::string percent(double fraction, int decimals = 0);
 /// Fixed-point decimal with @p decimals fractional digits ("10.6").
 std::string fixed(double value, int decimals = 1);
 
+// The two appenders below are std::to_chars: locale-independent, they
+// write into the caller's buffer, and their bytes are exactly those of
+// the C printf conversion each names ("nan", "-nan", "inf", "-inf"
+// included). fixed, percent and io::json_number are built on them.
+
+/// Append printf("%.*f", decimals, value): every integer digit, then
+/// @p decimals fractional digits (a negative count means 6, as in printf).
+void append_fixed(std::string& out, double value, int decimals);
+
+/// Append the first of printf "%.15g", "%.16g" and "%.17g" whose text
+/// parses back (std::from_chars) to @p x. That is not always the shortest
+/// round-trip text: denorm_min is "4.94065645841247e-324", not "5e-324".
+/// NaN never compares equal, so it takes "%.17g", which prints "nan".
+void append_round_trip(std::string& out, double x);
+
 /// Human-readable byte count ("2.0 KB", "1.0 GB"); powers of 1024.
 std::string bytes(double n);
 

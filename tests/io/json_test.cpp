@@ -1,6 +1,5 @@
-// The shared JSON layer: shortest round-trip number rendering, string
-// escaping, and the strict recursive-descent parser behind the service
-// protocol.
+// The shared JSON layer: round-trip number rendering, string escaping,
+// and the strict recursive-descent parser behind the service protocol.
 #include "io/json.hpp"
 
 #include <gtest/gtest.h>
@@ -28,6 +27,15 @@ TEST(Json, NumberIsShortestRoundTrip) {
                    std::numeric_limits<double>::denorm_min()}) {
     EXPECT_EQ(reparse(json_number(x)), x) << json_number(x);
   }
+}
+
+TEST(Json, NumberTakesTheFirstRoundTripOf15To17Digits) {
+  EXPECT_EQ(json_number(0.1 + 0.2), "0.30000000000000004");  // %.17g
+  EXPECT_EQ(json_number(1.0 / 3.0), "0.3333333333333333");   // %.16g
+  EXPECT_EQ(json_number(1e21), "1e+21");                     // %.15g
+  // Not the shortest round-trip text, which would be "5e-324".
+  EXPECT_EQ(json_number(std::numeric_limits<double>::denorm_min()),
+            "4.94065645841247e-324");
 }
 
 TEST(Json, EscapeCoversQuotesBackslashesAndControls) {

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cstdlib>
+#include <limits>
+#include <string>
+
 namespace rat::util {
 namespace {
 
@@ -43,6 +48,23 @@ TEST(FixedFormat, Decimals) {
   EXPECT_EQ(fixed(10.57, 1), "10.6");
   EXPECT_EQ(fixed(7.8, 1), "7.8");
   EXPECT_EQ(fixed(3.0, 0), "3");
+}
+
+TEST(FixedFormat, WideValuesKeepEveryDigit) {
+  // 301 integer digits, '.', one decimal: no fixed-size buffer cuts it.
+  const std::string s = fixed(1e300, 1);
+  EXPECT_EQ(s.size(), 303u);
+  EXPECT_EQ(std::strtod(s.c_str(), nullptr), 1e300);
+  EXPECT_EQ(fixed(-DBL_MAX, 0).size(), 310u);
+  // Past the stack buffer's decimals, still printf's digits.
+  EXPECT_EQ(fixed(0.1, 40), "0.1000000000000000055511151231257827021182");
+}
+
+TEST(PercentFormat, WideValuesKeepEveryDigit) {
+  const std::string s = percent(1e300);
+  ASSERT_EQ(s.size(), 304u);
+  EXPECT_EQ(s.back(), '%');
+  EXPECT_EQ(std::strtod(s.c_str(), nullptr), 1e302);
 }
 
 TEST(BytesFormat, Units) {
