@@ -164,7 +164,8 @@ std::string batch_json(const BatchResult& result) {
   out += ",\"worksheets\":[";
   for (std::size_t i = 0; i < result.entries.size(); ++i) {
     const BatchEntry& e = result.entries[i];
-    out += i ? ",{\"file\":" : "{\"file\":";
+    if (i) out += ',';
+    out += "{\"file\":";
     append_json_str(out, e.load.path.string());
     out += e.ok() ? ",\"status\":\"ok\"" : ",\"status\":\"error\"";
     if (e.ok()) {
