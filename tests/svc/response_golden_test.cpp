@@ -1,7 +1,8 @@
 // Golden bytes for what the service writes about the checked-in
 // fixtures (tests/fixtures/worksheets): the full evaluate response line
-// for each case study, the diagnostic response for broken.rat, and the
-// canonical text of each good worksheet. The canonical text is the
+// for each case study, the diagnostic response for broken.rat, the stats
+// response of a fresh service, and the canonical text of each good
+// worksheet. The canonical text is the
 // result-cache key and the --cache-dir key, so a formatting change that
 // moves one byte there would silently turn every warm cache cold; the
 // response lines are what clients parse. Each worksheet is parsed the
@@ -17,6 +18,7 @@
 #include "io/loader.hpp"
 #include "svc/fingerprint.hpp"
 #include "svc/protocol.hpp"
+#include "svc/service.hpp"
 
 namespace rat::svc {
 namespace {
@@ -56,6 +58,16 @@ TEST(SvcResponseGolden, DiagnosticResponseMatchesPinnedBytes) {
     EXPECT_EQ(diagnostic_response("broken", e.diagnostic()),
               golden("diagnostic_broken.json"));
   }
+}
+
+TEST(SvcResponseGolden, FreshServiceStatsResponseMatchesPinnedBytes) {
+  // A stats request is answered inline, on the submitting thread, and
+  // counts itself among the requests.
+  Service service;
+  std::string line;
+  service.submit("{\"id\":\"st\",\"op\":\"stats\"}",
+                 [&line](std::string l) { line = std::move(l); });
+  EXPECT_EQ(line, golden("stats_default.json"));
 }
 
 TEST(SvcResponseGolden, CanonicalTextMatchesPinnedBytes) {

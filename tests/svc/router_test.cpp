@@ -193,6 +193,43 @@ TEST(SvcRouter, DuplicateRequestsStayOnOneShardAndHitItsCache) {
   router.run();
 }
 
+/// Every member name of @p obj in document order, nested objects'
+/// members prefixed with their parent's name ("cache.hits").
+std::vector<std::string> member_names(const io::JsonValue& obj,
+                                      const std::string& prefix = "") {
+  std::vector<std::string> names;
+  for (const auto& [key, value] : obj.object) {
+    names.push_back(prefix + key);
+    if (value.is_object())
+      for (std::string& n : member_names(value, prefix + key + "."))
+        names.push_back(std::move(n));
+  }
+  return names;
+}
+
+TEST(SvcRouter, AggregateStatsHaveTheWorkerStatsMembersInOrder) {
+  // The fleet's "stats" object sums the workers' counters, so a client
+  // reading it sees exactly the members a direct rat_serve reports.
+  Router router(worker_fleet(2));
+  router.start();
+  Client client(router.port());
+  client.send_line("{\"id\":\"st\",\"op\":\"stats\"}");
+  const auto routed = client.read_line();
+  ASSERT_TRUE(routed.has_value());
+  router.trigger_stop();
+  router.run();
+
+  Service direct;
+  const io::JsonValue worker =
+      io::parse_json(direct_response(direct, "{\"op\":\"stats\"}"));
+  const io::JsonValue fleet = io::parse_json(*routed);
+  ASSERT_NE(worker.find("stats"), nullptr);
+  ASSERT_NE(fleet.find("stats"), nullptr);
+  const std::vector<std::string> names = member_names(*worker.find("stats"));
+  EXPECT_FALSE(names.empty());
+  EXPECT_EQ(member_names(*fleet.find("stats")), names);
+}
+
 TEST(SvcRouter, PingFansOutAndAnswersWithDirectBytes) {
   Router router(worker_fleet(2));
   router.start();
