@@ -53,10 +53,7 @@ int main(int argc, char** argv) {
   const std::string plan_cache_dir = cli.get_or("plan-cache", "");
   const std::size_t throttle_ms = cli.get_size_t("throttle-ms", 0, 0, 60000);
 
-  std::string metrics_path = cli.get_or("metrics", "");
-  if (metrics_path.empty())
-    if (const char* env = obs::env_metrics_path()) metrics_path = env;
-  if (!metrics_path.empty()) obs::set_enabled(true);
+  const std::string metrics_path = obs::enable_export(cli.get("metrics"));
 
   // Shared precision artifacts (numeric behaviour depends on the format,
   // not on the pipeline count).

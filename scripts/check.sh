@@ -166,15 +166,18 @@ ctest --test-dir build-tsan --output-on-failure \
 # path. Finally the number formatters and the JSON reader: the Json and
 # JsonParse suites (test_io) parse every rat.svc.v1 line, the
 # FixedFormat, PercentFormat and FormatOracle suites (test_util) drive
-# std::to_chars into fixed char buffers, and the golden-byte suites
+# std::to_chars into fixed char buffers, the Cli suite (test_util) reads
+# every numeric flag through std::from_chars, and the golden-byte suites
 # (SvcResponseGolden, BatchGolden; the Svc and Batch patterns cover
-# them) render whole responses and batch documents.
+# them) render whole responses and batch documents. The Svc pattern also
+# covers SvcIdSplice, which feeds truncated and corrupted response lines
+# to the id splice in exact-size buffers.
 echo "==== AddressSanitizer+UBSan pass (ingestion + store + batch + svc + load + explore + formatters)"
 cmake -B build-asan -G Ninja -DRAT_SANITIZE=address,undefined
 cmake --build build-asan --target test_io test_store test_batch test_svc \
   test_load test_explore test_util rat_batch rat_serve
 ctest --test-dir build-asan --output-on-failure \
-  -R '^(LoadWorksheet|WorksheetDir|Batch|Store|Svc|Load|Explore|Json|JsonParse|FixedFormat|PercentFormat|FormatOracle)'
+  -R '^(LoadWorksheet|WorksheetDir|Batch|Store|Svc|Load|Explore|Json|JsonParse|FixedFormat|PercentFormat|FormatOracle|Cli)'
 
 # Scalar-fallback pass: the same identity suite with SIMD forced off
 # (-DRAT_SIMD=off), so the width-1 reference build — what a host without
@@ -602,6 +605,21 @@ print("sweep OK: achieved", [round(a, 1) for a in achieved],
       "req/s, p99", [round(p, 3) for p in p99s], "ms, fleet gauges present")
 EOF
 rm -rf "$sweep_dir"
+
+# Numeric flag smoke: a non-finite or overflowing value is a usage error
+# (exit 1) before any connection is tried. Nothing listens on port 1, so
+# a run that got as far as connecting would exit 2 instead.
+echo "==== rat_loadgen non-finite / overflowing flag smoke"
+for flag in --timeout-sec=1e300 --duplicate-ratio=nan; do
+  rc=0
+  flag_err=$(build/src/apps/rat_loadgen --port=1 \
+    --fixtures=tests/fixtures/worksheets "$flag" 2>&1 >/dev/null) || rc=$?
+  if [ "$rc" -ne 1 ] || ! grep -q '^usage:' <<<"$flag_err"; then
+    echo "rat_loadgen $flag: expected a usage error (exit 1), got $rc"
+    echo "$flag_err"
+    exit 1
+  fi
+done
 
 # SIGPIPE smoke: the stdout reader exits after the first response while
 # another 199 are still owed, so the server writes into a closed pipe.

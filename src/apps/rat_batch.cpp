@@ -32,6 +32,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -74,48 +75,30 @@ int main(int argc, char** argv) {
   using namespace rat;
   const util::Cli cli(argc, argv);
 
-  static const std::vector<std::string> known{
-      "dir", "out", "json", "csv", "threads", "mode", "quiet", "metrics",
-      "help"};
-  for (const std::string& k : cli.keys()) {
-    if (std::find(known.begin(), known.end(), k) == known.end()) {
-      std::fprintf(stderr, "rat_batch: unknown flag --%s\n", k.c_str());
-      return usage(argv[0]);
-    }
-  }
-  if (cli.has("help")) return usage(argv[0]);
-
-  const std::string mode_flag = cli.get_or("mode", "sb");
-  if (mode_flag != "sb" && mode_flag != "db") {
-    std::fprintf(stderr, "rat_batch: --mode must be sb or db\n");
-    return usage(argv[0]);
-  }
-  const auto mode = mode_flag == "sb" ? core::WorksheetMode::kSingleBuffered
-                                      : core::WorksheetMode::kDoubleBuffered;
-
+  std::string mode_flag;
   std::size_t n_threads = 0;
+  std::string metrics_path;
   try {
+    cli.require_known({"dir", "out", "json", "csv", "threads", "mode",
+                       "quiet", "metrics", "help"});
+    if (cli.has("help")) return usage(argv[0]);
+    mode_flag = cli.get_or("mode", "sb");
+    if (mode_flag != "sb" && mode_flag != "db")
+      throw std::invalid_argument("--mode must be sb or db");
     n_threads = cli.get_size_t("threads", 0, 0, 4096);
+    // Observability: --metrics=<path> (RAT_METRICS as the env fallback)
+    // turns collection on before any evaluation runs.
+    metrics_path = obs::enable_export(cli.get("metrics"));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "rat_batch: %s\n", e.what());
     return usage(argv[0]);
   }
-
-  // Observability: --metrics=<path> (RAT_METRICS as the env fallback)
-  // turns collection on before any evaluation runs.
-  std::string metrics_path = cli.get_or("metrics", "");
-  if (cli.has("metrics") && metrics_path.empty()) {
-    std::fprintf(stderr, "rat_batch: --metrics needs a path\n");
-    return usage(argv[0]);
-  }
-  if (metrics_path.empty())
-    if (const char* env = obs::env_metrics_path()) metrics_path = env;
-  if (!metrics_path.empty()) {
-    obs::set_enabled(true);
+  const auto mode = mode_flag == "sb" ? core::WorksheetMode::kSingleBuffered
+                                      : core::WorksheetMode::kDoubleBuffered;
+  if (!metrics_path.empty())
     obs::Registry::global().set_gauge(
         "batch.threads",
         static_cast<double>(util::resolve_thread_count(n_threads)));
-  }
 
   // Collect the work list: every *.rat in --dir, plus positional files.
   std::vector<std::filesystem::path> files;

@@ -78,9 +78,8 @@ std::vector<double> parse_sweep(const std::string& spec) {
     const std::string token = spec.substr(start, comma - start);
     if (token.empty())
       throw std::invalid_argument("--sweep: empty rate in list");
-    std::size_t used = 0;
-    const double rate = std::stod(token, &used);
-    if (used != token.size() || !(rate > 0.0))
+    const double rate = rat::util::parse_finite(token, "--sweep");
+    if (!(rate > 0.0))
       throw std::invalid_argument("--sweep: bad rate '" + token + "'");
     rates.push_back(rate);
     start = comma + 1;
@@ -102,31 +101,20 @@ int main(int argc, char** argv) {
   using namespace rat;
   const util::Cli cli(argc, argv);
 
-  static const std::vector<std::string> known{
-      "host", "port", "port-file", "fixtures", "requests", "connections",
-      "rate", "sweep", "arrival", "seed", "duplicate-ratio", "deadline-ms",
-      "no-cache", "timeout-sec", "report", "slo-p99-ms", "slo-error-rate",
-      "help"};
-  for (const std::string& k : cli.keys()) {
-    bool ok = false;
-    for (const std::string& kn : known) ok |= (k == kn);
-    if (!ok) {
-      std::fprintf(stderr, "rat_loadgen: unknown flag --%s\n", k.c_str());
-      return usage(argv[0]);
-    }
-  }
-  if (cli.has("help")) return usage(argv[0]);
-  if (!cli.positional().empty()) {
-    std::fprintf(stderr, "rat_loadgen: unexpected positional argument\n");
-    return usage(argv[0]);
-  }
-
   load::RunConfig cfg;
   load::SloConfig slo;
   std::vector<double> rates;
   std::string fixtures;
   std::string report_path;
   try {
+    cli.require_known({"host", "port", "port-file", "fixtures", "requests",
+                       "connections", "rate", "sweep", "arrival", "seed",
+                       "duplicate-ratio", "deadline-ms", "no-cache",
+                       "timeout-sec", "report", "slo-p99-ms",
+                       "slo-error-rate", "help"});
+    if (cli.has("help")) return usage(argv[0]);
+    if (!cli.positional().empty())
+      throw std::invalid_argument("unexpected positional argument");
     cfg.host = cli.get_or("host", cfg.host);
     if (cli.has("port"))
       cfg.port = static_cast<int>(cli.get_size_t("port", 0, 1, 65535));
@@ -156,8 +144,7 @@ int main(int argc, char** argv) {
     cfg.deadline_ms = cli.get_double("deadline-ms", cfg.deadline_ms);
     cfg.no_cache = cli.get_bool("no-cache", false);
     cfg.timeout_sec = cli.get_double("timeout-sec", cfg.timeout_sec);
-    if (!(cfg.timeout_sec > 0.0))
-      throw std::invalid_argument("--timeout-sec must be > 0");
+    load::timeout_ns(cfg);  // a timeout run_step would refuse is a usage error
     report_path = cli.get_or("report", "");
     slo.p99_ms = cli.get_double("slo-p99-ms", slo.p99_ms);
     slo.error_rate = cli.get_double("slo-error-rate", slo.error_rate);

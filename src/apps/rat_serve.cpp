@@ -8,11 +8,10 @@
 // distinct design once.
 //
 // Usage:
-//   rat_serve [--port=N]            loopback TCP port (default 0 =
-//                                   ephemeral; the bound port is
-//                                   announced on stdout and via
-//                                   --port-file)
-//             [--port-file=<path>]  write the bound port, for scripts
+//   rat_serve [--port=N] [--port-file=<path>] [--backlog=N]
+//             [--write-buffer-bytes=N] [--so-sndbuf=N]
+//                                   the client flags rat_router takes
+//                                   too (svc/clients.hpp)
 //             [--stdio]             also serve stdin -> stdout
 //             [--no-tcp]            stdio only (requires --stdio)
 //             [--threads=N]         worker threads (sets RAT_THREADS
@@ -27,29 +26,17 @@
 //                                   requests get E_OVERLOADED
 //             [--deadline-ms=X]     default per-request deadline
 //                                   (default 0 = none)
-//             [--backlog=N]         listen(2) backlog (default 64)
-//             [--write-buffer-bytes=N]
-//                                   per-connection bound on unsent
-//                                   response bytes (default 4 MiB);
-//                                   clients that exceed it are dropped
-//                                   as slow instead of blocking others
-//             [--so-sndbuf=N]       SO_SNDBUF for accepted sockets
-//                                   (default 0 = OS default)
 //             [--metrics=<path>]    rat.metrics.v1 JSON on exit
 //                                   (RAT_METRICS env is the fallback);
 //                                   summary table on stderr
 //
 // Graceful shutdown: SIGINT/SIGTERM (or a {"op":"shutdown"} request)
 // stop accepting, drain every admitted request, flush --metrics, exit 0.
-#include <cmath>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "obs/metrics.hpp"
 #include "svc/server.hpp"
@@ -70,78 +57,43 @@ int usage(const char* program) {
   return 1;
 }
 
-// Stop plumbing: the handler may only do async-signal-safe work, so it
-// writes one byte to the server's wake pipe and nothing else.
-int g_wake_fd = -1;
-
-void on_stop_signal(int) {
-  if (g_wake_fd >= 0) {
-    const char byte = 's';
-    [[maybe_unused]] ssize_t n = ::write(g_wake_fd, &byte, 1);
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace rat;
   const util::Cli cli(argc, argv);
 
-  static const std::vector<std::string> known{
-      "port", "port-file", "stdio", "no-tcp", "threads", "cache-capacity",
-      "cache-dir", "queue-capacity", "deadline-ms", "backlog",
-      "write-buffer-bytes", "so-sndbuf", "metrics", "help"};
-  for (const std::string& k : cli.keys()) {
-    bool ok = false;
-    for (const std::string& kn : known) ok |= (k == kn);
-    if (!ok) {
-      std::fprintf(stderr, "rat_serve: unknown flag --%s\n", k.c_str());
-      return usage(argv[0]);
-    }
-  }
-  if (cli.has("help")) return usage(argv[0]);
-  if (!cli.positional().empty()) {
-    std::fprintf(stderr, "rat_serve: unexpected positional argument\n");
-    return usage(argv[0]);
-  }
-
   svc::ServiceConfig svc_cfg;
   svc::ServerConfig srv_cfg;
   std::size_t n_threads = 0;
+  std::string metrics_path;
   try {
-    srv_cfg.port = static_cast<int>(cli.get_size_t("port", 0, 0, 65535));
+    cli.require_known({"port", "port-file", "stdio", "no-tcp", "threads",
+                       "cache-capacity", "cache-dir", "queue-capacity",
+                       "deadline-ms", "backlog", "write-buffer-bytes",
+                       "so-sndbuf", "metrics", "help"});
+    if (cli.has("help")) return usage(argv[0]);
+    if (!cli.positional().empty())
+      throw std::invalid_argument("unexpected positional argument");
+    srv_cfg.client = svc::parse_client_flags(cli);
     n_threads = cli.get_size_t("threads", 0, 0, 256);
     svc_cfg.cache_capacity =
         cli.get_size_t("cache-capacity", svc_cfg.cache_capacity);
     svc_cfg.queue_capacity =
         cli.get_size_t("queue-capacity", svc_cfg.queue_capacity, 1);
-    const long long backlog = cli.get_int("backlog", srv_cfg.backlog);
-    if (backlog < 1 || backlog > 65535)
-      throw std::invalid_argument("Cli: --backlog outside [1, 65535]");
-    srv_cfg.backlog = static_cast<int>(backlog);
-    srv_cfg.max_write_buffer_bytes = cli.get_size_t(
-        "write-buffer-bytes", srv_cfg.max_write_buffer_bytes, 1);
-    srv_cfg.so_sndbuf = static_cast<int>(
-        cli.get_size_t("so-sndbuf", 0, 0, std::size_t{1} << 30));
+    svc_cfg.default_deadline_ms = cli.get_double("deadline-ms", 0.0);
+    if (svc_cfg.default_deadline_ms < 0.0)
+      throw std::invalid_argument("--deadline-ms must be >= 0");
+    svc_cfg.cache_dir = cli.get_or("cache-dir", "");
+    if (cli.has("cache-dir") && svc_cfg.cache_dir.empty())
+      throw std::invalid_argument("--cache-dir needs a path");
+    srv_cfg.stdio = cli.has("stdio");
+    srv_cfg.tcp = !cli.has("no-tcp");
+    if (!srv_cfg.tcp && !srv_cfg.stdio)
+      throw std::invalid_argument("--no-tcp requires --stdio");
+    metrics_path = obs::enable_export(cli.get("metrics"));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "rat_serve: %s\n", e.what());
-    return usage(argv[0]);
-  }
-  svc_cfg.default_deadline_ms = cli.get_double("deadline-ms", 0.0);
-  if (!std::isfinite(svc_cfg.default_deadline_ms) ||
-      svc_cfg.default_deadline_ms < 0.0) {
-    std::fprintf(stderr, "rat_serve: --deadline-ms must be finite and >= 0\n");
-    return usage(argv[0]);
-  }
-  svc_cfg.cache_dir = cli.get_or("cache-dir", "");
-  if (cli.has("cache-dir") && svc_cfg.cache_dir.empty()) {
-    std::fprintf(stderr, "rat_serve: --cache-dir needs a path\n");
-    return usage(argv[0]);
-  }
-  srv_cfg.stdio = cli.has("stdio");
-  srv_cfg.tcp = !cli.has("no-tcp");
-  if (!srv_cfg.tcp && !srv_cfg.stdio) {
-    std::fprintf(stderr, "rat_serve: --no-tcp requires --stdio\n");
     return usage(argv[0]);
   }
 
@@ -149,15 +101,6 @@ int main(int argc, char** argv) {
   // the flag before anything touches the pool.
   if (n_threads > 0)
     ::setenv("RAT_THREADS", std::to_string(n_threads).c_str(), 1);
-
-  std::string metrics_path = cli.get_or("metrics", "");
-  if (cli.has("metrics") && metrics_path.empty()) {
-    std::fprintf(stderr, "rat_serve: --metrics needs a path\n");
-    return usage(argv[0]);
-  }
-  if (metrics_path.empty())
-    if (const char* env = obs::env_metrics_path()) metrics_path = env;
-  if (!metrics_path.empty()) obs::set_enabled(true);
 
   std::optional<svc::Service> service;
   try {
@@ -180,26 +123,16 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  g_wake_fd = server.wake_fd();
-  struct sigaction sa{};
-  sa.sa_handler = on_stop_signal;
-  ::sigemptyset(&sa.sa_mask);
-  ::sigaction(SIGINT, &sa, nullptr);
-  ::sigaction(SIGTERM, &sa, nullptr);
+  svc::stop_on_signals(server.wake_fd());
 
   if (srv_cfg.tcp) {
     // Announced on stdout (and flushed) so scripts can scrape the
     // ephemeral port; --port-file is the race-free variant.
     std::printf("rat_serve: listening on 127.0.0.1:%d\n", server.port());
     std::fflush(stdout);
-    if (cli.has("port-file")) {
-      std::ofstream f(cli.get("port-file").value());
-      if (f) {
-        f << server.port() << '\n';
-      } else {
-        std::fprintf(stderr, "rat_serve: cannot write port file\n");
-        return 1;
-      }
+    if (!svc::write_port_file(cli, server.port())) {
+      std::fprintf(stderr, "rat_serve: cannot write port file\n");
+      return 1;
     }
   }
   if (srv_cfg.stdio)

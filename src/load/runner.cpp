@@ -8,12 +8,16 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <stdexcept>
+#include <string_view>
 
 #include "io/json.hpp"
 #include "obs/metrics.hpp"
 #include "svc/channel.hpp"
+#include "svc/protocol.hpp"
 #include "util/rng.hpp"
 
 namespace rat::load {
@@ -46,24 +50,15 @@ int connect_with_retry(const std::string& host, int port,
   return -1;
 }
 
-/// Extract the request index from a response line's echoed id ("r<i>").
-/// Returns false for ids the runner did not issue.
-bool parse_response_index(const std::string& line, std::size_t* index) {
-  const std::size_t key = line.find("\"id\":\"");
-  if (key == std::string::npos) return false;
-  std::size_t pos = key + 6;
-  if (pos >= line.size() || line[pos] != 'r') return false;
-  ++pos;
-  std::uint64_t value = 0;
-  bool any = false;
-  while (pos < line.size() && line[pos] >= '0' && line[pos] <= '9') {
-    value = value * 10 + static_cast<std::uint64_t>(line[pos] - '0');
-    ++pos;
-    any = true;
-  }
-  if (!any || pos >= line.size() || line[pos] != '"') return false;
-  *index = static_cast<std::size_t>(value);
-  return true;
+/// The request index a response line's "r<i>" token names; SIZE_MAX
+/// for a line the runner did not ask for.
+std::size_t response_index(const std::string& line) {
+  const std::string_view token = svc::response_token(line);
+  if (token.size() < 2 || token.front() != 'r') return SIZE_MAX;
+  std::size_t index = 0;
+  const char* end = token.data() + token.size();
+  const auto r = std::from_chars(token.data() + 1, end, index);
+  return r.ec == std::errc{} && r.ptr == end ? index : SIZE_MAX;
 }
 
 /// E_* code of an error response; "E_UNKNOWN" when the line has none.
@@ -122,7 +117,18 @@ std::vector<std::string> slo_violations(const StepResult& step,
   return out;
 }
 
+std::uint64_t timeout_ns(const RunConfig& config) {
+  constexpr double kMaxNs = 9223372036854775808.0;  // 2^63
+  const double ns = config.timeout_sec * kNsPerSec;
+  if (!(ns > 0.0 && ns < kMaxNs))
+    throw std::invalid_argument(
+        "timeout_sec must be > 0 and under 2^63 ns: " +
+        io::json_number(config.timeout_sec));
+  return static_cast<std::uint64_t>(ns);
+}
+
 StepResult run_step(const RunConfig& config, Mix& mix) {
+  const std::uint64_t timeout = timeout_ns(config);
   StepResult step;
   step.offered_rate_hz = config.rate_hz;
   const std::size_t total = config.requests;
@@ -153,9 +159,7 @@ StepResult run_step(const RunConfig& config, Mix& mix) {
   std::size_t alive_count = nconn;
 
   const std::uint64_t t0 = obs::now_ns();
-  const std::uint64_t give_up_ns =
-      t0 + offsets.back() +
-      static_cast<std::uint64_t>(config.timeout_sec * kNsPerSec);
+  const std::uint64_t give_up_ns = t0 + offsets.back() + timeout;
 
   auto kill_conn = [&](svc::LineChannel& conn) {
     if (conn.read_fd() < 0) return;
@@ -164,11 +168,16 @@ StepResult run_step(const RunConfig& config, Mix& mix) {
     ++step.connection_drops;
   };
 
+  svc::Request req;  // every request but its worksheet is the same
+  req.has_worksheet = true;
+  req.deadline_ms = config.deadline_ms;
+  req.no_cache = config.no_cache;
+
   auto enqueue = [&](std::size_t i) {
     svc::LineChannel& conn = conns[i % nconn];
     // The payload draw happens even for dead connections so the request
     // stream stays identical whether or not drops occurred.
-    const std::string worksheet = mix.next(payload_rng, config.duplicate_ratio);
+    req.worksheet = mix.next(payload_rng, config.duplicate_ratio);
     if (conn.read_fd() < 0) {
       if (!resolved[i]) {
         resolved[i] = 1;
@@ -177,20 +186,14 @@ StepResult run_step(const RunConfig& config, Mix& mix) {
       }
       return;
     }
-    std::string line = "{\"id\":\"r" + std::to_string(i) +
-                       "\",\"op\":\"evaluate\",\"worksheet\":" +
-                       io::json_str(worksheet);
-    if (config.deadline_ms > 0.0)
-      line += ",\"deadline_ms\":" + io::json_number(config.deadline_ms);
-    if (config.no_cache) line += ",\"no_cache\":true";
-    line += '}';
-    conn.queue_line(line);  // written on the next POLLOUT
+    // Written on the next POLLOUT.
+    conn.queue_line(svc::encode_forward("r" + std::to_string(i), req));
     ++step.sent;
   };
 
   auto handle_line = [&](const std::string& line, std::uint64_t now) {
-    std::size_t i = 0;
-    if (!parse_response_index(line, &i) || i >= total || resolved[i]) return;
+    const std::size_t i = response_index(line);
+    if (i >= total || resolved[i]) return;
     resolved[i] = 1;
     ++n_resolved;
     // Latency from the *scheduled* send time: queueing delay inside the

@@ -10,8 +10,9 @@
 // measured from that scheduled send time — not from when write(2)
 // happened to drain — so server stalls surface as tail latency instead
 // of being absorbed by a waiting client (coordinated omission; see
-// docs/LOADGEN.md). Responses correlate back to requests by the echoed
-// "r<i>" id, so pipelining and out-of-order completion are fine.
+// docs/LOADGEN.md). Requests are encoded, and responses correlated back
+// to them by the echoed "r<i>" id, through svc/protocol (encode_forward,
+// response_token), so pipelining and out-of-order completion are fine.
 //
 // A StepResult carries exact counts (ok / per-E_* errors / lost /
 // connection drops) and an obs::LogHistogram of latencies; sweep runs
@@ -70,8 +71,14 @@ struct SloConfig {
 std::vector<std::string> slo_violations(const StepResult& step,
                                         const SloConfig& slo);
 
-/// Execute one open-loop step against host:port. Throws
-/// std::runtime_error when the endpoint cannot be reached at all.
+/// @p config's timeout_sec in nanoseconds. Throws std::invalid_argument
+/// unless it is positive and below 2^63 ns (about 292 years), so that
+/// adding it to a clock reading cannot wrap.
+std::uint64_t timeout_ns(const RunConfig& config);
+
+/// Execute one open-loop step against host:port. Throws what
+/// timeout_ns() throws before connecting, and std::runtime_error when
+/// the endpoint cannot be reached at all.
 StepResult run_step(const RunConfig& config, Mix& mix);
 
 /// The rat.load.v1 JSON document (schema in docs/LOADGEN.md): config,

@@ -7,6 +7,7 @@
 #include <fstream>
 #include <functional>
 #include <sstream>
+#include <stdexcept>
 
 namespace rat::obs {
 
@@ -35,6 +36,16 @@ void set_enabled(bool on) {
 const char* env_metrics_path() {
   const char* v = std::getenv("RAT_METRICS");
   return (v && *v) ? v : nullptr;
+}
+
+std::string enable_export(const std::optional<std::string>& flag) {
+  if (flag && flag->empty())
+    throw std::invalid_argument("--metrics needs a path");
+  std::string path = flag.value_or("");
+  if (path.empty())
+    if (const char* env = env_metrics_path()) path = env;
+  if (!path.empty()) set_enabled(true);
+  return path;
 }
 
 Registry::Registry(std::size_t span_capacity)

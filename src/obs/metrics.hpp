@@ -26,6 +26,7 @@
 #include <filesystem>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -59,6 +60,12 @@ void set_enabled(bool on);
 /// the path metrics should be exported to (apps honour it as an implicit
 /// --metrics). Returns nullptr otherwise.
 const char* env_metrics_path();
+
+/// Where a program run exports its metrics: @p flag (the --metrics value)
+/// when given, else env_metrics_path(), else empty. A non-empty path
+/// turns collection on. Throws std::invalid_argument when @p flag is an
+/// empty path.
+std::string enable_export(const std::optional<std::string>& flag);
 
 /// Aggregated durations of one named operation.
 struct TimerStat {

@@ -21,6 +21,13 @@ namespace {
   throw std::system_error(errno, std::generic_category(), what);
 }
 
+int g_stop_fd = -1;  ///< where stop_on_signals' handler writes
+
+void on_stop_signal(int) {
+  const char byte = 's';
+  [[maybe_unused]] const ssize_t n = ::write(g_stop_fd, &byte, 1);
+}
+
 IoStatus classify_errno() {
   if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK)
     return IoStatus::kOk;
@@ -55,6 +62,15 @@ void ignore_sigpipe() {
   sa.sa_handler = SIG_IGN;
   ::sigemptyset(&sa.sa_mask);
   ::sigaction(SIGPIPE, &sa, nullptr);
+}
+
+void stop_on_signals(int wake_fd) {
+  g_stop_fd = wake_fd;
+  struct sigaction sa {};
+  sa.sa_handler = on_stop_signal;
+  ::sigemptyset(&sa.sa_mask);
+  ::sigaction(SIGINT, &sa, nullptr);
+  ::sigaction(SIGTERM, &sa, nullptr);
 }
 
 // ---- LineChannel ----

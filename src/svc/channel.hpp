@@ -32,6 +32,10 @@ void set_cloexec(int fd);
 bool make_pipe_cloexec(int fds[2]);
 /// Process-wide SIG_IGN for SIGPIPE (see file comment). Idempotent.
 void ignore_sigpipe();
+/// Turn SIGINT and SIGTERM into one byte written to @p wake_fd, a
+/// WakePipe's write end: the handler may only do async-signal-safe work,
+/// and write(2) is.
+void stop_on_signals(int wake_fd);
 
 /// How one read or flush ended.
 enum class IoStatus {

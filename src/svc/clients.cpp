@@ -3,10 +3,13 @@
 #include <sys/socket.h>
 
 #include <algorithm>
+#include <fstream>
+#include <stdexcept>
 #include <utility>
 
 #include "obs/metrics.hpp"
 #include "svc/protocol.hpp"
+#include "util/cli.hpp"
 
 namespace rat::svc {
 
@@ -17,6 +20,29 @@ void count(std::atomic<std::uint64_t>& counter) {
 }
 
 }  // namespace
+
+ClientPolicy parse_client_flags(const util::Cli& cli) {
+  ClientPolicy policy;
+  policy.port = static_cast<int>(cli.get_size_t("port", 0, 0, 65535));
+  const long long backlog = cli.get_int("backlog", policy.backlog);
+  if (backlog < 1 || backlog > 65535)
+    throw std::invalid_argument("Cli: --backlog outside [1, 65535]");
+  policy.backlog = static_cast<int>(backlog);
+  policy.max_write_buffer_bytes = cli.get_size_t(
+      "write-buffer-bytes", policy.max_write_buffer_bytes, 1);
+  policy.so_sndbuf = static_cast<int>(
+      cli.get_size_t("so-sndbuf", 0, 0, std::size_t{1} << 30));
+  return policy;
+}
+
+bool write_port_file(const util::Cli& cli, int port) {
+  const auto path = cli.get("port-file");
+  if (!path) return true;
+  std::ofstream f(*path);
+  if (!f) return false;
+  f << port << '\n';
+  return true;
+}
 
 ClientSet::ClientSet(const ClientPolicy& policy, OnLine on_line,
                      std::function<void()> on_stdio_end)

@@ -33,24 +33,42 @@
 
 #include "svc/channel.hpp"
 
+namespace rat::util {
+class Cli;
+}  // namespace rat::util
+
 namespace rat::svc {
 
-/// The client-side fields ServerConfig and RouterConfig share.
+/// The client-side settings rat_serve and rat_router share, declared
+/// once: ServerConfig and RouterConfig each hold one. The policies that
+/// use them are described above.
 struct ClientPolicy {
-  std::size_t max_line_bytes;
-  std::size_t max_write_buffer_bytes;
-  int so_sndbuf;
-  int accept_backoff_ms;
-  int drain_flush_timeout_ms;
-
-  template <class Config>
-  explicit ClientPolicy(const Config& c)
-      : max_line_bytes(c.max_line_bytes),
-        max_write_buffer_bytes(c.max_write_buffer_bytes),
-        so_sndbuf(c.so_sndbuf),
-        accept_backoff_ms(c.accept_backoff_ms),
-        drain_flush_timeout_ms(c.drain_flush_timeout_ms) {}
+  int port = 0;      ///< loopback TCP port (0 = ephemeral; see listen())
+  int backlog = 64;  ///< listen(2) backlog
+  std::size_t max_line_bytes = 4u << 20;          ///< oversize above this
+  std::size_t max_write_buffer_bytes = 4u << 20;  ///< slow above this
+  /// SO_SNDBUF for accepted sockets (0 = OS default); a small one makes
+  /// the slow-client policy bite deterministically.
+  int so_sndbuf = 0;
+  int accept_backoff_ms = 50;          ///< listener pause after EMFILE
+  int drain_flush_timeout_ms = 5000;  ///< drain budget before slow drops
 };
+
+/// The defaults with the client flags rat_serve and rat_router share
+/// applied; throws std::invalid_argument naming the flag:
+///   --port=N                loopback TCP port (default 0 = ephemeral;
+///                           the bound port is announced on stdout)
+///   --backlog=N             listen(2) backlog (default 64)
+///   --write-buffer-bytes=N  per-client bound on unsent response bytes
+///                           (default 4 MiB); past it a client is slow
+///   --so-sndbuf=N           SO_SNDBUF for accepted sockets (default 0 =
+///                           OS default)
+ClientPolicy parse_client_flags(const util::Cli& cli);
+
+/// --port-file=<path>: write @p port and a newline there, for scripts
+/// (the race-free variant of the announcement); false when the flag is
+/// given and the file cannot be written.
+bool write_port_file(const util::Cli& cli, int port);
 
 class ClientSet {
  public:
@@ -79,8 +97,8 @@ class ClientSet {
   ClientSet(const ClientPolicy& policy, OnLine on_line,
             std::function<void()> on_stdio_end = {});
 
-  /// Listen on 127.0.0.1:@p port; returns the bound port.
-  int listen(int port, int backlog) { return listener_.open(port, backlog); }
+  /// Listen on 127.0.0.1 at the policy's port; returns the bound port.
+  int listen() { return listener_.open(policy_.port, policy_.backlog); }
   /// Serve @p in_fd -> @p out_fd as a stdio client (fds left open).
   void add_stdio(int in_fd, int out_fd);
 

@@ -1,10 +1,13 @@
 #include "svc/protocol.hpp"
 
 #include <cmath>
+#include <iterator>
 
 #include "io/batch.hpp"
 #include "io/json.hpp"
+#include "svc/cache.hpp"
 #include "svc/fingerprint.hpp"
+#include "util/format.hpp"
 
 namespace rat::svc {
 
@@ -15,21 +18,61 @@ namespace {
 /// 13 numbers of up to 24 characters).
 constexpr std::size_t kEvaluateHeadBytes = 512;
 constexpr std::size_t kPredictionJsonBytes = 480;
+/// Bytes reserved for a forwarded request beyond its id and worksheet or
+/// file text: members, quotes and the escapes of a worksheet's newlines.
+constexpr std::size_t kForwardExtraBytes = 128;
 
-/// {"schema":...,"id":...,"status":"<status>" — empty ids render as null
-/// so a response to an unparseable request is still well-formed.
-void append_head(std::string& out, const std::string& id,
-                 const char* status) {
-  out += "{\"schema\":\"";
-  out += kProtocolSchema;
-  out += "\",\"id\":";
+/// Every response line starts with these bytes, then its id, then
+/// kStatusKey and its status.
+const std::string kHeadBeforeId =
+    std::string("{\"schema\":\"") + kProtocolSchema + "\",\"id\":";
+constexpr std::string_view kStatusKey = ",\"status\":\"";
+constexpr std::string_view kCachePrefix = "cache.";
+
+/// The index of @p name in kStatsNames (its size when absent).
+constexpr std::size_t stat_index(std::string_view name) {
+  std::size_t i = 0;
+  while (i < std::size(kStatsNames) && kStatsNames[i] != name) ++i;
+  return i;
+}
+
+/// An id as the head renders it: a JSON string, or null when empty, so a
+/// response to an unparseable request is still well-formed.
+void append_id(std::string& out, std::string_view id) {
   if (id.empty())
     out += "null";
   else
     io::append_json_str(out, id);
-  out += ",\"status\":\"";
+}
+
+/// {"schema":...,"id":...,"status":"<status>"
+void append_head(std::string& out, std::string_view id, const char* status) {
+  out += kHeadBeforeId;
+  append_id(out, id);
+  out += kStatusKey;
   out += status;
   out += '"';
+}
+
+/// "<key>":<n>
+void append_count(std::string& out, std::string_view key, std::uint64_t n) {
+  out += '"';
+  out += key;
+  out += "\":";
+  out += std::to_string(n);
+}
+
+/// Every op under its wire name, for parse_request and encode_forward.
+constexpr std::pair<Request::Op, std::string_view> kOps[] = {
+    {Request::Op::kEvaluate, "evaluate"},
+    {Request::Op::kPing, "ping"},
+    {Request::Op::kStats, "stats"},
+    {Request::Op::kShutdown, "shutdown"}};
+
+/// A byte a JSON string renders as itself (append_json_str escapes the
+/// quote, the backslash and control bytes).
+bool renders_verbatim(char ch) {
+  return static_cast<unsigned char>(ch) >= 0x20 && ch != '"' && ch != '\\';
 }
 
 }  // namespace
@@ -69,11 +112,10 @@ Request parse_request(const std::string& line) {
                   "\" when present");
     } else if (key == "op") {
       if (!value.is_string()) throw bad("\"op\" must be a string");
-      if (value.string == "evaluate") req.op = Request::Op::kEvaluate;
-      else if (value.string == "ping") req.op = Request::Op::kPing;
-      else if (value.string == "stats") req.op = Request::Op::kStats;
-      else if (value.string == "shutdown") req.op = Request::Op::kShutdown;
-      else throw bad("unknown op: '" + value.string + "'");
+      auto op = std::begin(kOps);
+      while (op != std::end(kOps) && op->second != value.string) ++op;
+      if (op == std::end(kOps)) throw bad("unknown op: '" + value.string + "'");
+      req.op = op->first;
     } else if (key == "worksheet") {
       if (!value.is_string()) throw bad("\"worksheet\" must be a string");
       req.worksheet = value.string;
@@ -175,6 +217,117 @@ std::string shutdown_response(const std::string& id) {
   std::string out;
   append_head(out, id, "ok");
   out += ",\"op\":\"shutdown\",\"draining\":true}";
+  return out;
+}
+
+std::string stats_response(const std::string& id, const StatsCounters& stats,
+                           std::span<const Count> router) {
+  std::string out;
+  append_head(out, id, "ok");
+  out += ",\"op\":\"stats\",\"stats\":{";
+  for (std::size_t i = 0; i < stats.size(); ++i) {
+    std::string_view key = kStatsNames[i];
+    if (key == "cache.hits")
+      out += ",\"cache\":{";
+    else if (i > 0)
+      out += ',';
+    if (key == "cache.warmed") {  // derived, so not a counter of its own
+      out += "\"hit_ratio\":";
+      util::append_round_trip(
+          out, hit_ratio({.hits = stats[stat_index("cache.hits")],
+                          .misses = stats[stat_index("cache.misses")]}));
+      out += ',';
+    }
+    if (key.starts_with(kCachePrefix)) key.remove_prefix(kCachePrefix.size());
+    append_count(out, key, stats[i]);
+  }
+  out += "}}";
+  if (!router.empty()) {
+    out += ",\"router\":{";
+    for (std::size_t i = 0; i < router.size(); ++i) {
+      if (i > 0) out += ',';
+      append_count(out, router[i].first, router[i].second);
+    }
+    out += '}';
+  }
+  out += '}';
+  return out;
+}
+
+void add_stats(StatsCounters& sums, const std::string& line) {
+  auto add = [&sums](std::string_view name, const io::JsonValue& value) {
+    const std::size_t i = stat_index(name);
+    if (i < sums.size() && value.is_number() && value.number >= 0.0 &&
+        value.number < 1.8e19)
+      sums[i] += static_cast<std::uint64_t>(value.number);
+  };
+  try {
+    const io::JsonValue doc = io::parse_json(line);
+    const io::JsonValue* stats = doc.find("stats");
+    if (!stats || !stats->is_object()) return;
+    for (const auto& [key, value] : stats->object) {
+      if (key == "cache" && value.is_object()) {
+        for (const auto& [ck, cv] : value.object)
+          add(std::string(kCachePrefix) + ck, cv);
+      } else {
+        add(key, value);
+      }
+    }
+  } catch (const std::exception&) {
+  }
+}
+
+std::string encode_forward(const std::string& token, const Request& req) {
+  std::string out;
+  out.reserve(token.size() + req.worksheet.size() + req.file.size() +
+              kForwardExtraBytes);
+  out += "{\"id\":";
+  io::append_json_str(out, token);
+  out += ",\"op\":\"";
+  for (const auto& [op, name] : kOps)
+    if (op == req.op) out += name;
+  out += '"';
+  if (req.has_worksheet) {
+    out += ",\"worksheet\":";
+    io::append_json_str(out, req.worksheet);
+  }
+  if (req.has_file) {
+    out += ",\"file\":";
+    io::append_json_str(out, req.file);
+  }
+  if (req.deadline_ms > 0.0) {
+    out += ",\"deadline_ms\":";
+    util::append_round_trip(out, req.deadline_ms);
+  }
+  if (req.no_cache) out += ",\"no_cache\":true";
+  out += '}';
+  return out;
+}
+
+std::string_view response_token(std::string_view line) {
+  if (!line.starts_with(kHeadBeforeId)) return {};
+  // The id's opening quote, the token, its closing quote, the status key.
+  const std::string_view id = line.substr(kHeadBeforeId.size());
+  if (id.empty() || id.front() != '"') return {};
+  std::size_t end = 1;
+  while (end < id.size() && renders_verbatim(id[end])) ++end;
+  if (end == 1 || end == id.size() || id[end] != '"' ||
+      !id.substr(end + 1).starts_with(kStatusKey))
+    return {};
+  return id.substr(1, end - 1);
+}
+
+std::string restore_response_id(const std::string& line,
+                                const std::string& orig_id) {
+  const std::string_view token = response_token(line);
+  if (token.empty()) return line;
+  // Everything around the id is the renderers' own bytes, so the splice
+  // reproduces a direct server's line exactly.
+  std::string out;
+  out.reserve(line.size() + orig_id.size() + 8);
+  out.append(line, 0, kHeadBeforeId.size());
+  append_id(out, orig_id);
+  out.append(line, kHeadBeforeId.size() + token.size() + 2);
   return out;
 }
 

@@ -10,6 +10,11 @@
 // and cache-miss paths for one request, since the payload depends only
 // on the parsed inputs and the deterministic predictions.
 //
+// This file is the one codec of rat.svc.v1: every response line starts
+// with the head its renderers write, and the router's id splice and the
+// load runner's request ids go through the same bytes (encode_forward,
+// response_token, restore_response_id).
+//
 // Request grammar is strict in the spirit of the worksheet parser:
 // unknown members, wrong member types and malformed JSON are rejected
 // with E_BAD_REQUEST rather than ignored. Worksheet failures reuse the
@@ -17,10 +22,14 @@
 // the full structured diagnostic.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <optional>
+#include <iterator>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/throughput.hpp"
@@ -111,5 +120,51 @@ std::string pong_response(const std::string& id);
 
 /// {"status":"ok","op":"shutdown","draining":true}
 std::string shutdown_response(const std::string& id);
+
+/// The counters of a stats response's "stats" object, in wire order. A
+/// "cache." name is a member of the nested "cache" object, which also
+/// carries hit_ratio (derived from hits and misses) before "warmed".
+inline constexpr std::string_view kStatsNames[] = {
+    "requests",        "responses_ok",        "responses_error",
+    "rejected_overloaded", "rejected_draining", "deadline_expired",
+    "in_flight",       "cache.hits",          "cache.misses",
+    "cache.evictions", "cache.size",          "cache.bytes",
+    "cache.capacity",  "cache.warmed"};
+
+/// One value per kStatsNames entry: a service's counters, or, from
+/// rat_router, their sums over its workers.
+using StatsCounters = std::array<std::uint64_t, std::size(kStatsNames)>;
+
+/// A named count in a response object.
+using Count = std::pair<std::string_view, std::uint64_t>;
+
+/// {"status":"ok","op":"stats","stats":{...}}; a non-empty @p router
+/// adds a "router" object after "stats" (rat_router's own counts).
+std::string stats_response(const std::string& id, const StatsCounters& stats,
+                           std::span<const Count> router = {});
+
+/// Add the "stats" counters of @p line, a worker's stats response, to
+/// @p sums. A malformed line, or a value that is no counter (negative,
+/// non-finite, out of range), adds nothing.
+void add_stats(StatsCounters& sums, const std::string& line);
+
+// ---- Correlation ids (rat_router's forwarding, rat_loadgen's requests) ----
+
+/// @p req as a request line whose id is @p token: non-empty, and needing
+/// no JSON escaping, so response_token finds it again. The worksheet or
+/// file text, deadline and no_cache pass verbatim, so a worker's answer
+/// matches a direct submission's.
+std::string encode_forward(const std::string& token, const Request& req);
+
+/// The token a response line carries as its id, as a view into @p line;
+/// empty for a null or escaped id or a line without the response head
+/// (corrupt or non-protocol output, which callers drop).
+std::string_view response_token(std::string_view line);
+
+/// @p line with its token id replaced by @p orig_id as the head renders
+/// ids: the exact bytes a direct request with @p orig_id gets. A line
+/// without a token comes back unchanged.
+std::string restore_response_id(const std::string& line,
+                                const std::string& orig_id);
 
 }  // namespace rat::svc

@@ -10,14 +10,10 @@
 #include <cstdio>
 #include <fstream>
 #include <optional>
-#include <sstream>
-#include <string_view>
 #include <system_error>
 
 #include "core/parameters.hpp"
-#include "io/json.hpp"
 #include "obs/metrics.hpp"
-#include "svc/cache.hpp"
 #include "svc/fingerprint.hpp"
 
 namespace rat::svc {
@@ -28,15 +24,9 @@ namespace {
   throw std::system_error(errno, std::generic_category(), what);
 }
 
-/// The canonical response-line prefix up to and including the opening
-/// quote of a string id — every worker response to a forwarded request
-/// starts with exactly these bytes, because the router's correlation
-/// tokens are never empty (an empty id would render as null).
-const std::string& response_head_prefix() {
-  static const std::string head =
-      std::string("{\"schema\":\"") + kProtocolSchema + "\",\"id\":\"";
-  return head;
-}
+/// Drain: how long workers get to EOF-drain and exit after their stdins
+/// close before they are SIGKILLed, so shutdown terminates.
+constexpr std::uint64_t kWorkerExitTimeoutNs = 5'000'000'000;
 
 }  // namespace
 
@@ -57,54 +47,6 @@ std::uint64_t route_fingerprint(const Request& req) {
     // deterministic) without the router duplicating parser policy.
     return fnv1a64(req.worksheet);
   }
-}
-
-std::string encode_forward(const std::string& token, const Request& req) {
-  std::ostringstream os;
-  os << "{\"id\":" << io::json_str(token) << ",\"op\":\"";
-  switch (req.op) {
-    case Request::Op::kEvaluate: os << "evaluate"; break;
-    case Request::Op::kPing: os << "ping"; break;
-    case Request::Op::kStats: os << "stats"; break;
-    case Request::Op::kShutdown: os << "shutdown"; break;
-  }
-  os << '"';
-  if (req.has_worksheet)
-    os << ",\"worksheet\":" << io::json_str(req.worksheet);
-  if (req.has_file) os << ",\"file\":" << io::json_str(req.file);
-  if (req.deadline_ms > 0.0)
-    os << ",\"deadline_ms\":" << io::json_number(req.deadline_ms);
-  if (req.no_cache) os << ",\"no_cache\":true";
-  os << '}';
-  return os.str();
-}
-
-std::string response_token(const std::string& line) {
-  const std::string& head = response_head_prefix();
-  if (line.size() <= head.size() ||
-      line.compare(0, head.size(), head) != 0)
-    return {};
-  const std::size_t end = line.find('"', head.size());
-  if (end == std::string::npos) return {};
-  return line.substr(head.size(), end - head.size());
-}
-
-std::string restore_response_id(const std::string& line,
-                                const std::string& orig_id) {
-  const std::string& head = response_head_prefix();
-  const std::size_t end = line.find('"', head.size());
-  // Everything before the id value is append_head's fixed text, so the
-  // splice reproduces a direct server's bytes exactly: ids render via
-  // the same io::json_str, empty ids as null.
-  std::string out;
-  out.reserve(line.size() + orig_id.size());
-  out.append(head, 0, head.size() - 1);  // drop the opening quote
-  if (orig_id.empty())
-    out += "null";
-  else
-    out += io::json_str(orig_id);
-  out.append(line, end + 1, std::string::npos);
-  return out;
 }
 
 // ---- Internal structures ----
@@ -142,59 +84,14 @@ struct Router::Fanout {
   std::string orig_id;
   Request::Op op = Request::Op::kPing;
   std::size_t remaining = 0;
-  /// Summed numeric worker stats, by key ("requests", "cache.hits", ...).
-  std::map<std::string, std::uint64_t> sums;
+  StatsCounters sums{};  ///< the workers' stats counters, summed
 };
-
-namespace {
-
-/// The summed worker counters of a stats response, in the order a worker
-/// renders them; hit_ratio is derived from the summed hits and misses.
-constexpr const char* kServiceStats[] = {
-    "requests",          "responses_ok",     "responses_error",
-    "rejected_overloaded", "rejected_draining", "deadline_expired",
-    "in_flight"};
-constexpr std::string_view kCacheStats[] = {
-    "hits",  "misses",   "evictions", "size",
-    "bytes", "capacity", "hit_ratio", "warmed"};
-/// What the drain-time sweep exports as svc.fleet.<key> gauges.
-constexpr const char* kFleetGauges[] = {
-    "requests",          "responses_ok",     "responses_error",
-    "rejected_overloaded", "rejected_draining", "deadline_expired",
-    "cache.hits",        "cache.misses",     "cache.evictions",
-    "cache.size",        "cache.bytes",      "cache.warmed"};
-
-/// Best-effort accumulation: a malformed worker stats line, or a value
-/// that is no counter (negative, non-finite, out of range), contributes
-/// nothing to the sums.
-void accumulate_stats(std::map<std::string, std::uint64_t>& sums,
-                      const std::string& line) {
-  auto add = [&](const std::string& key, const io::JsonValue& value) {
-    if (value.is_number() && value.number >= 0.0 && value.number < 1.8e19)
-      sums[key] += static_cast<std::uint64_t>(value.number);
-  };
-  try {
-    const io::JsonValue doc = io::parse_json(line);
-    const io::JsonValue* st = doc.find("stats");
-    if (!st || !st->is_object()) return;
-    for (const auto& [key, value] : st->object) {
-      if (key == "cache" && value.is_object()) {
-        for (const auto& [ck, cv] : value.object) add("cache." + ck, cv);
-      } else {
-        add(key, value);
-      }
-    }
-  } catch (const std::exception&) {
-  }
-}
-
-}  // namespace
 
 // ---- Lifecycle ----
 
 Router::Router(RouterConfig config)
     : config_(std::move(config)),
-      clients_(ClientPolicy(config_),
+      clients_(config_.client,
                [this](const ClientPtr& conn, std::string line) {
                  route_line(conn, std::move(line));
                }) {
@@ -228,7 +125,7 @@ void Router::start() {
     workers_.push_back(std::make_unique<Worker>());
     if (!spawn_worker(i)) throw_errno("svc::Router: spawn worker");
   }
-  port_ = clients_.listen(config_.port, config_.backlog);
+  port_ = clients_.listen();
 
   loop_thread_ = std::thread([this] { event_loop(); });
   started_ = true;
@@ -322,7 +219,7 @@ bool Router::spawn_worker(std::size_t slot) {
   ::close(in_pipe[0]);
   ::close(out_pipe[1]);
   w.pid = pid;
-  w.ch.open(out_pipe[0], in_pipe[1], config_.max_line_bytes);
+  w.ch.open(out_pipe[0], in_pipe[1], config_.client.max_line_bytes);
   w.responded_since_spawn = false;
   {
     std::lock_guard lock(pids_mu_);
@@ -373,7 +270,7 @@ void Router::handle_worker_readable(std::size_t slot) {
       return;
     }
     if (p.fanout->op == Request::Op::kStats)
-      accumulate_stats(p.fanout->sums, line);
+      add_stats(p.fanout->sums, line);
     fanout_answered(p.fanout);
   });
   if (status == IoStatus::kOversize) {
@@ -548,11 +445,13 @@ void Router::fanout_answered(const std::shared_ptr<Fanout>& fanout) {
     // Drain-time sweep: flush the fleet-wide sums into the registry so
     // the --metrics file carries what the workers saw, not just the
     // front-end's own counters. Gauges, not counters: these are
-    // terminal absolute values read once at export.
+    // terminal absolute values read once at export. in_flight is 0 once
+    // drained, and capacity is configuration.
     obs::Registry& r = obs::Registry::global();
-    for (const char* key : kFleetGauges)
-      r.set_gauge(std::string("svc.fleet.") + key,
-                  static_cast<double>(f.sums[key]));
+    for (std::size_t i = 0; i < f.sums.size(); ++i)
+      if (kStatsNames[i] != "in_flight" && kStatsNames[i] != "cache.capacity")
+        r.set_gauge("svc.fleet." + std::string(kStatsNames[i]),
+                    static_cast<double>(f.sums[i]));
     r.set_gauge("svc.fleet.workers_alive", static_cast<double>(alive));
     return;
   }
@@ -560,37 +459,22 @@ void Router::fanout_answered(const std::shared_ptr<Fanout>& fanout) {
     clients_.complete(f.conn, pong_response(f.orig_id));
     return;
   }
-  ResultCache::Stats cs;
-  cs.hits = f.sums["cache.hits"];
-  cs.misses = f.sums["cache.misses"];
-  std::ostringstream os;
-  os << "{\"schema\":\"" << kProtocolSchema << "\",\"id\":"
-     << (f.orig_id.empty() ? std::string("null") : io::json_str(f.orig_id));
-  // The "stats" object sums the workers' counters in the worker key
-  // order; "router" carries the front-end's own.
-  os << ",\"status\":\"ok\",\"op\":\"stats\",\"stats\":{";
-  for (const char* key : kServiceStats)
-    os << '"' << key << "\":" << f.sums[key] << ',';
-  os << "\"cache\":{";
-  for (const std::string_view key : kCacheStats) {
-    os << (key == kCacheStats[0] ? "\"" : ",\"") << key << "\":";
-    if (key == "hit_ratio")
-      os << io::json_number(hit_ratio(cs));
-    else
-      os << f.sums["cache." + std::string(key)];
-  }
+  // "stats" sums the workers' counters; "router" carries the front-end's
+  // own.
   const Stats st = stats();
-  os << "}},\"router\":{\"workers\":" << config_.n_workers
-     << ",\"alive\":" << alive << ",\"connections\":" << st.connections
-     << ",\"requests\":" << st.requests << ",\"forwarded\":" << st.forwarded
-     << ",\"rerouted\":" << st.rerouted
-     << ",\"worker_deaths\":" << st.worker_deaths
-     << ",\"respawns\":" << st.respawns
-     << ",\"overloaded_local\":" << st.overloaded_local
-     << ",\"slow_clients_dropped\":" << st.slow_clients_dropped
-     << ",\"responses_dropped\":" << st.responses_dropped
-     << ",\"accept_failures\":" << st.accept_failures << "}}";
-  clients_.complete(f.conn, os.str());
+  const Count router[] = {{"workers", config_.n_workers},
+                          {"alive", static_cast<std::uint64_t>(alive)},
+                          {"connections", st.connections},
+                          {"requests", st.requests},
+                          {"forwarded", st.forwarded},
+                          {"rerouted", st.rerouted},
+                          {"worker_deaths", st.worker_deaths},
+                          {"respawns", st.respawns},
+                          {"overloaded_local", st.overloaded_local},
+                          {"slow_clients_dropped", st.slow_clients_dropped},
+                          {"responses_dropped", st.responses_dropped},
+                          {"accept_failures", st.accept_failures}};
+  clients_.complete(f.conn, stats_response(f.orig_id, f.sums, router));
 }
 
 // ---- Event loop ----
@@ -657,10 +541,7 @@ void Router::event_loop() {
         clients_.close_all();
         for (const auto& w : workers_) w->ch.shut_write();
         workers_stopping_ = true;
-        worker_exit_deadline_ns_ =
-            now + static_cast<std::uint64_t>(
-                      std::max(config_.worker_exit_timeout_ms, 0)) *
-                      1'000'000ull;
+        worker_exit_deadline_ns_ = now + kWorkerExitTimeoutNs;
       }
     } else {
       if (std::none_of(workers_.begin(), workers_.end(),
@@ -685,8 +566,8 @@ void Router::event_loop() {
 
 std::string Router::next_token() {
   // Tokens are the correlation ids on the worker wire: short, strictly
-  // alphanumeric (so io::json_str never escapes them and response_token
-  // can scan to the bare closing quote), unique per router lifetime.
+  // alphanumeric (so they need no escaping, as encode_forward asks),
+  // unique per router lifetime.
   char buf[24];
   std::snprintf(buf, sizeof buf, "t%llx",
                 static_cast<unsigned long long>(token_counter_++));

@@ -20,13 +20,14 @@
 // the router needs no thread pool.
 //
 // Forwarding and byte identity: the router rewrites each request's id
-// to a private correlation token before forwarding and splices the
-// original id back into the worker's response line. Because every
-// response head is rendered by the same append_head emitter
-// (svc/protocol.cpp), the spliced line is byte-identical to what a
-// direct rat_serve would have produced — cache hit or miss, success or
-// structured E_* diagnostic, E_OVERLOADED backpressure included, the
-// worker's bytes pass through verbatim apart from the id slot.
+// to a private correlation token before forwarding (encode_forward) and
+// splices the original id back into the worker's response line
+// (restore_response_id). Both live next to the one response-head
+// emitter in svc/protocol.cpp, so the spliced line is byte-identical to
+// what a direct rat_serve would have produced — cache hit or miss,
+// success or structured E_* diagnostic, E_OVERLOADED backpressure
+// included, the worker's bytes pass through verbatim apart from the id
+// slot.
 //
 // Supervision: a worker's death (EOF on its stdout pipe) triggers an
 // immediate in-place respawn; the replacement deterministically
@@ -53,6 +54,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -67,8 +69,10 @@
 namespace rat::svc {
 
 struct RouterConfig {
-  int port = 0;           ///< loopback TCP (0 = ephemeral, see port())
-  int backlog = 64;       ///< listen(2) backlog
+  /// Port, backlog and the client policies rat_serve shares (port 0 =
+  /// ephemeral: read the result via port()). max_line_bytes bounds the
+  /// workers' response lines too.
+  ClientPolicy client{};
   std::size_t n_workers = 4;
   /// argv to exec one worker (typically {rat_serve, "--stdio",
   /// "--no-tcp", ...}); the router appends the per-shard --cache-dir.
@@ -78,22 +82,12 @@ struct RouterConfig {
   /// When set, rewritten (atomically) after every spawn/respawn: one
   /// worker pid per line in shard order, for scripts that kill workers.
   std::string worker_pid_file;
-  std::size_t max_line_bytes = 4u << 20;
-  /// Per-client bound on unsent response bytes (slow-client policy,
-  /// exactly as ServerConfig::max_write_buffer_bytes).
-  std::size_t max_write_buffer_bytes = 4u << 20;
   /// Per-worker bound on bytes queued toward the worker's stdin. A full
   /// worker pipe means the worker has stopped keeping up; new requests
   /// routed to it are rejected with E_OVERLOADED instead of buffering
   /// unboundedly (requests re-forwarded after a death are exempt — they
   /// were already admitted).
   std::size_t max_worker_pipe_bytes = 4u << 20;
-  int so_sndbuf = 0;      ///< SO_SNDBUF for accepted client sockets
-  int accept_backoff_ms = 50;       ///< EMFILE accept backoff (as Server)
-  int drain_flush_timeout_ms = 5000;
-  /// Drain: how long workers get to EOF-drain and exit after their
-  /// stdins close before they are SIGKILLed so shutdown terminates.
-  int worker_exit_timeout_ms = 5000;
   /// Consecutive deaths without a single response before a shard is
   /// abandoned (guards against respawn-storming a broken worker binary).
   int max_fast_deaths = 5;
@@ -140,7 +134,7 @@ class Router {
   void trigger_stop();
 
   /// Join the loop: blocks until stopped, drained, and every worker has
-  /// exited (or been killed after worker_exit_timeout_ms). With
+  /// exited (or been SIGKILLed 5 s after its stdin closed). With
   /// observability on, then records stats() into the obs registry, once.
   void run();
 
@@ -186,7 +180,8 @@ class Router {
 
   // Loop-thread-only state.
   std::vector<std::unique_ptr<Worker>> workers_;
-  std::map<std::string, Pending> pending_;  ///< token -> in-flight request
+  /// token -> in-flight request; looked up by response_token's view.
+  std::map<std::string, Pending, std::less<>> pending_;
   std::uint64_t token_counter_ = 0;
   bool workers_stopping_ = false;  ///< drain: worker stdins closed
   std::uint64_t worker_exit_deadline_ns_ = 0;
@@ -217,22 +212,5 @@ class Router {
 /// produce the structured diagnostic), and the hash of the path for
 /// server-side `file` requests.
 std::uint64_t route_fingerprint(const Request& req);
-
-/// Re-encode @p req as a rat.svc.v1 line carrying @p token as its id.
-/// Faithful: worksheet/file text verbatim (so the worker's diagnostics
-/// and fingerprints match a direct submission), deadline and no_cache
-/// preserved.
-std::string encode_forward(const std::string& token, const Request& req);
-
-/// The correlation token a worker response line carries, or empty when
-/// the line does not start with the canonical response head (corrupt or
-/// non-protocol output — the router drops such lines).
-std::string response_token(const std::string& line);
-
-/// @p line with its leading "id":"<token>" replaced by the original
-/// client id (JSON string, or null when the client sent none) — the
-/// exact bytes append_head would have rendered for a direct request.
-std::string restore_response_id(const std::string& line,
-                                const std::string& orig_id);
 
 }  // namespace rat::svc

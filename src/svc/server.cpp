@@ -50,7 +50,7 @@ void record_metrics(const Service& service, const Server::Stats& server) {
 Server::Server(Service& service, ServerConfig config)
     : service_(service),
       config_(config),
-      clients_(ClientPolicy(config),
+      clients_(config.client,
                [this](const ClientSet::ClientPtr& client, std::string line) {
                  submit_line(client, std::move(line));
                },
@@ -74,7 +74,7 @@ void Server::start() {
   // exited must see EPIPE (a normal close + drain), not die of SIGPIPE
   // mid-response.
   ignore_sigpipe();
-  if (config_.tcp) port_ = clients_.listen(config_.port, config_.backlog);
+  if (config_.tcp) port_ = clients_.listen();
   if (config_.stdio)
     clients_.add_stdio(config_.stdio_in_fd, config_.stdio_out_fd);
   // A shutdown op drains the whole server, not just the service.

@@ -13,10 +13,10 @@
 // connection teardown and a blocked send can never stall a worker.
 //
 // Slow clients: each connection's outbound queue is bounded
-// (max_write_buffer_bytes of unsent bytes). A client that stops reading
-// while responses keep arriving exceeds the bound and is disconnected —
-// counted as svc.server.slow_client_dropped — instead of ever blocking
-// the loop, other connections, or the graceful drain.
+// (ClientPolicy::max_write_buffer_bytes of unsent bytes). A client that
+// stops reading while responses keep arriving exceeds the bound and is
+// disconnected — counted as svc.server.slow_client_dropped — instead of
+// ever blocking the loop, other connections, or the graceful drain.
 //
 // Lifecycle:
 //
@@ -40,7 +40,8 @@
 // server installs itself as the Service's shutdown handler), stdin EOF
 // in stdio mode, or a signal handler writing one byte to wake_fd() —
 // write(2) is async-signal-safe, which is the entire reason the wake
-// pipe exists. rat_serve wires SIGINT/SIGTERM to exactly that.
+// pipe exists. rat_serve wires SIGINT/SIGTERM to exactly that
+// (stop_on_signals, svc/channel.hpp).
 #pragma once
 
 #include <cstddef>
@@ -57,31 +58,11 @@
 namespace rat::svc {
 
 struct ServerConfig {
+  /// Port, backlog and the client policies rat_router shares (port 0 =
+  /// ephemeral: read the result via port()).
+  ClientPolicy client{};
   bool tcp = true;        ///< listen on loopback TCP
-  int port = 0;           ///< 0 = ephemeral (read the result via port())
   bool stdio = false;     ///< also serve stdin -> stdout
-  std::size_t max_line_bytes = 4u << 20;  ///< oversize lines are rejected
-                                          ///< and the connection closed
-  int backlog = 64;       ///< listen(2) backlog (--backlog)
-  /// Bounded per-connection outbound queue: when more than this many
-  /// unsent response bytes pile up, the client has stopped reading and
-  /// is disconnected (svc.server.slow_client_dropped) instead of
-  /// blocking the event loop behind a full socket buffer.
-  std::size_t max_write_buffer_bytes = 4u << 20;
-  /// SO_SNDBUF for accepted sockets (0 = OS default). Small values bound
-  /// how much the kernel buffers on the server side, which makes the
-  /// slow-client policy bite deterministically.
-  int so_sndbuf = 0;
-  /// Flush budget during drain: pending responses may keep trickling to
-  /// clients this long; whoever still has unread bytes afterwards is
-  /// dropped as a slow client so shutdown always terminates.
-  int drain_flush_timeout_ms = 5000;
-  /// Backoff after accept(2) fails with EMFILE/ENFILE (fd exhaustion):
-  /// the listen fd stays readable while the pending connection waits, so
-  /// without a pause the loop would poll-spin at 100% CPU. The listen fd
-  /// is simply not polled for this long, then accept retries — the
-  /// queued connection is still there if fds freed up.
-  int accept_backoff_ms = 50;
   /// The fds served in stdio mode (defaults: the process's stdin and
   /// stdout). Tests point these at pipes to exercise stdio lifecycle —
   /// reader-gone EPIPE, EOF drain — without touching the real fds 0/1.

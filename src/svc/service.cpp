@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <exception>
-#include <sstream>
 #include <utility>
 
-#include "io/json.hpp"
 #include "io/loader.hpp"
 #include "obs/metrics.hpp"
 #include "svc/fingerprint.hpp"
@@ -60,9 +58,18 @@ void Service::submit(const std::string& line,
     case Request::Op::kPing:
       respond(on_response, pong_response(req.id), /*ok=*/true);
       return;
-    case Request::Op::kStats:
-      respond(on_response, stats_response(req.id), /*ok=*/true);
+    case Request::Op::kStats: {
+      const Stats st = stats();
+      // In kStatsNames order.
+      const StatsCounters counters = {
+          st.requests,         st.responses_ok,      st.responses_error,
+          st.rejected_overloaded, st.rejected_draining, st.deadline_expired,
+          st.in_flight,        st.cache.hits,        st.cache.misses,
+          st.cache.evictions,  st.cache.size,        st.cache.bytes,
+          cache_.capacity(),   st.cache_warmed};
+      respond(on_response, stats_response(req.id, counters), /*ok=*/true);
       return;
+    }
     case Request::Op::kShutdown: {
       respond(on_response, shutdown_response(req.id), /*ok=*/true);
       std::function<void()> handler;
@@ -229,32 +236,6 @@ Service::Stats Service::stats() const {
   st.cache_warmed = warmed_;
   st.cache = cache_.stats();
   return st;
-}
-
-std::string Service::stats_response(const std::string& id) const {
-  const Stats st = stats();
-  std::ostringstream os;
-  os << "{\"schema\":\"" << kProtocolSchema << "\",\"id\":";
-  if (id.empty())
-    os << "null";
-  else
-    os << io::json_str(id);
-  os << ",\"status\":\"ok\",\"op\":\"stats\",\"stats\":{"
-     << "\"requests\":" << st.requests
-     << ",\"responses_ok\":" << st.responses_ok
-     << ",\"responses_error\":" << st.responses_error
-     << ",\"rejected_overloaded\":" << st.rejected_overloaded
-     << ",\"rejected_draining\":" << st.rejected_draining
-     << ",\"deadline_expired\":" << st.deadline_expired
-     << ",\"in_flight\":" << st.in_flight << ",\"cache\":{"
-     << "\"hits\":" << st.cache.hits << ",\"misses\":" << st.cache.misses
-     << ",\"evictions\":" << st.cache.evictions
-     << ",\"size\":" << st.cache.size
-     << ",\"bytes\":" << st.cache.bytes
-     << ",\"capacity\":" << cache_.capacity()
-     << ",\"hit_ratio\":" << io::json_number(hit_ratio(st.cache))
-     << ",\"warmed\":" << st.cache_warmed << "}}}";
-  return os.str();
 }
 
 }  // namespace rat::svc

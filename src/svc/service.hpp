@@ -104,9 +104,6 @@ class Service {
   Stats stats() const;
   const ServiceConfig& config() const { return config_; }
 
-  /// The stats op's response body (also reachable over the wire).
-  std::string stats_response(const std::string& id) const;
-
   /// Drop every cached result; the cache counters keep counting (tests).
   void clear_cache() { cache_.clear(); }
 

@@ -1,10 +1,31 @@
 #include "util/cli.hpp"
 
+#include <algorithm>
 #include <cerrno>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <stdexcept>
 
 namespace rat::util {
+
+double parse_finite(std::string_view text, std::string_view flag) {
+  std::string_view t = text;
+  if (!t.empty() && t.front() == '+') t.remove_prefix(1);  // from_chars: no '+'
+  double x = 0.0;
+  const auto r = std::from_chars(t.data(), t.data() + t.size(), x);
+  const char* problem = nullptr;
+  if (r.ec == std::errc::result_out_of_range)
+    problem = " is out of range: ";
+  else if (r.ec != std::errc{} || r.ptr != t.data() + t.size())
+    problem = " is not a number: ";
+  else if (!std::isfinite(x))
+    problem = " is not finite: ";
+  if (problem)
+    throw std::invalid_argument("Cli: " + std::string(flag) + problem +
+                                std::string(text));
+  return x;
+}
 
 Cli::Cli(int argc, const char* const* argv) {
   if (argc > 0) program_ = argv[0];
@@ -38,12 +59,7 @@ std::string Cli::get_or(const std::string& key,
 
 double Cli::get_double(const std::string& key, double fallback) const {
   const auto v = get(key);
-  if (!v) return fallback;
-  char* end = nullptr;
-  const double x = std::strtod(v->c_str(), &end);
-  if (end == v->c_str() || *end != '\0')
-    throw std::invalid_argument("Cli: --" + key + " is not a number: " + *v);
-  return x;
+  return v ? parse_finite(*v, "--" + key) : fallback;
 }
 
 long long Cli::get_int(const std::string& key, long long fallback) const {
@@ -85,6 +101,12 @@ bool Cli::get_bool(const std::string& key, bool fallback) const {
   if (*v == "true" || *v == "1" || *v == "yes") return true;
   if (*v == "false" || *v == "0" || *v == "no") return false;
   throw std::invalid_argument("Cli: --" + key + " is not a boolean: " + *v);
+}
+
+void Cli::require_known(std::initializer_list<std::string_view> known) const {
+  for (const auto& [key, _] : values_)
+    if (std::find(known.begin(), known.end(), key) == known.end())
+      throw std::invalid_argument("unknown flag --" + key);
 }
 
 std::vector<std::string> Cli::keys() const {

@@ -5,13 +5,21 @@
 #pragma once
 
 #include <cstddef>
+#include <initializer_list>
 #include <limits>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace rat::util {
+
+/// @p text as a number under the worksheet parser's token rule
+/// (std::from_chars, one leading '+' allowed). Throws
+/// std::invalid_argument naming @p flag when it is not a number,
+/// overflows or is not finite.
+double parse_finite(std::string_view text, std::string_view flag);
 
 class Cli {
  public:
@@ -26,6 +34,7 @@ class Cli {
   std::optional<std::string> get(const std::string& key) const;
 
   std::string get_or(const std::string& key, const std::string& fallback) const;
+  /// Number flag, read by parse_finite.
   double get_double(const std::string& key, double fallback) const;
   long long get_int(const std::string& key, long long fallback) const;
   bool get_bool(const std::string& key, bool fallback) const;
@@ -41,6 +50,10 @@ class Cli {
 
   /// All parsed --keys, for "unknown flag" diagnostics.
   std::vector<std::string> keys() const;
+
+  /// Throws std::invalid_argument("unknown flag --<key>") for the first
+  /// --key that is not in @p known.
+  void require_known(std::initializer_list<std::string_view> known) const;
 
  private:
   std::string program_;

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -27,7 +28,7 @@ Mix pdf_mix() {
 
 TEST(LoadGen, AllRequestsAnsweredAndTotalsConsistent) {
   svc::Service service;
-  svc::Server server(service, {.port = 0});
+  svc::Server server(service, {.client = {.port = 0}});
   server.start();
   ASSERT_GT(server.port(), 0);
 
@@ -59,9 +60,26 @@ TEST(LoadGen, AllRequestsAnsweredAndTotalsConsistent) {
   server.run();
 }
 
+TEST(LoadGen, UnrepresentableTimeoutIsRejectedBeforeConnecting) {
+  // timeout_sec * 1e9 once went through an undefined float->uint64 cast:
+  // 1e300 ended the step early with a request lost. Nothing listens on
+  // port 1, so a runner that tried to connect would throw
+  // std::runtime_error instead.
+  RunConfig cfg;
+  cfg.port = 1;
+  cfg.requests = 1;
+  Mix mix = pdf_mix();
+  for (const double timeout : {1e300, 1e10, 0.0, -1.0}) {
+    cfg.timeout_sec = timeout;
+    EXPECT_THROW(run_step(cfg, mix), std::invalid_argument) << timeout;
+  }
+  cfg.timeout_sec = 9e9;  // under 2^63 ns: about 285 years
+  EXPECT_EQ(timeout_ns(cfg), 9'000'000'000'000'000'000ull);
+}
+
 TEST(LoadGen, ReportJsonIsWellFormedAndSloGates) {
   svc::Service service;
-  svc::Server server(service, {.port = 0});
+  svc::Server server(service, {.client = {.port = 0}});
   server.start();
 
   RunConfig cfg;
@@ -104,7 +122,7 @@ TEST(LoadGen, ServerSideHistogramMatchesRequestCount) {
   obs::set_enabled(true);
   {
     svc::Service service;
-    svc::Server server(service, {.port = 0});
+    svc::Server server(service, {.client = {.port = 0}});
     server.start();
 
     RunConfig cfg;

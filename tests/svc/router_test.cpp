@@ -396,7 +396,7 @@ TEST(SvcRouter, ShutdownOpDrainsTheWholeFleet) {
 
 TEST(SvcRouter, OversizeLineIsRejectedWithStructuredError) {
   RouterConfig cfg = worker_fleet(1);
-  cfg.max_line_bytes = 128;
+  cfg.client.max_line_bytes = 128;
   Router router(cfg);
   router.start();
   Client client(router.port());
@@ -415,8 +415,8 @@ TEST(SvcRouter, StalledClientIsDroppedWithoutBlockingOthers) {
   // bounded per-client write queue and be dropped; the loop, the
   // workers and every other client keep going.
   RouterConfig cfg = worker_fleet(2);
-  cfg.max_write_buffer_bytes = 8192;
-  cfg.so_sndbuf = 4096;
+  cfg.client.max_write_buffer_bytes = 8192;
+  cfg.client.so_sndbuf = 4096;
   Router router(cfg);
   router.start();
 
@@ -449,8 +449,8 @@ TEST(SvcRouter, DrainDropsClientsThatNeverReadAfterFlushTimeout) {
   // A stalled client under the byte bound cannot hold the drain hostage:
   // after drain_flush_timeout_ms it is dropped and shutdown completes.
   RouterConfig cfg = worker_fleet(1);
-  cfg.so_sndbuf = 4096;
-  cfg.drain_flush_timeout_ms = 200;
+  cfg.client.so_sndbuf = 4096;
+  cfg.client.drain_flush_timeout_ms = 200;
   Router router(cfg);
   router.start();
 

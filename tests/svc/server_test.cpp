@@ -44,7 +44,7 @@ int thread_count() {
 
 TEST(SvcServer, EvaluateOverLoopbackMatchesCacheSemantics) {
   Service service;
-  Server server(service, {.port = 0});
+  Server server(service, {.client = {.port = 0}});
   server.start();
   ASSERT_GT(server.port(), 0);
 
@@ -66,7 +66,7 @@ TEST(SvcServer, EvaluateOverLoopbackMatchesCacheSemantics) {
 
 TEST(SvcServer, PipelinedRequestsEachGetOneResponse) {
   Service service;
-  Server server(service, {.port = 0});
+  Server server(service, {.client = {.port = 0}});
   server.start();
   Client client(server.port());
   const std::string sheet = core::pdf2d_inputs().serialize();
@@ -91,7 +91,7 @@ TEST(SvcServer, PipelinedRequestsEachGetOneResponse) {
 
 TEST(SvcServer, MultipleConcurrentClients) {
   Service service;
-  Server server(service, {.port = 0});
+  Server server(service, {.client = {.port = 0}});
   server.start();
   constexpr int kClients = 4;
   std::vector<std::thread> threads;
@@ -113,7 +113,7 @@ TEST(SvcServer, MultipleConcurrentClients) {
 
 TEST(SvcServer, OversizeLineIsRejectedWithStructuredError) {
   Service service;
-  Server server(service, {.port = 0, .max_line_bytes = 128});
+  Server server(service, {.client = {.port = 0, .max_line_bytes = 128}});
   server.start();
   Client client(server.port());
   client.send_line(evaluate_line("big", std::string(1024, 'x')));
@@ -128,7 +128,7 @@ TEST(SvcServer, OversizeLineIsRejectedWithStructuredError) {
 
 TEST(SvcServer, DrainDeliversEveryAdmittedResponse) {
   Service service;
-  Server server(service, {.port = 0});
+  Server server(service, {.client = {.port = 0}});
   server.start();
   Client client(server.port());
   constexpr int kRequests = 8;
@@ -153,7 +153,7 @@ TEST(SvcServer, DrainDeliversEveryAdmittedResponse) {
 
 TEST(SvcServer, ShutdownOpDrainsTheWholeServer) {
   Service service;
-  Server server(service, {.port = 0});
+  Server server(service, {.client = {.port = 0}});
   server.start();
   std::thread runner([&] { server.run(); });
   Client client(server.port());
@@ -175,8 +175,9 @@ TEST(SvcServer, StalledClientIsDroppedWithoutBlockingOthers) {
   // the bounded write queue drops the stalled client instead, and other
   // connections never notice.
   Service service;
-  Server server(service,
-                {.port = 0, .max_write_buffer_bytes = 8192, .so_sndbuf = 4096});
+  Server server(service, {.client = {.port = 0,
+                                     .max_write_buffer_bytes = 8192,
+                                     .so_sndbuf = 4096}});
   server.start();
 
   // Stalled client: tiny receive window, 400 pipelined requests, reads
@@ -219,8 +220,9 @@ TEST(SvcServer, DrainDropsClientsThatNeverReadAfterFlushTimeout) {
   // able to hold the drain hostage either: after drain_flush_timeout_ms
   // of refusing to read, it is dropped and shutdown completes.
   Service service;
-  Server server(service,
-                {.port = 0, .so_sndbuf = 4096, .drain_flush_timeout_ms = 200});
+  Server server(service, {.client = {.port = 0,
+                                     .so_sndbuf = 4096,
+                                     .drain_flush_timeout_ms = 200}});
   server.start();
 
   const int stalled = connect_raw(server.port(), /*rcvbuf=*/4096);
@@ -247,7 +249,7 @@ TEST(SvcServer, HundredsOfIdleConnectionsHoldWithConstantThreads) {
   // The event loop's whole point: connection count must not move the
   // thread count (the old design spawned one reader thread each).
   Service service;
-  Server server(service, {.port = 0});
+  Server server(service, {.client = {.port = 0}});
   server.start();
 
   // Warm everything lazy (shared pool, loop) before counting threads.
@@ -352,7 +354,7 @@ TEST(SvcServer, EmfileAcceptBacksOffAndRecovers) {
   // Now the failure counts svc.server.accept_failed and the listen fd
   // sits out accept_backoff_ms before retrying.
   Service service;
-  Server server(service, {.port = 0, .accept_backoff_ms = 20});
+  Server server(service, {.client = {.port = 0, .accept_backoff_ms = 20}});
   server.start();
   {
     Client warm(server.port());
@@ -434,7 +436,7 @@ TEST(SvcServer, EmfileAcceptBacksOffAndRecovers) {
 
 TEST(SvcServer, ConfigurableBacklogStillAcceptsConnections) {
   Service service;
-  Server server(service, {.port = 0, .backlog = 1});
+  Server server(service, {.client = {.port = 0, .backlog = 1}});
   server.start();
   for (int i = 0; i < 8; ++i) {
     Client client(server.port());
@@ -456,7 +458,7 @@ TEST(SvcServer, DrainRecordsEachComponentsStatsOnceAsMetrics) {
   obs::Registry::global().reset();
   obs::set_enabled(true);
   Service service({.cache_capacity = 1, .cache_shards = 1});
-  Server server(service, {.port = 0});
+  Server server(service, {.client = {.port = 0}});
   server.start();
   {
     Client client(server.port());

@@ -4,6 +4,7 @@
 
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace rat::util {
 namespace {
@@ -100,6 +101,43 @@ TEST(Cli, GetSizeTRejectsNonIntegers) {
                         "--f=99999999999999999999999999"});
   for (const char* key : {"a", "b", "c", "d", "e", "f"})
     EXPECT_THROW(cli.get_size_t(key, 0), std::invalid_argument) << key;
+}
+
+TEST(Cli, GetDoubleRejectsNonFiniteAndOverflowingValues) {
+  // strtod took all of these, and a nan then passed every range check.
+  const Cli cli = make({"--a=nan", "--b=inf", "--c=-inf", "--d=1e400",
+                        "--e=NaN", "--f=infinity", "--g=1.5x", "--h=",
+                        "--i=++1", "--j= 1"});
+  for (const char* key : {"a", "b", "c", "d", "e", "f", "g", "h", "i", "j"}) {
+    try {
+      cli.get_double(key, 0.0);
+      ADD_FAILURE() << "accepted --" << key;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("--") + key),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(Cli, GetDoubleTakesTheWorksheetTokenRule) {
+  // One leading '+' is allowed, as in a worksheet value.
+  const Cli cli = make({"--a=+2.5", "--b=-3", "--c=1e300", "--d=0x10"});
+  EXPECT_EQ(cli.get_double("a", 0.0), 2.5);
+  EXPECT_EQ(cli.get_double("b", 0.0), -3.0);
+  EXPECT_EQ(cli.get_double("c", 0.0), 1e300);
+  EXPECT_THROW(cli.get_double("d", 0.0), std::invalid_argument);
+}
+
+TEST(Cli, RequireKnownNamesTheFirstUnknownFlag) {
+  const Cli cli = make({"--port=1", "--bogus", "--zeta=2"});
+  EXPECT_NO_THROW(cli.require_known({"port", "bogus", "zeta"}));
+  try {
+    cli.require_known({"port", "zeta"});
+    FAIL() << "accepted --bogus";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "unknown flag --bogus");
+  }
 }
 
 }  // namespace
