@@ -50,7 +50,7 @@ struct ClientPolicy {
   /// SO_SNDBUF for accepted sockets (0 = OS default); a small one makes
   /// the slow-client policy bite deterministically.
   int so_sndbuf = 0;
-  int accept_backoff_ms = 50;          ///< listener pause after EMFILE
+  int accept_backoff_ms = 50;         ///< listener pause after EMFILE
   int drain_flush_timeout_ms = 5000;  ///< drain budget before slow drops
 };
 
