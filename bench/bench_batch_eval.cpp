@@ -1,10 +1,9 @@
-// Micro-benchmark for the Eqs. 1-11 hot path: per-point scalar predict()
-// (the pre-batch evaluator, validation and struct gather per call) vs the
-// pre-validated scalar fast path vs the SoA batch kernel with scalar and
-// native SIMD lanes. A global allocation counter verifies the arena
-// claim: a steady-state batch evaluation performs zero heap allocations
-// per point (the old Monte-Carlo path copied a full RatInputs — name
-// string + clock vector — per sample).
+// Micro-benchmark for the Eqs. 1-11 hot path: per-point predict() (worksheet
+// validation plus the kernel per call) vs the pre-validated
+// predict_unchecked() vs the SoA batch (validate once, fill columns, one
+// column loop). A global allocation counter pins the allocation claims:
+// a passing predict() and a steady-state batch evaluation perform zero
+// heap allocations per point.
 //
 // --json=PATH writes the rat.bench.v1 trajectory document (points/sec per
 // variant, allocs/point); scripts/check.sh validates it.
@@ -89,8 +88,7 @@ const PointSet& points() {
   return ps;
 }
 
-/// Scalar baseline: exactly what the explorer loops did before the batch
-/// kernel — one checked predict() per point.
+/// Per-point baseline: one checked predict() per point.
 double eval_scalar(core::RatInputs& scratch) {
   const PointSet& ps = points();
   double acc = 0.0;
@@ -113,11 +111,10 @@ double eval_unchecked(core::RatInputs& scratch) {
   return acc;
 }
 
-/// Batch path as the rewired consumers run it: validate once, then
+/// Batch path as its consumers run it: validate once, then
 /// fill/evaluate/consume the reused SoA batch in 1024-point chunks — the
 /// Monte-Carlo chunk size, which keeps all 23 columns resident in L2.
-double eval_batch(core::RatInputs& scratch, core::ThroughputBatch& batch,
-                  core::BatchKernel kernel) {
+double eval_batch(core::RatInputs& scratch, core::ThroughputBatch& batch) {
   constexpr std::size_t kChunk = 1024;
   const PointSet& ps = points();
   scratch.validate();
@@ -132,7 +129,7 @@ double eval_batch(core::RatInputs& scratch, core::ThroughputBatch& batch,
       scratch.comm.alpha_write = ps.alpha_write[i];
       batch.push_back_unchecked(scratch, ps.fclock[i]);
     }
-    core::predict_batch(batch, kernel);
+    core::predict_batch(batch);
     for (double s : batch.out.speedup_sb) acc += s;
   }
   return acc;
@@ -163,34 +160,17 @@ void BM_PredictUnchecked(benchmark::State& state) {
 }
 BENCHMARK(BM_PredictUnchecked);
 
-void BM_BatchScalarLanes(benchmark::State& state) {
+void BM_Batch(benchmark::State& state) {
   core::RatInputs scratch = core::pdf1d_inputs();
   core::ThroughputBatch batch;
   // Warm the arena so the timed region shows the steady state the
   // explorer chunks run in (first fill allocates, every later one reuses).
-  benchmark::DoNotOptimize(
-      eval_batch(scratch, batch, core::BatchKernel::kScalar));
+  benchmark::DoNotOptimize(eval_batch(scratch, batch));
   const std::uint64_t before = g_allocations.load();
-  for (auto _ : state)
-    benchmark::DoNotOptimize(
-        eval_batch(scratch, batch, core::BatchKernel::kScalar));
+  for (auto _ : state) benchmark::DoNotOptimize(eval_batch(scratch, batch));
   finish(state, g_allocations.load() - before);
 }
-BENCHMARK(BM_BatchScalarLanes);
-
-void BM_BatchSimdLanes(benchmark::State& state) {
-  core::RatInputs scratch = core::pdf1d_inputs();
-  core::ThroughputBatch batch;
-  benchmark::DoNotOptimize(
-      eval_batch(scratch, batch, core::BatchKernel::kSimd));
-  const std::uint64_t before = g_allocations.load();
-  for (auto _ : state)
-    benchmark::DoNotOptimize(
-        eval_batch(scratch, batch, core::BatchKernel::kSimd));
-  finish(state, g_allocations.load() - before);
-  state.SetLabel(std::string(core::simd_backend()) + " lanes");
-}
-BENCHMARK(BM_BatchSimdLanes);
+BENCHMARK(BM_Batch);
 
 // ---- trajectory report -----------------------------------------------------
 
@@ -211,6 +191,15 @@ double points_per_sec(Fn&& fn) {
   return best;
 }
 
+/// Heap allocations per point across 8 passes of @p fn.
+template <typename Fn>
+double allocs_per_point(Fn&& fn) {
+  const std::uint64_t before = g_allocations.load();
+  for (int r = 0; r < 8; ++r) benchmark::DoNotOptimize(fn());
+  return static_cast<double>(g_allocations.load() - before) /
+         static_cast<double>(8 * kPoints);
+}
+
 void emit_json(const std::string& path) {
   bench::BenchJson json("bench_batch_eval", path);
   if (!json.enabled()) return;
@@ -220,26 +209,18 @@ void emit_json(const std::string& path) {
   const double scalar = points_per_sec([&] { return eval_scalar(scratch); });
   const double unchecked =
       points_per_sec([&] { return eval_unchecked(scratch); });
-  const double batch_scalar = points_per_sec(
-      [&] { return eval_batch(scratch, batch, core::BatchKernel::kScalar); });
-  const double batch_simd = points_per_sec(
-      [&] { return eval_batch(scratch, batch, core::BatchKernel::kSimd); });
-
-  // Steady-state allocations per point across 8 batch passes.
-  const std::uint64_t before = g_allocations.load();
-  for (int r = 0; r < 8; ++r)
-    benchmark::DoNotOptimize(
-        eval_batch(scratch, batch, core::BatchKernel::kSimd));
-  const double allocs_per_point =
-      static_cast<double>(g_allocations.load() - before) /
-      static_cast<double>(8 * kPoints);
+  const double batched =
+      points_per_sec([&] { return eval_batch(scratch, batch); });
 
   json.add("kernel.scalar_points_per_sec", scalar);
   json.add("kernel.unchecked_points_per_sec", unchecked);
-  json.add("kernel.batch_scalar_points_per_sec", batch_scalar);
-  json.add("kernel.batch_simd_points_per_sec", batch_simd);
-  json.add("kernel.batch_vs_scalar_speedup", batch_simd / scalar);
-  json.add("kernel.batch_allocs_per_point", allocs_per_point);
+  json.add("kernel.batch_points_per_sec", batched);
+  json.add("kernel.batch_vs_scalar_speedup", batched / scalar);
+  // The batch was warmed by the timing passes above: steady state.
+  json.add("kernel.scalar_allocs_per_point",
+           allocs_per_point([&] { return eval_scalar(scratch); }));
+  json.add("kernel.batch_allocs_per_point",
+           allocs_per_point([&] { return eval_batch(scratch, batch); }));
   json.write();
 }
 

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdio>
+#include <cstring>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -51,10 +52,11 @@ inline rcsim::Workload md_workload(const apps::MdDesign& d,
 }
 
 /// Machine-readable perf trajectory, schema "rat.bench.v1": a flat map of
-/// named scalar metrics plus the lane backend the batch kernel was built
-/// with. scripts/check.sh writes BENCH_RAT.json with this emitter and
-/// fails the run if the document is missing or malformed, so the numbers
-/// accumulate PR over PR (docs/VECTORIZATION.md documents the schema).
+/// named scalar metrics plus the batch kernel's simd_backend/simd_width
+/// (always "scalar" and 1; the schema keeps the fields). scripts/check.sh
+/// writes BENCH_RAT.json with this emitter and fails the run if the
+/// document is missing or malformed (docs/VECTORIZATION.md documents the
+/// schema).
 class BenchJson {
  public:
   /// Strip a `--json=PATH` argument before benchmark::Initialize sees it
@@ -97,14 +99,18 @@ class BenchJson {
                  bench_.c_str(), core::simd_backend(), core::simd_width());
     bool first = true;
     for (const auto& [key, value] : metrics_) {
-      std::fprintf(f, "%s\n    \"%s\": %.17g", first ? "" : ",", key.c_str(),
-                   value);
+      char num[32];
+      std::snprintf(num, sizeof num, "%.17g", value);
+      // A whole value such as 0 allocations is written "0.0", so every
+      // metric reads back as a JSON float.
+      const bool whole = std::strpbrk(num, ".eEn") == nullptr;
+      std::fprintf(f, "%s\n    \"%s\": %s%s", first ? "" : ",", key.c_str(),
+                   num, whole ? ".0" : "");
       first = false;
     }
     std::fprintf(f, "\n  }\n}\n");
     std::fclose(f);
-    std::printf("wrote %s (%zu metrics, %s lanes)\n", path_.c_str(),
-                metrics_.size(), core::simd_backend());
+    std::printf("wrote %s (%zu metrics)\n", path_.c_str(), metrics_.size());
   }
 
  private:

@@ -61,9 +61,7 @@ int main(int argc, char** argv) {
     } else {
       std::printf("the goal is communication-bound: no amount of "
                   "parallelism reaches %.0fx (cap %.1fx)\n",
-                  goal,
-                  core::speedup_upper_bound(in,
-                                            core::BufferingMode::kDouble));
+                  goal, core::speedup_upper_bound(in));
     }
   }
   return 0;

@@ -108,7 +108,10 @@ print(f"exploration headline: {e['explore.evaluation_reduction']:.0f}x fewer "
 EOF
 
 # The perf trajectory must exist and parse: a malformed or silently
-# missing BENCH_RAT.json would break the PR-over-PR comparison.
+# missing BENCH_RAT.json would break the PR-over-PR comparison. The
+# batch/per-point ratio is reported, not gated: both paths run the same
+# scalar kernel. What is gated is that a passing predict() and a warmed
+# batch allocate nothing (tests/core/alloc_test.cpp pins the same).
 echo "==== BENCH_RAT.json schema validation"
 python3 - BENCH_RAT.json build/bench_batch_eval.json <<'EOF'
 import json, sys
@@ -116,15 +119,16 @@ for path in sys.argv[1:]:
     doc = json.load(open(path))
     assert doc["schema"] == "rat.bench.v1", (path, doc.get("schema"))
     assert doc["bench"], path
-    assert doc["simd_backend"] in ("scalar", "avx2", "neon"), doc
-    assert doc["simd_width"] >= 1, doc
+    assert doc["simd_backend"] == "scalar" and doc["simd_width"] == 1, doc
     m = doc["metrics"]
     assert m, f"{path}: empty metrics"
     assert all(isinstance(v, float) for v in m.values()), m
-    assert m["kernel.batch_vs_scalar_speedup"] > 1.0, \
-        (path, m["kernel.batch_vs_scalar_speedup"])
-    print(f"{path}: OK ({len(m)} metrics, {doc['simd_backend']} lanes, "
-          f"batch {m['kernel.batch_vs_scalar_speedup']:.1f}x scalar)")
+    print(f"{path}: OK ({len(m)} metrics, batch "
+          f"{m['kernel.batch_vs_scalar_speedup']:.2f}x per-point predict)")
+m = json.load(open(sys.argv[2]))["metrics"]
+for k in ("kernel.scalar_allocs_per_point", "kernel.batch_allocs_per_point"):
+    assert m[k] == 0.0, (sys.argv[2], k, m[k])
+print(f"{sys.argv[2]}: 0 allocations per predict() and per batch point")
 EOF
 
 # ThreadSanitizer pass over the parallel evaluation engine, the
@@ -145,12 +149,12 @@ ctest --test-dir build-tsan --output-on-failure \
   -R '^(ThreadPool|ParallelFor|ParallelMap|ParallelDeterminism|Obs|Svc|Store|BatchIdentity|Load|Explore)'
 
 # ASan+UBSan pass over the worksheet ingestion path, the durable store,
-# the SIMD batch kernel and the prediction service: the io tests (strict
+# the batch kernel and the prediction service: the io tests (strict
 # parser, loaders, batch runner), the store tests
 # (including the recovery property suite, which truncates journals at
 # every byte boundary and bit-flips payloads), the BatchIdentity suite
-# (the '^Batch' pattern covers it: lane loads/stores and the SoA arena
-# run sanitized) and the svc suites (UBSan exercises the deadline
+# (the '^Batch' pattern covers it: the SoA column loop and arena run
+# sanitized) and the svc suites (UBSan exercises the deadline
 # clamp — SvcService.HugeDeadlineIsClampedNotUndefined feeds 1e308
 # through the float->uint64 cast) plus the rat_batch binary, then a
 # smoke run on the checked-in fixture directory whose broken.rat must
@@ -178,15 +182,6 @@ cmake --build build-asan --target test_io test_store test_batch test_svc \
   test_load test_explore test_util rat_batch rat_serve
 ctest --test-dir build-asan --output-on-failure \
   -R '^(LoadWorksheet|WorksheetDir|Batch|Store|Svc|Load|Explore|Json|JsonParse|FixedFormat|PercentFormat|FormatOracle|Cli)'
-
-# Scalar-fallback pass: the same identity suite with SIMD forced off
-# (-DRAT_SIMD=off), so the width-1 reference build — what a host without
-# AVX2/NEON gets — proves it computes the very same bits the kernel
-# suites pinned above.
-echo "==== RAT_SIMD=off pass (scalar-fallback identity)"
-cmake -B build-simdoff -G Ninja -DRAT_SIMD=off
-cmake --build build-simdoff --target test_batch
-ctest --test-dir build-simdoff --output-on-failure -R '^BatchIdentity'
 
 echo "==== rat_batch smoke (fixture directory with one malformed file)"
 smoke_out=$(mktemp)

@@ -1,9 +1,6 @@
-// This is the only translation unit compiled with the RAT_SIMD_* backend
-// macro and vector flags (see src/core/CMakeLists.txt), so the rest of
-// rat_core never depends on the vector ISA — the scalar fallback stays a
-// plain build.
 #include "core/batch.hpp"
 
+#include <array>
 #include <stdexcept>
 
 #include "core/throughput_kernel.hpp"
@@ -12,70 +9,31 @@ namespace rat::core {
 
 namespace {
 
-/// Append or load/store helpers expand per column; keeping the column
-/// list in one macro keeps the 11-input/12-output plumbing in sync.
-#define RAT_BATCH_INPUT_COLUMNS(X)                                          \
-  X(elements_in)                                                            \
-  X(elements_out)                                                           \
-  X(bytes_per_elem)                                                         \
-  X(ideal_bw)                                                               \
-  X(alpha_write)                                                            \
-  X(alpha_read)                                                             \
-  X(ops_per_elem)                                                           \
-  X(throughput_proc)                                                        \
-  X(n_iterations)                                                           \
-  X(tsoft)                                                                  \
-  X(fclock)
+/// Every column, for the operations that treat them alike.
+std::array<std::vector<double>*, 11> input_columns(
+    ThroughputBatch::InputColumns& c) {
+  return {&c.elements_in,  &c.elements_out,    &c.bytes_per_elem,
+          &c.ideal_bw,     &c.alpha_write,     &c.alpha_read,
+          &c.ops_per_elem, &c.throughput_proc, &c.n_iterations,
+          &c.tsoft,        &c.fclock};
+}
 
-#define RAT_BATCH_OUTPUT_COLUMNS(X)                                         \
-  X(t_write)                                                                \
-  X(t_read)                                                                 \
-  X(t_comm)                                                                 \
-  X(t_comp)                                                                 \
-  X(t_rc_sb)                                                                \
-  X(t_rc_db)                                                                \
-  X(speedup_sb)                                                             \
-  X(speedup_db)                                                             \
-  X(util_comp_sb)                                                           \
-  X(util_comm_sb)                                                           \
-  X(util_comp_db)                                                           \
-  X(util_comm_db)
-
-/// Evaluate points [i, i + k*V::kWidth) for the largest k fitting in
-/// [i, n); returns the first unevaluated index (the tail for a narrower
-/// lane, or n).
-template <typename V>
-std::size_t run_lanes(const ThroughputBatch::InputColumns& in,
-                      ThroughputBatch::OutputColumns& out, std::size_t i,
-                      std::size_t n) {
-  for (; i + V::kWidth <= n; i += V::kWidth) {
-    kernel::InputsV<V> iv;
-#define RAT_LOAD(col) iv.col = V::load(in.col.data() + i);
-    RAT_BATCH_INPUT_COLUMNS(RAT_LOAD)
-#undef RAT_LOAD
-    const kernel::OutputsV<V> ov = kernel::evaluate(iv);
-#define RAT_STORE(col) ov.col.store(out.col.data() + i);
-    RAT_BATCH_OUTPUT_COLUMNS(RAT_STORE)
-#undef RAT_STORE
-  }
-  return i;
+std::array<std::vector<double>*, 12> output_columns(
+    ThroughputBatch::OutputColumns& c) {
+  return {&c.t_write,      &c.t_read,       &c.t_comm,       &c.t_comp,
+          &c.t_rc_sb,      &c.t_rc_db,      &c.speedup_sb,   &c.speedup_db,
+          &c.util_comp_sb, &c.util_comm_sb, &c.util_comp_db, &c.util_comm_db};
 }
 
 }  // namespace
 
 void ThroughputBatch::reserve(std::size_t n) {
-#define RAT_RESERVE(col) in.col.reserve(n);
-  RAT_BATCH_INPUT_COLUMNS(RAT_RESERVE)
-#undef RAT_RESERVE
+  for (auto* col : input_columns(in)) col->reserve(n);
 }
 
 void ThroughputBatch::clear() {
-#define RAT_CLEAR_IN(col) in.col.clear();
-  RAT_BATCH_INPUT_COLUMNS(RAT_CLEAR_IN)
-#undef RAT_CLEAR_IN
-#define RAT_CLEAR_OUT(col) out.col.clear();
-  RAT_BATCH_OUTPUT_COLUMNS(RAT_CLEAR_OUT)
-#undef RAT_CLEAR_OUT
+  for (auto* col : input_columns(in)) col->clear();
+  for (auto* col : output_columns(out)) col->clear();
 }
 
 void ThroughputBatch::push_back(const RatInputs& inputs, double fclock_hz) {
@@ -106,26 +64,34 @@ ThroughputPrediction ThroughputBatch::prediction(std::size_t i) const {
   return p;
 }
 
-void predict_batch(ThroughputBatch& b, BatchKernel kernel) {
+void predict_batch(ThroughputBatch& b) {
   const std::size_t n = b.size();
-#define RAT_RESIZE(col) b.out.col.resize(n);
-  RAT_BATCH_OUTPUT_COLUMNS(RAT_RESIZE)
-#undef RAT_RESIZE
-
-  std::size_t i = 0;
-  // kSimd with a scalar-only build is the scalar loop: the width-1
-  // "vector" is the reference lane, so forcing it on is always legal.
-  if (kernel != BatchKernel::kScalar &&
-      util::simd::NativeLane::kWidth > 1) {
-    i = run_lanes<util::simd::NativeLane>(b.in, b.out, 0, n);
+  for (auto* col : output_columns(b.out)) col->resize(n);
+  const ThroughputBatch::InputColumns& in = b.in;
+  ThroughputBatch::OutputColumns& out = b.out;
+  for (std::size_t i = 0; i < n; ++i) {
+    const ThroughputPrediction p = kernel::evaluate(
+        {in.elements_in[i], in.elements_out[i], in.bytes_per_elem[i],
+         in.ideal_bw[i], in.alpha_write[i], in.alpha_read[i],
+         in.ops_per_elem[i], in.throughput_proc[i], in.n_iterations[i],
+         in.tsoft[i], in.fclock[i]});
+    out.t_write[i] = p.t_write_sec;
+    out.t_read[i] = p.t_read_sec;
+    out.t_comm[i] = p.t_comm_sec;
+    out.t_comp[i] = p.t_comp_sec;
+    out.t_rc_sb[i] = p.t_rc_sb_sec;
+    out.t_rc_db[i] = p.t_rc_db_sec;
+    out.speedup_sb[i] = p.speedup_sb;
+    out.speedup_db[i] = p.speedup_db;
+    out.util_comp_sb[i] = p.util_comp_sb;
+    out.util_comm_sb[i] = p.util_comm_sb;
+    out.util_comp_db[i] = p.util_comp_db;
+    out.util_comm_db[i] = p.util_comm_db;
   }
-  run_lanes<util::simd::ScalarLane>(b.in, b.out, i, n);
 }
 
-const char* simd_backend() noexcept { return util::simd::kBackendName; }
+const char* simd_backend() noexcept { return "scalar"; }
 
-std::size_t simd_width() noexcept {
-  return util::simd::NativeLane::kWidth;
-}
+std::size_t simd_width() noexcept { return 1; }
 
 }  // namespace rat::core

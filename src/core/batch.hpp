@@ -1,21 +1,19 @@
 // Structure-of-arrays batch evaluation of the throughput test.
 //
 // The analytic model (Eqs. 1-11) is a handful of flops per design point,
-// which is exactly why RAT can afford to score every permutation of a
-// design space (paper §3, Fig. 1) — but only if the evaluator's overhead
-// does not dwarf the flops. predict() pays a full worksheet validation,
-// a struct gather and a function call per point; ThroughputBatch amortizes
-// all of that: points are validated once as they are appended into
-// contiguous per-field arrays, and predict_batch() then sweeps the arrays
-// with a width-agnostic SIMD kernel (util/simd.hpp) writing contiguous
-// output columns — no per-point allocation, no per-point validation.
+// which is why RAT can afford to score every permutation of a design
+// space (paper §3, Fig. 1). ThroughputBatch keeps one contiguous array
+// per worksheet field: points are appended (validated, or unchecked by
+// callers that validated up front), and predict_batch() then runs the
+// scalar Eqs. 1-11 kernel over the columns, writing contiguous output
+// columns. A batch that is reused keeps its capacity, so steady-state
+// fills allocate nothing.
 //
 // Bit-identity contract: predict_batch() produces, for every point, the
-// byte-identical ThroughputPrediction that predict() would return — with
-// scalar lanes, AVX2 lanes or NEON lanes, in any mix of main-loop and
-// tail evaluation. See docs/VECTORIZATION.md for why this holds (exactly
-// rounded lane ops, no FMA contraction, no reassociation) and
-// tests/core/batch_identity_test.cpp for the property suite pinning it.
+// byte-identical ThroughputPrediction that predict() would return — both
+// call the one kernel in core/throughput_kernel.hpp. See
+// docs/VECTORIZATION.md and tests/core/batch_identity_test.cpp, which
+// pins it with memcmp.
 //
 // Typical use (one batch per thread-pool chunk, reused across chunks):
 //
@@ -32,12 +30,6 @@
 #include "core/throughput.hpp"
 
 namespace rat::core {
-
-/// Which inner loop predict_batch runs. kAuto uses the widest lane the
-/// build provides (scalar when RAT_SIMD=off/scalar); kScalar forces the
-/// width-1 reference loop — results are bit-identical either way, so the
-/// switch exists for tests and benchmarks, not for correctness.
-enum class BatchKernel { kAuto, kScalar, kSimd };
 
 struct ThroughputBatch {
   /// One contiguous array per worksheet field consumed by Eqs. 1-11.
@@ -101,10 +93,10 @@ struct ThroughputBatch {
 };
 
 /// Evaluate Eqs. 1-11 for every point in the batch, filling b.out.
-void predict_batch(ThroughputBatch& b, BatchKernel kernel = BatchKernel::kAuto);
+void predict_batch(ThroughputBatch& b);
 
-/// Name of the lane backend compiled into the batch kernel
-/// ("scalar", "avx2" or "neon") and its width in doubles (1, 4, 2).
+/// How the batch kernel evaluates: always "scalar", one point per step.
+/// Kept for the benchmark records that report the build.
 const char* simd_backend() noexcept;
 std::size_t simd_width() noexcept;
 

@@ -84,7 +84,6 @@ std::uint64_t requirements_fingerprint(const Requirements& req,
     fp.add_u64(static_cast<std::uint64_t>(req.precision->min_total_bits));
     fp.add_u64(static_cast<std::uint64_t>(req.precision->max_total_bits));
     fp.add_u64(static_cast<std::uint64_t>(req.precision->int_bits));
-    // kernel_thread_safe affects scheduling only, never results.
   }
   fp.add_double(req.practical_fill_limit);
   fp.add_u64(req.min_energy_ratio ? 1 : 0);

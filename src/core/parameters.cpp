@@ -15,8 +15,10 @@ namespace rat::core {
 
 namespace {
 
-void require(bool ok, const std::string& what) {
-  if (!ok) throw std::invalid_argument("RatInputs: " + what);
+/// Builds the message only on failure: validate() runs once per predict()
+/// and per batch point, so a passing check must not allocate.
+void require(bool ok, const char* what) {
+  if (!ok) throw std::invalid_argument(std::string("RatInputs: ") + what);
 }
 
 /// Strict, locale-independent number parsing for one worksheet value

@@ -5,7 +5,6 @@
 
 #include "core/batch.hpp"
 #include "util/format.hpp"
-#include "util/parallel_for.hpp"
 
 namespace rat::core {
 
@@ -32,39 +31,14 @@ util::Table PrecisionResult::to_table() const {
   return t;
 }
 
-namespace {
-
-/// Parallel twin of fx::sweep_total_bits: same formats, same order, one
-/// kernel invocation per width on whatever thread is free. Only reached
-/// when the caller marked the kernel thread-safe.
-std::vector<fx::PrecisionChoice> sweep_total_bits_parallel(
-    const fx::FixedKernel& kernel, std::span<const double> reference,
-    const PrecisionRequirements& req) {
-  std::vector<fx::Format> formats;
-  for (int bits = req.min_total_bits; bits <= req.max_total_bits; ++bits) {
-    const fx::Format fmt{bits, bits - 1 - req.int_bits, true};
-    if (fmt.frac_bits < 0 || fmt.frac_bits > fmt.total_bits) continue;
-    formats.push_back(fmt);
-  }
-  return util::parallel_map(formats.size(), [&](std::size_t i) {
-    return fx::PrecisionChoice{formats[i],
-                               fx::compare(reference, kernel(formats[i]))};
-  });
-}
-
-}  // namespace
-
 PrecisionResult run_precision_test(const fx::FixedKernel& kernel,
                                    std::span<const double> reference,
                                    const PrecisionRequirements& req) {
   if (req.max_error_percent <= 0.0)
     throw std::invalid_argument("run_precision_test: tolerance <= 0");
   PrecisionResult result;
-  result.sweep =
-      req.kernel_thread_safe
-          ? sweep_total_bits_parallel(kernel, reference, req)
-          : fx::sweep_total_bits(kernel, reference, req.min_total_bits,
-                                 req.max_total_bits, req.int_bits);
+  result.sweep = fx::sweep_total_bits(kernel, reference, req.min_total_bits,
+                                      req.max_total_bits, req.int_bits);
   for (const auto& c : result.sweep) {
     if (c.report.within_percent(req.max_error_percent)) {
       result.choice = c;

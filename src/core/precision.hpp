@@ -27,12 +27,6 @@ struct PrecisionRequirements {
   /// Integer bits of the signed format under test (paper's PDF signals
   /// live in [0,1), i.e. 0 integer bits).
   int int_bits = 0;
-  /// The caller vouches that the kernel may be invoked concurrently for
-  /// different formats; candidate widths are then evaluated in parallel.
-  /// Defaults to false (serial sweep) because FixedKernel is an arbitrary
-  /// caller-supplied functor. Chosen format and sweep are identical either
-  /// way (widths are independent and reported in ascending order).
-  bool kernel_thread_safe = false;
 };
 
 /// Outcome of a precision test.

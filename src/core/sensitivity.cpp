@@ -74,11 +74,10 @@ std::optional<double> solve_fclock(const RatInputs& inputs,
          (inputs.comp.throughput_ops_per_cycle * tcomp_budget);
 }
 
-double speedup_upper_bound(const RatInputs& inputs, BufferingMode mode) {
+double speedup_upper_bound(const RatInputs& inputs) {
   inputs.validate();
   const double tcomm = comm_time(inputs);
   // As tcomp -> 0 both modes are limited by communication alone.
-  (void)mode;
   const double t_rc =
       static_cast<double>(inputs.software.n_iterations) * tcomm;
   return inputs.software.tsoft_sec / t_rc;
@@ -124,7 +123,7 @@ std::vector<ThroughputPrediction> sweep_parameter(
 }
 
 std::vector<TornadoEntry> tornado(const RatInputs& inputs, double fclock_hz,
-                                  double fraction, std::size_t n_threads) {
+                                  double fraction) {
   if (fraction <= 0.0 || fraction >= 1.0)
     throw std::invalid_argument("tornado: fraction outside (0,1)");
   struct Param {
@@ -160,11 +159,9 @@ std::vector<TornadoEntry> tornado(const RatInputs& inputs, double fclock_hz,
   // Two points per axis, all twelve evaluated in a single SoA batch — a
   // tornado is far below the size where spreading it over the pool pays,
   // and the batch kernel keeps the speedups bit-identical to per-point
-  // predict() calls, so results are unchanged at any requested thread
-  // count. The fill order (param-major, low then high) matches the old
-  // serial evaluation order, so a validation failure from an out-of-domain
-  // perturbation surfaces with the same diagnostic it always did.
-  (void)n_threads;
+  // predict() calls. The fill order (param-major, low then high) decides
+  // which out-of-domain perturbation raises its validation diagnostic
+  // first.
   ThroughputBatch batch;
   batch.reserve(2 * params.size());
   for (const auto& p : params) {

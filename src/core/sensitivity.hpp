@@ -35,8 +35,9 @@ std::optional<double> solve_fclock(const RatInputs& inputs,
                                    double target_speedup, BufferingMode mode);
 
 /// Maximum speedup achievable as computation time -> 0 (communication
-/// bound), for the given buffering mode.
-double speedup_upper_bound(const RatInputs& inputs, BufferingMode mode);
+/// bound). Both buffering modes tend to Niter * tcomm there, so one bound
+/// serves both.
+double speedup_upper_bound(const RatInputs& inputs);
 
 /// One-parameter sweep: mutate the worksheet with @p set for each value,
 /// predict at @p fclock_hz, return one prediction per value. Sweep points
@@ -61,10 +62,8 @@ struct TornadoEntry {
 };
 
 /// Entries sorted by descending swing (most influential parameter first).
-/// Parameters are perturbed axis-parallel; the ranking is deterministic
-/// and independent of the thread count.
+/// All twelve perturbed points are evaluated in one batch.
 std::vector<TornadoEntry> tornado(const RatInputs& inputs, double fclock_hz,
-                                  double fraction = 0.2,
-                                  std::size_t n_threads = 0);
+                                  double fraction = 0.2);
 
 }  // namespace rat::core

@@ -34,39 +34,16 @@ ThroughputPrediction get_prediction(store::Cursor& cur) {
 
 ThroughputPrediction predict_unchecked(const RatInputs& inputs,
                                        double fclock_hz) noexcept {
-  // One width-1 lane of the shared kernel: the batch path runs the same
-  // template at wider lanes, which is what makes scalar and SIMD results
-  // bit-identical by construction.
-  using S = util::simd::ScalarLane;
-  kernel::InputsV<S> in;
-  in.elements_in = {static_cast<double>(inputs.dataset.elements_in)};
-  in.elements_out = {static_cast<double>(inputs.dataset.elements_out)};
-  in.bytes_per_elem = {inputs.dataset.bytes_per_element};
-  in.ideal_bw = {inputs.comm.ideal_bw_bytes_per_sec};
-  in.alpha_write = {inputs.comm.alpha_write};
-  in.alpha_read = {inputs.comm.alpha_read};
-  in.ops_per_elem = {inputs.comp.ops_per_element};
-  in.throughput_proc = {inputs.comp.throughput_ops_per_cycle};
-  in.n_iterations = {static_cast<double>(inputs.software.n_iterations)};
-  in.tsoft = {inputs.software.tsoft_sec};
-  in.fclock = {fclock_hz};
-  const kernel::OutputsV<S> o = kernel::evaluate(in);
-
-  ThroughputPrediction p;
-  p.fclock_hz = fclock_hz;
-  p.t_write_sec = o.t_write.v;   // Eq. (3)
-  p.t_read_sec = o.t_read.v;     // Eq. (2)
-  p.t_comm_sec = o.t_comm.v;     // Eq. (1)
-  p.t_comp_sec = o.t_comp.v;     // Eq. (4)
-  p.t_rc_sb_sec = o.t_rc_sb.v;   // Eq. (5)
-  p.t_rc_db_sec = o.t_rc_db.v;   // Eq. (6)
-  p.speedup_sb = o.speedup_sb.v; // Eq. (7)
-  p.speedup_db = o.speedup_db.v;
-  p.util_comp_sb = o.util_comp_sb.v;  // Eq. (8)
-  p.util_comm_sb = o.util_comm_sb.v;  // Eq. (9)
-  p.util_comp_db = o.util_comp_db.v;  // Eq. (10)
-  p.util_comm_db = o.util_comm_db.v;  // Eq. (11)
-  return p;
+  // The batch column loop calls the same kernel, which is what makes
+  // predict() and predict_batch() bit-identical by construction.
+  return kernel::evaluate(
+      {static_cast<double>(inputs.dataset.elements_in),
+       static_cast<double>(inputs.dataset.elements_out),
+       inputs.dataset.bytes_per_element, inputs.comm.ideal_bw_bytes_per_sec,
+       inputs.comm.alpha_write, inputs.comm.alpha_read,
+       inputs.comp.ops_per_element, inputs.comp.throughput_ops_per_cycle,
+       static_cast<double>(inputs.software.n_iterations),
+       inputs.software.tsoft_sec, fclock_hz});
 }
 
 ThroughputPrediction predict(const RatInputs& inputs, double fclock_hz) {

@@ -1,80 +1,70 @@
-// The Eqs. (1)-(11) expression tree, written once as a lane-width-agnostic
-// template so the scalar predict() path and the SoA batch kernel share the
-// exact same sequence of IEEE-754 operations.
+// The Eqs. (1)-(11) expression tree, written once so predict_unchecked()
+// and predict_batch()'s column loop run the exact same sequence of
+// IEEE-754 operations.
 //
-// Bit-identity contract: every quantity below is computed with the same
-// ops in the same order whatever lane type V is — mul, div, add, max, each
-// exactly rounded. There is no a*b+c shape anywhere in Eqs. 1-11, so FMA
-// contraction cannot occur even on FMA hardware, and no reassociation is
-// possible without -ffast-math (which this repo never enables). A lane of
-// predict_batch is therefore byte-identical to a call of predict() on the
-// same point; tests/core/batch_identity_test.cpp pins this with memcmp.
+// Bit-identity contract: both callers evaluate every quantity with this
+// one function — mul, div, add, max, each exactly rounded. There is no
+// a*b+c shape anywhere in Eqs. 1-11, so FMA contraction cannot occur even
+// on FMA hardware, and no reassociation is possible without -ffast-math
+// (which this repo never enables). A point of predict_batch is therefore
+// byte-identical to a call of predict() on the same point;
+// tests/core/batch_identity_test.cpp pins this with memcmp.
 #pragma once
 
-#include "util/simd.hpp"
+#include <algorithm>
+
+#include "core/throughput.hpp"
 
 namespace rat::core::kernel {
 
-/// One lane-group worth of inputs to Eqs. 1-11, every field already a
-/// double (integer worksheet fields are cast once at batch-fill time, with
-/// the same static_cast<double> the scalar path performs).
-template <typename V>
-struct InputsV {
-  V elements_in;     ///< Nelements,input
-  V elements_out;    ///< Nelements,output
-  V bytes_per_elem;  ///< Nbytes/element
-  V ideal_bw;        ///< throughput_ideal, bytes/sec
-  V alpha_write;     ///< host->FPGA efficiency
-  V alpha_read;      ///< FPGA->host efficiency
-  V ops_per_elem;    ///< Nops/element
-  V throughput_proc; ///< ops/cycle
-  V n_iterations;    ///< Niter
-  V tsoft;           ///< software baseline, sec
-  V fclock;          ///< candidate clock, Hz
+/// The worksheet values Eqs. 1-11 read, every field already a double
+/// (integer worksheet fields are cast with static_cast<double>, once per
+/// point, by both callers).
+struct Inputs {
+  double elements_in;     ///< Nelements,input
+  double elements_out;    ///< Nelements,output
+  double bytes_per_elem;  ///< Nbytes/element
+  double ideal_bw;        ///< throughput_ideal, bytes/sec
+  double alpha_write;     ///< host->FPGA efficiency
+  double alpha_read;      ///< FPGA->host efficiency
+  double ops_per_elem;    ///< Nops/element
+  double throughput_proc; ///< ops/cycle
+  double n_iterations;    ///< Niter
+  double tsoft;           ///< software baseline, sec
+  double fclock;          ///< candidate clock, Hz
 };
 
-/// One lane-group worth of the 13 derived quantities (the ThroughputPrediction
-/// fields, minus fclock which the caller already has).
-template <typename V>
-struct OutputsV {
-  V t_write, t_read, t_comm, t_comp;
-  V t_rc_sb, t_rc_db;
-  V speedup_sb, speedup_db;
-  V util_comp_sb, util_comm_sb, util_comp_db, util_comm_db;
-};
+/// Evaluate Eqs. (1)-(11) for one point.
+inline ThroughputPrediction evaluate(const Inputs& in) {
+  ThroughputPrediction p;
+  p.fclock_hz = in.fclock;
 
-/// Evaluate Eqs. (1)-(11) for one lane group. Mirrors core::predict()
-/// line for line; keep the two in sync (the identity test suite will
-/// catch any drift bit-exactly).
-template <typename V>
-inline OutputsV<V> evaluate(const InputsV<V>& in) {
-  OutputsV<V> out;
-
-  // Eqs. (2)/(3): numerator and denominator each round once, then divide —
-  // identical to `a * b / (c * d)` in the scalar path.
-  out.t_write = in.elements_in * in.bytes_per_elem /
-                (in.alpha_write * in.ideal_bw);
-  out.t_read = in.elements_out * in.bytes_per_elem /
-               (in.alpha_read * in.ideal_bw);
-  out.t_comm = out.t_write + out.t_read;  // Eq. (1)
+  // Eqs. (3)/(2): numerator and denominator each round once, then divide.
+  p.t_write_sec =
+      in.elements_in * in.bytes_per_elem / (in.alpha_write * in.ideal_bw);
+  p.t_read_sec =
+      in.elements_out * in.bytes_per_elem / (in.alpha_read * in.ideal_bw);
+  p.t_comm_sec = p.t_write_sec + p.t_read_sec;  // Eq. (1)
 
   // Eq. (4).
-  out.t_comp = in.elements_in * in.ops_per_elem /
-               (in.fclock * in.throughput_proc);
+  p.t_comp_sec =
+      in.elements_in * in.ops_per_elem / (in.fclock * in.throughput_proc);
 
-  out.t_rc_sb = in.n_iterations * (out.t_comm + out.t_comp);   // Eq. (5)
-  out.t_rc_db = in.n_iterations * max(out.t_comm, out.t_comp); // Eq. (6)
+  // Both operands are finite and positive for validated inputs, so
+  // std::max never meets a NaN.
+  const double sum = p.t_comm_sec + p.t_comp_sec;
+  const double mx = std::max(p.t_comm_sec, p.t_comp_sec);
+  p.t_rc_sb_sec = in.n_iterations * sum;  // Eq. (5)
+  p.t_rc_db_sec = in.n_iterations * mx;   // Eq. (6)
 
-  out.speedup_sb = in.tsoft / out.t_rc_sb;  // Eq. (7)
-  out.speedup_db = in.tsoft / out.t_rc_db;
+  p.speedup_sb = in.tsoft / p.t_rc_sb_sec;  // Eq. (7)
+  p.speedup_db = in.tsoft / p.t_rc_db_sec;
 
-  const V sum = out.t_comm + out.t_comp;
-  const V mx = max(out.t_comm, out.t_comp);
-  out.util_comp_sb = out.t_comp / sum;  // Eq. (8)
-  out.util_comm_sb = out.t_comm / sum;  // Eq. (9)
-  out.util_comp_db = out.t_comp / mx;   // Eq. (10)
-  out.util_comm_db = out.t_comm / mx;   // Eq. (11)
-  return out;
+  p.util_comp_sb = p.t_comp_sec / sum;  // Eq. (8)
+  p.util_comm_sb = p.t_comm_sec / sum;  // Eq. (9)
+  p.util_comp_db = p.t_comp_sec / mx;   // Eq. (10)
+  p.util_comm_db = p.t_comm_sec / mx;   // Eq. (11)
+  return p;
 }
 
 }  // namespace rat::core::kernel

@@ -56,6 +56,10 @@ struct ByKey {
   bool operator()(const Box& a, const Box& b) const { return a.key > b.key; }
 };
 
+/// Boxes of at most this many grid points are evaluated exactly instead
+/// of split further.
+constexpr std::size_t kLeafPoints = 8;
+
 struct MemoEntry {
   CandidateEvaluation ev;
   EvalKind kind;
@@ -326,7 +330,7 @@ void PrunedExploration::search() {
       continue;
     }
     bool proven_all_pass = false;
-    if (policy_.assume_monotone && b.points() > 1) {
+    if (b.points() > 1) {
       if (const std::optional<Bound> bound = corner_bound(b)) {
         if (bound->ub < req_.min_speedup) {
           ++stats_.regions_pruned_bound;
@@ -338,7 +342,7 @@ void PrunedExploration::search() {
         proven_all_pass = bound->lb >= req_.min_speedup;
       }
     }
-    if (proven_all_pass || b.points() <= policy_.leaf_points ||
+    if (proven_all_pass || b.points() <= kLeafPoints ||
         !b.splittable()) {
       leaf_evaluate(b);
       continue;

@@ -43,13 +43,6 @@ struct PruningPolicy {
   /// (plan-cache replay still applies) — the explicit escape hatch for
   /// factories whose speedup is not monotone along the axes.
   bool prune = true;
-  /// The factory's predicted speedup is monotone along every axis (the
-  /// direction may differ per axis); this is what makes corner bounds
-  /// admissible. With full_trace a wrong claim costs nothing but the
-  /// pruning win (violations are caught per point); without it, see
-  /// docs/EXPLORATION.md. false disables corner bounds but keeps the
-  /// incumbent-based pruning.
-  bool assume_monotone = true;
   /// Reproduce the exhaustive trace and predictions byte-for-byte: every
   /// pre-winner point appears, proven-fail points as synthesized
   /// throughput rejections. false skips materializing proven-fail
@@ -57,9 +50,6 @@ struct PruningPolicy {
   /// the points actually evaluated (ExploreResult::winner_index still
   /// names the enumeration index of the same winner).
   bool full_trace = true;
-  /// Boxes of at most this many grid points are evaluated exactly
-  /// instead of split further.
-  std::size_t leaf_points = 8;
 };
 
 /// Where every grid point ended up, why the merged candidates were

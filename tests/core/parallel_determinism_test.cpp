@@ -9,7 +9,6 @@
 #include "core/montecarlo.hpp"
 #include "core/sensitivity.hpp"
 #include "core/units.hpp"
-#include "util/rng.hpp"
 
 namespace rat::core {
 namespace {
@@ -145,53 +144,6 @@ TEST(ParallelDeterminism, SweepParameterMatchesSerial) {
       EXPECT_EQ(serial[i].t_comp_sec, parallel[i].t_comp_sec);
     }
   }
-}
-
-TEST(ParallelDeterminism, TornadoRankingMatchesSerial) {
-  const RatInputs in = md_inputs();
-  const auto serial = tornado(in, mhz(100), 0.2, 1);
-  for (std::size_t threads : kThreadCounts) {
-    const auto parallel = tornado(in, mhz(100), 0.2, threads);
-    ASSERT_EQ(parallel.size(), serial.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-      EXPECT_EQ(serial[i].parameter, parallel[i].parameter);
-      EXPECT_EQ(serial[i].speedup_low, parallel[i].speedup_low);
-      EXPECT_EQ(serial[i].speedup_high, parallel[i].speedup_high);
-    }
-  }
-}
-
-TEST(ParallelDeterminism, PrecisionParallelSweepMatchesSerial) {
-  // Quantization kernel over a shared read-only dataset: thread-safe.
-  util::Rng rng(33);
-  std::vector<double> ref(512);
-  for (auto& x : ref) x = rng.uniform(0.0, 0.9);
-  const fx::FixedKernel kernel = [ref](fx::Format fmt) {
-    std::vector<double> out;
-    out.reserve(ref.size());
-    for (double x : ref)
-      out.push_back(fx::Fixed::from_double(x, fmt).to_double());
-    return out;
-  };
-  PrecisionRequirements serial_req{0.05, 8, 24, 0};
-  PrecisionRequirements parallel_req = serial_req;
-  parallel_req.kernel_thread_safe = true;
-
-  const auto serial = run_precision_test(kernel, ref, serial_req);
-  const auto parallel = run_precision_test(kernel, ref, parallel_req);
-  EXPECT_EQ(serial.satisfied, parallel.satisfied);
-  ASSERT_EQ(serial.sweep.size(), parallel.sweep.size());
-  for (std::size_t i = 0; i < serial.sweep.size(); ++i) {
-    EXPECT_EQ(serial.sweep[i].format.total_bits,
-              parallel.sweep[i].format.total_bits);
-    EXPECT_EQ(serial.sweep[i].report.max_error_percent,
-              parallel.sweep[i].report.max_error_percent);
-    EXPECT_EQ(serial.sweep[i].report.rmse, parallel.sweep[i].report.rmse);
-  }
-  ASSERT_TRUE(serial.choice.has_value());
-  ASSERT_TRUE(parallel.choice.has_value());
-  EXPECT_EQ(serial.choice->format.total_bits,
-            parallel.choice->format.total_bits);
 }
 
 }  // namespace

@@ -55,7 +55,7 @@ TEST(SolveThroughputProc, DoubleBufferedNeedsLessCapability) {
 TEST(SolveThroughputProc, UnreachableTargetReturnsNullopt) {
   const RatInputs in = pdf1d_inputs();
   // Communication alone caps the speedup; ask above that cap.
-  const double cap = speedup_upper_bound(in, BufferingMode::kSingle);
+  const double cap = speedup_upper_bound(in);
   EXPECT_FALSE(solve_throughput_proc(in, mhz(100), cap * 1.01,
                                      BufferingMode::kSingle)
                    .has_value());
@@ -90,7 +90,7 @@ TEST(SolveFclock, HigherTargetNeedsHigherClock) {
 
 TEST(SpeedupUpperBound, MatchesInfiniteComputeRate) {
   RatInputs in = pdf2d_inputs();
-  const double bound = speedup_upper_bound(in, BufferingMode::kSingle);
+  const double bound = speedup_upper_bound(in);
   in.comp.throughput_ops_per_cycle = 1e15;
   EXPECT_NEAR(predict(in, mhz(100)).speedup_sb, bound, 1e-6 * bound);
 }

@@ -149,10 +149,6 @@ TEST(ExploreIdentity, FallbackModesStayIdentical) {
   PruningPolicy no_prune;
   no_prune.prune = false;
   expect_identical(wide_axes(), factory, req, no_prune, "prune=false");
-  PruningPolicy no_bounds;
-  no_bounds.assume_monotone = false;
-  expect_identical(wide_axes(), factory, req, no_bounds,
-                   "assume_monotone=false");
 }
 
 TEST(ExploreIdentity, NonMonotoneFactoryIsCaughtByBackfill) {
