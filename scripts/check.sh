@@ -325,6 +325,60 @@ print("service metrics OK:", c["svc.cache.hit"], "cache hits,",
 EOF
 rm -rf "$soak_dir"
 
+# Loop-answered hits (docs/SERVICE.md): 200 sequential requests for one
+# fixture on one connection, each alone in its poll turn. The event loop
+# looks a lone line up itself, so only the first (the miss) reaches the
+# pool; the 199 hits are answered on the loop with no thread hop.
+echo "==== rat_serve lone-request hits stay on the loop (TSan build)"
+lone_dir=$(mktemp -d)
+build-tsan/src/apps/rat_serve --port=0 --port-file="$lone_dir/port" \
+  --metrics="$lone_dir/metrics.json" \
+  >"$lone_dir/stdout" 2>"$lone_dir/stderr" &
+serve_pid=$!
+for _ in $(seq 100); do
+  [ -s "$lone_dir/port" ] && break
+  sleep 0.1
+done
+[ -s "$lone_dir/port" ] || { echo "rat_serve: never wrote port file"; exit 1; }
+python3 - "$(cat "$lone_dir/port")" <<'EOF'
+import json, socket, sys
+port = int(sys.argv[1])
+sheet = open("tests/fixtures/worksheets/pdf1d.rat").read()
+req = json.dumps({"schema": "rat.svc.v1", "id": "lone", "op": "evaluate",
+                  "worksheet": sheet}) + "\n"
+lines = set()
+with socket.create_connection(("127.0.0.1", port)) as s:
+    f = s.makefile("rw")
+    for _ in range(200):
+        f.write(req)
+        f.flush()
+        line = f.readline()
+        assert line.endswith("\n"), "short read: a request went unanswered"
+        lines.add(line)
+assert len(lines) == 1, "loop-answered hits differ in bytes from the miss"
+assert '"status":"ok"' in next(iter(lines))
+print("lone-request round trips OK: 200 answers, byte-identical")
+EOF
+kill -TERM "$serve_pid"
+rc=0
+wait "$serve_pid" || rc=$?
+if [ "$rc" -ne 0 ]; then
+  echo "rat_serve: expected SIGTERM drain to exit 0, got $rc"
+  cat "$lone_dir/stderr"
+  exit 1
+fi
+python3 - "$lone_dir/metrics.json" <<'EOF'
+import json, sys
+c = json.load(open(sys.argv[1]))["counters"]
+assert c["svc.requests"] == 200, c.get("svc.requests")
+assert c["svc.responses.ok"] == 200, c.get("svc.responses.ok")
+assert c["pool.tasks_submitted"] == 1, c.get("pool.tasks_submitted")
+assert c["svc.cache.miss"] == 1, c.get("svc.cache.miss")
+assert c["svc.cache.hit"] == 199, c.get("svc.cache.hit")
+print("lone-request metrics OK: 1 pool task, 1 miss, 199 loop-answered hits")
+EOF
+rm -rf "$lone_dir"
+
 # Slow-reader + idle-horde soak: the same TSan rat_serve must hold 500
 # idle connections (with a constant thread count — the event loop's
 # point) and a client that pipelines 400 requests but never reads its

@@ -27,20 +27,28 @@ ResultCache::ResultCache(std::size_t capacity, std::size_t n_shards)
     shards_.push_back(std::make_unique<Shard>());
 }
 
+ResultCache::Value ResultCache::find(const std::string& key,
+                                     std::uint64_t fp) {
+  Shard& s = shard_for(fp);
+  std::lock_guard lock(s.mu);
+  auto it = s.index.find(key);
+  if (it == s.index.end()) return nullptr;
+  // Refresh: move to the front of the shard's LRU list.
+  s.lru.splice(s.lru.begin(), s.lru, it->second);
+  return it->second->second;
+}
+
 ResultCache::Value ResultCache::get(const std::string& key,
                                     std::uint64_t fp) {
-  Shard& s = shard_for(fp);
-  Value found;
-  {
-    std::lock_guard lock(s.mu);
-    auto it = s.index.find(key);
-    if (it != s.index.end()) {
-      // Refresh: move to the front of the shard's LRU list.
-      s.lru.splice(s.lru.begin(), s.lru, it->second);
-      found = it->second->second;
-    }
-  }
+  Value found = find(key, fp);
   (found ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
+  return found;
+}
+
+ResultCache::Value ResultCache::probe(const std::string& key,
+                                      std::uint64_t fp) {
+  Value found = find(key, fp);
+  if (found) hits_.fetch_add(1, std::memory_order_relaxed);
   return found;
 }
 

@@ -75,6 +75,11 @@ class ResultCache {
   /// refreshes the entry's LRU position. Null on miss.
   Value get(const std::string& key, std::uint64_t fp);
 
+  /// get() that counts only a hit. The service's event-loop lookup
+  /// probes first; its miss is counted by the get() the pool task
+  /// repeats before computing, so every request counts one lookup.
+  Value probe(const std::string& key, std::uint64_t fp);
+
   /// Insert or refresh @p key -> @p value, evicting the shard's least
   /// recently used entry if the shard is full. The outcome reports which
   /// of those happened (see PutOutcome).
@@ -99,6 +104,8 @@ class ResultCache {
   Shard& shard_for(std::uint64_t fp) {
     return *shards_[(fp >> 32) % shards_.size()];
   }
+  /// The lookup get() and probe() share; counts nothing.
+  Value find(const std::string& key, std::uint64_t fp);
 
   std::size_t capacity_ = 0;
   std::size_t per_shard_capacity_ = 0;

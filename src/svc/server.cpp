@@ -12,6 +12,12 @@ namespace rat::svc {
 
 namespace {
 
+/// The server whose event loop runs on this thread, if any. A response
+/// produced on the loop thread is completed in the same turn, without a
+/// byte through the notify pipe. Thread-local, so the check races with
+/// nothing.
+thread_local const Server* t_loop_server = nullptr;
+
 /// Record the drained service's and server's own stats into the registry,
 /// once, under the metric names docs/SERVICE.md lists. A zero counter is
 /// left out, so the export names only the events the run had.
@@ -52,7 +58,7 @@ Server::Server(Service& service, ServerConfig config)
       config_(config),
       clients_(config.client,
                [this](const ClientSet::ClientPtr& client, std::string line) {
-                 submit_line(client, std::move(line));
+                 turn_.emplace_back(client, std::move(line));
                },
                // stdin EOF, or stdout gone: no request can ever arrive or
                // be answered again, so a piped `rat_serve --stdio` drains
@@ -101,8 +107,10 @@ Server::Stats Server::stats() const {
 }
 
 void Server::event_loop() {
+  t_loop_server = this;
   std::optional<obs::ScopedTimer> shutdown_timer;
   std::vector<pollfd> pfds;
+  std::vector<std::pair<ClientSet::ClientPtr, std::string>> batch;
   for (;;) {
     pfds.assign(1, {notify_.read_fd(), POLLIN, 0});
     // While draining, the service's in-flight count can hit zero without
@@ -115,13 +123,14 @@ void Server::event_loop() {
       break;
     }
     if ((pfds[0].revents & POLLIN) != 0) notify_.drain();
-    std::vector<std::pair<ClientSet::ClientPtr, std::string>> batch;
     {
       std::lock_guard lock(done_mu_);
       batch.swap(done_);
     }
     for (auto& [client, line] : batch) clients_.complete(client, line);
+    batch.clear();  // the next swap hands its capacity back to done_
     clients_.handle_poll(pfds);
+    submit_turn();
     clients_.sweep();
 
     if (clients_.draining()) {
@@ -147,22 +156,42 @@ void Server::event_loop() {
   clients_.close_all();
 }
 
+void Server::submit_turn() {
+  if (turn_.empty()) return;
+  // Every line read this turn is submitted this turn, before the drain
+  // check, so a drain cannot miss one. The pool starts on all but the
+  // first while the loop looks the first up itself: a lone cache hit
+  // then costs no thread hop, and a busy turn still fans out.
+  for (std::size_t i = 1; i < turn_.size(); ++i)
+    submit_line(turn_[i].first, turn_[i].second, Service::Lookup::kPool);
+  submit_line(turn_[0].first, turn_[0].second, Service::Lookup::kCaller);
+  turn_.clear();
+}
+
 void Server::submit_line(const ClientSet::ClientPtr& client,
-                         std::string line) {
+                         const std::string& line, Service::Lookup lookup) {
   ++client->outstanding;
   // The callback holds the client alive until the response lands, even
   // if the loop let go first; the loop alone touches its channel.
-  service_.submit(line, [this, client](std::string response) {
-    bool was_empty;
-    {
-      std::lock_guard lock(done_mu_);
-      was_empty = done_.empty();
-      done_.emplace_back(client, std::move(response));
-    }
-    // One byte per batch is enough: the loop drains the pipe and swaps
-    // the whole queue. Coalescing keeps the pipe from ever filling.
-    if (was_empty) notify_.wake();
-  });
+  service_.submit(
+      line,
+      [this, client](std::string response) {
+        if (t_loop_server == this) {  // answered on the loop, this turn
+          clients_.complete(client, response);
+          return;
+        }
+        bool was_empty;
+        {
+          std::lock_guard lock(done_mu_);
+          was_empty = done_.empty();
+          done_.emplace_back(client, std::move(response));
+        }
+        // One byte per batch is enough: the loop drains the pipe and
+        // swaps the whole queue. Coalescing keeps the pipe from ever
+        // filling.
+        if (was_empty) notify_.wake();
+      },
+      lookup);
 }
 
 }  // namespace rat::svc

@@ -6,11 +6,25 @@
 // connections and the stdio pair — live in a ClientSet (svc/clients.hpp),
 // the client side rat_router shares: one LineChannel (svc/channel.hpp)
 // per client for framing and partial writes, plus the accept, oversize,
-// slow-client and drain policies. Request lines are handed to the
-// Service; evaluations run on the shared ThreadPool, and completed
-// responses are handed back to the loop through a notify pipe — worker
-// threads never touch sockets, so a response is never lost to a racing
-// connection teardown and a blocked send can never stall a worker.
+// slow-client and drain policies.
+//
+// Each poll turn collects the request lines it read and hands every one
+// to the Service before the turn ends, so a drain cannot miss a line
+// that was read. All but the first are submitted plainly: their lookup
+// and evaluation run on the shared ThreadPool. The first is submitted
+// last, with the caller-thread lookup (Service::Lookup::kCaller): the
+// loop parses, fingerprints and probes the cache for it itself, answers
+// a hit on the spot and queues a miss with its parse. Answers produced
+// on the loop thread are completed in the same turn; pool workers hand
+// theirs back through a notify pipe. Worker threads never touch sockets,
+// so a response is never lost to a racing connection teardown and a
+// blocked send can never stall a worker.
+//
+// Why one line a turn: a lone request has no other work to overlap
+// with, so the two thread hops cost more than its lookup (stages add,
+// the paper's Eq. 5). In a busy turn the pool works on the rest while
+// the loop serves the first (overlap takes the max, Eq. 6), so one
+// rat_serve still spreads a burst over --threads workers.
 //
 // Slow clients: each connection's outbound queue is bounded
 // (ClientPolicy::max_write_buffer_bytes of unsent bytes). A client that
@@ -111,7 +125,10 @@ class Server {
 
  private:
   void event_loop();
-  void submit_line(const ClientSet::ClientPtr& client, std::string line);
+  /// Submit the lines read this turn (see file comment).
+  void submit_turn();
+  void submit_line(const ClientSet::ClientPtr& client,
+                   const std::string& line, Service::Lookup lookup);
 
   Service& service_;
   ServerConfig config_;
@@ -119,6 +136,8 @@ class Server {
   WakePipe notify_;  ///< completion handoff: workers ping the loop
   ClientSet clients_;  ///< loop-thread-only, except the stop latch
   int port_ = -1;
+  /// The request lines read this poll turn (loop thread only).
+  std::vector<std::pair<ClientSet::ClientPtr, std::string>> turn_;
 
   // Completed responses, handed from any thread to the loop.
   std::mutex done_mu_;

@@ -12,6 +12,19 @@
 
 namespace rat::svc {
 
+namespace {
+
+/// Record one svc.request sample: the time a request was served for, on
+/// the submitting thread and a pool worker together (queue wait left
+/// out).
+void record_request(std::uint64_t ns) {
+  obs::Registry& r = obs::Registry::global();
+  r.record_timer("svc.request", ns);
+  r.record_hist("svc.request", ns);
+}
+
+}  // namespace
+
 Service::Service(ServiceConfig config)
     : config_(config),
       cache_(config.cache_capacity, config.cache_shards) {
@@ -28,8 +41,8 @@ void Service::set_shutdown_handler(std::function<void()> handler) {
   shutdown_handler_ = std::move(handler);
 }
 
-void Service::respond(const std::function<void(std::string)>& on_response,
-                      std::string line, bool ok) {
+void Service::respond(const Responder& on_response, std::string line,
+                      bool ok) {
   (ok ? responses_ok_ : responses_error_)
       .fetch_add(1, std::memory_order_relaxed);
   try {
@@ -41,18 +54,19 @@ void Service::respond(const std::function<void(std::string)>& on_response,
   }
 }
 
-void Service::submit(const std::string& line,
-                     std::function<void(std::string)> on_response) {
+void Service::submit(const std::string& line, Responder on_response,
+                     Lookup lookup) {
   requests_.fetch_add(1, std::memory_order_relaxed);
 
-  Request req;
+  Job job;
   try {
-    req = parse_request(line);
+    job.req = parse_request(line);
   } catch (const ProtocolError& e) {
     respond(on_response, error_response(e.id(), e.code(), e.what()),
             /*ok=*/false);
     return;
   }
+  const Request& req = job.req;
 
   switch (req.op) {
     case Request::Op::kPing:
@@ -87,29 +101,94 @@ void Service::submit(const std::string& line,
       break;
   }
 
-  // Admission control: bounded queue, reject rather than buffer.
+  // A file is read on the pool only: a slow path must not stall the
+  // caller (the server's event loop).
+  if (lookup == Lookup::kCaller && !req.has_file &&
+      answer_on_caller(job, on_response))
+    return;
+  admit(std::move(job), std::move(on_response));
+}
+
+bool Service::parse(Job& job, const Responder& on_response) {
+  // Inline text takes the same parse + validate path as a worksheet
+  // file, so both get the same grammar and E_INVALID_VALUE diagnostics.
+  const Request& req = job.req;
+  try {
+    core::RatInputs inputs =
+        req.has_file ? io::load_worksheet(req.file)
+                     : io::parse_worksheet_text(req.worksheet, "<request>");
+    std::string key = canonical_text(inputs);
+    const std::uint64_t fp = fnv1a64(key);
+    job.parsed = Parsed{std::move(inputs), std::move(key), fp};
+    return true;
+  } catch (const core::ParseError& e) {
+    respond(on_response, diagnostic_response(req.id, e.diagnostic()),
+            /*ok=*/false);
+    return false;
+  }
+}
+
+bool Service::answer_on_caller(Job& job, const Responder& on_response) {
+  if (draining()) return false;  // admit() answers E_SHUTTING_DOWN
+  const std::uint64_t start_ns = obs::enabled() ? obs::now_ns() : 0;
+  bool answered = true;
+  try {
+    if (parse(job, on_response)) {
+      const Parsed& p = *job.parsed;
+      const ResultCache::Value hit =
+          job.req.no_cache ? nullptr : cache_.probe(p.key, p.fp);
+      if (hit)
+        respond(on_response,
+                evaluate_response(job.req.id, p.fp, p.inputs, *hit),
+                /*ok=*/true);
+      else
+        answered = false;  // the miss goes to the pool, parsed
+    }
+  } catch (const std::exception& e) {
+    respond(on_response, internal_error_response(job.req.id, e.what()),
+            /*ok=*/false);
+  }
+  if (start_ns != 0) {
+    const std::uint64_t ns = obs::now_ns() - start_ns;
+    if (answered)
+      record_request(ns);
+    else
+      job.lookup_ns = ns;
+  }
+  return answered;
+}
+
+void Service::admit(Job job, Responder on_response) {
+  // Admission control: bounded queue, reject rather than buffer. The
+  // rejection is answered after the lock is released: on the server's
+  // loop thread the answer is written to the client right away.
+  const Request& req = job.req;
+  bool draining = false;
+  bool full = false;
   {
     std::lock_guard lock(mu_);
-    if (draining_) {
-      rejected_draining_.fetch_add(1, std::memory_order_relaxed);
-      respond(on_response,
-              error_response(req.id, SvcErrorCode::kShuttingDown,
-                             "service is draining"),
-              /*ok=*/false);
-      return;
-    }
-    if (in_flight_ >= config_.queue_capacity) {
-      rejected_overloaded_.fetch_add(1, std::memory_order_relaxed);
-      respond(on_response,
-              error_response(
-                  req.id, SvcErrorCode::kOverloaded,
-                  "admission queue full (" +
-                      std::to_string(config_.queue_capacity) +
-                      " requests queued or running); retry later"),
-              /*ok=*/false);
-      return;
-    }
-    in_flight_max_ = std::max(in_flight_max_, ++in_flight_);
+    draining = draining_;
+    full = !draining && in_flight_ >= config_.queue_capacity;
+    if (!draining && !full)
+      in_flight_max_ = std::max(in_flight_max_, ++in_flight_);
+  }
+  if (draining) {
+    rejected_draining_.fetch_add(1, std::memory_order_relaxed);
+    respond(on_response,
+            error_response(req.id, SvcErrorCode::kShuttingDown,
+                           "service is draining"),
+            /*ok=*/false);
+    return;
+  }
+  if (full) {
+    rejected_overloaded_.fetch_add(1, std::memory_order_relaxed);
+    respond(on_response,
+            error_response(req.id, SvcErrorCode::kOverloaded,
+                           "admission queue full (" +
+                               std::to_string(config_.queue_capacity) +
+                               " requests queued or running); retry later"),
+            /*ok=*/false);
+    return;
   }
 
   const double deadline_ms =
@@ -125,16 +204,16 @@ void Service::submit(const std::string& line,
   }
 
   util::ThreadPool::shared().submit(
-      [this, req = std::move(req), deadline_ns,
+      [this, job = std::move(job), deadline_ns,
        on_response = std::move(on_response)]() mutable {
-        run_evaluation(std::move(req), deadline_ns, std::move(on_response));
+        run_evaluation(std::move(job), deadline_ns, std::move(on_response));
       });
 }
 
-void Service::run_evaluation(Request req, std::uint64_t deadline_ns,
-                             std::function<void(std::string)> on_response) {
-  obs::ScopedTimer timer("svc.request", {}, /*record_span=*/false,
-                         /*record_hist=*/true);
+void Service::run_evaluation(Job job, std::uint64_t deadline_ns,
+                             Responder on_response) {
+  const std::uint64_t start_ns = obs::enabled() ? obs::now_ns() : 0;
+  const Request& req = job.req;
   try {
     if (deadline_ns != 0 && obs::now_ns() > deadline_ns) {
       deadline_expired_.fetch_add(1, std::memory_order_relaxed);
@@ -142,45 +221,31 @@ void Service::run_evaluation(Request req, std::uint64_t deadline_ns,
               error_response(req.id, SvcErrorCode::kDeadlineExpired,
                              "deadline expired before evaluation started"),
               /*ok=*/false);
-      finish_one();
-      return;
-    }
-
-    // Inline text takes the same parse + validate path as a worksheet
-    // file, so both get the same grammar and E_INVALID_VALUE diagnostics.
-    core::RatInputs inputs;
-    try {
-      inputs = req.has_file
-                   ? io::load_worksheet(req.file)
-                   : io::parse_worksheet_text(req.worksheet, "<request>");
-    } catch (const core::ParseError& e) {
-      respond(on_response, diagnostic_response(req.id, e.diagnostic()),
-              /*ok=*/false);
-      finish_one();
-      return;
-    }
-
-    const std::string key = canonical_text(inputs);
-    const std::uint64_t fp = fnv1a64(key);
-    ResultCache::Value cached;
-    if (!req.no_cache) cached = cache_.get(key, fp);
-    if (!cached) {
-      auto computed =
-          std::make_shared<const std::vector<core::ThroughputPrediction>>(
-              core::predict_all(inputs));
-      if (!req.no_cache) {
-        const ResultCache::PutOutcome outcome = cache_.put(key, fp, computed);
-        // Journal only genuine inserts: a refresh means another worker
-        // already computed (and persisted) this exact worksheet.
-        if (persist_ &&
-            (outcome == ResultCache::PutOutcome::kInserted ||
-             outcome == ResultCache::PutOutcome::kInsertedEvicting))
-          persist_->append(key, computed);
+    } else if (job.parsed || parse(job, on_response)) {
+      const Parsed& p = *job.parsed;
+      // Counted even after a caller-thread probe missed: a duplicate
+      // queued behind an in-flight miss is answered from the cache.
+      ResultCache::Value cached;
+      if (!req.no_cache) cached = cache_.get(p.key, p.fp);
+      if (!cached) {
+        auto computed =
+            std::make_shared<const std::vector<core::ThroughputPrediction>>(
+                core::predict_all(p.inputs));
+        if (!req.no_cache) {
+          const ResultCache::PutOutcome outcome =
+              cache_.put(p.key, p.fp, computed);
+          // Journal only genuine inserts: a refresh means another worker
+          // already computed (and persisted) this exact worksheet.
+          if (persist_ &&
+              (outcome == ResultCache::PutOutcome::kInserted ||
+               outcome == ResultCache::PutOutcome::kInsertedEvicting))
+            persist_->append(p.key, computed);
+        }
+        cached = std::move(computed);
       }
-      cached = std::move(computed);
+      respond(on_response, evaluate_response(req.id, p.fp, p.inputs, *cached),
+              /*ok=*/true);
     }
-    respond(on_response, evaluate_response(req.id, fp, inputs, *cached),
-            /*ok=*/true);
   } catch (const std::exception& e) {
     respond(on_response, internal_error_response(req.id, e.what()),
             /*ok=*/false);
@@ -189,6 +254,7 @@ void Service::run_evaluation(Request req, std::uint64_t deadline_ns,
             internal_error_response(req.id, "unknown internal error"),
             /*ok=*/false);
   }
+  if (start_ns != 0) record_request(obs::now_ns() - start_ns + job.lookup_ns);
   finish_one();
 }
 

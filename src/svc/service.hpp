@@ -14,15 +14,30 @@
 //   * protocol errors, admission rejections (E_OVERLOADED), drain
 //     rejections (E_SHUTTING_DOWN) and the ping/stats/shutdown ops are
 //     answered inline, on the submitting thread;
-//   * evaluations are answered later, on a thread-pool worker.
+//   * evaluations are queued to the thread pool and answered there, on a
+//     worker, except what a caller-thread lookup answers itself.
+//
+// Caller-thread lookup (Lookup::kCaller, what the server's event loop
+// asks for on one line per poll turn): an inline worksheet is parsed,
+// fingerprinted and looked up in the cache on the submitting thread. A
+// hit, or a worksheet diagnostic, is answered before submit() returns;
+// only a miss is queued, carrying its parsed inputs, key and
+// fingerprint so the pool does not parse it again. A request answered
+// this way is never queued: it is not counted in in_flight, and it is
+// never answered E_OVERLOADED or E_DEADLINE_EXPIRED. A draining service
+// still answers E_SHUTTING_DOWN first. A file request is always queued:
+// a read from a slow path must never stall the caller.
 //
 // Admission control: at most queue_capacity evaluations may be queued or
 // running; the excess is rejected immediately with a structured
 // E_OVERLOADED response instead of queueing unboundedly. Deadlines are
 // checked when the evaluation is dequeued: a request that waited past
 // its deadline is answered E_DEADLINE_EXPIRED without being evaluated
-// (running evaluations are never aborted mid-flight — predict_all is
-// microseconds, preemption would cost more than it saves).
+// and without a cache lookup (running evaluations are never aborted
+// mid-flight — predict_all is microseconds, preemption would cost more
+// than it saves). A dequeued evaluation looks the cache up again before
+// computing, so a duplicate queued behind an in-flight miss is answered
+// from the cache.
 //
 // Graceful drain: begin_drain() stops admission (subsequent requests get
 // E_SHUTTING_DOWN), wait_drained() blocks until every admitted
@@ -36,8 +51,10 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 
+#include "core/parameters.hpp"
 #include "svc/cache.hpp"
 #include "svc/protocol.hpp"
 
@@ -61,6 +78,13 @@ struct ServiceConfig {
 
 class Service {
  public:
+  /// Where submit() parses, fingerprints and looks up an inline
+  /// worksheet (see file comment).
+  enum class Lookup {
+    kPool,    ///< on the pool worker that evaluates it
+    kCaller,  ///< on the submitting thread; only a miss is queued
+  };
+
   struct Stats {
     std::uint64_t requests = 0;          ///< lines submitted
     std::uint64_t responses_ok = 0;
@@ -89,7 +113,8 @@ class Service {
   /// (see file comment). @p on_response must be callable from any
   /// thread and must not throw (exceptions are swallowed and counted).
   void submit(const std::string& line,
-              std::function<void(std::string)> on_response);
+              std::function<void(std::string)> on_response,
+              Lookup lookup = Lookup::kPool);
 
   /// Invoked (from the submitting thread, after the response) when a
   /// shutdown op arrives. Without a handler, a shutdown op begins
@@ -108,12 +133,33 @@ class Service {
   void clear_cache() { cache_.clear(); }
 
  private:
-  void run_evaluation(Request request, std::uint64_t deadline_ns,
-                      std::function<void(std::string)> on_response);
+  /// A worksheet parsed once: its inputs, canonical text (the cache key)
+  /// and fingerprint.
+  struct Parsed {
+    core::RatInputs inputs;
+    std::string key;
+    std::uint64_t fp = 0;
+  };
+  /// One evaluate request past the protocol parse.
+  struct Job {
+    Request req;
+    std::optional<Parsed> parsed;  ///< set by a caller-thread lookup
+    std::uint64_t lookup_ns = 0;   ///< caller-thread time, for svc.request
+  };
+  using Responder = std::function<void(std::string)>;
+
+  /// Parse @p job's worksheet into job.parsed, or answer its diagnostic
+  /// and return false.
+  bool parse(Job& job, const Responder& on_response);
+  /// The caller-thread lookup: true when @p job was answered here.
+  bool answer_on_caller(Job& job, const Responder& on_response);
+  /// Admission control, then queue @p job to the pool.
+  void admit(Job job, Responder on_response);
+  void run_evaluation(Job job, std::uint64_t deadline_ns,
+                      Responder on_response);
   void finish_one();
   /// Deliver a response line through @p on_response, counting outcome.
-  void respond(const std::function<void(std::string)>& on_response,
-               std::string line, bool ok);
+  void respond(const Responder& on_response, std::string line, bool ok);
 
   ServiceConfig config_;
   ResultCache cache_;

@@ -1,6 +1,7 @@
 // Loopback TCP transport: end-to-end request/response, pipelining,
-// oversize-line rejection, and graceful drain delivering every admitted
-// response before the sockets close.
+// oversize-line rejection, graceful drain delivering every admitted
+// response before the sockets close, and which lines of a poll turn the
+// event loop looks up itself.
 #include "svc/server.hpp"
 
 #include <arpa/inet.h>
@@ -19,6 +20,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <map>
 #include <optional>
 #include <string>
@@ -337,6 +339,102 @@ TEST(SvcServer, StdioReaderGoneDrainsCleanlyInsteadOfSigpipe) {
   ::close(to_server[1]);
   ::close(to_server[0]);
   ::close(from_server[1]);
+}
+
+TEST(SvcServer, OneReadOfCachedLinesAnswersLikeServiceSubmit) {
+  // The lines of one read are one poll turn: the loop looks the first up
+  // itself and queues the other K - 1, so the pool runs K - 1 tasks, and
+  // every answer is byte-identical to Service::submit's.
+  constexpr int kLines = 8;
+  const std::vector<std::string> sheets = {core::pdf1d_inputs().serialize(),
+                                           core::pdf2d_inputs().serialize(),
+                                           core::md_inputs().serialize()};
+  Service service;
+  std::map<std::string, std::string> expected;  // id -> response
+  std::string input;
+  for (int i = 0; i < kLines; ++i) {
+    const std::string id = "k" + std::to_string(i);
+    const std::string line = evaluate_line(id, sheets[i % sheets.size()]);
+    std::promise<std::string> answer;
+    service.submit(line, [&](std::string r) { answer.set_value(std::move(r)); });
+    expected[id] = answer.get_future().get();  // warms the cache too
+    input += line + '\n';
+  }
+
+  int to_server[2];
+  int from_server[2];
+  ASSERT_EQ(::pipe(to_server), 0);
+  ASSERT_EQ(::pipe(from_server), 0);
+  // Written, and closed, before start(): the first read returns them all.
+  ASSERT_LT(input.size(), 65536u);
+  ASSERT_EQ(::write(to_server[1], input.data(), input.size()),
+            static_cast<ssize_t>(input.size()));
+  ::close(to_server[1]);
+
+  obs::Registry::global().reset();
+  obs::set_enabled(true);
+  Server server(service, {.tcp = false,
+                          .stdio = true,
+                          .stdio_in_fd = to_server[0],
+                          .stdio_out_fd = from_server[1]});
+  server.start();
+  server.run();  // stdin EOF drains
+  obs::set_enabled(false);
+  const auto counters = obs::Registry::global().counters();
+  obs::Registry::global().reset();
+  ::close(to_server[0]);
+  ::close(from_server[1]);
+
+  std::string output;
+  char chunk[4096];
+  for (ssize_t n; (n = ::read(from_server[0], chunk, sizeof chunk)) > 0;)
+    output.append(chunk, static_cast<std::size_t>(n));
+  ::close(from_server[0]);
+  std::map<std::string, std::string> answered;
+  for (std::size_t start = 0, nl; (nl = output.find('\n', start)) !=
+                                  std::string::npos;
+       start = nl + 1) {
+    const std::string line = output.substr(start, nl - start);
+    answered[io::parse_json(line).find("id")->string] = line;
+  }
+  EXPECT_EQ(answered, expected);
+  EXPECT_EQ(counters.at("pool.tasks_submitted"),
+            static_cast<std::uint64_t>(kLines - 1));
+  EXPECT_EQ(counters.at("svc.cache.hit"),
+            static_cast<std::uint64_t>(2 * kLines - 3));
+}
+
+TEST(SvcServer, ALoneRequestPerTurnIsAnsweredWithoutThePool) {
+  // Sequential requests on one connection: each is alone in its turn, so
+  // only the first (a miss) is queued; the hits never leave the loop.
+  constexpr std::uint64_t kRequests = 20;
+  obs::Registry::global().reset();
+  obs::set_enabled(true);
+  Service service;
+  Server server(service, {.client = {.port = 0}});
+  server.start();
+  {
+    Client client(server.port());
+    const std::string line =
+        evaluate_line("s", core::pdf1d_inputs().serialize());
+    std::optional<std::string> first;
+    for (std::uint64_t i = 0; i < kRequests; ++i) {
+      client.send_line(line);
+      const auto response = client.read_line();
+      ASSERT_TRUE(response.has_value());
+      if (!first) first = response;
+      EXPECT_EQ(*response, *first);
+    }
+  }
+  server.trigger_stop();
+  server.run();
+  obs::set_enabled(false);
+  const auto counters = obs::Registry::global().counters();
+  obs::Registry::global().reset();
+  EXPECT_EQ(counters.at("pool.tasks_submitted"), 1u);
+  EXPECT_EQ(counters.at("svc.cache.miss"), 1u);
+  EXPECT_EQ(counters.at("svc.cache.hit"), kRequests - 1);
+  EXPECT_EQ(service.stats().in_flight_max, 1u);
 }
 
 int open_fd_count() {

@@ -1,6 +1,6 @@
 // Service semantics: the exactly-one-response contract, cache hit/miss
-// byte identity, bounded admission (E_OVERLOADED), deadlines, drain, and
-// a concurrent hammer that runs TSan-clean.
+// byte identity, bounded admission (E_OVERLOADED), deadlines, drain, the
+// caller-thread lookup, and a concurrent hammer that runs TSan-clean.
 #include "svc/service.hpp"
 
 #include <gtest/gtest.h>
@@ -18,6 +18,7 @@
 #include "core/parameters.hpp"
 #include "io/json.hpp"
 #include "io/loader.hpp"
+#include "obs/metrics.hpp"
 #include "store/store.hpp"
 #include "util/thread_pool.hpp"
 
@@ -242,6 +243,141 @@ TEST(SvcService, ExpiredDeadlineIsReportedNotEvaluated) {
   service.drain();
   EXPECT_EQ(service.stats().deadline_expired, 1u);
   EXPECT_EQ(service.stats().cache.misses, 0u);  // never evaluated
+}
+
+TEST(SvcService, CallerLookupAnswersAWarmHitEvenWhenTheQueueIsFull) {
+  Service service({.queue_capacity = 1});
+  Collector out;
+  const std::string sheet = core::pdf1d_inputs().serialize();
+  service.submit(evaluate_line("r", sheet), out.sink());
+  const std::string cold = out.wait_for(1)[0];
+
+  PoolBlocker blocker;
+  // A miss fills the one admission slot and waits behind the pool.
+  service.submit(evaluate_line("m", core::md_inputs().serialize()),
+                 out.sink());
+  service.submit(evaluate_line("r", sheet), out.sink(),
+                 Service::Lookup::kCaller);
+  // Answered before submit() returned, from the cache, not E_OVERLOADED.
+  ASSERT_EQ(out.count(), 2u);
+  EXPECT_EQ(out.wait_for(2)[1], cold);
+  Service::Stats st = service.stats();
+  EXPECT_EQ(st.rejected_overloaded, 0u);
+  EXPECT_EQ(st.in_flight, 1u);  // the blocked miss only
+  EXPECT_EQ(st.cache.hits, 1u);
+  EXPECT_EQ(st.cache.misses, 1u);  // the blocked miss has not looked yet
+
+  blocker.release();
+  service.drain();
+  EXPECT_EQ(out.wait_for(3).size(), 3u);
+  st = service.stats();
+  EXPECT_EQ(st.responses_ok, 3u);
+  EXPECT_EQ(st.cache.misses, 2u);
+}
+
+TEST(SvcService, CallerLookupStillQueuesAFileRequest) {
+  // A file is read on the pool only: a slow path must never stall the
+  // caller, which in the server is the event loop every client shares.
+  const std::string file =
+      (std::filesystem::path(RAT_SOURCE_DIR) / "tests" / "fixtures" /
+       "worksheets" / "pdf1d.rat")
+          .string();
+  const std::string line =
+      "{\"id\":\"f\",\"op\":\"evaluate\",\"file\":" + io::json_str(file) +
+      "}";
+  Service service;
+  Collector out;
+  service.submit(line, out.sink());
+  const std::string cold = out.wait_for(1)[0];
+
+  PoolBlocker blocker;
+  service.submit(line, out.sink(), Service::Lookup::kCaller);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(out.count(), 1u) << "a file request was answered off the pool";
+  EXPECT_EQ(service.stats().in_flight, 1u);
+  blocker.release();
+  EXPECT_EQ(out.wait_for(2)[1], cold);
+  service.drain();
+  EXPECT_EQ(service.stats().cache.hits, 1u);
+}
+
+TEST(SvcService, CallerLookupMissCarriesItsParseToThePool) {
+  // A miss is looked up once on the caller (uncounted) and once more on
+  // the pool (counted): one miss, the same bytes as a plain submit.
+  Service service;
+  Collector out;
+  const std::string sheet = core::pdf2d_inputs().serialize();
+  service.submit(evaluate_line("c", sheet), out.sink(),
+                 Service::Lookup::kCaller);
+  const std::string via_caller = out.wait_for(1)[0];
+  service.drain();
+  EXPECT_EQ(service.stats().cache.misses, 1u);
+  EXPECT_EQ(service.stats().cache.hits, 0u);
+
+  Service plain;
+  Collector plain_out;
+  plain.submit(evaluate_line("c", sheet), plain_out.sink());
+  EXPECT_EQ(plain_out.wait_for(1)[0], via_caller);
+}
+
+TEST(SvcService, CallerLookupMissThatExpiresInTheQueueCountsNoLookup) {
+  PoolBlocker blocker;
+  Service service;
+  Collector out;
+  service.submit(evaluate_line("d", core::pdf1d_inputs().serialize(),
+                               ",\"deadline_ms\":1"),
+                 out.sink(), Service::Lookup::kCaller);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  blocker.release();
+  EXPECT_EQ(error_code_of(out.wait_for(1)[0]), "E_DEADLINE_EXPIRED");
+  service.drain();
+  const Service::Stats st = service.stats();
+  EXPECT_EQ(st.deadline_expired, 1u);
+  EXPECT_EQ(st.cache.hits + st.cache.misses, 0u);
+}
+
+TEST(SvcService, CallerLookupAnswersShuttingDownFirst) {
+  Service service;
+  Collector out;
+  const std::string sheet = core::pdf1d_inputs().serialize();
+  service.submit(evaluate_line("w", sheet), out.sink());
+  out.wait_for(1);
+  service.begin_drain();
+  service.submit(evaluate_line("late", sheet), out.sink(),
+                 Service::Lookup::kCaller);
+  ASSERT_EQ(out.count(), 2u);
+  EXPECT_EQ(error_code_of(out.wait_for(2)[1]), "E_SHUTTING_DOWN");
+  EXPECT_EQ(service.stats().cache.hits, 0u);
+  service.wait_drained();
+}
+
+TEST(SvcService, EveryEvaluationRecordsOneRequestSample) {
+  // One miss (parsed on the caller, served on the pool) plus N hits
+  // answered on the caller: N + 1 svc.request samples.
+  constexpr std::size_t kHits = 5;
+  obs::Registry::global().reset();
+  obs::set_enabled(true);
+  {
+    Service service;
+    Collector out;
+    const std::string sheet = core::md_inputs().serialize();
+    service.submit(evaluate_line("m", sheet), out.sink(),
+                   Service::Lookup::kCaller);
+    out.wait_for(1);  // inserted before it was answered
+    for (std::size_t i = 0; i < kHits; ++i)
+      service.submit(evaluate_line("h", sheet), out.sink(),
+                     Service::Lookup::kCaller);
+    EXPECT_EQ(out.count(), kHits + 1);
+    EXPECT_EQ(service.stats().cache.hits, kHits);
+  }  // ~Service waits for the miss to record its sample
+  obs::set_enabled(false);
+  const auto hists = obs::Registry::global().hists();
+  const auto it = hists.find("svc.request");
+  ASSERT_NE(it, hists.end());
+  EXPECT_EQ(it->second.count(), kHits + 1);
+  EXPECT_EQ(obs::Registry::global().timers().at("svc.request").count,
+            kHits + 1);
+  obs::Registry::global().reset();
 }
 
 TEST(SvcService, HugeDeadlineIsClampedNotUndefined) {
