@@ -1,8 +1,8 @@
 // Shared helpers for the per-table benchmark binaries: build the rcsim
 // workload for each case-study design and produce the paper-style
 // worksheet with predicted and simulated-actual columns — plus the
-// machine-readable perf-trajectory emitter (BENCH_RAT.json) the batch
-// kernel benches use so every PR leaves comparable numbers behind.
+// machine-readable perf-trajectory emitter (BENCH_RAT.json) that
+// bench_parallel_scaling and bench_explore_pruning write.
 #pragma once
 
 #include <cstdio>
@@ -16,7 +16,6 @@
 #include "apps/pdf1d.hpp"
 #include "apps/pdf2d.hpp"
 #include "apps/workload.hpp"
-#include "core/batch.hpp"
 #include "core/throughput.hpp"
 #include "core/units.hpp"
 #include "core/validation.hpp"
@@ -52,11 +51,10 @@ inline rcsim::Workload md_workload(const apps::MdDesign& d,
 }
 
 /// Machine-readable perf trajectory, schema "rat.bench.v1": a flat map of
-/// named scalar metrics plus the batch kernel's simd_backend/simd_width
-/// (always "scalar" and 1; the schema keeps the fields). scripts/check.sh
-/// writes BENCH_RAT.json with this emitter and fails the run if the
-/// document is missing or malformed (docs/VECTORIZATION.md documents the
-/// schema).
+/// named scalar metrics plus the constant fields simd_backend ("scalar")
+/// and simd_width (1), which the v1 schema keeps. scripts/check.sh writes
+/// BENCH_RAT.json with this emitter and fails the run if the document is
+/// missing or malformed (DESIGN.md, "Hot path", describes the schema).
 class BenchJson {
  public:
   /// Strip a `--json=PATH` argument before benchmark::Initialize sees it
@@ -94,9 +92,9 @@ class BenchJson {
       throw std::runtime_error("BenchJson: cannot open " + path_);
     std::fprintf(f,
                  "{\n  \"schema\": \"rat.bench.v1\",\n  \"bench\": \"%s\",\n"
-                 "  \"simd_backend\": \"%s\",\n  \"simd_width\": %zu,\n"
+                 "  \"simd_backend\": \"scalar\",\n  \"simd_width\": 1,\n"
                  "  \"metrics\": {",
-                 bench_.c_str(), core::simd_backend(), core::simd_width());
+                 bench_.c_str());
     bool first = true;
     for (const auto& [key, value] : metrics_) {
       char num[32];

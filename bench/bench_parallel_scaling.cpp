@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "core/batch.hpp"
 #include "core/designspace.hpp"
 #include "core/montecarlo.hpp"
 #include "core/throughput.hpp"
@@ -142,10 +141,10 @@ BENCHMARK(BM_MonteCarlo100k)
 
 // ---- raw-kernel points/sec -------------------------------------------------
 // Single-core Eqs. 1-11 evaluation rate on a varied 131k-point workload:
-// per-point predict() (validation plus kernel per call), the pre-validated
-// predict_unchecked(), and the SoA batch (validate once, fill, one column
-// loop). All three compute bit-identical outputs; the rates are recorded,
-// not gated, so BENCH_RAT.json shows what each path costs on this build.
+// per-point predict() (validation plus kernel per call) and the
+// pre-validated predict_unchecked(). Both compute bit-identical outputs;
+// the rates are recorded, not gated, so BENCH_RAT.json shows what
+// validation costs on this build.
 
 constexpr std::size_t kKernelPoints = 1 << 17;  // 131,072
 
@@ -169,32 +168,6 @@ double kernel_unchecked_pass(core::RatInputs& scratch) {
     acc += core::predict_unchecked(
                scratch, core::mhz(75 + 5 * static_cast<double>(i % 20)))
                .speedup_sb;
-  }
-  return acc;
-}
-
-double kernel_batch_pass(core::RatInputs& scratch,
-                         core::ThroughputBatch& batch) {
-  // Fill/evaluate/consume in 1024-point chunks — the shape every batch
-  // consumer has (Monte-Carlo chunks, sweep chunks, methodology windows).
-  // Chunks this size keep all 23 SoA columns resident in L2, so the
-  // kernel streams cache-hot data instead of round-tripping DRAM.
-  constexpr std::size_t kChunk = 1024;
-  scratch.validate();
-  double acc = 0.0;
-  for (std::size_t lo = 0; lo < kKernelPoints; lo += kChunk) {
-    const std::size_t count = std::min(kChunk, kKernelPoints - lo);
-    batch.clear();
-    batch.reserve(count);
-    for (std::size_t k = 0; k < count; ++k) {
-      const std::size_t i = lo + k;
-      scratch.comp.throughput_ops_per_cycle =
-          2.5 * static_cast<double>(1 + i % 25);
-      batch.push_back_unchecked(
-          scratch, core::mhz(75 + 5 * static_cast<double>(i % 20)));
-    }
-    core::predict_batch(batch);
-    for (double s : batch.out.speedup_sb) acc += s;
   }
   return acc;
 }
@@ -231,23 +204,16 @@ void print_report(const std::string& json_path) {
               "(bit-identical outputs):\n\n",
               kKernelPoints);
   core::RatInputs scratch = core::pdf1d_inputs();
-  core::ThroughputBatch batch;
   const double k_scalar =
       kernel_points_per_sec([&] { return kernel_scalar_pass(scratch); });
   const double k_unchecked =
       kernel_points_per_sec([&] { return kernel_unchecked_pass(scratch); });
-  const double k_batch = kernel_points_per_sec(
-      [&] { return kernel_batch_pass(scratch, batch); });
   std::printf("%-34s %14.3e pts/s %8.2fx\n", "per-point predict()", k_scalar,
               1.0);
   std::printf("%-34s %14.3e pts/s %8.2fx\n", "per-point predict_unchecked()",
               k_unchecked, k_unchecked / k_scalar);
-  std::printf("%-34s %14.3e pts/s %8.2fx\n", "batch", k_batch,
-              k_batch / k_scalar);
   json.add("kernel.scalar_points_per_sec", k_scalar);
   json.add("kernel.unchecked_points_per_sec", k_unchecked);
-  json.add("kernel.batch_points_per_sec", k_batch);
-  json.add("kernel.batch_vs_scalar_speedup", k_batch / k_scalar);
   std::printf("\nParallel scaling: serial vs N threads (identical results "
               "at every thread count)\n\n");
   std::printf("%-28s %8s %10s %9s\n", "workload", "threads", "wall [s]",

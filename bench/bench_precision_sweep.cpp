@@ -68,9 +68,9 @@ void print_report() {
     std::printf("NO format within tolerance — unexpected, see sweep above\n");
   }
 
-  // The precision-vs-throughput trade-off: re-run Eqs. 1-11 across the
-  // whole sweep in one SoA batch (quantized_throughput_sweep), showing
-  // what each format's channel-rounded width does to predicted speedup.
+  // The precision-vs-throughput trade-off: re-run Eqs. 1-11 for every
+  // format of the sweep (quantized_throughput_sweep), showing what each
+  // format's channel-rounded width does to predicted speedup.
   const auto quantized = core::quantized_throughput_sweep(
       core::pdf1d_inputs(), core::mhz(100), result.sweep);
   std::printf("\n==== format -> channel bytes -> predicted speedup ====\n");

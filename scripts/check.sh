@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Full verification pass: configure, build, run every test and every
-# benchmark binary. Mirrors what CI would run.
+# benchmark binary. Mirrors what CI would run. The main tree builds with
+# -Werror, so a new compiler warning fails the pass.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cmake -B build -G Ninja
+cmake -B build -G Ninja -DRAT_WERROR=ON
 cmake --build build
 ctest --test-dir build --output-on-failure
 
@@ -12,14 +13,11 @@ for b in build/bench/bench_*; do
   [ -x "$b" ] || continue
   echo "==== running $b"
   case "$(basename "$b")" in
-    # The batch-kernel benches also emit the rat.bench.v1 perf trajectory:
-    # bench_parallel_scaling writes the canonical BENCH_RAT.json at the
-    # repo root (committed PR over PR), the micro-bench a sidecar in
-    # build/. Both documents are schema-validated below.
+    # bench_parallel_scaling writes the canonical rat.bench.v1 perf
+    # trajectory, BENCH_RAT.json at the repo root (committed PR over PR),
+    # schema-validated below.
     bench_parallel_scaling) "$b" --benchmark_min_time=0.05s \
       --json=BENCH_RAT.json ;;
-    bench_batch_eval) "$b" --benchmark_min_time=0.05s \
-      --json=build/bench_batch_eval.json ;;
     # The branch-and-bound explorer's headline (identity + pruning win +
     # warm plan cache), merged into BENCH_RAT.json and gated below.
     bench_explore_pruning) "$b" --benchmark_min_time=0.05s \
@@ -109,26 +107,24 @@ EOF
 
 # The perf trajectory must exist and parse: a malformed or silently
 # missing BENCH_RAT.json would break the PR-over-PR comparison. The
-# batch/per-point ratio is reported, not gated: both paths run the same
-# scalar kernel. What is gated is that a passing predict() and a warmed
-# batch allocate nothing (tests/core/alloc_test.cpp pins the same).
+# predict_unchecked()/predict() ratio (what validation costs) is
+# reported, not gated. That a passing predict() and a warm window fill
+# allocate nothing is gated by test_alloc (tests/core/alloc_test.cpp).
 echo "==== BENCH_RAT.json schema validation"
-python3 - BENCH_RAT.json build/bench_batch_eval.json <<'EOF'
+python3 - BENCH_RAT.json <<'EOF'
 import json, sys
-for path in sys.argv[1:]:
-    doc = json.load(open(path))
-    assert doc["schema"] == "rat.bench.v1", (path, doc.get("schema"))
-    assert doc["bench"], path
-    assert doc["simd_backend"] == "scalar" and doc["simd_width"] == 1, doc
-    m = doc["metrics"]
-    assert m, f"{path}: empty metrics"
-    assert all(isinstance(v, float) for v in m.values()), m
-    print(f"{path}: OK ({len(m)} metrics, batch "
-          f"{m['kernel.batch_vs_scalar_speedup']:.2f}x per-point predict)")
-m = json.load(open(sys.argv[2]))["metrics"]
-for k in ("kernel.scalar_allocs_per_point", "kernel.batch_allocs_per_point"):
-    assert m[k] == 0.0, (sys.argv[2], k, m[k])
-print(f"{sys.argv[2]}: 0 allocations per predict() and per batch point")
+path = sys.argv[1]
+doc = json.load(open(path))
+assert doc["schema"] == "rat.bench.v1", (path, doc.get("schema"))
+assert doc["bench"], path
+assert doc["simd_backend"] == "scalar" and doc["simd_width"] == 1, doc
+m = doc["metrics"]
+assert m, f"{path}: empty metrics"
+assert all(isinstance(v, float) for v in m.values()), m
+ratio = (m["kernel.unchecked_points_per_sec"] /
+         m["kernel.scalar_points_per_sec"])
+print(f"{path}: OK ({len(m)} metrics, predict_unchecked() "
+      f"{ratio:.2f}x per-point predict())")
 EOF
 
 # ThreadSanitizer pass over the parallel evaluation engine, the
@@ -149,12 +145,12 @@ ctest --test-dir build-tsan --output-on-failure \
   -R '^(ThreadPool|ParallelFor|ParallelMap|ParallelDeterminism|Obs|Svc|Store|BatchIdentity|Load|Explore)'
 
 # ASan+UBSan pass over the worksheet ingestion path, the durable store,
-# the batch kernel and the prediction service: the io tests (strict
-# parser, loaders, batch runner), the store tests
+# the per-point identity suite and the prediction service: the io tests
+# (strict parser, loaders, batch runner), the store tests
 # (including the recovery property suite, which truncates journals at
 # every byte boundary and bit-flips payloads), the BatchIdentity suite
-# (the '^Batch' pattern covers it: the SoA column loop and arena run
-# sanitized) and the svc suites (UBSan exercises the deadline
+# (the '^Batch' pattern covers it: window fills, Monte-Carlo chunks and
+# sweeps run sanitized) and the svc suites (UBSan exercises the deadline
 # clamp — SvcService.HugeDeadlineIsClampedNotUndefined feeds 1e308
 # through the float->uint64 cast) plus the rat_batch binary, then a
 # smoke run on the checked-in fixture directory whose broken.rat must
@@ -176,7 +172,7 @@ ctest --test-dir build-tsan --output-on-failure \
 # them) render whole responses and batch documents. The Svc pattern also
 # covers SvcIdSplice, which feeds truncated and corrupted response lines
 # to the id splice in exact-size buffers.
-echo "==== AddressSanitizer+UBSan pass (ingestion + store + batch + svc + load + explore + formatters)"
+echo "==== AddressSanitizer+UBSan pass (ingestion + store + identity + svc + load + explore + formatters)"
 cmake -B build-asan -G Ninja -DRAT_SANITIZE=address,undefined
 cmake --build build-asan --target test_io test_store test_batch test_svc \
   test_load test_explore test_util rat_batch rat_serve

@@ -36,9 +36,8 @@ CandidateEvaluation evaluate_candidate(std::size_t i,
   const std::string& name = cand.inputs.name;
 
   // --- Throughput test -------------------------------------------------
-  // The prediction was computed up front for the whole enumeration window
-  // by the SoA batch kernel — bit-identical to the predict() call that
-  // used to live here.
+  // The prediction was computed up front, one predict() per candidate of
+  // the enumeration window (WindowPredictions).
   if (!apply_throughput_gate(ev, i, name, req, pred)) return ev;
 
   // --- Precision test ---------------------------------------------------
@@ -167,7 +166,7 @@ CandidateEvaluation decode_evaluation_unindexed(std::string_view payload,
   return ev;
 }
 
-// --- Deferred-validation batch fill ------------------------------------------
+// --- Deferred-validation window fill ----------------------------------------
 
 namespace {
 
@@ -176,30 +175,19 @@ template <typename IndexOf>
 void fill_predictions(WindowPredictions& w,
                       const std::vector<DesignCandidate>& candidates,
                       std::size_t count, IndexOf index_of) {
-  w.batch.clear();
-  w.batch.reserve(count);
+  w.predictions.clear();
+  w.predictions.reserve(count);
   w.errors.assign(count, nullptr);
-  // Benign placeholder keeping the columns aligned for a deferred-error
-  // point; its (never read) outputs stay finite.
-  static const RatInputs kPlaceholder = [] {
-    RatInputs p;
-    p.name = "<invalid>";
-    p.dataset = DatasetParams{1, 1, 1.0};
-    p.comm = CommunicationParams{1.0, 1.0, 1.0};
-    p.comp = ComputationParams{1.0, 1.0, {1.0}};
-    p.software = SoftwareParams{1.0, 1};
-    return p;
-  }();
   for (std::size_t k = 0; k < count; ++k) {
     const DesignCandidate& cand = candidates[index_of(k)];
+    ThroughputPrediction p;
     try {
-      w.batch.push_back(cand.inputs, cand.decision_clock_hz);
+      p = predict(cand.inputs, cand.decision_clock_hz);
     } catch (...) {
       w.errors[k] = std::current_exception();
-      w.batch.push_back_unchecked(kPlaceholder, 1.0);
     }
+    w.predictions.push_back(p);
   }
-  predict_batch(w.batch);
 }
 
 }  // namespace

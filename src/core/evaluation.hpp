@@ -13,7 +13,6 @@
 #include <string_view>
 #include <vector>
 
-#include "core/batch.hpp"
 #include "core/methodology.hpp"
 
 namespace rat::core {
@@ -38,7 +37,7 @@ bool apply_throughput_gate(CandidateEvaluation& ev, std::size_t i,
 
 /// Run the full gate pipeline (throughput → precision → resource →
 /// optional power) for candidate @p i given its precomputed throughput
-/// prediction @p pred (batch predictions are bit-identical to predict()).
+/// prediction @p pred (a predict() result, e.g. from WindowPredictions).
 CandidateEvaluation evaluate_candidate(std::size_t i,
                                        const DesignCandidate& cand,
                                        const Requirements& req,
@@ -61,17 +60,19 @@ CandidateEvaluation decode_evaluation_unindexed(std::string_view payload,
                                                 std::size_t index,
                                                 const std::string& name);
 
-/// Throughput predictions for a list of candidates, evaluated in a single
-/// SoA batch: an enumeration-order window (run_methodology, the
-/// explorer's trace assembly) or an arbitrary index list (the explorer's
-/// box corners and leaves). A candidate whose worksheet fails validation
-/// does not abort the fill: its error is deferred and rethrown only if
-/// and when that candidate is actually evaluated, so the serial
-/// early-exit semantics (an accepted design before the bad candidate
-/// means the bad candidate is never touched) are preserved exactly.
-/// Entry k of batch/errors belongs to the k-th listed candidate.
+/// Throughput predictions for a list of candidates, one predict() call
+/// each: an enumeration-order window (run_methodology, the explorer's
+/// trace assembly) or an arbitrary index list (the explorer's box corners
+/// and leaves). A candidate whose worksheet fails validation does not
+/// abort the fill: its error is deferred and rethrown only if and when
+/// that candidate is actually evaluated, so the serial early-exit
+/// semantics (an accepted design before the bad candidate means the bad
+/// candidate is never touched) are preserved exactly. Entry k of
+/// predictions/errors belongs to the k-th listed candidate, and
+/// predictions[k] is meaningful only when errors[k] is null. A reused
+/// instance keeps its capacity, so a warm fill allocates nothing.
 struct WindowPredictions {
-  ThroughputBatch batch;
+  std::vector<ThroughputPrediction> predictions;
   std::vector<std::exception_ptr> errors;
 
   /// Candidates [start, start + count).
@@ -80,6 +81,21 @@ struct WindowPredictions {
   /// Candidates candidates[indices[0]], candidates[indices[1]], ...
   void fill(const std::vector<DesignCandidate>& candidates,
             const std::vector<std::size_t>& indices);
+
+  /// A bounds-checked read of predictions[k]. Kept for ratbench/driver.cpp,
+  /// which reads batch.prediction(k), until the next benchmark change
+  /// moves it onto `predictions`. It points into this object, so copies
+  /// are disabled.
+  struct {
+    const std::vector<ThroughputPrediction>* points;
+    const ThroughputPrediction& prediction(std::size_t k) const {
+      return points->at(k);
+    }
+  } batch{&predictions};
+
+  WindowPredictions() = default;
+  WindowPredictions(const WindowPredictions&) = delete;
+  WindowPredictions& operator=(const WindowPredictions&) = delete;
 };
 
 }  // namespace rat::core

@@ -129,8 +129,8 @@ MethodologyOutcome run_methodology(
   const std::size_t threads =
       std::min(util::resolve_thread_count(n_threads), candidates.size());
   // Serial or parallel, candidates are processed in enumeration-order
-  // windows whose throughput predictions are computed up front by one SoA
-  // batch sweep (validation deferred per candidate — see
+  // windows whose throughput predictions are computed up front, one
+  // predict() per candidate (validation deferred per candidate — see
   // WindowPredictions); the precision/resource/power gates then run per
   // candidate, in parallel when a pool is available. Wasted work past an
   // accepted design is bounded by one window, and absorbing in order
@@ -141,7 +141,7 @@ MethodologyOutcome run_methodology(
   auto evaluate = [&](std::size_t start, std::size_t k) {
     if (window_preds.errors[k]) std::rethrow_exception(window_preds.errors[k]);
     return evaluate_candidate(start + k, candidates[start + k], req, device,
-                              window_preds.batch.prediction(k));
+                              window_preds.predictions[k]);
   };
   const std::size_t window = threads <= 1 ? 256 : threads * 4;
   for (std::size_t start = 0; start < candidates.size(); start += window) {

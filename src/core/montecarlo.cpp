@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "core/batch.hpp"
 #include "obs/metrics.hpp"
 #include "util/parallel_for.hpp"
 #include "util/rng.hpp"
@@ -98,24 +97,18 @@ struct SampleSink {
   double* t_comp;
 };
 
-/// Draw one chunk's samples into an SoA batch (scalar — the RNG and the
-/// truncated-normal rejection loop are inherently sequential), then
-/// evaluate Eqs. 1-11 for the whole chunk in one predict_batch call.
-/// Sampling order per point is unchanged from the scalar implementation
+/// Draw one chunk's samples and evaluate each with predict_unchecked()
+/// (scalar — the RNG and the truncated-normal rejection loop are
+/// inherently sequential). Sampling order per point is fixed
 /// (alpha_write, alpha_read, ops, throughput_proc, tsoft, fclock), so the
-/// sample stream for a given seed is exactly what it was point-wise, and
-/// the batch kernel keeps the predictions bit-identical to per-point
-/// predict() calls.
+/// sample stream depends on the seed alone.
 std::size_t sample_chunk(const RatInputs& inputs,
                          const UncertaintyModel& model, std::size_t count,
                          double goal_speedup, std::uint64_t chunk_seed,
-                         ThroughputBatch& batch, RatInputs& scratch,
-                         const SampleSink& sink) {
+                         RatInputs& scratch, const SampleSink& sink) {
   util::Rng rng(chunk_seed);
-  batch.clear();
-  batch.reserve(count);
-
   const double base_clock = inputs.comp.fclock_hz.front();
+  std::size_t meets_goal = 0;
   for (std::size_t i = 0; i < count; ++i) {
     const double aw =
         std::min(1.0, sample(model.alpha_write, inputs.comm.alpha_write, rng));
@@ -134,28 +127,21 @@ std::size_t sample_chunk(const RatInputs& inputs,
     scratch.comp.ops_per_element = ops;
     scratch.comp.throughput_ops_per_cycle = tp;
     scratch.software.tsoft_sec = tsoft;
-    if (!(aw > 0.0 && ar > 0.0 && ops > 0.0 && tp > 0.0 && tsoft > 0.0 &&
-          fclock > 0.0)) {
-      // A mis-specified band produced a value outside the model domain
-      // (e.g. a normal whose [lo,hi] sits below zero). The scalar path
-      // validated every perturbed worksheet; reproduce its exact
-      // diagnostic by running the checked single-point call.
-      (void)predict(scratch, fclock);
-    }
-    batch.push_back_unchecked(scratch, fclock);
-  }
-
-  predict_batch(batch);
-
-  std::size_t meets_goal = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    sink.s_sb[i] = batch.out.speedup_sb[i];
-    sink.s_db[i] = batch.out.speedup_db[i];
-    sink.t_rc[i] = batch.out.t_rc_sb[i];
-    sink.t_comm[i] = batch.out.t_comm[i];
-    sink.t_comp[i] = batch.out.t_comp[i];
-    if (goal_speedup > 0.0 && batch.out.speedup_sb[i] >= goal_speedup)
-      ++meets_goal;
+    // Only the six sampled fields differ from the validated worksheet. A
+    // mis-specified band can push one outside the model domain (e.g. a
+    // normal whose [lo,hi] sits below zero); the checked call then raises
+    // predict()'s exact diagnostic.
+    const bool in_domain = aw > 0.0 && ar > 0.0 && ops > 0.0 && tp > 0.0 &&
+                           tsoft > 0.0 && fclock > 0.0;
+    const ThroughputPrediction p = in_domain
+                                       ? predict_unchecked(scratch, fclock)
+                                       : predict(scratch, fclock);
+    sink.s_sb[i] = p.speedup_sb;
+    sink.s_db[i] = p.speedup_db;
+    sink.t_rc[i] = p.t_rc_sb_sec;
+    sink.t_comm[i] = p.t_comm_sec;
+    sink.t_comp[i] = p.t_comp_sec;
+    if (goal_speedup > 0.0 && p.speedup_sb >= goal_speedup) ++meets_goal;
   }
   return meets_goal;
 }
@@ -204,17 +190,15 @@ MonteCarloResult run_monte_carlo(const RatInputs& inputs,
         obs::ScopedTimer chunk_timer("montecarlo.chunk");
         const std::size_t lo = c * kChunkSamples;
         const std::size_t count = std::min(kChunkSamples, n - lo);
-        // One SoA batch and one scratch worksheet per pool thread, reused
-        // across every chunk that lands on it: the arena-style buffers
-        // mean a steady-state chunk performs no per-point allocation at
-        // all (the old path copied a full RatInputs — name string, clock
-        // vector — per sample).
-        thread_local ThroughputBatch batch;
+        // One scratch worksheet per pool thread, reused across every
+        // chunk that lands on it, so a steady-state chunk performs no
+        // per-point allocation (copying a full RatInputs — name string,
+        // clock vector — per sample would).
         thread_local RatInputs scratch;
         scratch = inputs;
         chunk_goal[c] = sample_chunk(
             inputs, model, count, goal_speedup,
-            seed + static_cast<std::uint64_t>(c), batch, scratch,
+            seed + static_cast<std::uint64_t>(c), scratch,
             SampleSink{s_sb.data() + lo, s_db.data() + lo, t_rc.data() + lo,
                        t_comm.data() + lo, t_comp.data() + lo});
       },

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "core/batch.hpp"
 #include "util/format.hpp"
 
 namespace rat::core {
@@ -58,8 +57,6 @@ std::vector<QuantizedThroughputPoint> quantized_throughput_sweep(
     throw std::invalid_argument("quantized_throughput_sweep: fclock <= 0");
   std::vector<QuantizedThroughputPoint> out;
   out.reserve(sweep.size());
-  ThroughputBatch batch;
-  batch.reserve(sweep.size());
   RatInputs scratch = inputs;
   for (const fx::PrecisionChoice& c : sweep) {
     QuantizedThroughputPoint point;
@@ -67,14 +64,11 @@ std::vector<QuantizedThroughputPoint> quantized_throughput_sweep(
     point.bytes_per_element =
         format_bytes_per_element(c.format, channel_word_bytes);
     // Only bytes_per_element varies; the worksheet was validated above
-    // and the rounded width is positive, so the unchecked fill is safe.
+    // and the rounded width is positive, so the unchecked call is safe.
     scratch.dataset.bytes_per_element = point.bytes_per_element;
-    batch.push_back_unchecked(scratch, fclock_hz);
+    point.prediction = predict_unchecked(scratch, fclock_hz);
     out.push_back(std::move(point));
   }
-  predict_batch(batch);
-  for (std::size_t i = 0; i < out.size(); ++i)
-    out[i].prediction = batch.prediction(i);
   return out;
 }
 

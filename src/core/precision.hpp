@@ -70,13 +70,12 @@ struct QuantizedThroughputPoint {
 
 /// Re-run the throughput test across every format of a precision sweep:
 /// for each entry the worksheet's dataset.bytes_per_element is replaced
-/// by the format's channel-rounded width and Eqs. 1-11 are evaluated —
-/// all formats in a single core::ThroughputBatch SoA pass, so the paper's
-/// precision-vs-throughput trade-off curve costs one batched sweep
-/// instead of a per-format predict() loop. Each prediction is
-/// bit-identical to predict() on the per-format worksheet (pinned by
-/// tests/core/batch_identity_test.cpp). @p inputs is validated once;
-/// sweep order is preserved.
+/// by the format's channel-rounded width and Eqs. 1-11 are evaluated with
+/// one predict_unchecked() call per format, so the paper's
+/// precision-vs-throughput trade-off curve costs no re-validation. Each
+/// prediction is bit-identical to predict() on the per-format worksheet
+/// (pinned by tests/core/batch_identity_test.cpp). @p inputs is validated
+/// once; sweep order is preserved.
 std::vector<QuantizedThroughputPoint> quantized_throughput_sweep(
     const RatInputs& inputs, double fclock_hz,
     const std::vector<fx::PrecisionChoice>& sweep,

@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "core/batch.hpp"
-#include "util/parallel_for.hpp"
-
 namespace rat::core {
 
 namespace {
@@ -85,40 +82,16 @@ double speedup_upper_bound(const RatInputs& inputs) {
 
 std::vector<ThroughputPrediction> sweep_parameter(
     const RatInputs& inputs, const ParamSetter& set,
-    const std::vector<double>& values, double fclock_hz,
-    std::size_t n_threads) {
+    const std::vector<double>& values, double fclock_hz) {
   if (!set) throw std::invalid_argument("sweep_parameter: null setter");
-  const std::size_t n = values.size();
-  std::vector<ThroughputPrediction> out(n);
-  if (n == 0) return out;
-
-  // Fixed chunk size (like Monte Carlo's) so the work decomposition — and
-  // with it any validation error a bad sweep value raises — never depends
-  // on the thread count. Each chunk mutates a reusable scratch worksheet
-  // per value, appends it into a per-thread SoA batch (push_back validates
-  // exactly like predict() did per point), evaluates the whole chunk in
-  // one kernel sweep and scatters into the chunk's slice of the output.
-  constexpr std::size_t kSweepChunk = 512;
-  const std::size_t n_chunks = (n + kSweepChunk - 1) / kSweepChunk;
-  util::parallel_for(
-      n_chunks,
-      [&](std::size_t c) {
-        thread_local ThroughputBatch batch;
-        thread_local RatInputs scratch;
-        const std::size_t lo = c * kSweepChunk;
-        const std::size_t count = std::min(kSweepChunk, n - lo);
-        batch.clear();
-        batch.reserve(count);
-        for (std::size_t k = 0; k < count; ++k) {
-          scratch = inputs;
-          set(scratch, values[lo + k]);
-          batch.push_back(scratch, fclock_hz);
-        }
-        predict_batch(batch);
-        for (std::size_t k = 0; k < count; ++k)
-          out[lo + k] = batch.prediction(k);
-      },
-      n_threads);
+  std::vector<ThroughputPrediction> out;
+  out.reserve(values.size());
+  RatInputs scratch;
+  for (double v : values) {
+    scratch = inputs;
+    set(scratch, v);
+    out.push_back(predict(scratch, fclock_hz));
+  }
   return out;
 }
 
@@ -156,29 +129,19 @@ std::vector<TornadoEntry> tornado(const RatInputs& inputs, double fclock_hz,
        inputs.dataset.bytes_per_element},
   };
 
-  // Two points per axis, all twelve evaluated in a single SoA batch — a
-  // tornado is far below the size where spreading it over the pool pays,
-  // and the batch kernel keeps the speedups bit-identical to per-point
-  // predict() calls. The fill order (param-major, low then high) decides
-  // which out-of-domain perturbation raises its validation diagnostic
-  // first.
-  ThroughputBatch batch;
-  batch.reserve(2 * params.size());
+  // Two points per axis, evaluated param-major, low then high: that order
+  // decides which out-of-domain perturbation raises its validation
+  // diagnostic first.
+  std::vector<TornadoEntry> out;
+  out.reserve(params.size());
   for (const auto& p : params) {
     RatInputs lo_in = inputs, hi_in = inputs;
     p.set(lo_in, p.base * (1.0 - fraction));
     p.set(hi_in, p.base * (1.0 + fraction));
-    batch.push_back(lo_in, fclock_hz);
-    batch.push_back(hi_in, fclock_hz);
-  }
-  predict_batch(batch);
-  std::vector<TornadoEntry> out;
-  out.reserve(params.size());
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    const double s_lo = batch.out.speedup_sb[2 * i];
-    const double s_hi = batch.out.speedup_sb[2 * i + 1];
+    const double s_lo = predict(lo_in, fclock_hz).speedup_sb;
+    const double s_hi = predict(hi_in, fclock_hz).speedup_sb;
     TornadoEntry e;
-    e.parameter = params[i].name;
+    e.parameter = p.name;
     e.speedup_low = std::min(s_lo, s_hi);
     e.speedup_high = std::max(s_lo, s_hi);
     out.push_back(std::move(e));

@@ -39,18 +39,14 @@ std::optional<double> solve_fclock(const RatInputs& inputs,
 /// serves both.
 double speedup_upper_bound(const RatInputs& inputs);
 
-/// One-parameter sweep: mutate the worksheet with @p set for each value,
-/// predict at @p fclock_hz, return one prediction per value. Sweep points
-/// are independent and evaluated axis-parallel (@p n_threads 0 = auto,
-/// 1 = serial); the result order always matches @p values, so parallel
-/// and serial runs are identical. @p set is called on a private copy of
-/// the worksheet per point and must be safe to call concurrently (every
-/// plain field-assignment setter is).
+/// One-parameter sweep: mutate a copy of the worksheet with @p set for
+/// each value and predict() at @p fclock_hz, in order, returning one
+/// prediction per value. The first value that leaves the model domain
+/// raises predict()'s diagnostic.
 using ParamSetter = std::function<void(RatInputs&, double)>;
 std::vector<ThroughputPrediction> sweep_parameter(
     const RatInputs& inputs, const ParamSetter& set,
-    const std::vector<double>& values, double fclock_hz,
-    std::size_t n_threads = 0);
+    const std::vector<double>& values, double fclock_hz);
 
 /// Tornado analysis: perturb each parameter by +/- @p fraction and record
 /// the resulting single-buffered speedup range.
@@ -62,7 +58,7 @@ struct TornadoEntry {
 };
 
 /// Entries sorted by descending swing (most influential parameter first).
-/// All twelve perturbed points are evaluated in one batch.
+/// Each of the twelve perturbed points is one predict() call.
 std::vector<TornadoEntry> tornado(const RatInputs& inputs, double fclock_hz,
                                   double fraction = 0.2);
 

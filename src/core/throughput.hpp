@@ -54,12 +54,11 @@ struct ThroughputPrediction {
 /// Evaluate the model at one clock frequency. @p inputs is validated.
 ThroughputPrediction predict(const RatInputs& inputs, double fclock_hz);
 
-/// Pre-validated fast path: identical arithmetic to predict() (they share
-/// the Eqs. 1-11 kernel in throughput_kernel.hpp, so results are
-/// bit-identical) but skips the worksheet validation and clock check. The
-/// caller guarantees inputs.validate() holds and fclock_hz > 0; batch,
-/// Monte-Carlo and sweep loops validate once per point set and then stay
-/// on this path.
+/// Pre-validated fast path and the one implementation of Eqs. 1-11:
+/// predict() is validate(), the clock check, then this call, so results
+/// are bit-identical. The caller guarantees inputs.validate() holds and
+/// fclock_hz > 0; Monte-Carlo chunks and the quantized sweep validate once
+/// per point set and then stay on this path.
 ThroughputPrediction predict_unchecked(const RatInputs& inputs,
                                        double fclock_hz) noexcept;
 

@@ -225,7 +225,7 @@ std::optional<PrunedExploration::Bound> PrunedExploration::corner_bound(
     for (std::size_t k = 0; k < fresh_ci.size(); ++k)
       corner_speedup_[fresh_lex[k]] =
           preds.errors[k] ? std::numeric_limits<double>::quiet_NaN()
-                          : gate_speedup(preds.batch.prediction(k));
+                          : gate_speedup(preds.predictions[k]);
   }
 
   Bound bound{std::numeric_limits<double>::infinity(),
@@ -267,7 +267,7 @@ void PrunedExploration::evaluate_point(std::size_t ci, std::size_t lex_index,
   // run must *throw* for it depends on where the winner lands, which only
   // the in-order trace assembly knows — leave it untouched here.
   if (preds.errors[k]) return;
-  const core::ThroughputPrediction pred = preds.batch.prediction(k);
+  const core::ThroughputPrediction& pred = preds.predictions[k];
   // The point's own prediction is an exact bound on itself: a throughput
   // rejection synthesized here is byte-identical to a full evaluation's
   // (same gate, same strings) at none of the deeper-gate cost.
@@ -382,7 +382,7 @@ PrunedExploration::Item PrunedExploration::assemble_one(
   // Fresh work (synthesized or full) surfaces the validation error
   // predict() would have thrown, at the same point of the run.
   if (window.errors[k]) std::rethrow_exception(window.errors[k]);
-  const core::ThroughputPrediction pred = window.batch.prediction(k);
+  const core::ThroughputPrediction& pred = window.predictions[k];
   if (bounded) {
     // Re-check the bound's claim against the point's own prediction: a
     // monotone factory can never fail this, a non-monotone one demotes

@@ -8,16 +8,17 @@
 // so the maximum speedup over an axis-aligned subregion of the grid is
 // attained at one of its corners. Best-first
 // branch-and-bound over such subregions proves whole boxes fail the
-// throughput gate from at most 2^3 corner predictions (batched through
-// core::ThroughputBatch), then splits only the boxes that straddle the
-// pass/fail frontier — the number of full gate-pipeline evaluations drops
-// from O(points before the winner) to O(frontier surface).
+// throughput gate from at most 2^3 corner predictions (one predict()
+// each, through core::WindowPredictions), then splits only the boxes that
+// straddle the pass/fail frontier — the number of full gate-pipeline
+// evaluations drops from O(points before the winner) to O(frontier
+// surface).
 //
 // Correctness does not depend on the bounds. With full_trace (default)
 // the result is unconditionally bit-identical to the exhaustive
 // explorer's — winner, trace, predictions, skipped labels — because every
 // bound-rejected point before the winner is still checked against its own
-// batch prediction when the trace is assembled; a bound violation (a
+// window prediction when the trace is assembled; a bound violation (a
 // non-monotone custom factory) demotes that point to a full evaluation on
 // the spot, and can only move the winner *earlier*, exactly where the
 // exhaustive scan would have found it. Bounds therefore only ever save

@@ -1,8 +1,8 @@
 // Allocation pins for the per-point hot path: a passing
-// RatInputs::validate(), predict() and a push_back into a warmed batch
-// perform zero heap allocations. validate() runs once per predict() call
-// and once per batch point, so a message string built on every check
-// would dominate the Eqs. 1-11 flops.
+// RatInputs::validate(), predict() and a warm WindowPredictions fill
+// perform zero heap allocations. validate() runs once per predict() call,
+// so a message string built on every check would dominate the Eqs. 1-11
+// flops.
 //
 // This binary replaces the global operator new with a counting one, so it
 // stays its own test target, and the sanitizer builds (which bring their
@@ -19,7 +19,7 @@
 #include <string>
 #include <vector>
 
-#include "core/batch.hpp"
+#include "core/evaluation.hpp"
 #include "core/parameters.hpp"
 #include "core/throughput.hpp"
 #include "core/units.hpp"
@@ -82,22 +82,21 @@ TEST(AllocFree, Predict) {
   }
 }
 
-TEST(AllocFree, PushBackIntoWarmBatch) {
-  const std::vector<RatInputs> sheets = case_studies();
+TEST(AllocFree, WarmWindowFill) {
   constexpr std::size_t kPoints = 96;
-  ThroughputBatch batch;
-  batch.reserve(kPoints);
-  const auto fill_and_predict = [&] {
-    batch.clear();
-    for (std::size_t i = 0; i < kPoints; ++i) {
-      const RatInputs& in = sheets[i % sheets.size()];
-      batch.push_back(in, in.comp.fclock_hz[i % in.comp.fclock_hz.size()]);
-    }
-    predict_batch(batch);
-  };
-  fill_and_predict();  // warm: sizes the output columns once
-  EXPECT_EQ(allocations_in(fill_and_predict), 0u);
-  ASSERT_EQ(batch.size(), kPoints);
+  std::vector<DesignCandidate> candidates;
+  for (std::size_t i = 0; i < kPoints; ++i) {
+    DesignCandidate c;
+    c.inputs = case_studies()[i % 3];
+    c.decision_clock_hz =
+        c.inputs.comp.fclock_hz[i % c.inputs.comp.fclock_hz.size()];
+    candidates.push_back(std::move(c));
+  }
+  WindowPredictions window;
+  window.fill(candidates, 0, kPoints);  // warm: sizes both vectors once
+  EXPECT_EQ(allocations_in([&] { window.fill(candidates, 0, kPoints); }), 0u);
+  ASSERT_EQ(window.predictions.size(), kPoints);
+  for (std::size_t i = 0; i < kPoints; ++i) EXPECT_FALSE(window.errors[i]);
 }
 
 TEST(AllocFree, RejectionMessagesKeepTheirBytes) {

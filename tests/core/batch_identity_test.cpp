@@ -1,10 +1,10 @@
-// Property suite pinning the SoA batch kernel's bit-identity contract
-// (docs/VECTORIZATION.md): for every worksheet, predict(),
-// predict_unchecked() and predict_batch() produce byte-identical
-// predictions — and every batch consumer (Monte Carlo, sweeps, tornado,
-// methodology windows) returns exactly what the per-point scalar
-// implementation returned, at any thread count, with identical
-// validation diagnostics.
+// Property suite pinning the per-point identity contract: for every
+// worksheet, predict(), predict_unchecked() and a WindowPredictions fill
+// produce byte-identical predictions — and every consumer that evaluates
+// many points (Monte Carlo, sweeps, tornado, the quantized sweep,
+// methodology windows) returns exactly what a plain loop of predict()
+// calls returns, at any thread count, with identical validation
+// diagnostics.
 //
 // Comparisons are memcmp over the raw double bit patterns, not
 // EXPECT_DOUBLE_EQ: the contract is identity, not closeness.
@@ -15,8 +15,8 @@
 #include <stdexcept>
 #include <vector>
 
-#include "core/batch.hpp"
 #include "core/designspace.hpp"
+#include "core/evaluation.hpp"
 #include "core/methodology.hpp"
 #include "core/montecarlo.hpp"
 #include "core/parameters.hpp"
@@ -87,57 +87,92 @@ double fuzz_clock(util::Rng& rng) { return rng.uniform(1e6, 5e8); }
 
 // ---- kernel-level identity -------------------------------------------------
 
+DesignCandidate candidate_of(const RatInputs& inputs, double fclock) {
+  DesignCandidate c;
+  c.inputs = inputs;
+  c.decision_clock_hz = fclock;
+  return c;
+}
+
 TEST(BatchIdentityKernel, CaseStudiesAndFuzzedMutants) {
   const auto worksheets = fuzzed_worksheets(200, 0xB17B17);
   util::Rng rng(42);
-  ThroughputBatch batch;
+  std::vector<DesignCandidate> candidates;
   std::vector<ThroughputPrediction> reference;
   for (const auto& in : worksheets) {
     const double fclock = fuzz_clock(rng);
     const ThroughputPrediction ref = predict(in, fclock);
     EXPECT_TRUE(same_bits(ref, predict_unchecked(in, fclock)));
     reference.push_back(ref);
-    batch.push_back(in, fclock);
+    candidates.push_back(candidate_of(in, fclock));
   }
-  predict_batch(batch);
-  for (std::size_t i = 0; i < worksheets.size(); ++i)
-    EXPECT_TRUE(same_bits(reference[i], batch.prediction(i)))
+  WindowPredictions window;
+  window.fill(candidates, 0, candidates.size());
+  ASSERT_EQ(window.predictions.size(), worksheets.size());
+  for (std::size_t i = 0; i < worksheets.size(); ++i) {
+    EXPECT_FALSE(window.errors[i]) << "point " << i;
+    EXPECT_TRUE(same_bits(reference[i], window.predictions[i]))
         << "point " << i;
+  }
 }
 
-TEST(BatchIdentityKernel, PushBackValidatesLikePredict) {
-  ThroughputBatch batch;
+TEST(BatchIdentityKernel, FillValidatesLikePredict) {
   RatInputs bad = pdf1d_inputs();
   bad.comm.alpha_write = 0.0;
-  EXPECT_THROW(batch.push_back(bad, core::mhz(100)), std::invalid_argument);
-  EXPECT_THROW(batch.push_back(pdf1d_inputs(), 0.0), std::invalid_argument);
-  EXPECT_TRUE(batch.empty());
-  // prediction() past the evaluated range is an error, not a stale read.
-  batch.push_back(pdf1d_inputs(), core::mhz(100));
-  EXPECT_THROW((void)batch.prediction(0), std::out_of_range);
-  predict_batch(batch);
-  EXPECT_NO_THROW((void)batch.prediction(0));
+  const std::vector<DesignCandidate> candidates = {
+      candidate_of(bad, core::mhz(100)), candidate_of(pdf1d_inputs(), 0.0),
+      candidate_of(pdf1d_inputs(), core::mhz(100))};
+  WindowPredictions window;
+  window.fill(candidates, 0, candidates.size());
+  // Each invalid candidate carries the exception predict() throws for it.
+  for (std::size_t k = 0; k < 2; ++k) {
+    ASSERT_TRUE(window.errors[k]) << k;
+    try {
+      std::rethrow_exception(window.errors[k]);
+    } catch (const std::invalid_argument& e) {
+      try {
+        (void)predict(candidates[k].inputs, candidates[k].decision_clock_hz);
+        ADD_FAILURE() << "predict() accepted candidate " << k;
+      } catch (const std::invalid_argument& ref) {
+        EXPECT_STREQ(e.what(), ref.what());
+      }
+    }
+  }
+  EXPECT_FALSE(window.errors[2]);
+  EXPECT_TRUE(same_bits(predict(pdf1d_inputs(), core::mhz(100)),
+                        window.predictions[2]));
+  // batch.prediction() past the filled range is an error, not a stale read.
+  EXPECT_TRUE(same_bits(window.predictions[2], window.batch.prediction(2)));
+  EXPECT_THROW((void)window.batch.prediction(3), std::out_of_range);
 }
 
 TEST(BatchIdentityKernel, ClearKeepsIdentityAcrossReuse) {
-  // Arena reuse (the thread_local consumer pattern) must not leak state
-  // between fills: a reused batch gives the same bits as a fresh one.
+  // A reused window (the explorer's and the methodology's pattern) must
+  // not leak state between fills: a refill gives the same bits as a
+  // fresh one, through both the range and the index-list fill.
   const auto worksheets = fuzzed_worksheets(37, 0xF00D);
   util::Rng rng(11);
-  std::vector<double> clocks;
-  for (std::size_t i = 0; i < worksheets.size(); ++i)
-    clocks.push_back(fuzz_clock(rng));
-  ThroughputBatch reused;
-  for (int pass = 0; pass < 3; ++pass) {
-    reused.clear();
-    const std::size_t n = worksheets.size() - static_cast<std::size_t>(pass);
-    for (std::size_t i = 0; i < n; ++i)
-      reused.push_back(worksheets[i], clocks[i]);
-    predict_batch(reused);
-    for (std::size_t i = 0; i < n; ++i)
-      EXPECT_TRUE(same_bits(predict(worksheets[i], clocks[i]),
-                            reused.prediction(i)))
-          << "pass=" << pass << " i=" << i;
+  std::vector<DesignCandidate> candidates;
+  for (const auto& in : worksheets)
+    candidates.push_back(candidate_of(in, fuzz_clock(rng)));
+  WindowPredictions reused;
+  for (std::size_t pass = 0; pass < 3; ++pass) {
+    // Shrinking fills; the middle one goes through the index-list
+    // overload, in reverse.
+    const std::size_t n = candidates.size() - pass;
+    std::vector<std::size_t> order(n);
+    for (std::size_t k = 0; k < n; ++k) order[k] = pass == 1 ? n - 1 - k : k;
+    if (pass == 1)
+      reused.fill(candidates, order);
+    else
+      reused.fill(candidates, 0, n);
+    ASSERT_EQ(reused.predictions.size(), n);
+    for (std::size_t k = 0; k < n; ++k) {
+      const DesignCandidate& c = candidates[order[k]];
+      EXPECT_TRUE(same_bits(predict(c.inputs, c.decision_clock_hz),
+                            reused.predictions[k]))
+          << "pass=" << pass << " k=" << k;
+    }
   }
 }
 
@@ -245,7 +280,6 @@ TEST(BatchIdentitySweep, MatchesPerPointPredict) {
   const ParamSetter set = [](RatInputs& w, double v) {
     w.comp.throughput_ops_per_cycle = v;
   };
-  // 1300 values: spans multiple 512-point sweep chunks plus a tail.
   std::vector<double> values;
   util::Rng rng(23);
   for (int i = 0; i < 1300; ++i) values.push_back(rng.uniform(0.5, 64.0));
@@ -256,13 +290,10 @@ TEST(BatchIdentitySweep, MatchesPerPointPredict) {
     set(w, v);
     reference.push_back(predict(w, fclock));
   }
-  for (std::size_t threads : {1u, 2u, 8u}) {
-    const auto out = sweep_parameter(in, set, values, fclock, threads);
-    ASSERT_EQ(out.size(), reference.size());
-    for (std::size_t i = 0; i < out.size(); ++i)
-      EXPECT_TRUE(same_bits(reference[i], out[i]))
-          << threads << " threads, i=" << i;
-  }
+  const auto out = sweep_parameter(in, set, values, fclock);
+  ASSERT_EQ(out.size(), reference.size());
+  for (std::size_t i = 0; i < out.size(); ++i)
+    EXPECT_TRUE(same_bits(reference[i], out[i])) << "i=" << i;
 }
 
 TEST(BatchIdentitySweep, OutOfDomainValueRaisesTheScalarDiagnostic) {
@@ -271,11 +302,8 @@ TEST(BatchIdentitySweep, OutOfDomainValueRaisesTheScalarDiagnostic) {
     w.comm.alpha_write = v;
   };
   const std::vector<double> values = {0.5, -1.0, 0.7};
-  for (std::size_t threads : {1u, 8u}) {
-    EXPECT_THROW(sweep_parameter(in, set, values, core::mhz(100), threads),
-                 std::invalid_argument)
-        << threads << " threads";
-  }
+  EXPECT_THROW(sweep_parameter(in, set, values, core::mhz(100)),
+               std::invalid_argument);
 }
 
 TEST(BatchIdentityTornado, MatchesPerPointPredict) {

@@ -7,7 +7,6 @@
 
 #include "core/designspace.hpp"
 #include "core/montecarlo.hpp"
-#include "core/sensitivity.hpp"
 #include "core/units.hpp"
 
 namespace rat::core {
@@ -126,24 +125,6 @@ TEST(ParallelDeterminism, MonteCarloRepeatableAcrossRunsAndSeedsDiffer) {
   EXPECT_EQ(a.probability_of_goal, b.probability_of_goal);
   const auto c = run_monte_carlo(in, model, 3000, 10.0, 8, 8);
   EXPECT_NE(a.speedup_sb_samples, c.speedup_sb_samples);
-}
-
-TEST(ParallelDeterminism, SweepParameterMatchesSerial) {
-  const RatInputs in = pdf1d_inputs();
-  std::vector<double> values;
-  for (int i = 1; i <= 200; ++i) values.push_back(static_cast<double>(i));
-  const auto set = [](RatInputs& r, double v) {
-    r.comp.throughput_ops_per_cycle = v;
-  };
-  const auto serial = sweep_parameter(in, set, values, mhz(100), 1);
-  for (std::size_t threads : kThreadCounts) {
-    const auto parallel = sweep_parameter(in, set, values, mhz(100), threads);
-    ASSERT_EQ(parallel.size(), serial.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-      EXPECT_EQ(serial[i].speedup_sb, parallel[i].speedup_sb);
-      EXPECT_EQ(serial[i].t_comp_sec, parallel[i].t_comp_sec);
-    }
-  }
 }
 
 }  // namespace

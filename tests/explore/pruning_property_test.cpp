@@ -133,7 +133,9 @@ TEST(ExploreProperty, FuzzedSpacesMatchExhaustiveBitForBit) {
               pruned.design.outcome.predictions.size());
     EXPECT_EQ(s.points_total, axes.size());
     EXPECT_EQ(s.points_skipped, exhaustive.points_skipped);
-    if (!non_monotone) EXPECT_EQ(s.bound_violations, 0u);
+    if (!non_monotone) {
+      EXPECT_EQ(s.bound_violations, 0u);
+    }
 
     // The Pareto front is a pure function of the outcome, so pruned and
     // exhaustive fronts agree; it must be strictly increasing in the

@@ -52,8 +52,9 @@ TEST(ObsHistogram, EveryValueLandsInsideItsBucket) {
     // Bucket width bounds the relative error of any reconstruction.
     const double lo = static_cast<double>(LogHistogram::bucket_lo(i));
     const double hi = static_cast<double>(LogHistogram::bucket_hi(i));
-    if (v >= 256)
+    if (v >= 256) {
       EXPECT_LE((hi - lo) / lo, LogHistogram::max_relative_error()) << v;
+    }
   }
 }
 
