@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full verification pass: configure, build, run every test and every
-# benchmark binary. Mirrors what CI would run. The main tree builds with
-# -Werror, so a new compiler warning fails the pass.
+# benchmark binary. Mirrors what CI would run. Every tree (main, TSan,
+# ASan+UBSan) builds with -Werror, so a new compiler warning fails the
+# pass.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -137,7 +138,7 @@ EOF
 # integration). rat_serve, rat_router and rat_loadgen are built here too
 # so the loopback + router soaks and the SLO smokes below run under TSan.
 echo "==== ThreadSanitizer pass (parallel + obs + service + store tests)"
-cmake -B build-tsan -G Ninja -DRAT_SANITIZE=thread
+cmake -B build-tsan -G Ninja -DRAT_SANITIZE=thread -DRAT_WERROR=ON
 cmake --build build-tsan --target test_parallel test_obs test_svc \
   test_store test_batch test_load test_explore rat_serve rat_router \
   rat_loadgen
@@ -173,7 +174,8 @@ ctest --test-dir build-tsan --output-on-failure \
 # covers SvcIdSplice, which feeds truncated and corrupted response lines
 # to the id splice in exact-size buffers.
 echo "==== AddressSanitizer+UBSan pass (ingestion + store + identity + svc + load + explore + formatters)"
-cmake -B build-asan -G Ninja -DRAT_SANITIZE=address,undefined
+cmake -B build-asan -G Ninja -DRAT_SANITIZE=address,undefined \
+  -DRAT_WERROR=ON
 cmake --build build-asan --target test_io test_store test_batch test_svc \
   test_load test_explore test_util rat_batch rat_serve
 ctest --test-dir build-asan --output-on-failure \
