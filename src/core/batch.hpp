@@ -1,7 +1,7 @@
-// Build facts the rat.bench.v1 records once reported for the batch
-// kernel. Every Eqs. 1-11 evaluation is now one predict() or
-// predict_unchecked() call, so these are constants. Kept for
-// ratbench/driver.cpp until the next benchmark change drops them.
+// How the Eqs. 1-11 evaluations run, as the rat.bench.v1 records report
+// it: one scalar predict() or predict_unchecked() call per point, so both
+// values are constants. Kept for ratbench/driver.cpp until the next
+// benchmark change drops them.
 #pragma once
 
 #include <cstddef>
