@@ -178,10 +178,10 @@ TEST(BatchIdentityKernel, ClearKeepsIdentityAcrossReuse) {
 
 // ---- Monte Carlo -----------------------------------------------------------
 
-/// The pre-batch Monte-Carlo algorithm, verbatim: per sample, draw the
-/// six perturbations in order from the chunk's stream, copy the
-/// worksheet, run the checked scalar predict(). This is the reference
-/// run_monte_carlo must reproduce bit-for-bit.
+/// A plain per-sample Monte-Carlo loop, kept as an independent reference:
+/// per sample, draw the six perturbations in order from the chunk's
+/// stream, copy the worksheet, run the checked scalar predict().
+/// run_monte_carlo must reproduce it bit-for-bit.
 struct ScalarMcReference {
   std::vector<double> s_sb, s_db, t_rc, t_comm, t_comp;
   std::size_t meets_goal = 0;
@@ -259,9 +259,9 @@ TEST(BatchIdentityMonteCarlo, MatchesScalarReferenceAtEveryThreadCount) {
 
 TEST(BatchIdentityMonteCarlo, BadBandRaisesTheScalarDiagnostic) {
   // A normal band sitting entirely below zero produces out-of-domain
-  // samples; the scalar path validated every perturbed worksheet, so the
-  // batch path must surface the identical std::invalid_argument instead
-  // of feeding the kernel unvalidated points.
+  // samples; the reference validates every perturbed worksheet, so
+  // run_monte_carlo must surface the identical std::invalid_argument
+  // instead of passing unvalidated points to predict_unchecked().
   const RatInputs in = pdf1d_inputs();
   auto model = UncertaintyModel::typical(in);
   model.ops_per_element = InputDistribution::normal(-5.0, 0.1, -10.0, -1.0);
@@ -313,7 +313,7 @@ TEST(BatchIdentityTornado, MatchesPerPointPredict) {
   const auto entries = tornado(in, fclock, fraction);
   ASSERT_EQ(entries.size(), 6u);
   // Each entry's range must be exactly the per-point predictions of the
-  // perturbed worksheets (the batch holds lo/hi pairs param-major).
+  // perturbed worksheets (tornado predicts lo/hi pairs param-major).
   for (const auto& e : entries) {
     SCOPED_TRACE(e.parameter);
     RatInputs lo_in = in, hi_in = in;
@@ -345,9 +345,9 @@ TEST(BatchIdentityTornado, MatchesPerPointPredict) {
 // ---- quantization sweep ----------------------------------------------------
 
 TEST(BatchIdentitySweep, QuantizedThroughputSweepMatchesScalarLoop) {
-  // The precision-test trade-off curve is one SoA batch; each row must be
-  // bit-identical to the per-format scalar loop (copy worksheet, patch
-  // bytes/element, predict()).
+  // The precision-test trade-off curve calls predict_unchecked() once per
+  // format; each row must be bit-identical to the checked scalar loop
+  // (copy worksheet, patch bytes/element, predict()).
   const RatInputs in = pdf1d_inputs();
   const double fclock = core::mhz(100);
   std::vector<fx::PrecisionChoice> sweep;
@@ -420,8 +420,9 @@ TEST(BatchIdentityMethodology, InvalidCandidateAfterAcceptedIsNeverRaised) {
 
   // The parallel path has always evaluated a whole window speculatively,
   // so an invalid candidate sharing the accepted design's window raised
-  // its validation error before the in-order merge — the batch rewire
-  // must preserve that semantics too, not silently swallow the error.
+  // its validation error before the in-order merge — the per-point
+  // window fill must preserve that semantics too, not silently swallow
+  // the error.
   EXPECT_THROW(run_methodology(candidates, lenient_requirements(),
                                rcsim::virtex4_lx100(), 4),
                std::invalid_argument);
