@@ -1,11 +1,14 @@
 #include "core/parameters.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
-#include <set>
+#include <cstdint>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
+#include <utility>
 
 #include "core/units.hpp"
 #include "io/diagnostics.hpp"
@@ -21,6 +24,16 @@ void require(bool ok, const char* what) {
   if (!ok) throw std::invalid_argument(std::string("RatInputs: ") + what);
 }
 
+/// Throws the ParseError for one worksheet failure. Diagnostic strings
+/// are built only here, on the way out: a successful parse copies no key
+/// or line.
+[[noreturn]] void fail(const std::string& origin, std::size_t line,
+                       std::size_t column, ParseErrorCode code,
+                       std::string_view key, std::string message) {
+  throw ParseError(
+      {origin, line, column, code, std::string(key), std::move(message)});
+}
+
 /// Strict, locale-independent number parsing for one worksheet value
 /// token. std::from_chars never consults the global locale (std::stod
 /// does, so "75.5" failed under comma-decimal locales) and reports
@@ -29,41 +42,62 @@ void require(bool ok, const char* what) {
 /// origin, position and offending key.
 double parse_double_token(std::string_view token, const std::string& origin,
                           std::size_t line, std::size_t column,
-                          const std::string& key, ParseErrorCode code) {
+                          std::string_view key, ParseErrorCode code) {
   std::string_view t = token;
   if (!t.empty() && t.front() == '+') t.remove_prefix(1);  // from_chars: no '+'
   if (t.empty())
-    throw ParseError({origin, line, column, code, key,
-                      "empty value, expected a number"});
+    fail(origin, line, column, code, key, "empty value, expected a number");
   double x = 0.0;
   const auto r = std::from_chars(t.data(), t.data() + t.size(), x);
   if (r.ec == std::errc::invalid_argument)
-    throw ParseError({origin, line, column, code, key,
-                      "not a number: '" + std::string(token) + "'"});
+    fail(origin, line, column, code, key,
+         "not a number: '" + std::string(token) + "'");
   if (r.ec == std::errc::result_out_of_range)
-    throw ParseError({origin, line, column, code, key,
-                      "number out of range: '" + std::string(token) + "'"});
+    fail(origin, line, column, code, key,
+         "number out of range: '" + std::string(token) + "'");
   if (r.ptr != t.data() + t.size())
-    throw ParseError({origin, line, column, code, key,
-                      "trailing characters after number: '" +
-                          std::string(token) + "'"});
+    fail(origin, line, column, code, key,
+         "trailing characters after number: '" + std::string(token) + "'");
   if (!std::isfinite(x))
-    throw ParseError({origin, line, column, code, key,
-                      "non-finite value: '" + std::string(token) + "'"});
+    fail(origin, line, column, code, key,
+         "non-finite value: '" + std::string(token) + "'");
   return x;
 }
 
 std::size_t parse_count_token(std::string_view token,
                               const std::string& origin, std::size_t line,
-                              std::size_t column, const std::string& key) {
+                              std::size_t column, std::string_view key) {
   const double x = parse_double_token(token, origin, line, column, key,
                                       ParseErrorCode::kBadCount);
   // 2^53: largest range where every integer is exact in a double.
   if (x < 0.0 || x != std::floor(x) || x > 9007199254740992.0)
-    throw ParseError({origin, line, column, ParseErrorCode::kBadCount, key,
-                      "expected a non-negative integer, got '" +
-                          std::string(token) + "'"});
+    fail(origin, line, column, ParseErrorCode::kBadCount, key,
+         "expected a non-negative integer, got '" + std::string(token) +
+             "'");
   return static_cast<std::size_t>(x);
+}
+
+/// The worksheet keys, in serialize() order. parse() marks a key seen by
+/// setting the bit of its index.
+enum Key : unsigned {
+  kName, kElementsIn, kElementsOut, kBytesPerElement, kIdealBandwidth,
+  kAlphaWrite, kAlphaRead, kOpsPerElement, kThroughputProc, kFclock,
+  kTsoft, kIterations, kKeyCount
+};
+
+constexpr std::string_view kKeyNames[kKeyCount] = {
+    "name", "elements_in", "elements_out", "bytes_per_element",
+    "ideal_bw_bytes_per_sec", "alpha_write", "alpha_read",
+    "ops_per_element", "throughput_ops_per_cycle", "fclock_hz",
+    "tsoft_sec", "n_iterations"};
+
+/// The blanks the grammar skips around keys, values and clock tokens.
+constexpr std::string_view kBlanks = " \t";
+
+std::string_view trim(std::string_view s) {
+  const auto b = s.find_first_not_of(kBlanks);
+  if (b == std::string_view::npos) return {};
+  return s.substr(b, s.find_last_not_of(kBlanks) - b + 1);
 }
 
 }  // namespace
@@ -148,41 +182,44 @@ RatInputs RatInputs::parse(const std::string& text) {
 
 RatInputs RatInputs::parse(const std::string& text,
                            const std::string& origin) {
+  constexpr auto npos = std::string_view::npos;
   RatInputs in;
-  std::istringstream is(text);
-  std::string line;
+  std::uint32_t seen = 0;  // bit k set: kKeyNames[k] appeared
   std::size_t line_no = 0;
-  std::set<std::string> seen;
-  bool saw_name = false;
-  while (std::getline(is, line)) {
+  const std::string_view all = text;
+  for (std::size_t next = 0; next < all.size();) {
+    std::size_t end = all.find('\n', next);
+    if (end == npos) end = all.size();
+    std::string_view line = all.substr(next, end - next);
+    next = end + 1;
     ++line_no;
-    if (!line.empty() && line.back() == '\r') line.pop_back();  // CRLF files
-    const auto first = line.find_first_not_of(" \t");
-    if (first == std::string::npos || line[first] == '#') continue;
+    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);  // CRLF
+    const auto first = line.find_first_not_of(kBlanks);
+    if (first == npos || line[first] == '#') continue;
     const auto eq = line.find('=');
-    if (eq == std::string::npos)
-      throw ParseError({origin, line_no, first + 1,
-                        ParseErrorCode::kMissingEquals, "",
-                        "missing '=' in: " + line});
-    auto trim = [](std::string s) {
-      const auto b = s.find_first_not_of(" \t");
-      const auto e = s.find_last_not_of(" \t");
-      return b == std::string::npos ? std::string() : s.substr(b, e - b + 1);
-    };
-    const std::string key = trim(line.substr(0, eq));
-    const std::string value = trim(line.substr(eq + 1));
+    if (eq == npos)
+      fail(origin, line_no, first + 1, ParseErrorCode::kMissingEquals, "",
+           "missing '=' in: " + std::string(line));
+    const std::string_view key = trim(line.substr(0, eq));
+    const std::string_view value = trim(line.substr(eq + 1));
     const std::size_t key_col = first + 1;
     // Where the value starts in the raw line (1-based), for diagnostics.
-    std::size_t value_begin = line.find_first_not_of(" \t", eq + 1);
-    if (value_begin == std::string::npos) value_begin = line.size();
+    std::size_t value_begin = line.find_first_not_of(kBlanks, eq + 1);
+    if (value_begin == npos) value_begin = line.size();
     const std::size_t value_col = value_begin + 1;
     if (key.empty())
-      throw ParseError({origin, line_no, key_col, ParseErrorCode::kUnknownKey,
-                        "", "empty key before '='"});
-    if (!seen.insert(key).second)
-      throw ParseError({origin, line_no, key_col,
-                        ParseErrorCode::kDuplicateKey, key,
-                        "duplicate key (appears more than once)"});
+      fail(origin, line_no, key_col, ParseErrorCode::kUnknownKey, "",
+           "empty key before '='");
+    const auto k = static_cast<std::size_t>(
+        std::find(std::begin(kKeyNames), std::end(kKeyNames), key) -
+        std::begin(kKeyNames));
+    if (k == kKeyCount)
+      fail(origin, line_no, key_col, ParseErrorCode::kUnknownKey, key,
+           "unknown key");
+    if (seen & (1u << k))
+      fail(origin, line_no, key_col, ParseErrorCode::kDuplicateKey, key,
+           "duplicate key (appears more than once)");
+    seen |= 1u << k;
     auto as_double = [&] {
       return parse_double_token(value, origin, line_no, value_col, key,
                                 ParseErrorCode::kBadNumber);
@@ -190,56 +227,45 @@ RatInputs RatInputs::parse(const std::string& text,
     auto as_size = [&] {
       return parse_count_token(value, origin, line_no, value_col, key);
     };
-    if (key == "name") {
-      in.name = value;
-      saw_name = true;
-    } else if (key == "elements_in") {
-      in.dataset.elements_in = as_size();
-    } else if (key == "elements_out") {
-      in.dataset.elements_out = as_size();
-    } else if (key == "bytes_per_element") {
-      in.dataset.bytes_per_element = as_double();
-    } else if (key == "ideal_bw_bytes_per_sec") {
-      in.comm.ideal_bw_bytes_per_sec = as_double();
-    } else if (key == "alpha_write") {
-      in.comm.alpha_write = as_double();
-    } else if (key == "alpha_read") {
-      in.comm.alpha_read = as_double();
-    } else if (key == "ops_per_element") {
-      in.comp.ops_per_element = as_double();
-    } else if (key == "throughput_ops_per_cycle") {
-      in.comp.throughput_ops_per_cycle = as_double();
-    } else if (key == "fclock_hz") {
-      // Token-wise over the raw line so a malformed entry is rejected
-      // here, at its exact column, instead of being silently dropped
-      // (`75e6 oops` used to parse as one clock) or surfacing later as a
-      // confusing empty-list validate() message.
-      std::size_t pos = value_begin;
-      while (pos < line.size()) {
-        const std::size_t tb = line.find_first_not_of(" \t", pos);
-        if (tb == std::string::npos) break;
-        std::size_t te = line.find_first_of(" \t", tb);
-        if (te == std::string::npos) te = line.size();
-        in.comp.fclock_hz.push_back(
-            parse_double_token(line.substr(tb, te - tb), origin, line_no,
-                               tb + 1, key, ParseErrorCode::kBadList));
-        pos = te;
-      }
-      if (in.comp.fclock_hz.empty())
-        throw ParseError({origin, line_no, value_col,
-                          ParseErrorCode::kBadList, key, "empty clock list"});
-    } else if (key == "tsoft_sec") {
-      in.software.tsoft_sec = as_double();
-    } else if (key == "n_iterations") {
-      in.software.n_iterations = as_size();
-    } else {
-      throw ParseError({origin, line_no, key_col, ParseErrorCode::kUnknownKey,
-                        key, "unknown key"});
+    switch (static_cast<Key>(k)) {
+      case kName: in.name = value; break;
+      case kElementsIn: in.dataset.elements_in = as_size(); break;
+      case kElementsOut: in.dataset.elements_out = as_size(); break;
+      case kBytesPerElement: in.dataset.bytes_per_element = as_double(); break;
+      case kIdealBandwidth: in.comm.ideal_bw_bytes_per_sec = as_double(); break;
+      case kAlphaWrite: in.comm.alpha_write = as_double(); break;
+      case kAlphaRead: in.comm.alpha_read = as_double(); break;
+      case kOpsPerElement: in.comp.ops_per_element = as_double(); break;
+      case kThroughputProc:
+        in.comp.throughput_ops_per_cycle = as_double();
+        break;
+      case kFclock:
+        // Token-wise over the raw line so a malformed entry is rejected
+        // here, at its exact column, instead of being silently dropped
+        // (`75e6 oops` used to parse as one clock) or surfacing later as
+        // a confusing empty-list validate() message.
+        for (std::size_t pos = value_begin; pos < line.size();) {
+          const std::size_t tb = line.find_first_not_of(kBlanks, pos);
+          if (tb == npos) break;
+          std::size_t te = line.find_first_of(kBlanks, tb);
+          if (te == npos) te = line.size();
+          in.comp.fclock_hz.push_back(
+              parse_double_token(line.substr(tb, te - tb), origin, line_no,
+                                 tb + 1, key, ParseErrorCode::kBadList));
+          pos = te;
+        }
+        if (in.comp.fclock_hz.empty())
+          fail(origin, line_no, value_col, ParseErrorCode::kBadList, key,
+               "empty clock list");
+        break;
+      case kTsoft: in.software.tsoft_sec = as_double(); break;
+      case kIterations: in.software.n_iterations = as_size(); break;
+      case kKeyCount: break;  // unreachable: rejected as unknown above
     }
   }
-  if (!saw_name)
-    throw ParseError({origin, 0, 0, ParseErrorCode::kMissingName, "name",
-                      "missing 'name' key"});
+  if (!(seen & (1u << kName)))
+    fail(origin, 0, 0, ParseErrorCode::kMissingName, "name",
+         "missing 'name' key");
   return in;
 }
 

@@ -70,6 +70,9 @@ struct RatInputs {
   /// core::ParseError (io/diagnostics.hpp, derives std::invalid_argument)
   /// carrying origin:line:column, the offending key and an error code.
   /// @p origin labels diagnostics (a file path; "<string>" by default).
+  /// It walks the text in place: a successful parse allocates only the
+  /// name and the clock list, and diagnostic strings are built only when
+  /// one is thrown.
   std::string serialize() const;
   static RatInputs parse(const std::string& text);
   static RatInputs parse(const std::string& text, const std::string& origin);

@@ -2,7 +2,8 @@
 // RatInputs::validate(), predict() and a warm WindowPredictions fill
 // perform zero heap allocations. validate() runs once per predict() call,
 // so a message string built on every check would dominate the Eqs. 1-11
-// flops.
+// flops. Parsing a worksheet, which every service request does, allocates
+// only the result's name and clock list.
 //
 // This binary replaces the global operator new with a counting one, so it
 // stays its own test target, and the sanitizer builds (which bring their
@@ -13,7 +14,10 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <functional>
+#include <iterator>
 #include <new>
 #include <stdexcept>
 #include <string>
@@ -97,6 +101,26 @@ TEST(AllocFree, WarmWindowFill) {
   EXPECT_EQ(allocations_in([&] { window.fill(candidates, 0, kPoints); }), 0u);
   ASSERT_EQ(window.predictions.size(), kPoints);
   for (std::size_t i = 0; i < kPoints; ++i) EXPECT_FALSE(window.errors[i]);
+}
+
+TEST(AllocFree, ParseCaseStudyWorksheets) {
+  // Each fixture names its design in more than 15 characters (one
+  // allocation past the small-string buffer) and lists three clocks (the
+  // vector grows to 1, 2 and 4 slots): 4 allocations, none for the lines,
+  // keys or diagnostics.
+  for (const char* stem : {"md", "pdf1d", "pdf2d"}) {
+    const std::filesystem::path path =
+        std::filesystem::path(RAT_SOURCE_DIR) / "tests" / "fixtures" /
+        "worksheets" / (std::string(stem) + ".rat");
+    std::ifstream f(path, std::ios::binary);
+    ASSERT_TRUE(f) << stem;
+    const std::string text{std::istreambuf_iterator<char>(f),
+                           std::istreambuf_iterator<char>()};
+    RatInputs in;
+    EXPECT_LE(allocations_in([&] { in = RatInputs::parse(text); }), 4u)
+        << stem;
+    EXPECT_EQ(in.comp.fclock_hz.size(), 3u) << stem;
+  }
 }
 
 TEST(AllocFree, RejectionMessagesKeepTheirBytes) {
