@@ -4,13 +4,16 @@ namespace rat::svc {
 
 namespace {
 
-/// Approximate resident footprint of one entry: key bytes plus the
-/// prediction vector's payload (bookkeeping overhead excluded — the
-/// gauge tracks growth, it is not an allocator audit).
+/// Approximate resident footprint of one entry: key bytes, the
+/// prediction vector's payload and the attached tail (bookkeeping
+/// overhead excluded — the gauge tracks growth, it is not an allocator
+/// audit).
 std::uint64_t entry_bytes(const std::string& key,
-                          const ResultCache::Value& value) {
+                          const ResultCache::Entry& entry) {
   std::uint64_t n = key.size();
-  if (value) n += value->size() * sizeof(core::ThroughputPrediction);
+  if (entry.value)
+    n += entry.value->size() * sizeof(core::ThroughputPrediction);
+  if (entry.tail) n += entry.tail->size();
   return n;
 }
 
@@ -27,36 +30,54 @@ ResultCache::ResultCache(std::size_t capacity, std::size_t n_shards)
     shards_.push_back(std::make_unique<Shard>());
 }
 
-ResultCache::Value ResultCache::find(const std::string& key,
+ResultCache::Entry ResultCache::find(const std::string& key,
                                      std::uint64_t fp) {
   Shard& s = shard_for(fp);
   std::lock_guard lock(s.mu);
   auto it = s.index.find(key);
-  if (it == s.index.end()) return nullptr;
+  if (it == s.index.end()) return {};
   // Refresh: move to the front of the shard's LRU list.
   s.lru.splice(s.lru.begin(), s.lru, it->second);
   return it->second->second;
 }
 
-ResultCache::Value ResultCache::get(const std::string& key,
-                                    std::uint64_t fp) {
-  Value found = find(key, fp);
+ResultCache::Entry ResultCache::lookup(const std::string& key,
+                                       std::uint64_t fp) {
+  Entry found = find(key, fp);
   (found ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
   return found;
 }
 
-ResultCache::Value ResultCache::probe(const std::string& key,
+ResultCache::Entry ResultCache::probe(const std::string& key,
                                       std::uint64_t fp) {
-  Value found = find(key, fp);
+  Entry found = find(key, fp);
   if (found) hits_.fetch_add(1, std::memory_order_relaxed);
   return found;
+}
+
+bool ResultCache::attach_tail(const std::string& key, std::uint64_t fp,
+                              const Value& value, Tail tail) {
+  if (!tail) return false;
+  const std::uint64_t n = tail->size();
+  {
+    Shard& s = shard_for(fp);
+    std::lock_guard lock(s.mu);
+    auto it = s.index.find(key);
+    if (it == s.index.end()) return false;
+    Entry& entry = it->second->second;
+    if (entry.value != value || entry.tail) return false;
+    entry.tail = std::move(tail);
+  }
+  bytes_.fetch_add(n, std::memory_order_relaxed);
+  return true;
 }
 
 ResultCache::PutOutcome ResultCache::put(const std::string& key,
                                          std::uint64_t fp, Value value) {
   if (per_shard_capacity_ == 0) return PutOutcome::kDropped;
   Shard& s = shard_for(fp);
-  const std::uint64_t new_bytes = entry_bytes(key, value);
+  Entry entry{std::move(value), nullptr};
+  const std::uint64_t new_bytes = entry_bytes(key, entry);
   std::int64_t bytes_delta = 0;
   PutOutcome outcome;
   {
@@ -65,10 +86,11 @@ ResultCache::PutOutcome ResultCache::put(const std::string& key,
     if (it != s.index.end()) {
       // Concurrent miss on the same key: both computed, results are
       // deterministic, so refreshing the existing entry is equivalent.
+      // The refresh drops the old value's tail.
       bytes_delta =
           static_cast<std::int64_t>(new_bytes) -
           static_cast<std::int64_t>(entry_bytes(key, it->second->second));
-      it->second->second = std::move(value);
+      it->second->second = std::move(entry);
       s.lru.splice(s.lru.begin(), s.lru, it->second);
       outcome = PutOutcome::kRefreshed;
     } else {
@@ -82,7 +104,7 @@ ResultCache::PutOutcome ResultCache::put(const std::string& key,
       } else {
         outcome = PutOutcome::kInserted;
       }
-      s.lru.emplace_front(key, std::move(value));
+      s.lru.emplace_front(key, std::move(entry));
       s.index.emplace(key, s.lru.begin());
     }
   }

@@ -14,6 +14,14 @@
 // so every key a worker sees shares those low bits, and sharding on them
 // too would leave most of each worker's shards empty.
 //
+// An entry holds its key's predictions and, once the entry has been hit,
+// its rendered tail: the evaluate response after the id
+// (svc/protocol.hpp evaluate_tail), which depends on the key alone. The
+// service renders a tail on an entry's first hit and attaches it, so
+// later hits copy bytes instead of rendering them. An entry that is
+// never hit never holds one: a cold workload pays no memory for tails.
+// Eviction, a refreshing put and clear() drop the tail with the entry.
+//
 // Capacity is per-cache and split evenly across shards (each shard holds
 // at most ceil(capacity / n_shards) entries), so the worst-case resident
 // entry count never exceeds capacity + n_shards - 1. A capacity of 0
@@ -44,6 +52,16 @@ namespace rat::svc {
 class ResultCache {
  public:
   using Value = std::shared_ptr<const std::vector<core::ThroughputPrediction>>;
+  /// A rendered evaluate-response tail (see file comment).
+  using Tail = std::shared_ptr<const std::string>;
+
+  /// What a lookup finds: the predictions, and the rendered tail once a
+  /// hit has attached one. False on a miss.
+  struct Entry {
+    Value value;
+    Tail tail;
+    explicit operator bool() const { return value != nullptr; }
+  };
 
   /// What put() actually did. The persistence layer keys off this: only
   /// genuine inserts reach the durable journal — a kRefreshed (key
@@ -61,7 +79,8 @@ class ResultCache {
     std::uint64_t misses = 0;
     std::uint64_t evictions = 0;
     std::uint64_t size = 0;   ///< resident entries right now
-    std::uint64_t bytes = 0;  ///< approx resident bytes (keys + predictions)
+    std::uint64_t bytes = 0;  ///< approx resident bytes: keys, predictions
+                              ///< and attached tails
   };
 
   /// @p capacity entries total across @p n_shards shards (clamped to at
@@ -73,12 +92,23 @@ class ResultCache {
 
   /// Look up @p key (its fingerprint @p fp picks the shard). A hit
   /// refreshes the entry's LRU position. Null on miss.
-  Value get(const std::string& key, std::uint64_t fp);
+  Value get(const std::string& key, std::uint64_t fp) {
+    return lookup(key, fp).value;
+  }
 
-  /// get() that counts only a hit. The service's event-loop lookup
-  /// probes first; its miss is counted by the get() the pool task
+  /// get() that also returns the entry's tail.
+  Entry lookup(const std::string& key, std::uint64_t fp);
+
+  /// lookup() that counts only a hit. The service's event-loop lookup
+  /// probes first; its miss is counted by the lookup the pool task
   /// repeats before computing, so every request counts one lookup.
-  Value probe(const std::string& key, std::uint64_t fp);
+  Entry probe(const std::string& key, std::uint64_t fp);
+
+  /// Attach @p tail, rendered from @p value, to @p key's entry. Does
+  /// nothing and returns false when the entry is gone, holds another
+  /// value (a refreshing put replaced it) or already has a tail.
+  bool attach_tail(const std::string& key, std::uint64_t fp,
+                   const Value& value, Tail tail);
 
   /// Insert or refresh @p key -> @p value, evicting the shard's least
   /// recently used entry if the shard is full. The outcome reports which
@@ -88,24 +118,23 @@ class ResultCache {
   std::size_t capacity() const { return capacity_; }
   Stats stats() const;
 
-  /// Drop every entry (tests; does not reset hit/miss counters).
+  /// Drop every entry and its tail (tests; does not reset hit/miss
+  /// counters).
   void clear();
 
  private:
+  using Lru = std::list<std::pair<std::string, Entry>>;
   struct Shard {
     std::mutex mu;
-    /// Front = most recently used.
-    std::list<std::pair<std::string, Value>> lru;
-    std::unordered_map<std::string,
-                       std::list<std::pair<std::string, Value>>::iterator>
-        index;
+    Lru lru;  ///< front = most recently used
+    std::unordered_map<std::string, Lru::iterator> index;
   };
 
   Shard& shard_for(std::uint64_t fp) {
     return *shards_[(fp >> 32) % shards_.size()];
   }
-  /// The lookup get() and probe() share; counts nothing.
-  Value find(const std::string& key, std::uint64_t fp);
+  /// The lookup lookup() and probe() share; counts nothing.
+  Entry find(const std::string& key, std::uint64_t fp);
 
   std::size_t capacity_ = 0;
   std::size_t per_shard_capacity_ = 0;

@@ -45,13 +45,40 @@ void append_id(std::string& out, std::string_view id) {
     io::append_json_str(out, id);
 }
 
+/// ,"status":"<status>"
+void append_status(std::string& out, const char* status) {
+  out += kStatusKey;
+  out += status;
+  out += '"';
+}
+
 /// {"schema":...,"id":...,"status":"<status>"
 void append_head(std::string& out, std::string_view id, const char* status) {
   out += kHeadBeforeId;
   append_id(out, id);
-  out += kStatusKey;
-  out += status;
-  out += '"';
+  append_status(out, status);
+}
+
+/// evaluate_tail's bytes, appended to @p out.
+void append_evaluate_tail(
+    std::string& out, std::uint64_t fp, const core::RatInputs& inputs,
+    const std::vector<core::ThroughputPrediction>& predictions) {
+  append_status(out, "ok");
+  out += ",\"op\":\"evaluate\",\"fingerprint\":\"";
+  out += fingerprint_hex(fp);
+  out += "\",\"inputs\":";
+  io::append_inputs_json(out, inputs);
+  out += ",\"predictions\":[";
+  for (std::size_t i = 0; i < predictions.size(); ++i) {
+    if (i) out += ',';
+    io::append_prediction_json(out, predictions[i]);
+  }
+  out += "]}";
+}
+
+/// Bytes reserved for an evaluate response or its tail.
+std::size_t evaluate_bytes(std::size_t n_predictions) {
+  return kEvaluateHeadBytes + n_predictions * kPredictionJsonBytes;
 }
 
 /// "<key>":<n>
@@ -155,18 +182,29 @@ std::string evaluate_response(
     const std::string& id, std::uint64_t fp, const core::RatInputs& inputs,
     const std::vector<core::ThroughputPrediction>& predictions) {
   std::string out;
-  out.reserve(kEvaluateHeadBytes + predictions.size() * kPredictionJsonBytes);
-  append_head(out, id, "ok");
-  out += ",\"op\":\"evaluate\",\"fingerprint\":\"";
-  out += fingerprint_hex(fp);
-  out += "\",\"inputs\":";
-  io::append_inputs_json(out, inputs);
-  out += ",\"predictions\":[";
-  for (std::size_t i = 0; i < predictions.size(); ++i) {
-    if (i) out += ',';
-    io::append_prediction_json(out, predictions[i]);
-  }
-  out += "]}";
+  out.reserve(evaluate_bytes(predictions.size()));
+  out += kHeadBeforeId;
+  append_id(out, id);
+  append_evaluate_tail(out, fp, inputs, predictions);
+  return out;
+}
+
+std::string evaluate_tail(
+    std::uint64_t fp, const core::RatInputs& inputs,
+    const std::vector<core::ThroughputPrediction>& predictions) {
+  std::string out;
+  out.reserve(evaluate_bytes(predictions.size()));
+  append_evaluate_tail(out, fp, inputs, predictions);
+  return out;
+}
+
+std::string evaluate_response(const std::string& id, std::string_view tail) {
+  std::string out;
+  // An id that needs escaping grows the string once; plain ids do not.
+  out.reserve(kHeadBeforeId.size() + id.size() + 2 + tail.size());
+  out += kHeadBeforeId;
+  append_id(out, id);
+  out += tail;
   return out;
 }
 

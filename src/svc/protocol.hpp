@@ -6,9 +6,12 @@
 // be pipelined and answered out of order. The evaluate payload ("inputs"
 // + "predictions") is rendered by the same io/batch.hpp fragment
 // writers as rat_batch's JSON, so a service response and a batch run
-// over the same worksheet agree byte for byte — and so do the cache-hit
-// and cache-miss paths for one request, since the payload depends only
-// on the parsed inputs and the deterministic predictions.
+// over the same worksheet agree byte for byte. Everything an evaluate
+// response carries after its id (evaluate_tail) depends only on the
+// parsed inputs and the deterministic predictions, i.e. on the cache
+// key: the result cache keeps that tail, a hit writes the head with its
+// own id and copies it, and a miss renders the head, the id and the
+// tail through the same writer, so hit and miss agree by construction.
 //
 // This file is the one codec of rat.svc.v1: every response line starts
 // with the head its renderers write, and the router's id splice and the
@@ -97,10 +100,21 @@ Request parse_request(const std::string& line);
 // ---- Response rendering (one line, no trailing newline) ----
 
 /// {"schema":...,"id":...,"status":"ok","op":"evaluate","fingerprint":...,
-///  "inputs":{...},"predictions":[...]}
+///  "inputs":{...},"predictions":[...]}: the head with @p id, then
+/// evaluate_tail's bytes.
 std::string evaluate_response(
     const std::string& id, std::uint64_t fp, const core::RatInputs& inputs,
     const std::vector<core::ThroughputPrediction>& predictions);
+
+/// An evaluate response after its id: ,"status":"ok","op":"evaluate",
+/// "fingerprint":... to the closing brace.
+std::string evaluate_tail(
+    std::uint64_t fp, const core::RatInputs& inputs,
+    const std::vector<core::ThroughputPrediction>& predictions);
+
+/// The head with @p id, then @p tail (an evaluate_tail): a cache hit's
+/// response, the same bytes as the four-argument evaluate_response.
+std::string evaluate_response(const std::string& id, std::string_view tail);
 
 /// Service-level failure ({"status":"error","error":{"code":...}}).
 std::string error_response(const std::string& id, SvcErrorCode code,

@@ -135,12 +135,10 @@ bool Service::answer_on_caller(Job& job, const Responder& on_response) {
   try {
     if (parse(job, on_response)) {
       const Parsed& p = *job.parsed;
-      const ResultCache::Value hit =
-          job.req.no_cache ? nullptr : cache_.probe(p.key, p.fp);
+      const ResultCache::Entry hit =
+          job.req.no_cache ? ResultCache::Entry{} : cache_.probe(p.key, p.fp);
       if (hit)
-        respond(on_response,
-                evaluate_response(job.req.id, p.fp, p.inputs, *hit),
-                /*ok=*/true);
+        respond(on_response, hit_response(job.req.id, p, hit), /*ok=*/true);
       else
         answered = false;  // the miss goes to the pool, parsed
     }
@@ -156,6 +154,19 @@ bool Service::answer_on_caller(Job& job, const Responder& on_response) {
       job.lookup_ns = ns;
   }
   return answered;
+}
+
+std::string Service::hit_response(const std::string& id, const Parsed& p,
+                                  const ResultCache::Entry& hit) {
+  ResultCache::Tail tail = hit.tail;
+  if (!tail) {
+    // The entry's first hit renders the tail every later hit copies. A
+    // concurrent first hit renders the same bytes; one attach wins.
+    tail = std::make_shared<const std::string>(
+        evaluate_tail(p.fp, p.inputs, *hit.value));
+    cache_.attach_tail(p.key, p.fp, hit.value, tail);
+  }
+  return evaluate_response(id, *tail);
 }
 
 void Service::admit(Job job, Responder on_response) {
@@ -225,9 +236,11 @@ void Service::run_evaluation(Job job, std::uint64_t deadline_ns,
       const Parsed& p = *job.parsed;
       // Counted even after a caller-thread probe missed: a duplicate
       // queued behind an in-flight miss is answered from the cache.
-      ResultCache::Value cached;
-      if (!req.no_cache) cached = cache_.get(p.key, p.fp);
-      if (!cached) {
+      ResultCache::Entry hit;
+      if (!req.no_cache) hit = cache_.lookup(p.key, p.fp);
+      if (hit) {
+        respond(on_response, hit_response(req.id, p, hit), /*ok=*/true);
+      } else {
         auto computed =
             std::make_shared<const std::vector<core::ThroughputPrediction>>(
                 core::predict_all(p.inputs));
@@ -241,10 +254,10 @@ void Service::run_evaluation(Job job, std::uint64_t deadline_ns,
                outcome == ResultCache::PutOutcome::kInsertedEvicting))
             persist_->append(p.key, computed);
         }
-        cached = std::move(computed);
+        respond(on_response,
+                evaluate_response(req.id, p.fp, p.inputs, *computed),
+                /*ok=*/true);
       }
-      respond(on_response, evaluate_response(req.id, p.fp, p.inputs, *cached),
-              /*ok=*/true);
     }
   } catch (const std::exception& e) {
     respond(on_response, internal_error_response(req.id, e.what()),

@@ -153,6 +153,10 @@ class Service {
   bool parse(Job& job, const Responder& on_response);
   /// The caller-thread lookup: true when @p job was answered here.
   bool answer_on_caller(Job& job, const Responder& on_response);
+  /// A cache hit's response: the head with @p id, then the entry's
+  /// rendered tail, which the entry's first hit renders and attaches.
+  std::string hit_response(const std::string& id, const Parsed& p,
+                           const ResultCache::Entry& hit);
   /// Admission control, then queue @p job to the pool.
   void admit(Job job, Responder on_response);
   void run_evaluation(Job job, std::uint64_t deadline_ns,

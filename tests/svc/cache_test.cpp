@@ -175,6 +175,70 @@ TEST(SvcCache, BytesTrackInsertEvictAndClear) {
   EXPECT_EQ(cache.stats().size, 0u);
 }
 
+ResultCache::Tail tail_of(const std::string& bytes) {
+  return std::make_shared<const std::string>(bytes);
+}
+
+TEST(SvcCache, TailAttachesOnceAndCountsItsBytes) {
+  ResultCache cache(4, 1);
+  const std::uint64_t fp = fnv1a64("k");
+  const ResultCache::Value value = value_for(1.0);
+  cache.put("k", fp, value);
+  const std::uint64_t without_tail = cache.stats().bytes;
+  EXPECT_EQ(without_tail, 1 + sizeof(core::ThroughputPrediction));
+  EXPECT_EQ(cache.lookup("k", fp).tail, nullptr);
+
+  EXPECT_TRUE(cache.attach_tail("k", fp, value, tail_of("first tail")));
+  EXPECT_EQ(cache.stats().bytes, without_tail + 10);
+  const ResultCache::Entry hit = cache.lookup("k", fp);
+  ASSERT_NE(hit.tail, nullptr);
+  EXPECT_EQ(*hit.tail, "first tail");
+  EXPECT_EQ(hit.value, value);
+
+  // A second attach does nothing: the first tail stays, bytes unchanged.
+  EXPECT_FALSE(cache.attach_tail("k", fp, value, tail_of("second")));
+  EXPECT_EQ(*cache.probe("k", fp).tail, "first tail");
+  EXPECT_EQ(cache.stats().bytes, without_tail + 10);
+  // Nor does one for a key that is not resident.
+  EXPECT_FALSE(cache.attach_tail("gone", fnv1a64("gone"), value,
+                                 tail_of("x")));
+  EXPECT_EQ(cache.stats().bytes, without_tail + 10);
+  EXPECT_EQ(cache.stats().size, 1u);
+}
+
+TEST(SvcCache, EvictionRefreshAndClearDropTheTail) {
+  ResultCache cache(1, 1);  // one slot: every new key evicts
+  const std::uint64_t fa = fnv1a64("a"), fb = fnv1a64("b");
+  const std::uint64_t entry = 1 + sizeof(core::ThroughputPrediction);
+
+  ResultCache::Value a = value_for(1.0);
+  cache.put("a", fa, a);
+  ASSERT_TRUE(cache.attach_tail("a", fa, a, tail_of("tail-a")));
+  cache.put("b", fb, value_for(2.0));  // evicts "a" and its tail
+  EXPECT_EQ(cache.stats().bytes, entry);
+  a = value_for(1.0);
+  cache.put("a", fa, a);  // back, without a tail
+  EXPECT_EQ(cache.lookup("a", fa).tail, nullptr);
+  EXPECT_EQ(cache.stats().bytes, entry);
+
+  // A refreshing put replaces the value and drops the tail; a tail
+  // rendered from the replaced value no longer attaches.
+  ASSERT_TRUE(cache.attach_tail("a", fa, a, tail_of("tail-a")));
+  EXPECT_EQ(cache.stats().bytes, entry + 6);
+  const ResultCache::Value fresh = value_for(1.0);
+  EXPECT_EQ(cache.put("a", fa, fresh), ResultCache::PutOutcome::kRefreshed);
+  EXPECT_EQ(cache.lookup("a", fa).tail, nullptr);
+  EXPECT_EQ(cache.stats().bytes, entry);
+  EXPECT_FALSE(cache.attach_tail("a", fa, a, tail_of("stale")));
+  EXPECT_EQ(cache.stats().bytes, entry);
+
+  ASSERT_TRUE(cache.attach_tail("a", fa, fresh, tail_of("tail-a")));
+  cache.clear();
+  EXPECT_EQ(cache.stats().bytes, 0u);
+  EXPECT_EQ(cache.stats().size, 0u);
+  EXPECT_FALSE(cache.lookup("a", fa));
+}
+
 TEST(SvcCache, HitRatioDerivesFromStats) {
   ResultCache cache(4, 1);
   EXPECT_EQ(hit_ratio(cache.stats()), 0.0);  // no lookups yet

@@ -1,6 +1,7 @@
 // Service semantics: the exactly-one-response contract, cache hit/miss
-// byte identity, bounded admission (E_OVERLOADED), deadlines, drain, the
-// caller-thread lookup, and a concurrent hammer that runs TSan-clean.
+// byte identity (hits served from the entry's rendered tail), bounded
+// admission (E_OVERLOADED), deadlines, drain, the caller-thread lookup,
+// and a concurrent hammer that runs TSan-clean.
 #include "svc/service.hpp"
 
 #include <gtest/gtest.h>
@@ -9,17 +10,21 @@
 #include <chrono>
 #include <condition_variable>
 #include <filesystem>
+#include <fstream>
 #include <future>
+#include <iterator>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/parameters.hpp"
+#include "core/throughput.hpp"
 #include "io/json.hpp"
 #include "io/loader.hpp"
 #include "obs/metrics.hpp"
 #include "store/store.hpp"
+#include "svc/fingerprint.hpp"
 #include "util/thread_pool.hpp"
 
 namespace rat::svc {
@@ -188,6 +193,143 @@ TEST(SvcService, StatsExportCarriesCacheBytesAndHitRatio) {
   EXPECT_GT(cache->find("bytes")->number, 0.0);
   ASSERT_NE(cache->find("warmed"), nullptr);
   EXPECT_EQ(cache->find("warmed")->number, 0.0);
+}
+
+std::string fixture_text(const std::string& stem) {
+  std::ifstream f(std::filesystem::path(RAT_SOURCE_DIR) / "tests" /
+                      "fixtures" / "worksheets" / (stem + ".rat"),
+                  std::ios::binary);
+  EXPECT_TRUE(f) << stem;
+  return {std::istreambuf_iterator<char>(f), std::istreambuf_iterator<char>()};
+}
+
+/// What the cache holds for a worksheet, computed without a service.
+struct Expected {
+  core::RatInputs inputs;
+  std::string key;
+  std::uint64_t fp = 0;
+  std::vector<core::ThroughputPrediction> predictions;
+
+  explicit Expected(const std::string& sheet)
+      : inputs(io::parse_worksheet_text(sheet, "<request>")),
+        key(canonical_text(inputs)),
+        fp(fnv1a64(key)),
+        predictions(core::predict_all(inputs)) {}
+
+  /// The miss's bytes under @p id.
+  std::string response(const std::string& id) const {
+    return evaluate_response(id, fp, inputs, predictions);
+  }
+  std::uint64_t tail_bytes() const {
+    return evaluate_tail(fp, inputs, predictions).size();
+  }
+  /// An entry's bytes before a hit attaches its tail.
+  std::uint64_t entry_bytes() const {
+    return key.size() +
+           predictions.size() * sizeof(core::ThroughputPrediction);
+  }
+};
+
+TEST(SvcService, HitsCopyTheMissBytesUnderTheirOwnId) {
+  // A plain id, one that needs escaping, and an empty one (rendered
+  // null), rotated so each takes every position.
+  const std::string ids[] = {"plain-7", "q\"uo\\te\n\t", ""};
+  for (const std::string stem : {"md", "pdf1d", "pdf2d"}) {
+    const std::string sheet = fixture_text(stem);
+    const Expected want(sheet);
+    for (const Service::Lookup lookup :
+         {Service::Lookup::kCaller, Service::Lookup::kPool}) {
+      for (std::size_t r = 0; r < std::size(ids); ++r) {
+        SCOPED_TRACE(stem + (lookup == Service::Lookup::kCaller
+                                 ? " kCaller, rotation "
+                                 : " kPool, rotation ") +
+                     std::to_string(r));
+        Service service;
+        Collector out;
+        // The miss, the first hit (which attaches the tail), then two
+        // later hits, each under the next id.
+        for (std::size_t i = 0; i < 4; ++i) {
+          const std::string& id = ids[(r + i) % std::size(ids)];
+          service.submit(evaluate_line(id, sheet), out.sink(), lookup);
+          if (i > 0 && lookup == Service::Lookup::kCaller) {
+            EXPECT_EQ(out.count(), i + 1) << "a hit left the caller";
+          }
+          EXPECT_EQ(out.wait_for(i + 1)[i], want.response(id))
+              << "request " << i;
+          EXPECT_EQ(service.stats().cache.bytes,
+                    want.entry_bytes() + (i == 0 ? 0 : want.tail_bytes()))
+              << "request " << i;
+        }
+        const Service::Stats st = service.stats();
+        EXPECT_EQ(st.cache.misses, 1u);
+        EXPECT_EQ(st.cache.hits, 3u);
+      }
+    }
+  }
+}
+
+TEST(SvcService, WorksheetsThatOnlyMissAttachNoTail) {
+  Service service;
+  Collector out;
+  std::uint64_t bytes = 0;
+  constexpr std::size_t kSheets = 24;
+  for (std::size_t i = 0; i < kSheets; ++i) {
+    core::RatInputs in = core::pdf1d_inputs();
+    in.name += " #" + std::to_string(i);
+    in.software.tsoft_sec += static_cast<double>(i);
+    const std::string sheet = in.serialize();
+    service.submit(evaluate_line("u" + std::to_string(i), sheet), out.sink(),
+                   i % 2 ? Service::Lookup::kCaller : Service::Lookup::kPool);
+    bytes += Expected(sheet).entry_bytes();
+  }
+  out.wait_for(kSheets);
+  service.drain();
+  const Service::Stats st = service.stats();
+  EXPECT_EQ(st.cache.misses, kSheets);
+  EXPECT_EQ(st.cache.hits, 0u);
+  EXPECT_EQ(st.cache.size, kSheets);
+  EXPECT_EQ(st.cache.bytes, bytes);  // keys and predictions, no tails
+}
+
+TEST(SvcService, WarmLoadedEntryAnswersItsFirstHitWithColdBytes) {
+  const auto dir = std::filesystem::path(::testing::TempDir()) /
+                   "svc_service_warm_tail";
+  std::filesystem::remove_all(dir);
+  const std::string sheet = fixture_text("pdf2d");
+  const Expected want(sheet);
+  {
+    Service service({.cache_dir = dir.string()});
+    Collector out;
+    service.submit(evaluate_line("first", sheet), out.sink());
+    out.wait_for(1);
+  }
+  std::string cold;
+  {
+    Service service;
+    Collector out;
+    service.submit(evaluate_line("w", sheet), out.sink());
+    cold = out.wait_for(1)[0];
+  }
+  ASSERT_EQ(cold, want.response("w"));
+
+  Service service({.cache_dir = dir.string()});
+  ASSERT_EQ(service.stats().cache_warmed, 1u);
+  EXPECT_EQ(service.stats().cache.bytes, want.entry_bytes());
+  Collector out;
+  // The warm entry has no tail yet: its first hit renders and attaches
+  // one, on the caller, with the bytes a cold service answers.
+  service.submit(evaluate_line("w", sheet), out.sink(),
+                 Service::Lookup::kCaller);
+  ASSERT_EQ(out.count(), 1u);
+  EXPECT_EQ(out.wait_for(1)[0], cold);
+  EXPECT_EQ(service.stats().cache.bytes,
+            want.entry_bytes() + want.tail_bytes());
+  service.submit(evaluate_line("", sheet), out.sink());
+  EXPECT_EQ(out.wait_for(2)[1], want.response(""));
+  const Service::Stats st = service.stats();
+  EXPECT_EQ(st.cache.hits, 2u);
+  EXPECT_EQ(st.cache.misses, 0u);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(SvcService, NoCacheBypassesTheCache) {
