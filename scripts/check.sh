@@ -166,6 +166,8 @@ ctest --test-dir build-tsan --output-on-failure \
 # payloads read back from disk, and it is exploration's only persistence
 # path. Finally the number formatters and the JSON reader: the Json and
 # JsonParse suites (test_io) parse every rat.svc.v1 line, the
+# WorksheetCorpus suite (test_io) runs the worksheet parser's index
+# arithmetic over 1,000 seeded mutants of the fixtures, the
 # FixedFormat, PercentFormat and FormatOracle suites (test_util) drive
 # std::to_chars into fixed char buffers, the Cli suite (test_util) reads
 # every numeric flag through std::from_chars, and the golden-byte suites
@@ -179,7 +181,7 @@ cmake -B build-asan -G Ninja -DRAT_SANITIZE=address,undefined \
 cmake --build build-asan --target test_io test_store test_batch test_svc \
   test_load test_explore test_util rat_batch rat_serve
 ctest --test-dir build-asan --output-on-failure \
-  -R '^(LoadWorksheet|WorksheetDir|Batch|Store|Svc|Load|Explore|Json|JsonParse|FixedFormat|PercentFormat|FormatOracle|Cli)'
+  -R '^(LoadWorksheet|WorksheetDir|WorksheetCorpus|Batch|Store|Svc|Load|Explore|Json|JsonParse|FixedFormat|PercentFormat|FormatOracle|Cli)'
 
 echo "==== rat_batch smoke (fixture directory with one malformed file)"
 smoke_out=$(mktemp)
@@ -326,7 +328,10 @@ rm -rf "$soak_dir"
 # Loop-answered hits (docs/SERVICE.md): 200 sequential requests for one
 # fixture on one connection, each alone in its poll turn. The event loop
 # looks a lone line up itself, so only the first (the miss) reaches the
-# pool; the 199 hits are answered on the loop with no thread hop.
+# pool; the 199 hits are answered on the loop with no thread hop, from
+# the entry's rendered tail. The ids cycle through a plain, an escaped
+# and an empty one, and every answer must be the miss's bytes with the
+# request's own id (an empty id renders as null).
 echo "==== rat_serve lone-request hits stay on the loop (TSan build)"
 lone_dir=$(mktemp -d)
 build-tsan/src/apps/rat_serve --port=0 --port-file="$lone_dir/port" \
@@ -342,20 +347,32 @@ python3 - "$(cat "$lone_dir/port")" <<'EOF'
 import json, socket, sys
 port = int(sys.argv[1])
 sheet = open("tests/fixtures/worksheets/pdf1d.rat").read()
-req = json.dumps({"schema": "rat.svc.v1", "id": "lone", "op": "evaluate",
-                  "worksheet": sheet}) + "\n"
-lines = set()
+ids = ["lone", 'q"uo\\te\n\t', ""]
+head = '{"schema":"rat.svc.v1","id":'
+
+
+def rendered(rid):  # the server's spelling of these ids
+    return json.dumps(rid, ensure_ascii=False) if rid else "null"
+
+
+tail = None
 with socket.create_connection(("127.0.0.1", port)) as s:
     f = s.makefile("rw")
-    for _ in range(200):
-        f.write(req)
+    for i in range(200):
+        rid = ids[i % len(ids)]
+        f.write(json.dumps({"schema": "rat.svc.v1", "id": rid,
+                            "op": "evaluate", "worksheet": sheet}) + "\n")
         f.flush()
         line = f.readline()
         assert line.endswith("\n"), "short read: a request went unanswered"
-        lines.add(line)
-assert len(lines) == 1, "loop-answered hits differ in bytes from the miss"
-assert '"status":"ok"' in next(iter(lines))
-print("lone-request round trips OK: 200 answers, byte-identical")
+        if tail is None:  # the miss
+            assert line.startswith(head + rendered(rid)), line
+            tail = line[len(head + rendered(rid)):]
+            assert tail.startswith(',"status":"ok","op":"evaluate"'), line
+        assert line == head + rendered(rid) + tail, \
+            f"request {i}: a hit differs from the miss's bytes: {line!r}"
+print("lone-request round trips OK: 200 answers, the miss's bytes under "
+      "plain, escaped and empty ids")
 EOF
 kill -TERM "$serve_pid"
 rc=0

@@ -28,7 +28,8 @@
 // disables storage entirely: every get misses, every put is dropped —
 // useful for benchmarking the cold path.
 //
-// Stats are counted here and only here (relaxed atomics, always on).
+// Stats are counted here and only here (relaxed atomics, always on);
+// bytes counts each entry's key, predictions and attached tail.
 // The service's "stats" op renders them, and a drained server records
 // them once into the obs registry as the svc.cache.* metrics
 // (docs/SERVICE.md); the lookup and insert paths never touch the

@@ -200,8 +200,9 @@ std::string evaluate_tail(
 
 std::string evaluate_response(const std::string& id, std::string_view tail) {
   std::string out;
-  // An id that needs escaping grows the string once; plain ids do not.
-  out.reserve(kHeadBeforeId.size() + id.size() + 2 + tail.size());
+  // Room for a plain id's quotes or "null"; an id that needs escaping
+  // grows the string once.
+  out.reserve(kHeadBeforeId.size() + id.size() + 4 + tail.size());
   out += kHeadBeforeId;
   append_id(out, id);
   out += tail;

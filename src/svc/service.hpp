@@ -8,6 +8,12 @@
 // directly) — this class is the part every future sharding or
 // multi-backend layer plugs into.
 //
+// A cache hit is answered from the entry's rendered tail (svc/cache.hpp):
+// the entry's first hit renders the evaluate response after the id and
+// attaches it, and every hit writes the head with its own id and copies
+// the tail, so hit and miss bytes agree by construction. The stats
+// op's cache bytes count the attached tails.
+//
 // Contract: submit() calls on_response with exactly one response line
 // per request, in every path —
 //
