@@ -183,21 +183,20 @@ bool is_parser_code(core::ParseErrorCode code) {
 std::string rejection_line(std::size_t index, const std::string& text,
                            const core::Diagnostic& d) {
   using C = core::ParseErrorCode;
-  EXPECT_TRUE(is_parser_code(d.code))
-      << "case " << index << ": " << d.to_string();
-  EXPECT_EQ(d.file, "<request>") << "case " << index;
+  const std::string where = "case " + std::to_string(index) + ": " +
+                            d.to_string();
+  EXPECT_TRUE(is_parser_code(d.code)) << where;
+  EXPECT_EQ(d.file, "<request>") << where;
   const std::vector<std::string_view> lines = lines_of(text);
   if (d.line == 0) {
-    EXPECT_EQ(d.column, 0u) << "case " << index << ": " << d.to_string();
+    EXPECT_EQ(d.column, 0u) << where;
     EXPECT_TRUE(d.code == C::kMissingName || d.code == C::kInvalidValue)
-        << "case " << index << ": " << d.to_string();
+        << where;
   } else {
-    EXPECT_LE(d.line, lines.size())
-        << "case " << index << ": " << d.to_string();
-    EXPECT_GE(d.column, 1u) << "case " << index << ": " << d.to_string();
+    EXPECT_LE(d.line, lines.size()) << where;
+    EXPECT_GE(d.column, 1u) << where;
     if (d.line <= lines.size()) {
-      EXPECT_LE(d.column, lines[d.line - 1].size() + 1)
-          << "case " << index << ": " << d.to_string();
+      EXPECT_LE(d.column, lines[d.line - 1].size() + 1) << where;
     }
   }
   std::ostringstream os;
