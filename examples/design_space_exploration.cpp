@@ -38,6 +38,7 @@
 #include "core/designspace.hpp"
 #include "core/units.hpp"
 #include "explore/explorer.hpp"
+#include "io/json.hpp"
 #include "obs/metrics.hpp"
 #include "store/error.hpp"
 #include "util/cli.hpp"
@@ -136,7 +137,7 @@ int main(int argc, char** argv) {
     // Quiesce the pool so no worker's trailing counters miss the export.
     if (util::ThreadPool* pool = util::ThreadPool::shared_if_created())
       pool->wait_idle();
-    obs::write_metrics_file(metrics_path);
+    io::write_metrics_file(metrics_path);
     std::fprintf(stderr, "metrics (%s):\n%s", metrics_path.c_str(),
                  obs::summary_table().c_str());
   }

@@ -6,6 +6,23 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Layering guard (DESIGN.md): the model library (src/core) neither
+# includes nor links the durable store; obs records metrics and io
+# renders them, so no src/obs source writes a quote character; and
+# io/json.cpp holds the one JSON string escaper.
+echo "==== layering guard"
+layering=$(
+  grep -rn '"store/' src/core
+  grep -n 'rat_store' src/core/CMakeLists.txt
+  grep -nF -e '\"' -e "'\"'" src/obs/*.cpp
+  grep -rnF -e '\\u%04x' -e '"\\\""' src | grep -v '^src/io/json.cpp:'
+) || true
+if [ -n "$layering" ]; then
+  echo "layering guard: these lines break DESIGN.md's module rules:"
+  echo "$layering"
+  exit 1
+fi
+
 cmake -B build -G Ninja -DRAT_WERROR=ON
 cmake --build build
 ctest --test-dir build --output-on-failure
@@ -165,9 +182,12 @@ ctest --test-dir build-tsan --output-on-failure \
 # the Explore suites (test_explore): the plan cache decodes evaluation
 # payloads read back from disk, and it is exploration's only persistence
 # path. Finally the number formatters and the JSON reader: the Json and
-# JsonParse suites (test_io) parse every rat.svc.v1 line, the
-# WorksheetCorpus suite (test_io) runs the worksheet parser's index
-# arithmetic over 1,000 seeded mutants of the fixtures, the
+# JsonParse suites (test_io) parse every rat.svc.v1 line, the seeded
+# JsonRoundTrip suite (test_io) reads back every byte string, 64-bit
+# number pattern and metrics document the writers produce, JsonNonFinite
+# renders overflowing predictions as null, the WorksheetCorpus suite
+# (test_io) runs the worksheet parser's index arithmetic over 1,000
+# seeded mutants of the fixtures, the
 # FixedFormat, PercentFormat and FormatOracle suites (test_util) drive
 # std::to_chars into fixed char buffers, the Cli suite (test_util) reads
 # every numeric flag through std::from_chars, and the golden-byte suites
@@ -181,7 +201,7 @@ cmake -B build-asan -G Ninja -DRAT_SANITIZE=address,undefined \
 cmake --build build-asan --target test_io test_store test_batch test_svc \
   test_load test_explore test_util rat_batch rat_serve
 ctest --test-dir build-asan --output-on-failure \
-  -R '^(LoadWorksheet|WorksheetDir|WorksheetCorpus|Batch|Store|Svc|Load|Explore|Json|JsonParse|FixedFormat|PercentFormat|FormatOracle|Cli)'
+  -R '^(LoadWorksheet|WorksheetDir|WorksheetCorpus|Batch|Store|Svc|Load|Explore|Json|JsonParse|JsonRoundTrip|JsonNonFinite|FixedFormat|PercentFormat|FormatOracle|Cli)'
 
 echo "==== rat_batch smoke (fixture directory with one malformed file)"
 smoke_out=$(mktemp)

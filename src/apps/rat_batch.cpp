@@ -39,6 +39,7 @@
 #include "core/units.hpp"
 #include "core/worksheet.hpp"
 #include "io/batch.hpp"
+#include "io/json.hpp"
 #include "obs/metrics.hpp"
 #include "util/cli.hpp"
 #include "util/format.hpp"
@@ -178,7 +179,7 @@ int main(int argc, char** argv) {
     // miss them on a busy machine.
     if (util::ThreadPool* pool = util::ThreadPool::shared_if_created())
       pool->wait_idle();
-    write_failed |= !obs::write_metrics_file(metrics_path);
+    write_failed |= !io::write_metrics_file(metrics_path);
     // Summary on stderr: stdout stays reserved for the batch tables.
     std::fprintf(stderr, "metrics (%s):\n%s", metrics_path.c_str(),
                  obs::summary_table().c_str());

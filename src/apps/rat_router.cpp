@@ -42,6 +42,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "io/json.hpp"
 #include "obs/metrics.hpp"
 #include "svc/router.hpp"
 #include "util/cli.hpp"
@@ -147,7 +148,7 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(st.respawns));
 
   if (!metrics_path.empty()) {
-    if (!obs::write_metrics_file(metrics_path)) return 1;
+    if (!io::write_metrics_file(metrics_path)) return 1;
     std::fprintf(stderr, "metrics (%s):\n%s", metrics_path.c_str(),
                  obs::summary_table().c_str());
   }

@@ -38,6 +38,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "io/json.hpp"
 #include "obs/metrics.hpp"
 #include "svc/server.hpp"
 #include "svc/service.hpp"
@@ -155,7 +156,7 @@ int main(int argc, char** argv) {
     // Quiesce the pool so no worker's trailing counters miss the export.
     if (util::ThreadPool* pool = util::ThreadPool::shared_if_created())
       pool->wait_idle();
-    if (!obs::write_metrics_file(metrics_path)) return 1;
+    if (!io::write_metrics_file(metrics_path)) return 1;
     std::fprintf(stderr, "metrics (%s):\n%s", metrics_path.c_str(),
                  obs::summary_table().c_str());
   }

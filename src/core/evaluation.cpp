@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "store/codec.hpp"
-#include "store/error.hpp"
 #include "util/format.hpp"
 
 namespace rat::core {
@@ -99,70 +97,6 @@ CandidateEvaluation evaluate_candidate(std::size_t i,
   ev.passed = true;
   ev.trace.push_back({i, name, Step::kProceed, true,
                       "build in HDL/HLL, verify on HW platform"});
-  return ev;
-}
-
-// --- Plan-cache codec ------------------------------------------------------
-
-namespace {
-
-constexpr std::uint8_t kMaxStep = static_cast<std::uint8_t>(Step::kRejected);
-constexpr std::uint8_t kMaxReject =
-    static_cast<std::uint8_t>(RejectReason::kInsufficientEnergySavings);
-/// Smallest encoded trace entry: step, passed, empty detail string.
-constexpr std::size_t kMinTraceEntryBytes = 1 + 1 + 4;
-
-store::StoreError corrupt(const std::string& what) {
-  return store::StoreError(store::StoreErrorCode::kCorrupt, "",
-                           "evaluation payload: " + what);
-}
-
-}  // namespace
-
-std::string encode_evaluation_unindexed(const CandidateEvaluation& ev) {
-  std::string out;
-  store::put_u32(out, static_cast<std::uint32_t>(ev.trace.size()));
-  for (const TraceEntry& e : ev.trace) {
-    store::put_u8(out, static_cast<std::uint8_t>(e.step));
-    store::put_u8(out, e.passed ? 1 : 0);
-    store::put_string(out, e.detail);
-  }
-  put_prediction(out, ev.prediction);
-  store::put_u8(out, ev.passed ? 1 : 0);
-  store::put_u8(out, static_cast<std::uint8_t>(ev.reject));
-  return out;
-}
-
-CandidateEvaluation decode_evaluation_unindexed(std::string_view payload,
-                                                std::size_t index,
-                                                const std::string& name) {
-  store::Cursor cur(payload);
-  CandidateEvaluation ev;
-  const std::uint32_t n_trace = cur.u32();
-  // Validate the declared count against the byte budget before reserving:
-  // a garbage count must surface as kCorrupt, not as an allocation failure.
-  if (n_trace > cur.remaining() / kMinTraceEntryBytes)
-    throw corrupt("declares " + std::to_string(n_trace) +
-                  " trace entries but carries " +
-                  std::to_string(cur.remaining()) + " byte(s)");
-  ev.trace.reserve(n_trace);
-  for (std::uint32_t t = 0; t < n_trace; ++t) {
-    TraceEntry e;
-    e.candidate_index = index;
-    e.candidate_name = name;
-    const std::uint8_t step = cur.u8();
-    if (step > kMaxStep) throw corrupt("trace step out of range");
-    e.step = static_cast<Step>(step);
-    e.passed = cur.u8() != 0;
-    e.detail = cur.string();
-    ev.trace.push_back(std::move(e));
-  }
-  ev.prediction = get_prediction(cur);
-  ev.passed = cur.u8() != 0;
-  const std::uint8_t reject = cur.u8();
-  if (reject > kMaxReject) throw corrupt("reject reason out of range");
-  ev.reject = static_cast<RejectReason>(reject);
-  cur.expect_done();
   return ev;
 }
 

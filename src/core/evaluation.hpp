@@ -10,7 +10,6 @@
 #include <cstddef>
 #include <exception>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/methodology.hpp"
@@ -43,22 +42,6 @@ CandidateEvaluation evaluate_candidate(std::size_t i,
                                        const Requirements& req,
                                        const rcsim::Device& device,
                                        const ThroughputPrediction& pred);
-
-/// Position-independent codec for the content-addressed plan cache: the
-/// encoded form strips the candidate index and name from every trace
-/// entry (both are redundant — the index is the enumeration position and
-/// the name is the candidate's own), so a point evaluated at index 17 of
-/// one campaign can be replayed at index 3 of an overlapping one. Every
-/// double is stored as its exact bit pattern and every trace detail
-/// verbatim, so a replayed evaluation merges into a byte-identical
-/// outcome. decode re-stamps @p index and @p name on every entry and
-/// throws store::StoreError(kCorrupt) for a truncated or overlong
-/// payload, a trace count the payload cannot hold, or an out-of-range
-/// step or reject reason.
-std::string encode_evaluation_unindexed(const CandidateEvaluation& ev);
-CandidateEvaluation decode_evaluation_unindexed(std::string_view payload,
-                                                std::size_t index,
-                                                const std::string& name);
 
 /// Throughput predictions for a list of candidates, one predict() call
 /// each: an enumeration-order window (run_methodology, the explorer's

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "core/evaluation.hpp"
-#include "store/checksum.hpp"
 #include "util/parallel_for.hpp"
 
 namespace rat::core {
@@ -35,72 +34,6 @@ std::string MethodologyOutcome::render_trace() const {
     os << '\n';
   }
   return os.str();
-}
-
-std::uint64_t candidate_fingerprint(const DesignCandidate& cand) {
-  store::Fnv1a fp;
-  fp.add_string("rat.candidate.v1");
-  const RatInputs& in = cand.inputs;
-  fp.add_string(in.name);
-  fp.add_u64(in.dataset.elements_in);
-  fp.add_u64(in.dataset.elements_out);
-  fp.add_double(in.dataset.bytes_per_element);
-  fp.add_double(in.comm.ideal_bw_bytes_per_sec);
-  fp.add_double(in.comm.alpha_write);
-  fp.add_double(in.comm.alpha_read);
-  fp.add_double(in.comp.ops_per_element);
-  fp.add_double(in.comp.throughput_ops_per_cycle);
-  fp.add_u64(in.comp.fclock_hz.size());
-  for (double f : in.comp.fclock_hz) fp.add_double(f);
-  fp.add_double(in.software.tsoft_sec);
-  fp.add_u64(in.software.n_iterations);
-  fp.add_double(cand.decision_clock_hz);
-  fp.add_u64(cand.resources.size());
-  for (const ResourceItem& r : cand.resources) {
-    fp.add_string(r.name);
-    fp.add_u64(static_cast<std::uint64_t>(r.multiplier_count));
-    fp.add_u64(static_cast<std::uint64_t>(r.multiplier_bits));
-    fp.add_u64(static_cast<std::uint64_t>(r.buffer_bytes));
-    fp.add_u64(static_cast<std::uint64_t>(r.logic_elements));
-    fp.add_u64(static_cast<std::uint64_t>(r.instances));
-  }
-  fp.add_u64(cand.precision_reference.size());
-  for (double v : cand.precision_reference) fp.add_double(v);
-  // The kernel itself is opaque; its presence at least distinguishes
-  // precision-tested candidates from throughput-only ones.
-  fp.add_u64(cand.precision_kernel ? 1 : 0);
-  return fp.value();
-}
-
-std::uint64_t requirements_fingerprint(const Requirements& req,
-                                       const rcsim::Device& device) {
-  store::Fnv1a fp;
-  fp.add_string("rat.requirements.v1");
-  fp.add_double(req.min_speedup);
-  fp.add_u64(req.double_buffered ? 1 : 0);
-  fp.add_u64(req.precision ? 1 : 0);
-  if (req.precision) {
-    fp.add_double(req.precision->max_error_percent);
-    fp.add_u64(static_cast<std::uint64_t>(req.precision->min_total_bits));
-    fp.add_u64(static_cast<std::uint64_t>(req.precision->max_total_bits));
-    fp.add_u64(static_cast<std::uint64_t>(req.precision->int_bits));
-  }
-  fp.add_double(req.practical_fill_limit);
-  fp.add_u64(req.min_energy_ratio ? 1 : 0);
-  if (req.min_energy_ratio) fp.add_double(*req.min_energy_ratio);
-  fp.add_double(req.power_model.static_watts);
-  fp.add_double(req.power_model.watts_per_dsp_100mhz);
-  fp.add_double(req.power_model.watts_per_bram_100mhz);
-  fp.add_double(req.power_model.watts_per_klogic_100mhz);
-  fp.add_double(req.power_model.io_watts);
-  fp.add_double(req.host_power_model.busy_watts);
-  fp.add_double(req.host_power_model.idle_watts);
-  fp.add_string(device.name);
-  fp.add_u64(static_cast<std::uint64_t>(device.family));
-  fp.add_u64(static_cast<std::uint64_t>(device.inventory.dsp));
-  fp.add_u64(static_cast<std::uint64_t>(device.inventory.bram));
-  fp.add_u64(static_cast<std::uint64_t>(device.inventory.logic));
-  return fp.value();
 }
 
 MethodologyOutcome run_methodology(

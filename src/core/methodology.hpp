@@ -17,7 +17,6 @@
 // records a full decision trace.
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <optional>
 #include <string>
@@ -119,20 +118,5 @@ MethodologyOutcome run_methodology(const std::vector<DesignCandidate>& candidate
                                    const Requirements& req,
                                    const rcsim::Device& device,
                                    std::size_t n_threads = 1);
-
-/// Fingerprint of everything a cached evaluation depends on for one
-/// candidate: worksheet inputs (exact double bit patterns), decision
-/// clock, resource items and the precision *reference* vector. Half of
-/// the plan-cache key (explore/plan_cache.hpp). The precision kernel is
-/// an arbitrary functor and cannot be fingerprinted — a kernel whose
-/// behaviour changes between runs defeats the key; delete the cache
-/// after changing one.
-std::uint64_t candidate_fingerprint(const DesignCandidate& candidate);
-
-/// Fingerprint of the campaign-level evaluation context: requirements
-/// (every gate and model parameter) and the device inventory. The other
-/// half of the plan-cache key.
-std::uint64_t requirements_fingerprint(const Requirements& req,
-                                       const rcsim::Device& device);
 
 }  // namespace rat::core

@@ -91,8 +91,9 @@ constexpr std::string_view kKeyNames[kKeyCount] = {
     "ops_per_element", "throughput_ops_per_cycle", "fclock_hz",
     "tsoft_sec", "n_iterations"};
 
-/// The blanks the grammar skips around keys, values and clock tokens.
-constexpr std::string_view kBlanks = " \t";
+/// The blanks the grammar skips around keys, values and clock tokens. CR
+/// is one, so no value ends in a CR that serialize() would not keep.
+constexpr std::string_view kBlanks = " \t\r";
 
 std::string_view trim(std::string_view s) {
   const auto b = s.find_first_not_of(kBlanks);

@@ -3,34 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "store/codec.hpp"
-
 namespace rat::core {
-
-namespace {
-
-/// Apply @p f to every field of @p p in declaration order: the one
-/// definition of the stored prediction layout.
-template <typename Prediction, typename F>
-void for_each_field(Prediction& p, F f) {
-  for (auto* v : {&p.fclock_hz, &p.t_write_sec, &p.t_read_sec, &p.t_comm_sec,
-                  &p.t_comp_sec, &p.t_rc_sb_sec, &p.t_rc_db_sec,
-                  &p.speedup_sb, &p.speedup_db, &p.util_comp_sb,
-                  &p.util_comm_sb, &p.util_comp_db, &p.util_comm_db})
-    f(*v);
-}
-
-}  // namespace
-
-void put_prediction(std::string& out, const ThroughputPrediction& p) {
-  for_each_field(p, [&out](double v) { store::put_f64(out, v); });
-}
-
-ThroughputPrediction get_prediction(store::Cursor& cur) {
-  ThroughputPrediction p;
-  for_each_field(p, [&cur](double& v) { v = cur.f64(); });
-  return p;
-}
 
 ThroughputPrediction predict_unchecked(const RatInputs& inputs,
                                        double fclock_hz) noexcept {

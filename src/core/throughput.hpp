@@ -5,15 +5,9 @@
 // against the software baseline, and comm/comp utilizations.
 #pragma once
 
-#include <cstddef>
-#include <string>
 #include <vector>
 
 #include "core/parameters.hpp"
-
-namespace rat::store {
-class Cursor;
-}  // namespace rat::store
 
 namespace rat::core {
 
@@ -65,14 +59,5 @@ ThroughputPrediction predict_unchecked(const RatInputs& inputs,
 /// Evaluate at every candidate clock in the worksheet (Tables 3/6/9 list
 /// one prediction column per clock). Validates once, not once per clock.
 std::vector<ThroughputPrediction> predict_all(const RatInputs& inputs);
-
-/// Binary layout of one prediction in every stored value that carries
-/// predictions (the service's result cache, the explorer's plan cache):
-/// its 13 doubles as exact little-endian bit patterns, in declaration
-/// order. get_prediction throws store::StoreError(kCorrupt) when @p cur
-/// runs out of bytes.
-inline constexpr std::size_t kPredictionBytes = 13 * 8;
-void put_prediction(std::string& out, const ThroughputPrediction& p);
-ThroughputPrediction get_prediction(store::Cursor& cur);
 
 }  // namespace rat::core

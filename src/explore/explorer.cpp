@@ -10,6 +10,7 @@
 #include <unordered_map>
 
 #include "core/evaluation.hpp"
+#include "io/codec.hpp"
 #include "obs/metrics.hpp"
 #include "util/parallel_for.hpp"
 
@@ -118,7 +119,7 @@ class PrunedExploration {
   void finalize(ExploreResult& result);
 
   std::string cache_key(const DesignCandidate& cand) const {
-    return PlanCache::key(core::candidate_fingerprint(cand), context_fp_);
+    return PlanCache::key(io::candidate_fingerprint(cand), context_fp_);
   }
   double gate_speedup(const core::ThroughputPrediction& pred) const {
     return req_.double_buffered ? pred.speedup_db : pred.speedup_sb;
@@ -571,7 +572,7 @@ ExploreResult PrunedExploration::run() {
   build_grid();
 
   cache_ = options_.plan_cache;
-  if (cache_) context_fp_ = core::requirements_fingerprint(req_, device_);
+  if (cache_) context_fp_ = io::requirements_fingerprint(req_, device_);
 
   if (policy_.prune) search();
   if (policy_.prune && !policy_.full_trace)

@@ -3,6 +3,7 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "io/codec.hpp"
 #include "store/error.hpp"
 
 namespace rat::explore {
@@ -27,8 +28,8 @@ std::string PlanCache::key(std::uint64_t candidate_fp,
 std::string PlanCache::key(const core::DesignCandidate& cand,
                            const core::Requirements& req,
                            const rcsim::Device& device) {
-  return key(core::candidate_fingerprint(cand),
-             core::requirements_fingerprint(req, device));
+  return key(io::candidate_fingerprint(cand),
+             io::requirements_fingerprint(req, device));
 }
 
 std::optional<core::CandidateEvaluation> PlanCache::lookup(
@@ -41,7 +42,7 @@ std::optional<core::CandidateEvaluation> PlanCache::lookup(
     if (payload->empty() ||
         static_cast<std::uint8_t>((*payload)[0]) != kPayloadVersion)
       return std::nullopt;
-    return core::decode_evaluation_unindexed(
+    return io::decode_evaluation_unindexed(
         std::string_view(*payload).substr(1), index, name);
   } catch (const store::StoreError&) {
     return std::nullopt;
@@ -52,7 +53,7 @@ void PlanCache::insert(const std::string& key,
                        const core::CandidateEvaluation& ev) {
   std::string payload;
   payload.push_back(static_cast<char>(kPayloadVersion));
-  payload += core::encode_evaluation_unindexed(ev);
+  payload += io::encode_evaluation_unindexed(ev);
   store_.put(key, payload);
 }
 

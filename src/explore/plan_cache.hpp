@@ -18,7 +18,7 @@
 // candidate, the requirements or the device changes the key — a stale
 // entry is never *rejected*, it is simply never found. Values are
 // version-prefixed, position-independent evaluation payloads
-// (core::encode_evaluation_unindexed), durable in a DurableStore: they
+// (io::encode_evaluation_unindexed), durable in a DurableStore: they
 // survive kill -9, and a torn final append is truncated on reopen.
 #pragma once
 

@@ -2,7 +2,6 @@
 
 #include "io/json.hpp"
 #include "obs/metrics.hpp"
-#include "store/codec.hpp"
 #include "util/format.hpp"
 #include "util/parallel_for.hpp"
 #include "util/table.hpp"
@@ -12,10 +11,17 @@ namespace rat::io {
 namespace {
 
 /// Append @p key (a literal carrying its own punctuation, such as
-/// ",\"alpha_read\":") and then @p x in json_number's spelling.
+/// ",\"alpha_read\":") and then @p x.
 void append_number(std::string& out, const char* key, double x) {
   out += key;
+  append_json_number(out, x);
+}
+
+/// A CSV cell: plain text, so a non-finite value keeps printf's spelling.
+std::string cell(double x) {
+  std::string out;
   util::append_round_trip(out, x);
+  return out;
 }
 
 void append_count(std::string& out, const char* key, std::size_t n) {
@@ -62,37 +68,6 @@ void append_prediction_json(std::string& out,
   append_number(out, ",\"util_comp_db\":", p.util_comp_db);
   append_number(out, ",\"util_comm_db\":", p.util_comm_db);
   out += '}';
-}
-
-std::string encode_predictions(
-    const std::vector<core::ThroughputPrediction>& predictions) {
-  std::string out;
-  out.reserve(4 + predictions.size() * core::kPredictionBytes);
-  store::put_u32(out, static_cast<std::uint32_t>(predictions.size()));
-  for (const auto& p : predictions) core::put_prediction(out, p);
-  return out;
-}
-
-std::vector<core::ThroughputPrediction> decode_predictions(
-    std::string_view payload) {
-  store::Cursor cur(payload);
-  const std::uint32_t count = cur.u32();
-  // Validate the declared count against the actual byte budget before
-  // reserving: a garbage count from corrupt bytes must surface as
-  // kCorrupt, not as an allocation failure.
-  if (cur.remaining() !=
-      static_cast<std::size_t>(count) * core::kPredictionBytes)
-    throw store::StoreError(
-        store::StoreErrorCode::kCorrupt, "",
-        "prediction payload declares " + std::to_string(count) +
-            " entries but carries " + std::to_string(cur.remaining()) +
-            " byte(s)");
-  std::vector<core::ThroughputPrediction> out;
-  out.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i)
-    out.push_back(core::get_prediction(cur));
-  cur.expect_done();
-  return out;
 }
 
 void append_diagnostic_json(std::string& out, const core::Diagnostic& d) {
@@ -209,21 +184,21 @@ std::string batch_csv(const BatchResult& result) {
       t.add_row({e.load.path.string(), "ok", in.name,
                  std::to_string(in.dataset.elements_in),
                  std::to_string(in.dataset.elements_out),
-                 json_number(in.dataset.bytes_per_element),
-                 json_number(in.comm.ideal_bw_bytes_per_sec),
-                 json_number(in.comm.alpha_write),
-                 json_number(in.comm.alpha_read),
-                 json_number(in.comp.ops_per_element),
-                 json_number(in.comp.throughput_ops_per_cycle),
-                 json_number(in.software.tsoft_sec),
+                 cell(in.dataset.bytes_per_element),
+                 cell(in.comm.ideal_bw_bytes_per_sec),
+                 cell(in.comm.alpha_write),
+                 cell(in.comm.alpha_read),
+                 cell(in.comp.ops_per_element),
+                 cell(in.comp.throughput_ops_per_cycle),
+                 cell(in.software.tsoft_sec),
                  std::to_string(in.software.n_iterations),
-                 json_number(p.fclock_hz), json_number(p.t_write_sec),
-                 json_number(p.t_read_sec), json_number(p.t_comm_sec),
-                 json_number(p.t_comp_sec), json_number(p.t_rc_sb_sec),
-                 json_number(p.t_rc_db_sec), json_number(p.speedup_sb),
-                 json_number(p.speedup_db), json_number(p.util_comm_sb),
-                 json_number(p.util_comp_sb), json_number(p.util_comm_db),
-                 json_number(p.util_comp_db), ""});
+                 cell(p.fclock_hz), cell(p.t_write_sec),
+                 cell(p.t_read_sec), cell(p.t_comm_sec),
+                 cell(p.t_comp_sec), cell(p.t_rc_sb_sec),
+                 cell(p.t_rc_db_sec), cell(p.speedup_sb),
+                 cell(p.speedup_db), cell(p.util_comm_sb),
+                 cell(p.util_comp_sb), cell(p.util_comm_db),
+                 cell(p.util_comp_db), ""});
     }
   }
   return t.to_csv();

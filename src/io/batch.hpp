@@ -17,7 +17,6 @@
 #include <filesystem>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/throughput.hpp"
@@ -75,20 +74,10 @@ std::string batch_csv(const BatchResult& result);
 /// The shared JSON fragment renderers behind batch_json, public so the
 /// prediction service emits byte-identical inputs / prediction /
 /// diagnostic payloads. Each appends one object to @p out; its numbers
-/// are io::json_number's spelling (the first of "%.15g", "%.16g" and
-/// "%.17g" that parses back to the same double).
+/// are io::append_json_number's (json.hpp).
 void append_inputs_json(std::string& out, const core::RatInputs& inputs);
 void append_prediction_json(std::string& out,
                             const core::ThroughputPrediction& prediction);
 void append_diagnostic_json(std::string& out, const core::Diagnostic& d);
-
-/// rat.store.v1 predictions payload: u32 count, then each prediction in
-/// the core::put_prediction layout. Exact IEEE-754 round-trip — the
-/// basis for byte-identical cache warm-start (svc/persist.hpp). decode
-/// throws store::StoreError(kCorrupt) on malformed payloads.
-std::string encode_predictions(
-    const std::vector<core::ThroughputPrediction>& predictions);
-std::vector<core::ThroughputPrediction> decode_predictions(
-    std::string_view payload);
 
 }  // namespace rat::io

@@ -3,15 +3,23 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <fstream>
 #include <stdexcept>
 
 #include "util/format.hpp"
 
 namespace rat::io {
 
+void append_json_number(std::string& out, double x) {
+  if (std::isfinite(x))
+    util::append_round_trip(out, x);
+  else
+    out += "null";
+}
+
 std::string json_number(double x) {
   std::string out;
-  util::append_round_trip(out, x);
+  append_json_number(out, x);
   return out;
 }
 
@@ -56,6 +64,100 @@ void append_json_str(std::string& out, std::string_view s) {
   out += '"';
   append_escaped(out, s);
   out += '"';
+}
+
+namespace {
+
+constexpr double kNsPerSec = 1e9;
+
+/// @p key, then an object with one member per entry of @p map: its name,
+/// then its value as @p put appends it.
+template <typename Map, typename Put>
+void append_section(std::string& out, const char* key, const Map& map,
+                    Put put) {
+  out += key;
+  out += '{';
+  for (const auto& [name, value] : map) {
+    if (out.back() != '{') out += ',';
+    append_json_str(out, name);
+    out += ':';
+    put(value);
+  }
+  out += '}';
+}
+
+/// @p key, then @p ns in seconds with 9 decimals (whole nanoseconds).
+void append_sec_fixed(std::string& out, const char* key, std::uint64_t ns) {
+  out += key;
+  util::append_fixed(out, static_cast<double>(ns) / kNsPerSec, 9);
+}
+
+/// @p key, then @p ns in seconds in append_json_number's spelling.
+void append_sec_number(std::string& out, const char* key, double ns) {
+  out += key;
+  append_json_number(out, ns / kNsPerSec);
+}
+
+}  // namespace
+
+std::string metrics_json(const obs::Registry& registry) {
+  std::string out = "{\"schema\":\"rat.metrics.v1\"";
+  append_section(out, ",\"counters\":", registry.counters(),
+                 [&out](std::uint64_t n) { out += std::to_string(n); });
+  append_section(out, ",\"gauges\":", registry.gauges(),
+                 [&out](double x) { append_json_number(out, x); });
+  append_section(out, ",\"timers\":", registry.timers(),
+                 [&out](const obs::TimerStat& t) {
+    out += "{\"count\":" + std::to_string(t.count);
+    append_sec_fixed(out, ",\"total_sec\":", t.total_ns);
+    append_sec_fixed(out, ",\"mean_sec\":",
+                     static_cast<std::uint64_t>(t.mean_ns()));
+    append_sec_fixed(out, ",\"min_sec\":", t.min_ns);
+    append_sec_fixed(out, ",\"max_sec\":", t.max_ns);
+    out += '}';
+  });
+  append_section(out, ",\"hists\":", registry.hists(),
+                 [&out](const obs::LogHistogram& h) {
+    out += "{\"count\":" + std::to_string(h.count());
+    out += ",\"overflow\":" + std::to_string(h.overflow_count());
+    append_sec_fixed(out, ",\"min_sec\":", h.min());
+    append_sec_fixed(out, ",\"max_sec\":", h.max());
+    append_sec_number(out, ",\"mean_sec\":", h.mean());
+    append_sec_number(out, ",\"p50_sec\":", h.percentile(50.0));
+    append_sec_number(out, ",\"p90_sec\":", h.percentile(90.0));
+    append_sec_number(out, ",\"p99_sec\":", h.percentile(99.0));
+    append_sec_number(out, ",\"p999_sec\":", h.percentile(99.9));
+    out += '}';
+  });
+  out += ",\"spans\":[";
+  for (const obs::SpanEvent& s : registry.spans()) {
+    if (out.back() != '[') out += ',';
+    out += "{\"name\":";
+    append_json_str(out, s.name);
+    if (!s.detail.empty()) {
+      out += ",\"detail\":";
+      append_json_str(out, s.detail);
+    }
+    out += ",\"thread\":" + std::to_string(s.thread);
+    append_sec_fixed(out, ",\"start_sec\":", s.start_ns);
+    append_sec_fixed(out, ",\"dur_sec\":", s.dur_ns);
+    out += '}';
+  }
+  out += "],\"spans_dropped\":" + std::to_string(registry.spans_dropped());
+  out += '}';
+  return out;
+}
+
+bool write_metrics_file(const std::filesystem::path& path,
+                        const obs::Registry& registry) {
+  std::ofstream f(path);
+  if (!f) {
+    std::fprintf(stderr, "obs: cannot write metrics file %s\n",
+                 path.string().c_str());
+    return false;
+  }
+  f << metrics_json(registry) << '\n';
+  return f.good();
 }
 
 const JsonValue* JsonValue::find(std::string_view key) const {

@@ -1,13 +1,10 @@
-// Minimal JSON reading/writing shared by the io emitters and the svc
-// protocol.
-//
-// Writing: the escape/number helpers that batch_json always used, made
-// public so every JSON producer above io (batch runner, service
-// responses, router, load generator) renders numbers and strings
-// identically — in particular json_number emits the first of "%.15g",
-// "%.16g" and "%.17g" that round-trips the double
-// (util::append_round_trip), which is what makes "same inputs =>
-// byte-identical output" guarantees possible across layers.
+// Minimal JSON reading/writing: the one place where a value becomes
+// JSON text. Every document the repository writes (rat.svc.v1,
+// rat.batch.v1, rat.load.v1, and rat.metrics.v1, which obs records and
+// this file renders) writes its strings with append_json_str and its
+// numbers with append_json_number, so equal values get equal bytes in
+// every layer. JSON has no token for inf or nan, so a non-finite number
+// is written as null.
 //
 // Reading: a small strict recursive-descent parser for the service's
 // newline-delimited request objects. Deliberately minimal but not
@@ -17,16 +14,23 @@
 #pragma once
 
 #include <cstddef>
+#include <filesystem>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
+#include "obs/metrics.hpp"
+
 namespace rat::io {
 
-/// @p x as the first of printf "%.15g", "%.16g" and "%.17g" whose text
-/// parses back to @p x (util::append_round_trip). Not always the
-/// shortest round-trip text: denorm_min is "4.94065645841247e-324".
+/// Append @p x as the first of printf "%.15g", "%.16g" and "%.17g" whose
+/// text parses back to @p x (util::append_round_trip), or null when @p x
+/// is not finite. Not always the shortest round-trip text: denorm_min is
+/// "4.94065645841247e-324".
+void append_json_number(std::string& out, double x);
+
+/// append_json_number's text as a string.
 std::string json_number(double x);
 
 /// Backslash-escape @p s for inclusion inside a JSON string literal
@@ -38,6 +42,17 @@ std::string json_str(std::string_view s);
 
 /// Append json_str(@p s) to @p out.
 void append_json_str(std::string& out, std::string_view s);
+
+/// A registry snapshot as the rat.metrics.v1 document
+/// (docs/OBSERVABILITY.md).
+std::string metrics_json(
+    const obs::Registry& registry = obs::Registry::global());
+
+/// metrics_json written to @p path; false (with a message on stderr) when
+/// the file cannot be written.
+bool write_metrics_file(
+    const std::filesystem::path& path,
+    const obs::Registry& registry = obs::Registry::global());
 
 /// One parsed JSON value. Object members keep their source order so
 /// re-rendering (tests) is deterministic.

@@ -18,6 +18,7 @@
 #include "obs/metrics.hpp"
 #include "svc/channel.hpp"
 #include "svc/protocol.hpp"
+#include "util/format.hpp"
 #include "util/rng.hpp"
 
 namespace rat::load {
@@ -120,10 +121,11 @@ std::vector<std::string> slo_violations(const StepResult& step,
 std::uint64_t timeout_ns(const RunConfig& config) {
   constexpr double kMaxNs = 9223372036854775808.0;  // 2^63
   const double ns = config.timeout_sec * kNsPerSec;
-  if (!(ns > 0.0 && ns < kMaxNs))
-    throw std::invalid_argument(
-        "timeout_sec must be > 0 and under 2^63 ns: " +
-        io::json_number(config.timeout_sec));
+  if (!(ns > 0.0 && ns < kMaxNs)) {
+    std::string message = "timeout_sec must be > 0 and under 2^63 ns: ";
+    util::append_round_trip(message, config.timeout_sec);  // printf: inf, nan
+    throw std::invalid_argument(message);
+  }
   return static_cast<std::uint64_t>(ns);
 }
 

@@ -4,7 +4,6 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <functional>
 #include <sstream>
 #include <stdexcept>
@@ -201,48 +200,6 @@ ScopedTimer::~ScopedTimer() {
 
 namespace {
 
-constexpr double kNsPerSec = 1e9;
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", ch);
-          out += buf;
-        } else {
-          out += ch;
-        }
-    }
-  }
-  return out;
-}
-
-std::string json_str(const std::string& s) {
-  return '"' + json_escape(s) + '"';
-}
-
-std::string sec(std::uint64_t ns) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.9f",
-                static_cast<double>(ns) / kNsPerSec);
-  return buf;
-}
-
-std::string num(double x) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", x);
-  return buf;
-}
-
 /// "1.234 ms"-style duration for the human summary.
 std::string human_ns(double ns) {
   char buf[32];
@@ -258,73 +215,6 @@ std::string human_ns(double ns) {
 }
 
 }  // namespace
-
-std::string metrics_json(const Registry& registry) {
-  std::ostringstream os;
-  os << "{\"schema\":\"rat.metrics.v1\"";
-
-  os << ",\"counters\":{";
-  bool first = true;
-  for (const auto& [name, value] : registry.counters()) {
-    if (!first) os << ',';
-    first = false;
-    os << json_str(name) << ':' << value;
-  }
-  os << '}';
-
-  os << ",\"gauges\":{";
-  first = true;
-  for (const auto& [name, value] : registry.gauges()) {
-    if (!first) os << ',';
-    first = false;
-    os << json_str(name) << ':' << num(value);
-  }
-  os << '}';
-
-  os << ",\"timers\":{";
-  first = true;
-  for (const auto& [name, t] : registry.timers()) {
-    if (!first) os << ',';
-    first = false;
-    os << json_str(name) << ":{\"count\":" << t.count
-       << ",\"total_sec\":" << sec(t.total_ns)
-       << ",\"mean_sec\":" << sec(static_cast<std::uint64_t>(t.mean_ns()))
-       << ",\"min_sec\":" << sec(t.min_ns)
-       << ",\"max_sec\":" << sec(t.max_ns) << '}';
-  }
-  os << '}';
-
-  os << ",\"hists\":{";
-  first = true;
-  for (const auto& [name, h] : registry.hists()) {
-    if (!first) os << ',';
-    first = false;
-    os << json_str(name) << ":{\"count\":" << h.count()
-       << ",\"overflow\":" << h.overflow_count()
-       << ",\"min_sec\":" << sec(h.min())
-       << ",\"max_sec\":" << sec(h.max())
-       << ",\"mean_sec\":" << num(h.mean() / kNsPerSec)
-       << ",\"p50_sec\":" << num(h.percentile(50.0) / kNsPerSec)
-       << ",\"p90_sec\":" << num(h.percentile(90.0) / kNsPerSec)
-       << ",\"p99_sec\":" << num(h.percentile(99.0) / kNsPerSec)
-       << ",\"p999_sec\":" << num(h.percentile(99.9) / kNsPerSec) << '}';
-  }
-  os << '}';
-
-  os << ",\"spans\":[";
-  first = true;
-  for (const SpanEvent& s : registry.spans()) {
-    if (!first) os << ',';
-    first = false;
-    os << "{\"name\":" << json_str(s.name);
-    if (!s.detail.empty()) os << ",\"detail\":" << json_str(s.detail);
-    os << ",\"thread\":" << s.thread
-       << ",\"start_sec\":" << sec(s.start_ns)
-       << ",\"dur_sec\":" << sec(s.dur_ns) << '}';
-  }
-  os << "],\"spans_dropped\":" << registry.spans_dropped() << '}';
-  return os.str();
-}
 
 std::string summary_table(const Registry& registry) {
   std::ostringstream os;
@@ -389,18 +279,6 @@ std::string summary_table(const Registry& registry) {
                 registry.spans().size(), dropped);
   os << line;
   return os.str();
-}
-
-bool write_metrics_file(const std::filesystem::path& path,
-                        const Registry& registry) {
-  std::ofstream f(path);
-  if (!f) {
-    std::fprintf(stderr, "obs: cannot write metrics file %s\n",
-                 path.string().c_str());
-    return false;
-  }
-  f << metrics_json(registry) << '\n';
-  return f.good();
 }
 
 }  // namespace rat::obs

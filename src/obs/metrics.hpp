@@ -14,16 +14,16 @@
 //     writes the registry, nothing else, so predictions stay bit-identical
 //     whether observability is on or off.
 //
-// Exported as a `rat.metrics.v1` JSON document (docs/OBSERVABILITY.md) and
-// a human-readable summary table. obs sits *below* util in the dependency
-// order (util's thread pool is itself instrumented), so this header only
-// uses the standard library.
+// obs records and renders only the human-readable summary table; io
+// renders the `rat.metrics.v1` JSON document (io/json.hpp,
+// docs/OBSERVABILITY.md). obs sits *below* util in the dependency order
+// (util's thread pool is itself instrumented), so this header only uses
+// the standard library.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <filesystem>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -176,17 +176,8 @@ class ScopedTimer {
   std::uint64_t start_ns_ = 0;
 };
 
-/// Serialize a registry snapshot as the rat.metrics.v1 JSON document
-/// (schema in docs/OBSERVABILITY.md).
-std::string metrics_json(const Registry& registry = Registry::global());
-
 /// Human-readable summary: counters, gauges, then timers with
 /// count/total/mean/min/max columns.
 std::string summary_table(const Registry& registry = Registry::global());
-
-/// metrics_json written to @p path; false (with a message on stderr) when
-/// the file cannot be written.
-bool write_metrics_file(const std::filesystem::path& path,
-                        const Registry& registry = Registry::global());
 
 }  // namespace rat::obs

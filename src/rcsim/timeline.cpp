@@ -5,6 +5,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "util/format.hpp"
+
 namespace rat::rcsim {
 
 namespace {
@@ -66,9 +68,7 @@ bool Timeline::lanes_consistent() const {
 }
 
 std::string Timeline::to_chrome_trace() const {
-  std::ostringstream os;
-  os << "{\"traceEvents\":[";
-  bool first = true;
+  std::string out = "{\"traceEvents\":[";
   for (const auto& e : events_) {
     const char* name = "?";
     switch (e.kind) {
@@ -77,16 +77,21 @@ std::string Timeline::to_chrome_trace() const {
       case EventKind::kCompute: name = "compute"; break;
       case EventKind::kHostSync: name = "host sync"; break;
     }
-    if (!first) os << ',';
-    first = false;
+    if (&e != &events_.front()) out += ',';
     // tid 1 = bus lane, tid 2 = fabric lane; microsecond timestamps.
-    os << "{\"name\":\"" << name << " #" << e.iteration + 1
-       << "\",\"ph\":\"X\",\"pid\":1,\"tid\":"
-       << (is_comm(e.kind) ? 1 : 2) << ",\"ts\":" << e.start_sec * 1e6
-       << ",\"dur\":" << e.duration() * 1e6 << '}';
+    out += "{\"name\":\"";
+    out += name;
+    out += " #" + std::to_string(e.iteration + 1);
+    out += "\",\"ph\":\"X\",\"pid\":1,\"tid\":";
+    out += is_comm(e.kind) ? '1' : '2';
+    out += ",\"ts\":";
+    util::append_round_trip(out, e.start_sec * 1e6);
+    out += ",\"dur\":";
+    util::append_round_trip(out, e.duration() * 1e6);
+    out += '}';
   }
-  os << "]}";
-  return os.str();
+  out += "]}";
+  return out;
 }
 
 std::string Timeline::to_gantt(std::size_t width) const {

@@ -3,7 +3,7 @@
 #include <memory>
 #include <utility>
 
-#include "io/batch.hpp"
+#include "io/codec.hpp"
 #include "svc/fingerprint.hpp"
 
 namespace rat::svc {

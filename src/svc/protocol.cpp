@@ -7,7 +7,6 @@
 #include "io/json.hpp"
 #include "svc/cache.hpp"
 #include "svc/fingerprint.hpp"
-#include "util/format.hpp"
 
 namespace rat::svc {
 
@@ -272,7 +271,7 @@ std::string stats_response(const std::string& id, const StatsCounters& stats,
       out += ',';
     if (key == "cache.warmed") {  // derived, so not a counter of its own
       out += "\"hit_ratio\":";
-      util::append_round_trip(
+      io::append_json_number(
           out, hit_ratio({.hits = stats[stat_index("cache.hits")],
                           .misses = stats[stat_index("cache.misses")]}));
       out += ',';
@@ -336,7 +335,7 @@ std::string encode_forward(const std::string& token, const Request& req) {
   }
   if (req.deadline_ms > 0.0) {
     out += ",\"deadline_ms\":";
-    util::append_round_trip(out, req.deadline_ms);
+    io::append_json_number(out, req.deadline_ms);
   }
   if (req.no_cache) out += ",\"no_cache\":true";
   out += '}';

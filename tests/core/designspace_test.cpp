@@ -6,6 +6,7 @@
 #include <string>
 
 #include "core/units.hpp"
+#include "io/codec.hpp"
 
 namespace rat::core {
 namespace {
@@ -160,30 +161,30 @@ TEST(DesignSpaceFingerprint, CandidateFingerprintIsBitSensitive) {
   DesignCandidate a;
   a.inputs = pdf1d_inputs();
   DesignCandidate b = a;
-  EXPECT_EQ(candidate_fingerprint(a), candidate_fingerprint(b));
+  EXPECT_EQ(io::candidate_fingerprint(a), io::candidate_fingerprint(b));
   b.inputs.comp.throughput_ops_per_cycle += 1e-12;
-  EXPECT_NE(candidate_fingerprint(a), candidate_fingerprint(b));
+  EXPECT_NE(io::candidate_fingerprint(a), io::candidate_fingerprint(b));
   b = a;
   b.decision_clock_hz = a.decision_clock_hz + 1.0;
-  EXPECT_NE(candidate_fingerprint(a), candidate_fingerprint(b));
+  EXPECT_NE(io::candidate_fingerprint(a), io::candidate_fingerprint(b));
   b = a;
   b.resources.push_back(ResourceItem{"extra", 1, 18, 0, 1, 1});
-  EXPECT_NE(candidate_fingerprint(a), candidate_fingerprint(b));
+  EXPECT_NE(io::candidate_fingerprint(a), io::candidate_fingerprint(b));
 }
 
 TEST(DesignSpaceFingerprint, RequirementsFingerprintCoversDeviceAndGates) {
   Requirements req;
   const auto device = rcsim::virtex4_lx100();
-  const std::uint64_t base = requirements_fingerprint(req, device);
+  const std::uint64_t base = io::requirements_fingerprint(req, device);
   Requirements changed = req;
   changed.double_buffered = !req.double_buffered;
-  EXPECT_NE(requirements_fingerprint(changed, device), base);
+  EXPECT_NE(io::requirements_fingerprint(changed, device), base);
   changed = req;
   changed.min_energy_ratio = 1.5;
-  EXPECT_NE(requirements_fingerprint(changed, device), base);
+  EXPECT_NE(io::requirements_fingerprint(changed, device), base);
   auto other_device = device;
   other_device.inventory.dsp += 1;
-  EXPECT_NE(requirements_fingerprint(req, other_device), base);
+  EXPECT_NE(io::requirements_fingerprint(req, other_device), base);
 }
 
 TEST(DesignSpace, Validation) {

@@ -15,7 +15,9 @@
 // Every rejection must also name one of the parser's E_* codes and point
 // inside the text: a line within its line count and a column at most
 // that line's length + 1, or line and column 0 for the whole-worksheet
-// failures (a missing name, a validate() rejection).
+// failures (a missing name, a validate() rejection). Every accepted
+// worksheet must reach a fixed point: parse, serialize(), parse again
+// gives the same canonical text.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -206,9 +208,16 @@ std::string rejection_line(std::size_t index, const std::string& text,
   return os.str();
 }
 
+/// parse -> serialize() -> parse gives @p in's canonical text again.
+void expect_fixed_point(const core::RatInputs& in, const std::string& where) {
+  const core::RatInputs again = core::RatInputs::parse(in.serialize());
+  EXPECT_EQ(svc::canonical_text(again), svc::canonical_text(in)) << where;
+}
+
 std::string outcome_line(std::size_t index, const std::string& text) {
   try {
     const core::RatInputs in = parse_worksheet_text(text, "<request>");
+    expect_fixed_point(in, "case " + std::to_string(index));
     return "{\"case\":" + std::to_string(index) + ",\"fingerprint\":\"" +
            svc::fingerprint_hex(svc::fingerprint(in)) + "\"}";
   } catch (const core::ParseError& e) {
@@ -253,6 +262,20 @@ TEST(WorksheetCorpus, OutcomesMatchTheGoldenAndStayInsideTheText) {
                 << " (the first 20 at most below). Actual outcomes: " << out
                 << "; copy that file over the golden to accept.\n"
                 << diff.str();
+}
+
+// CR is a blank, so no value ends in one. Were it not, `x\r\r\n` would
+// parse to "x\r", which serialize() writes as `x\r\n`, which parses as "x".
+TEST(WorksheetCorpus, CarriageReturnsAroundAValueReachAFixedPoint) {
+  const std::string pdf1d = read_bytes(kFixtures / "worksheets" / "pdf1d.rat");
+  const std::string name_line = "name = 1-D PDF estimation\n";
+  for (const char* line : {"name = x\r\r\n", "name = x\r \r\n"}) {
+    std::string text = pdf1d;
+    text.replace(text.find(name_line), name_line.size(), line);
+    const core::RatInputs in = parse_worksheet_text(text, "<request>");
+    EXPECT_EQ(in.name, "x");
+    expect_fixed_point(in, text);
+  }
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "io/json.hpp"
 #include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
@@ -145,7 +146,7 @@ TEST(ObsHistogram, RegistryRecordsAndExportsHists) {
   ASSERT_EQ(hists.size(), 1u);
   EXPECT_EQ(hists.at("op.latency").count(), 2u);
 
-  const std::string json = metrics_json(r);
+  const std::string json = io::metrics_json(r);
   EXPECT_NE(json.find("\"hists\":{\"op.latency\":{\"count\":2"),
             std::string::npos)
       << json;

@@ -15,6 +15,7 @@
 #include "core/montecarlo.hpp"
 #include "core/parameters.hpp"
 #include "core/units.hpp"
+#include "io/json.hpp"
 #include "util/parallel_for.hpp"
 #include "util/thread_pool.hpp"
 
@@ -187,7 +188,7 @@ TEST(ObsJson, SchemaAndContents) {
   reg.set_gauge("threads", 2.0);
   reg.record_timer("parse", 1500000000);  // 1.5 s
   reg.record_span("parse", "a \"quoted\"\\path", 0, 250000000);
-  const std::string j = metrics_json(reg);
+  const std::string j = io::metrics_json(reg);
   EXPECT_NE(j.find("\"schema\":\"rat.metrics.v1\""), std::string::npos);
   EXPECT_NE(j.find("\"files\":3"), std::string::npos);
   EXPECT_NE(j.find("\"threads\":2"), std::string::npos);
@@ -201,7 +202,7 @@ TEST(ObsJson, SchemaAndContents) {
 
 TEST(ObsJson, EmptyRegistryStillValidDocument) {
   Registry reg;
-  const std::string j = metrics_json(reg);
+  const std::string j = io::metrics_json(reg);
   EXPECT_NE(j.find("rat.metrics.v1"), std::string::npos);
   EXPECT_NE(j.find("\"counters\":{}"), std::string::npos);
   EXPECT_NE(j.find("\"spans\":[]"), std::string::npos);
@@ -225,17 +226,17 @@ TEST(ObsExport, WriteMetricsFileRoundTrips) {
   reg.add_counter("k", 7);
   const auto path =
       std::filesystem::temp_directory_path() / "rat_obs_test_metrics.json";
-  ASSERT_TRUE(write_metrics_file(path, reg));
+  ASSERT_TRUE(io::write_metrics_file(path, reg));
   std::ifstream f(path);
   std::stringstream buf;
   buf << f.rdbuf();
-  EXPECT_EQ(buf.str(), metrics_json(reg) + "\n");
+  EXPECT_EQ(buf.str(), io::metrics_json(reg) + "\n");
   std::filesystem::remove(path);
 }
 
 TEST(ObsExport, WriteMetricsFileReportsFailure) {
   Registry reg;
-  EXPECT_FALSE(write_metrics_file(
+  EXPECT_FALSE(io::write_metrics_file(
       std::filesystem::path("/nonexistent-dir/metrics.json"), reg));
 }
 

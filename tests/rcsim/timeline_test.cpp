@@ -86,7 +86,7 @@ TEST(Timeline, ChromeTraceStructure) {
   EXPECT_NE(j.find("\"tid\":1"), std::string::npos);
   EXPECT_NE(j.find("\"tid\":2"), std::string::npos);
   // Compute event: starts at 1s = 1e6 us, lasts 3e6 us.
-  EXPECT_NE(j.find("\"ts\":1e+06,\"dur\":3e+06"), std::string::npos);
+  EXPECT_NE(j.find("\"ts\":1000000,\"dur\":3000000"), std::string::npos);
 }
 
 TEST(Timeline, ChromeTraceEmptyTimeline) {

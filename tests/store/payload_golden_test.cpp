@@ -1,6 +1,6 @@
 // Golden bytes for the two value payloads the store persists: the
 // service result cache's predictions (io::encode_predictions) and the
-// plan cache's evaluations (core::encode_evaluation_unindexed). Existing
+// plan cache's evaluations (io::encode_evaluation_unindexed). Existing
 // --cache-dir and plan-cache directories hold exactly these bytes, so a
 // codec change that moves a single byte must fail here, not at a user's
 // warm start.
@@ -14,7 +14,7 @@
 #include "core/evaluation.hpp"
 #include "core/parameters.hpp"
 #include "core/throughput.hpp"
-#include "io/batch.hpp"
+#include "io/codec.hpp"
 
 namespace rat {
 namespace {
@@ -88,10 +88,10 @@ TEST(StorePayloadGolden, PredictionsEncodeToPinnedBytes) {
 
 TEST(StorePayloadGolden, EvaluationEncodesToPinnedBytes) {
   const core::CandidateEvaluation ev = pdf1d_gate_evaluation();
-  EXPECT_EQ(to_hex(core::encode_evaluation_unindexed(ev)),
+  EXPECT_EQ(to_hex(io::encode_evaluation_unindexed(ev)),
             kPdf1dGateEvaluationHex);
 
-  const core::CandidateEvaluation decoded = core::decode_evaluation_unindexed(
+  const core::CandidateEvaluation decoded = io::decode_evaluation_unindexed(
       from_hex(kPdf1dGateEvaluationHex), 0, core::pdf1d_inputs().name);
   EXPECT_TRUE(bit_identical(decoded.prediction, ev.prediction));
   EXPECT_EQ(decoded.passed, ev.passed);

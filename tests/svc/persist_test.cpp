@@ -12,7 +12,7 @@
 #include <string>
 #include <vector>
 
-#include "io/batch.hpp"
+#include "io/codec.hpp"
 #include "svc/fingerprint.hpp"
 
 namespace rat::svc {

@@ -36,7 +36,7 @@ std::string oracle_round_trip(double x) {
 }
 
 /// printf("%.*f<suffix>"); the buffer holds '-', DBL_MAX's 309 integer
-/// digits, '.', 6 decimals and the suffix.
+/// digits, '.', 9 decimals and the suffix.
 std::string oracle_fixed(double x, int decimals, const char* suffix = "") {
   char buf[400];
   const int n =
@@ -113,7 +113,8 @@ TEST(FormatOracle, FixedAndPercentMatchSnprintf) {
   }
   std::size_t mismatches = 0;
   for (double x : values) {
-    for (int d = 0; d <= 6; ++d) {
+    // Up to 9 decimals: the rat.metrics.v1 *_sec fields.
+    for (int d = 0; d <= 9; ++d) {
       const bool ok = fixed(x, d) == oracle_fixed(x, d) &&
                       percent(x, d) == oracle_fixed(x * 100.0, d, "%");
       if (!ok && ++mismatches <= 5)
@@ -122,7 +123,7 @@ TEST(FormatOracle, FixedAndPercentMatchSnprintf) {
                       << oracle_fixed(x, d);
     }
   }
-  EXPECT_EQ(mismatches, 0u) << "of " << 7 * values.size();
+  EXPECT_EQ(mismatches, 0u) << "of " << 10 * values.size();
 }
 
 }  // namespace
