@@ -6,16 +6,15 @@
 // axes — pipeline count x clock estimate — through the design-space
 // explorer, cheapest point first, and lets the state machine settle on
 // the first permutation that passes the throughput, precision and
-// resource tests. stderr reports the explorer's effort counters.
+// resource tests. Every permutation up to the winner appears in the
+// trace, as the exhaustive scan prints it (docs/EXPLORATION.md). stderr
+// reports the explorer's effort counters.
 //
 // Usage: design_space_exploration [--goal=9] [--tolerance=2.0] [--threads=N]
-//                                 [--metrics=<path>] [--prune]
+//                                 [--metrics=<path>]
 //                                 [--plan-cache=<dir>] [--throttle-ms=N]
 //   --threads=0 sizes the worker count automatically (RAT_THREADS override
 //   or hardware concurrency); the outcome is identical at any thread count.
-//   --prune turns on branch-and-bound (docs/EXPLORATION.md); without it
-//   every permutation up to the winner is evaluated in enumeration order.
-//   stdout is byte-identical either way.
 //   --plan-cache persists every full evaluation in a content-addressed
 //   DurableStore keyed by candidate+requirements+device fingerprints, so
 //   a rerun — after a crash, or of an overlapping campaign — replays
@@ -50,7 +49,6 @@ int main(int argc, char** argv) {
   const double goal = cli.get_double("goal", 9.0);
   const double tolerance = cli.get_double("tolerance", 2.0);
   const std::size_t threads = cli.get_size_t("threads", 1, 0, 256);
-  const bool prune = cli.get_bool("prune", false);
   const std::string plan_cache_dir = cli.get_or("plan-cache", "");
   const std::size_t throttle_ms = cli.get_size_t("throttle-ms", 0, 0, 60000);
 
@@ -99,7 +97,6 @@ int main(int argc, char** argv) {
     if (!plan_cache_dir.empty())
       cache = std::make_unique<explore::PlanCache>(plan_cache_dir);
     explore::ExploreOptions opt;
-    opt.policy.prune = prune;
     opt.n_threads = threads;
     opt.plan_cache = cache.get();
     const auto explored = explore::explore_design_space_pruned(

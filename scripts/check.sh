@@ -733,7 +733,7 @@ grep -q '"id":"e","status":"ok","op":"evaluate"' "$stdio_out"
 rm -f "$stdio_out"
 
 # Plan-cache crash-recovery smoke (docs/EXPLORATION.md): a throttled
-# pruned campaign (tolerance far below what any format reaches, so every
+# campaign (tolerance far below what any format reaches, so every
 # throughput-passing point runs the full slow precision sweep and is
 # cached) is kill -9'd after the plan cache's journal holds at least one
 # complete evaluation, then rerun unthrottled on the same directory. The
@@ -744,7 +744,7 @@ plan_dir=$(mktemp -d)
 build/examples/design_space_exploration --goal=2 --tolerance=0.0001 \
   >"$plan_dir/plain.out" 2>/dev/null
 build/examples/design_space_exploration --goal=2 --tolerance=0.0001 \
-  --prune --plan-cache="$plan_dir/cache" --throttle-ms=100 \
+  --plan-cache="$plan_dir/cache" --throttle-ms=100 \
   >/dev/null 2>&1 &
 explore_pid=$!
 for _ in $(seq 200); do
@@ -755,7 +755,7 @@ done
 kill -9 "$explore_pid" 2>/dev/null || true
 wait "$explore_pid" 2>/dev/null || true
 build/examples/design_space_exploration --goal=2 --tolerance=0.0001 \
-  --prune --plan-cache="$plan_dir/cache" \
+  --plan-cache="$plan_dir/cache" \
   >"$plan_dir/resumed.out" 2>"$plan_dir/resumed.err"
 if ! grep -Eq 'cache hits [1-9]' "$plan_dir/resumed.err"; then
   echo "design_space_exploration: resumed run replayed nothing"

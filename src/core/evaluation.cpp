@@ -100,6 +100,19 @@ CandidateEvaluation evaluate_candidate(std::size_t i,
   return ev;
 }
 
+bool append_evaluation(MethodologyOutcome& out, std::size_t i,
+                       CandidateEvaluation&& ev) {
+  for (auto& e : ev.trace) out.trace.push_back(std::move(e));
+  out.predictions.push_back(ev.prediction);
+  if (ev.passed) {
+    out.proceed = true;
+    out.accepted_index = i;
+    return true;
+  }
+  out.last_reject = ev.reject;
+  return false;
+}
+
 // --- Deferred-validation window fill ----------------------------------------
 
 namespace {

@@ -112,7 +112,9 @@ struct MethodologyOutcome {
 /// producing a byte-identical outcome: the merged trace, predictions and
 /// accepted index match the serial run exactly, because candidates are
 /// independent and results are merged in order, truncated at the first
-/// passing design. Parallel runs require the candidates' precision
+/// passing design. A candidate that throws (e.g. fails validation) throws
+/// only if the merge reaches it, so the exception that escapes is the
+/// serial run's too. Parallel runs require the candidates' precision
 /// kernels (when any) to be safe to call from different threads.
 MethodologyOutcome run_methodology(const std::vector<DesignCandidate>& candidates,
                                    const Requirements& req,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <exception>
 #include <limits>
 #include <optional>
 #include <queue>
@@ -12,7 +11,6 @@
 #include "core/evaluation.hpp"
 #include "io/codec.hpp"
 #include "obs/metrics.hpp"
-#include "util/parallel_for.hpp"
 
 namespace rat::explore {
 
@@ -22,21 +20,16 @@ using core::CandidateEvaluation;
 using core::DesignCandidate;
 
 /// Final disposition of one grid point (docs/EXPLORATION.md). kUntouched
-/// points become points_pruned: the search proved nothing about them and
-/// the trace assembly never needed them (they lie past the winner).
+/// points become points_pruned: neither the scan nor the search reached
+/// them (they lie past the winner).
 enum PointStatus : std::uint8_t {
   kUntouched = 0,
   kSkippedPoint,
+  /// A throughput rejection, proven by a corner bound or by the point's
+  /// own prediction.
   kBoundedPoint,
   kEvaluatedPoint,
   kRestoredPoint,
-};
-
-enum class EvalKind : std::uint8_t {
-  kFresh,
-  kRestoredCache,
-  kBoundedSynth,  ///< throughput rejection proven by the point's prediction
-  kViolation,     ///< bound claimed fail, the point's prediction passed
 };
 
 /// An axis-aligned, inclusive box of axis indices.
@@ -61,11 +54,6 @@ struct ByKey {
 /// of split further.
 constexpr std::size_t kLeafPoints = 8;
 
-struct MemoEntry {
-  CandidateEvaluation ev;
-  EvalKind kind;
-};
-
 class PrunedExploration {
  public:
   PrunedExploration(const core::DesignAxes& axes,
@@ -84,7 +72,7 @@ class PrunedExploration {
   }
   void build_grid();
 
-  // --- search --------------------------------------------------------
+  // --- search (elided runs only) ------------------------------------
   void search();
   std::optional<std::size_t> min_cand_in_box(const Box& b) const;
   struct Bound {
@@ -93,29 +81,25 @@ class PrunedExploration {
   std::optional<Bound> corner_bound(const Box& b);
   void mark_bounded(const Box& b);
   void leaf_evaluate(const Box& b);
-  void evaluate_point(std::size_t ci, std::size_t lex_index,
-                      const core::WindowPredictions& preds, std::size_t k);
-  void note(std::size_t ci, std::size_t lex_index, CandidateEvaluation&& ev,
-            EvalKind kind);
 
-  // --- assembly ------------------------------------------------------
+  // --- one candidate -------------------------------------------------
   struct Item {
     CandidateEvaluation ev;
-    EvalKind kind = EvalKind::kFresh;
-    bool cache_missed = false;
-    bool cache_put = false;
+    PointStatus status = kEvaluatedPoint;
+    std::string key;  ///< plan-cache key of a fresh evaluation
   };
-  // Safe from assembly workers: it only reads memo_/status_ and calls the
-  // thread-safe cache insert.
-  Item assemble_one(std::size_t ci, std::size_t k,
-                    const core::WindowPredictions& window);
-  void assemble_full(ExploreResult& result);
-  void assemble_elided(ExploreResult& result);
-  bool merge(std::size_t ci, Item&& item, core::MethodologyOutcome& out);
-  /// Append one candidate's evaluation to @p out in enumeration order and
-  /// tally the gate that rejected it; true = accepted.
-  bool append(CandidateEvaluation&& ev, core::MethodologyOutcome& out);
+  /// The per-candidate routine of the scan and the search's leaves: the
+  /// throughput gate on the candidate's own prediction, then plan-cache
+  /// replay, then the full gate pipeline. Safe on scan workers: it reads
+  /// only the candidates and the thread-safe cache.
+  Item evaluate(std::size_t ci, const core::ThroughputPrediction& pred) const;
+  /// Take one candidate's item: record its point's fate and the cache
+  /// effort, and store a fresh evaluation in the plan cache.
+  void take(std::size_t ci, const Item& item);
 
+  // --- assembly ------------------------------------------------------
+  void scan(ExploreResult& result);
+  void assemble_elided(ExploreResult& result);
   void finalize(ExploreResult& result);
 
   std::string cache_key(const DesignCandidate& cand) const {
@@ -143,7 +127,8 @@ class PrunedExploration {
   std::uint64_t context_fp_ = 0;
 
   std::optional<std::size_t> incumbent_;
-  std::unordered_map<std::size_t, MemoEntry> memo_;
+  /// The search's leaf evaluations, by candidate index.
+  std::unordered_map<std::size_t, CandidateEvaluation> memo_;
   /// Corner-prediction memo: lex index → gate-mode speedup (NaN when the
   /// corner candidate failed validation and cannot bound anything).
   std::unordered_map<std::size_t, double> corner_speedup_;
@@ -249,61 +234,49 @@ void PrunedExploration::mark_bounded(const Box& b) {
       }
 }
 
-void PrunedExploration::note(std::size_t ci, std::size_t lex_index,
-                             CandidateEvaluation&& ev, EvalKind kind) {
-  if (ev.passed && (!incumbent_ || ci < *incumbent_)) incumbent_ = ci;
-  switch (kind) {
-    case EvalKind::kBoundedSynth: status_[lex_index] = kBoundedPoint; break;
-    case EvalKind::kRestoredCache: status_[lex_index] = kRestoredPoint; break;
-    default: status_[lex_index] = kEvaluatedPoint; break;
+PrunedExploration::Item PrunedExploration::evaluate(
+    std::size_t ci, const core::ThroughputPrediction& pred) const {
+  const DesignCandidate& cand = candidates_[ci];
+  Item item;
+  // The point's own prediction is an exact bound on itself: the gate's
+  // rejection is byte-identical to a full evaluation's, at none of the
+  // deeper gates' cost, and it is cheaper to recompute than to store.
+  if (!core::apply_throughput_gate(item.ev, ci, cand.inputs.name, req_,
+                                   pred)) {
+    item.status = kBoundedPoint;
+    return item;
   }
-  memo_.emplace(ci, MemoEntry{std::move(ev), kind});
+  if (cache_) {
+    item.key = cache_key(cand);
+    if (auto ev = cache_->lookup(item.key, ci, cand.inputs.name)) {
+      item.ev = std::move(*ev);
+      item.status = kRestoredPoint;
+      return item;
+    }
+  }
+  item.ev = core::evaluate_candidate(ci, cand, req_, device_, pred);
+  return item;
 }
 
-void PrunedExploration::evaluate_point(std::size_t ci, std::size_t lex_index,
-                                       const core::WindowPredictions& preds,
-                                       std::size_t k) {
-  const DesignCandidate& cand = candidates_[ci];
-  // A candidate whose worksheet fails validation cannot pass; whether the
-  // run must *throw* for it depends on where the winner lands, which only
-  // the in-order trace assembly knows — leave it untouched here.
-  if (preds.errors[k]) return;
-  const core::ThroughputPrediction& pred = preds.predictions[k];
-  // The point's own prediction is an exact bound on itself: a throughput
-  // rejection synthesized here is byte-identical to a full evaluation's
-  // (same gate, same strings) at none of the deeper-gate cost.
-  CandidateEvaluation synth;
-  if (!core::apply_throughput_gate(synth, ci, cand.inputs.name, req_, pred)) {
-    note(ci, lex_index, std::move(synth), EvalKind::kBoundedSynth);
+void PrunedExploration::take(std::size_t ci, const Item& item) {
+  status_[lex_of_cand_[ci]] = item.status;
+  if (!cache_ || item.status == kBoundedPoint) return;
+  if (item.status == kRestoredPoint) {
+    ++stats_.cache_hits;
     return;
   }
-  const std::string key = cache_ ? cache_key(cand) : std::string();
-  if (cache_) {
-    if (auto ev = cache_->lookup(key, ci, cand.inputs.name)) {
-      ++stats_.cache_hits;
-      note(ci, lex_index, std::move(*ev), EvalKind::kRestoredCache);
-      return;
-    }
-    ++stats_.cache_misses;
-  }
-  CandidateEvaluation ev =
-      core::evaluate_candidate(ci, cand, req_, device_, pred);
-  if (cache_) {
-    cache_->insert(key, ev);
-    ++stats_.cache_puts;
-  }
-  note(ci, lex_index, std::move(ev), EvalKind::kFresh);
+  ++stats_.cache_misses;
+  cache_->insert(item.key, item.ev);
+  ++stats_.cache_puts;
 }
 
 void PrunedExploration::leaf_evaluate(const Box& b) {
-  std::vector<std::size_t> lexes, cids;
+  std::vector<std::size_t> cids;
   for (std::size_t ip = b.lo[0]; ip <= b.hi[0]; ++ip)
     for (std::size_t ifc = b.lo[1]; ifc <= b.hi[1]; ++ifc)
       for (std::size_t ib = b.lo[2]; ib <= b.hi[2]; ++ib) {
-        const std::size_t l = lex(ip, ifc, ib);
-        if (cand_of_point_[l] < 0) continue;
-        lexes.push_back(l);
-        cids.push_back(static_cast<std::size_t>(cand_of_point_[l]));
+        const std::ptrdiff_t ci = cand_of_point_[lex(ip, ifc, ib)];
+        if (ci >= 0) cids.push_back(static_cast<std::size_t>(ci));
       }
   if (cids.empty()) return;
   core::WindowPredictions preds;
@@ -311,8 +284,15 @@ void PrunedExploration::leaf_evaluate(const Box& b) {
   // cids ascend with the box's lex order, so the first full pass makes
   // every later leaf point prunable on the spot.
   for (std::size_t k = 0; k < cids.size(); ++k) {
-    if (incumbent_ && cids[k] > *incumbent_) break;
-    evaluate_point(cids[k], lexes[k], preds, k);
+    const std::size_t ci = cids[k];
+    if (incumbent_ && ci > *incumbent_) break;
+    // A candidate whose worksheet fails validation cannot pass, and an
+    // elided run does not throw for it: it stays untouched.
+    if (preds.errors[k]) continue;
+    Item item = evaluate(ci, preds.predictions[k]);
+    take(ci, item);
+    if (item.ev.passed && (!incumbent_ || ci < *incumbent_)) incumbent_ = ci;
+    memo_.emplace(ci, std::move(item.ev));
   }
 }
 
@@ -368,132 +348,18 @@ void PrunedExploration::search() {
   }
 }
 
-PrunedExploration::Item PrunedExploration::assemble_one(
-    std::size_t ci, std::size_t k, const core::WindowPredictions& window) {
-  Item item;
-  if (const auto it = memo_.find(ci); it != memo_.end()) {
-    item.ev = it->second.ev;
-    item.kind = it->second.kind == EvalKind::kViolation
-                    ? EvalKind::kFresh  // violations are tallied once
-                    : it->second.kind;
-    return item;
-  }
-  const DesignCandidate& cand = candidates_[ci];
-  const bool bounded = status_[lex_of_cand_[ci]] == kBoundedPoint;
-  // Fresh work (synthesized or full) surfaces the validation error
-  // predict() would have thrown, at the same point of the run.
-  if (window.errors[k]) std::rethrow_exception(window.errors[k]);
-  const core::ThroughputPrediction& pred = window.predictions[k];
-  if (bounded) {
-    // Re-check the bound's claim against the point's own prediction: a
-    // monotone factory can never fail this, a non-monotone one demotes
-    // the point to a full evaluation (and may move the winner earlier).
-    CandidateEvaluation synth;
-    if (!core::apply_throughput_gate(synth, ci, cand.inputs.name, req_,
-                                     pred)) {
-      item.ev = std::move(synth);
-      item.kind = EvalKind::kBoundedSynth;
-      return item;
-    }
-    item.kind = EvalKind::kViolation;
-  }
-  const std::string key = cache_ ? cache_key(cand) : std::string();
-  if (cache_ && !bounded) {
-    if (auto ev = cache_->lookup(key, ci, cand.inputs.name)) {
-      item.ev = std::move(*ev);
-      item.kind = EvalKind::kRestoredCache;
-      return item;
-    }
-    item.cache_missed = true;
-  }
-  item.ev = core::evaluate_candidate(ci, cand, req_, device_, pred);
-  if (cache_) {
-    cache_->insert(key, item.ev);
-    item.cache_put = true;
-  }
-  return item;
-}
-
-bool PrunedExploration::merge(std::size_t ci, Item&& item,
-                              core::MethodologyOutcome& out) {
-  const std::size_t l = lex_of_cand_[ci];
-  switch (item.kind) {
-    case EvalKind::kFresh:
-      status_[l] = kEvaluatedPoint;
-      break;
-    case EvalKind::kViolation:
-      status_[l] = kEvaluatedPoint;
-      ++stats_.bound_violations;
-      break;
-    case EvalKind::kRestoredCache:
-      status_[l] = kRestoredPoint;
-      if (memo_.find(ci) == memo_.end()) ++stats_.cache_hits;
-      break;
-    case EvalKind::kBoundedSynth:
-      status_[l] = kBoundedPoint;
-      break;
-  }
-  if (item.cache_missed) ++stats_.cache_misses;
-  if (item.cache_put) ++stats_.cache_puts;
-  if (!append(std::move(item.ev), out)) return false;
-  out.accepted_index = ci;
-  return true;
-}
-
-bool PrunedExploration::append(CandidateEvaluation&& ev,
-                               core::MethodologyOutcome& out) {
-  for (auto& e : ev.trace) out.trace.push_back(std::move(e));
-  out.predictions.push_back(ev.prediction);
-  if (ev.passed) {
-    out.proceed = true;
-    return true;
-  }
-  out.last_reject = ev.reject;
-  switch (ev.reject) {
-    case core::RejectReason::kInsufficientThroughput:
-      ++stats_.rejected_throughput;
-      break;
-    case core::RejectReason::kUnrealizablePrecision:
-      ++stats_.rejected_precision;
-      break;
-    case core::RejectReason::kInsufficientResources:
-      ++stats_.rejected_resource;
-      break;
-    case core::RejectReason::kInsufficientEnergySavings:
-      ++stats_.rejected_power;
-      break;
-    case core::RejectReason::kNone: break;
-  }
-  return false;
-}
-
-void PrunedExploration::assemble_full(ExploreResult& result) {
+void PrunedExploration::scan(ExploreResult& result) {
   obs::ScopedTimer timer("explore.assemble");
   core::MethodologyOutcome& out = result.design.outcome;
-  const std::size_t n = candidates_.size();
-  // A bound violation can only move the winner earlier, so nothing past
-  // the search incumbent can ever reach the trace.
-  const std::size_t limit = incumbent_ ? *incumbent_ + 1 : n;
-  const std::size_t threads =
-      std::min(util::resolve_thread_count(options_.n_threads), limit);
-  const std::size_t window_size = threads <= 1 ? 256 : threads * 4;
-  core::WindowPredictions window;
-  bool done = false;
-  for (std::size_t start = 0; start < limit && !done; start += window_size) {
-    const std::size_t count = std::min(window_size, limit - start);
-    window.fill(candidates_, start, count);
-    if (threads <= 1) {
-      for (std::size_t k = 0; k < count && !done; ++k)
-        done = merge(start + k, assemble_one(start + k, k, window), out);
-    } else {
-      auto items = util::parallel_map(
-          count,
-          [&](std::size_t k) { return assemble_one(start + k, k, window); },
-          threads);
-      for (std::size_t k = 0; k < count && !done; ++k)
-        done = merge(start + k, std::move(items[k]), out);
-    }
-  }
+  core::scan_in_order(
+      candidates_, options_.n_threads,
+      [this](std::size_t ci, const core::ThroughputPrediction& pred) {
+        return evaluate(ci, pred);
+      },
+      [&](std::size_t ci, Item&& item) {
+        take(ci, item);
+        return core::append_evaluation(out, ci, std::move(item.ev));
+      });
   if (out.proceed) result.winner_index = out.accepted_index;
 }
 
@@ -502,14 +368,14 @@ void PrunedExploration::assemble_elided(ExploreResult& result) {
   core::MethodologyOutcome& out = result.design.outcome;
   std::vector<std::size_t> order;
   order.reserve(memo_.size());
-  for (const auto& [ci, entry] : memo_) order.push_back(ci);
+  for (const auto& [ci, ev] : memo_) order.push_back(ci);
   std::sort(order.begin(), order.end());
   for (const std::size_t ci : order) {
     if (incumbent_ && ci > *incumbent_) break;
-    if (append(std::move(memo_.at(ci).ev), out)) {
-      // The sparse trace still names real enumeration indices; the
-      // accepted index addresses the sparse predictions vector.
-      out.accepted_index = out.predictions.size() - 1;
+    // The sparse trace still names real enumeration indices; the accepted
+    // index addresses the sparse predictions vector.
+    if (core::append_evaluation(out, out.predictions.size(),
+                                std::move(memo_.at(ci)))) {
       result.winner_index = ci;
       break;
     }
@@ -518,6 +384,17 @@ void PrunedExploration::assemble_elided(ExploreResult& result) {
 
 void PrunedExploration::finalize(ExploreResult& result) {
   stats_.points_total = total_;
+  // A rejected candidate's trace holds exactly one failing gate entry.
+  for (const core::TraceEntry& e : result.design.outcome.trace) {
+    if (e.passed) continue;
+    switch (e.step) {
+      case core::Step::kThroughputTest: ++stats_.rejected_throughput; break;
+      case core::Step::kPrecisionTest: ++stats_.rejected_precision; break;
+      case core::Step::kResourceTest: ++stats_.rejected_resource; break;
+      case core::Step::kPowerTest: ++stats_.rejected_power; break;
+      default: break;
+    }
+  }
   for (const std::uint8_t s : status_) {
     switch (s) {
       case kSkippedPoint: ++stats_.points_skipped; break;
@@ -544,7 +421,6 @@ void PrunedExploration::finalize(ExploreResult& result) {
     reg.add_counter("explore.regions_pruned_incumbent",
                     stats_.regions_pruned_incumbent);
     reg.add_counter("explore.corner_evaluations", stats_.corner_evaluations);
-    reg.add_counter("explore.bound_violations", stats_.bound_violations);
     reg.add_counter("explore.cache.hit", stats_.cache_hits);
     reg.add_counter("explore.cache.miss", stats_.cache_misses);
     reg.add_counter("explore.cache.put", stats_.cache_puts);
@@ -574,11 +450,12 @@ ExploreResult PrunedExploration::run() {
   cache_ = options_.plan_cache;
   if (cache_) context_fp_ = io::requirements_fingerprint(req_, device_);
 
-  if (policy_.prune) search();
-  if (policy_.prune && !policy_.full_trace)
+  if (policy_.prune && !policy_.full_trace) {
+    search();
     assemble_elided(result);
-  else
-    assemble_full(result);
+  } else {
+    scan(result);
+  }
   finalize(result);
   return result;
 }

@@ -1,30 +1,27 @@
-// Branch-and-bound design-space exploration (docs/EXPLORATION.md).
+// Design-space exploration with an optional branch-and-bound search
+// (docs/EXPLORATION.md).
 //
-// core::explore_design_space, the exhaustive reference scan, scores every
-// permutation of the axes grid. This module prunes instead: for the
-// factories the paper's case studies use, Eqs. 5-6 make predicted
-// speedup monotone along each axis (parallelism raises throughput_proc,
-// fclock raises the decision clock, wider formats raise bytes/element),
-// so the maximum speedup over an axis-aligned subregion of the grid is
-// attained at one of its corners. Best-first
-// branch-and-bound over such subregions proves whole boxes fail the
-// throughput gate from at most 2^3 corner predictions (one predict()
-// each, through core::WindowPredictions), then splits only the boxes that
-// straddle the pass/fail frontier — the number of full gate-pipeline
-// evaluations drops from O(points before the winner) to O(frontier
-// surface).
+// A full-trace run (the default) is core::scan_in_order over the
+// enumerated candidates, the same scan core::explore_design_space runs:
+// its result is bit-identical to the exhaustive explorer's (winner,
+// trace, predictions, skipped labels) at any thread count. Each candidate
+// pays one predict() and the throughput gate; only those that pass it
+// are replayed from the plan cache or run through the deeper gates.
+// Figure 1 runs the cheap throughput test first, so a failing design
+// costs the same whether a bound or its own prediction proves it, and a
+// full trace has nothing to gain from searching first.
 //
-// Correctness does not depend on the bounds. With full_trace (default)
-// the result is unconditionally bit-identical to the exhaustive
-// explorer's — winner, trace, predictions, skipped labels — because every
-// bound-rejected point before the winner is still checked against its own
-// window prediction when the trace is assembled; a bound violation (a
-// non-monotone custom factory) demotes that point to a full evaluation on
-// the spot, and can only move the winner *earlier*, exactly where the
-// exhaustive scan would have found it. Bounds therefore only ever save
-// work, never change answers. full_trace=false additionally elides the
-// proven-fail regions from the trace (the wall-clock headline mode);
-// winner and skipped labels remain identical for monotone factories.
+// An elided run (full_trace = false) searches instead. For the factories
+// the paper's case studies use, Eqs. 5-6 make predicted speedup monotone
+// along each axis (parallelism raises throughput_proc, fclock raises the
+// decision clock, wider formats raise bytes/element), so the maximum
+// speedup over an axis-aligned subregion of the grid is attained at one
+// of its corners. Best-first branch-and-bound over such subregions proves
+// whole boxes fail the throughput gate from at most 2^3 corner
+// predictions, splits only the boxes that straddle the pass/fail
+// frontier, and leaves the proven-fail regions out of the trace. The
+// winner and skipped labels match the exhaustive scan's for monotone
+// factories.
 #pragma once
 
 #include <cstddef>
@@ -37,19 +34,18 @@
 
 namespace rat::explore {
 
-/// Knobs of the branch-and-bound search.
+/// How an exploration runs.
 struct PruningPolicy {
-  /// Master switch. false = per-point fallback: candidates are evaluated
-  /// in enumeration order exactly like core::explore_design_space
-  /// (plan-cache replay still applies) — the explicit escape hatch for
-  /// factories whose speedup is not monotone along the axes.
+  /// Affects elided runs only: false makes them the full-trace scan too,
+  /// the escape hatch for factories whose speedup is not monotone along
+  /// the axes. A full-trace run never searches.
   bool prune = true;
-  /// Reproduce the exhaustive trace and predictions byte-for-byte: every
-  /// pre-winner point appears, proven-fail points as synthesized
-  /// throughput rejections. false skips materializing proven-fail
-  /// regions entirely — the result's trace/predictions then cover only
-  /// the points actually evaluated (ExploreResult::winner_index still
-  /// names the enumeration index of the same winner).
+  /// Reproduce the exhaustive trace and predictions byte-for-byte: the
+  /// ordered scan over every candidate up to the winner. false runs the
+  /// branch-and-bound search and leaves proven-fail regions out — the
+  /// result's trace/predictions then cover only the points actually
+  /// evaluated (ExploreResult::winner_index still names the enumeration
+  /// index of the same winner).
   bool full_trace = true;
 };
 
@@ -64,7 +60,9 @@ struct ExploreStats {
   std::size_t points_total = 0;
   std::size_t points_skipped = 0;    ///< factory returned nullopt
   std::size_t points_evaluated = 0;  ///< fresh full gate-pipeline runs
-  std::size_t points_bounded = 0;    ///< throughput-fail proven by a bound
+  /// Throughput rejections, proven by a corner bound or by the point's
+  /// own prediction.
+  std::size_t points_bounded = 0;
   std::size_t points_restored = 0;   ///< replayed from the plan cache
   std::size_t points_pruned = 0;     ///< never touched (past the winner)
 
@@ -74,14 +72,12 @@ struct ExploreStats {
   std::size_t rejected_resource = 0;
   std::size_t rejected_power = 0;  ///< the optional energy gate
 
+  /// The search's effort: zero on full-trace runs, which never search.
   std::size_t regions_examined = 0;
   std::size_t regions_split = 0;
   std::size_t regions_pruned_bound = 0;      ///< whole box proven to fail
   std::size_t regions_pruned_incumbent = 0;  ///< whole box past the winner
   std::size_t corner_evaluations = 0;  ///< model runs spent on bounds
-  /// Bounded points whose own prediction passed the gate after all (a
-  /// non-monotone factory); each was demoted to a full evaluation.
-  std::size_t bound_violations = 0;
 
   std::size_t cache_hits = 0;
   std::size_t cache_misses = 0;
@@ -100,12 +96,13 @@ struct ParetoPoint {
 
 struct ExploreOptions {
   PruningPolicy policy;
-  /// Threads for the trace-assembly evaluation windows (same semantics
-  /// and byte-identical results as core::explore_design_space's
-  /// n_threads).
+  /// Threads for the full-trace scan (same semantics and byte-identical
+  /// results as core::explore_design_space's n_threads).
   std::size_t n_threads = 1;
   /// Optional content-addressed plan cache: crash-resume of this
-  /// campaign and reuse across overlapping ones.
+  /// campaign and reuse across overlapping ones. A full-trace run stores
+  /// an evaluation when the scan's in-order merge takes it, so it leaves
+  /// the same entries at any thread count.
   PlanCache* plan_cache = nullptr;
 };
 
@@ -123,9 +120,9 @@ struct ExploreResult {
   std::vector<ParetoPoint> front;
 };
 
-/// Branch-and-bound twin of core::explore_design_space. Same factory
-/// contract, same skipped-label bookkeeping; throws the same validation
-/// errors at the same points of the run.
+/// The explorer behind core::explore_design_space's contract: same factory
+/// contract, same skipped-label bookkeeping; a full-trace run throws the
+/// same validation errors at the same points of the run.
 ExploreResult explore_design_space_pruned(
     const core::DesignAxes& axes, const core::CandidateFactory& factory,
     const core::Requirements& req, const rcsim::Device& device,

@@ -286,20 +286,44 @@ class Parser {
     }
   }
 
+  /// The character at pos_, or NUL past the end (peek() would throw).
+  char current() const { return pos_ < text_.size() ? text_[pos_] : '\0'; }
+
+  /// Skips [0-9]*; true when it skipped at least one digit.
+  bool skip_digits() {
+    const std::size_t from = pos_;
+    while (current() >= '0' && current() <= '9') ++pos_;
+    return pos_ > from;
+  }
+
+  /// One number of RFC 8259's grammar,
+  ///   -? (0 | [1-9][0-9]*) (\.[0-9]+)? ([eE][+-]?[0-9]+)?
+  /// checked in the pass that finds its end. Any other spelling (01, 1.,
+  /// 1.e5, -.5, 1.2.3) is a bad number at the number's offset, and so is
+  /// one std::from_chars cannot represent.
   JsonValue parse_number() {
     const std::size_t begin = pos_;
-    if (peek() == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           ((text_[pos_] >= '0' && text_[pos_] <= '9') || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E' || text_[pos_] == '+' ||
-            text_[pos_] == '-'))
+    if (current() == '-') ++pos_;
+    bool ok = current() == '0' ? (++pos_, true) : skip_digits();
+    if (ok && current() == '.') {
       ++pos_;
+      ok = skip_digits();
+    }
+    if (ok && (current() == 'e' || current() == 'E')) {
+      ++pos_;
+      if (current() == '+' || current() == '-') ++pos_;
+      ok = skip_digits();
+    }
+    // A number character right after the match (the 1 of 01, the second
+    // dot of 1.2.3) belongs to the same malformed token.
+    const char next = current();
+    ok = ok && !(next >= '0' && next <= '9') && next != '.' && next != 'e' &&
+         next != 'E' && next != '+' && next != '-';
     JsonValue v;
     v.kind = JsonValue::Kind::kNumber;
-    const char* b = text_.data() + begin;
     const char* e = text_.data() + pos_;
-    const auto r = std::from_chars(b, e, v.number);
-    if (r.ec != std::errc{} || r.ptr != e) {
+    const auto r = std::from_chars(text_.data() + begin, e, v.number);
+    if (!ok || r.ec != std::errc{} || r.ptr != e) {
       pos_ = begin;
       fail("bad number");
     }

@@ -12,7 +12,10 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/designspace.hpp"
@@ -24,6 +27,7 @@
 #include "core/sensitivity.hpp"
 #include "core/throughput.hpp"
 #include "core/units.hpp"
+#include "explore/explorer.hpp"
 #include "rcsim/device.hpp"
 #include "util/rng.hpp"
 
@@ -406,26 +410,22 @@ TEST(BatchIdentityMethodology, InvalidCandidateAfterAcceptedIsNeverRaised) {
   // Serial early-exit semantics: the run stops at the first accepted
   // candidate, so a later invalid worksheet — even one sitting in the
   // same pre-evaluated window, whose validation error is deferred — must
-  // not surface.
+  // not surface. The parallel run evaluates the whole window, but holds
+  // each candidate's error until the in-order merge reaches it, so it
+  // answers the same.
   std::vector<DesignCandidate> candidates;
   candidates.push_back(failing_candidate("reject-me"));
   candidates.push_back(passing_candidate("accept-me"));
   candidates.push_back(invalid_candidate("never-reached"));
-  MethodologyOutcome out;
-  ASSERT_NO_THROW(out = run_methodology(candidates, lenient_requirements(),
-                                        rcsim::virtex4_lx100(), 1));
-  EXPECT_TRUE(out.proceed);
-  ASSERT_TRUE(out.accepted_index.has_value());
-  EXPECT_EQ(*out.accepted_index, 1u);
-
-  // The parallel path has always evaluated a whole window speculatively,
-  // so an invalid candidate sharing the accepted design's window raised
-  // its validation error before the in-order merge — the per-point
-  // window fill must preserve that semantics too, not silently swallow
-  // the error.
-  EXPECT_THROW(run_methodology(candidates, lenient_requirements(),
-                               rcsim::virtex4_lx100(), 4),
-               std::invalid_argument);
+  for (const std::size_t threads : {1u, 4u}) {
+    MethodologyOutcome out;
+    ASSERT_NO_THROW(out = run_methodology(candidates, lenient_requirements(),
+                                          rcsim::virtex4_lx100(), threads))
+        << threads << " threads";
+    EXPECT_TRUE(out.proceed);
+    ASSERT_TRUE(out.accepted_index.has_value());
+    EXPECT_EQ(*out.accepted_index, 1u) << threads << " threads";
+  }
 }
 
 TEST(BatchIdentityMethodology, InvalidCandidateBeforeAcceptedStillThrows) {
@@ -475,6 +475,97 @@ TEST(BatchIdentityMethodology, WindowedRunMatchesSerialBitwise) {
     for (std::size_t i = 0; i < serial.predictions.size(); ++i)
       EXPECT_TRUE(same_bits(serial.predictions[i], par.predictions[i]))
           << threads << " threads, i=" << i;
+  }
+}
+
+/// What a caller observes of one run: the outcome (trace, accepted index,
+/// prediction bits), or the message of the exception that escaped.
+template <typename Run>
+std::string observed(Run run) {
+  try {
+    const MethodologyOutcome out = run();
+    std::string s = out.render_trace();
+    s += out.accepted_index ? "|accepted " + std::to_string(*out.accepted_index)
+                            : std::string("|exhausted");
+    for (const auto& p : out.predictions)
+      s.append(reinterpret_cast<const char*>(&p), sizeof p);
+    return s;
+  } catch (const std::invalid_argument& e) {
+    return std::string("threw: ") + e.what();
+  }
+}
+
+TEST(BatchIdentityScan, InvalidCandidatesGiveOneOutcomeAtAnyThreadCount) {
+  // Random candidate lists mixing rejected, accepted and invalid designs,
+  // with invalid ones before and after the winner (often right after it,
+  // in the same parallel window). run_methodology and the explorer's
+  // full-trace scan must answer what the serial run answers at every
+  // thread count, including which validation error escapes: each invalid
+  // kind below has its own message.
+  using Invalidate = void (*)(RatInputs&);
+  const Invalidate kinds[] = {
+      [](RatInputs& in) { in.dataset.elements_in = 0; },
+      [](RatInputs& in) { in.dataset.bytes_per_element = 0.0; },
+      [](RatInputs& in) { in.comm.alpha_write = 0.0; },
+      [](RatInputs& in) { in.comm.alpha_read = 0.0; },
+      [](RatInputs& in) { in.comp.ops_per_element = 0.0; },
+      [](RatInputs& in) { in.software.tsoft_sec = 0.0; },
+  };
+  const auto req = lenient_requirements();
+  const auto device = rcsim::virtex4_lx100();
+  util::Rng rng(20261019);
+  for (int iter = 0; iter < 60; ++iter) {
+    SCOPED_TRACE("iteration " + std::to_string(iter));
+    const std::size_t n = 1 + rng.uniform_index(60);
+    const bool invalid_after_passing = rng.uniform() < 0.5;
+    std::vector<DesignCandidate> candidates;
+    bool after_passing = false;
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::string name = "c" + std::to_string(i);
+      const double u = rng.uniform();
+      if (u < 0.2 || (invalid_after_passing && after_passing)) {
+        DesignCandidate c = passing_candidate(name);
+        kinds[rng.uniform_index(std::size(kinds))](c.inputs);
+        candidates.push_back(std::move(c));
+        after_passing = false;
+      } else if (u < 0.4) {
+        candidates.push_back(passing_candidate(name));
+        after_passing = true;
+      } else {
+        candidates.push_back(failing_candidate(name));
+        after_passing = false;
+      }
+    }
+
+    const std::string serial = observed(
+        [&] { return run_methodology(candidates, req, device, 1); });
+    // The same list behind a design-space factory: parallelism p is
+    // candidate p - 1, on a one-clock, one-format grid.
+    DesignAxes axes;
+    axes.parallelism.clear();
+    for (std::size_t p = 1; p <= n; ++p) axes.parallelism.push_back(p);
+    axes.fclock_hz = {core::mhz(100)};
+    axes.format_bits = {18};
+    const CandidateFactory factory =
+        [&candidates](const DesignPoint& p) -> std::optional<DesignCandidate> {
+      return candidates[p.parallelism - 1];
+    };
+    for (const std::size_t threads : {1u, 2u, 4u, 7u}) {
+      EXPECT_EQ(observed([&] {
+                  return run_methodology(candidates, req, device, threads);
+                }),
+                serial)
+          << "run_methodology, " << threads << " threads";
+      explore::ExploreOptions opt;
+      opt.n_threads = threads;
+      EXPECT_EQ(observed([&] {
+                  return explore::explore_design_space_pruned(
+                             axes, factory, req, device, opt)
+                      .design.outcome;
+                }),
+                serial)
+          << "explorer, " << threads << " threads";
+    }
   }
 }
 

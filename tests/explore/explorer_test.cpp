@@ -149,6 +149,9 @@ TEST(ExploreIdentity, FallbackModesStayIdentical) {
   PruningPolicy no_prune;
   no_prune.prune = false;
   expect_identical(wide_axes(), factory, req, no_prune, "prune=false");
+  no_prune.full_trace = false;
+  expect_identical(wide_axes(), factory, req, no_prune,
+                   "prune=false, full_trace=false");
 }
 
 TEST(ExploreIdentity, NonMonotoneFactoryIsCaughtByBackfill) {
@@ -248,6 +251,42 @@ TEST(ExplorePruning, LargeGridSavesMostFullEvaluations) {
   EXPECT_GE(exhaustive_evals, 10 * pruned.stats.points_evaluated)
       << "evaluated " << pruned.stats.points_evaluated << " of "
       << exhaustive_evals;
+
+  // The elided run is where the search runs: corner bounds prove the
+  // failing bulk there.
+  ExploreOptions elide;
+  elide.policy.full_trace = false;
+  const auto elided =
+      explore_design_space_pruned(axes, factory, req, device, elide);
+  EXPECT_EQ(elided.winner_index, exhaustive.outcome.accepted_index);
+  EXPECT_GT(elided.stats.corner_evaluations, 0u);
+}
+
+TEST(ExplorePruning, FullTraceIsTheOrderedScanWithoutSearch) {
+  // Figure 1 gates throughput first, so a failing point costs the same
+  // whether a corner bound or its own prediction proves it: a full-trace
+  // run never searches. An elided run on the same grid still bounds.
+  Requirements req;
+  req.min_speedup = 7.0;
+  const auto device = rcsim::virtex4_lx100();
+  const CandidateFactory factory = monotone_factory(core::pdf1d_inputs(), 2.5);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    ExploreOptions opts;
+    opts.n_threads = threads;
+    const auto full =
+        explore_design_space_pruned(wide_axes(), factory, req, device, opts);
+    EXPECT_EQ(full.stats.corner_evaluations, 0u) << threads << " threads";
+    EXPECT_EQ(full.stats.regions_examined, 0u) << threads << " threads";
+    EXPECT_GT(full.stats.points_bounded, 0u) << threads << " threads";
+    check_invariant(full);
+  }
+  ExploreOptions elide;
+  elide.policy.full_trace = false;
+  const auto elided =
+      explore_design_space_pruned(wide_axes(), factory, req, device, elide);
+  EXPECT_GT(elided.stats.regions_examined, 0u);
+  EXPECT_GT(elided.stats.corner_evaluations, 0u);
+  check_invariant(elided);
 }
 
 TEST(ExplorePareto, FrontIsTheIncreasingSubsequenceAndMatchesExhaustive) {

@@ -4,6 +4,7 @@
 
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include "core/designspace.hpp"
 #include "core/units.hpp"
@@ -145,6 +146,66 @@ TEST(ExplorePlanCache, OverlappingCampaignReusesSharedPoints) {
   EXPECT_EQ(render_result(reused.design), render_result(plain.design));
   EXPECT_EQ(reused.stats.cache_hits, 3u);
   EXPECT_EQ(reused.stats.points_restored, 3u);
+}
+
+TEST(ExplorePlanCache, FullTraceStoresWhatTheMergeTakes) {
+  // Even pipeline counts overflow the device, so the winner comes after
+  // throughput rejections and resource rejections, and throughput-passing
+  // candidates follow it in the same parallel window. A cold full-trace
+  // run stores exactly the candidates up to the winner that passed the
+  // throughput gate: the same entries with and without prune, at 1 and
+  // 4 threads.
+  const auto device = rcsim::virtex4_lx100();
+  Requirements req;
+  req.min_speedup = 7.0;
+  DesignAxes axes = small_axes();
+  axes.parallelism.clear();
+  for (std::size_t p = 1; p <= 16; ++p) axes.parallelism.push_back(p);
+  const CandidateFactory fits = simple_factory(1);
+  const CandidateFactory overflows = simple_factory(200);
+  const CandidateFactory factory =
+      [&](const DesignPoint& p) -> std::optional<DesignCandidate> {
+    return p.parallelism % 2 ? fits(p) : overflows(p);
+  };
+  const auto exhaustive = core::explore_design_space(axes, factory, req,
+                                                     device);
+  ASSERT_TRUE(exhaustive.outcome.accepted_index);
+  ASSERT_LT(*exhaustive.outcome.accepted_index + 1, axes.size());
+  std::vector<std::size_t> expected;
+  std::size_t throughput_rejections = 0;
+  for (const core::TraceEntry& e : exhaustive.outcome.trace) {
+    if (e.step != core::Step::kThroughputTest) continue;
+    if (e.passed)
+      expected.push_back(e.candidate_index);
+    else
+      ++throughput_rejections;
+  }
+  ASSERT_GT(throughput_rejections, 0u);
+  ASSERT_GE(expected.size(), 2u);  // a resource rejection, then the winner
+
+  const auto candidates = core::enumerate_design_space(axes, factory);
+  for (const bool prune : {true, false}) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      SCOPED_TRACE("prune=" + std::to_string(prune) +
+                   " threads=" + std::to_string(threads));
+      PlanCache cache(fresh_dir("plan_cache_merge"));
+      ExploreOptions opts;
+      opts.policy.prune = prune;
+      opts.n_threads = threads;
+      opts.plan_cache = &cache;
+      const auto run =
+          explore_design_space_pruned(axes, factory, req, device, opts);
+      EXPECT_EQ(render_result(run.design), render_result(exhaustive));
+      std::vector<std::size_t> stored;
+      for (std::size_t i = 0; i < candidates.size(); ++i)
+        if (cache.lookup(PlanCache::key(candidates[i], req, device), i,
+                         candidates[i].inputs.name))
+          stored.push_back(i);
+      EXPECT_EQ(stored, expected);
+      EXPECT_EQ(cache.size(), expected.size());
+      EXPECT_EQ(run.stats.cache_puts, expected.size());
+    }
+  }
 }
 
 TEST(ExplorePlanCache, TornJournalTailResumesByteIdentically) {

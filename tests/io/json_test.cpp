@@ -79,7 +79,9 @@ TEST(JsonParse, RejectsMalformedDocuments) {
   for (const char* bad :
        {"", "{", "[1,]", "{\"a\":}", "{\"a\" 1}", "tru", "1.2.3", "nan",
         "\"unterminated", "\"bad\\q\"", "\"\\ud83d\"",  // lone surrogate
-        "{} trailing", "\"tab\there\""}) {
+        "{} trailing", "\"tab\there\"",
+        // RFC 8259 numbers: no leading zero, digits on both sides of a dot.
+        "01", "-01", "00", "1.", "1.e5", "-.5"}) {
     EXPECT_THROW(parse_json(bad), std::invalid_argument) << bad;
   }
 }

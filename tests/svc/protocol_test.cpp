@@ -77,6 +77,11 @@ TEST(SvcProtocol, StrictRejections) {
   expect_rejected(
       "{\"op\":\"evaluate\",\"worksheet\":\"w\",\"deadline_ms\":1e999}",
       "number");
+  // So do spellings outside RFC 8259's number grammar.
+  expect_rejected(
+      "{\"op\":\"evaluate\",\"worksheet\":\"w\",\"deadline_ms\":01}",
+      "bad number");
+  expect_rejected("{\"op\":\"ping\",\"deadline_ms\":1.}", "bad number");
   expect_rejected(
       "{\"op\":\"evaluate\",\"worksheet\":\"w\",\"no_cache\":1}",
       "boolean");
