@@ -2,7 +2,10 @@
 // C printf algorithms it replaced, byte for byte. The oracles below are
 // the old implementations, kept only here: json_number's "%.*g" loop
 // checked by sscanf, and "%.*f" into a buffer wide enough for any
-// double.
+// double. The design-point labels and throughput-gate details, which an
+// exploration writes for every candidate, are checked against the string
+// expressions they were first written as, with the numbers from the same
+// "%.*f" oracle.
 #include "util/format.hpp"
 
 #include <gtest/gtest.h>
@@ -16,6 +19,10 @@
 #include <random>
 #include <string>
 #include <vector>
+
+#include "core/designspace.hpp"
+#include "core/evaluation.hpp"
+#include "core/units.hpp"
 
 namespace rat::util {
 namespace {
@@ -101,8 +108,32 @@ TEST(FormatOracle, RoundTripMatchesSnprintfOnRandomBitPatterns) {
   EXPECT_EQ(mismatches, 0u) << "of " << kCases;
 }
 
+/// Integral doubles: the small counts and clocks the tables print, both
+/// sides of 2^53 (where every double becomes an integer), and the design
+/// grids' MHz values.
+std::vector<double> integral_values() {
+  std::vector<double> v;
+  for (int k = 0; k <= 4096; ++k) {
+    v.push_back(k);
+    v.push_back(-k);
+  }
+  const double two53 = std::ldexp(1.0, 53);
+  for (int k = -4; k <= 4; ++k) {
+    v.push_back(two53 + k);
+    v.push_back(-(two53 + k));
+  }
+  for (double x : {1e15, 1e16, 1e22}) {
+    v.push_back(x);
+    v.push_back(-x);
+  }
+  for (int mhz = 80; mhz <= 400; mhz += 5) v.push_back(mhz);
+  return v;
+}
+
 TEST(FormatOracle, FixedAndPercentMatchSnprintf) {
   std::vector<double> values = edge_values();
+  const std::vector<double> integral = integral_values();
+  values.insert(values.end(), integral.begin(), integral.end());
   // Random bit patterns cover the whole exponent range; log-uniform
   // human-scale values land on the decimals the tables actually show.
   std::mt19937_64 rng(20070102);
@@ -113,8 +144,9 @@ TEST(FormatOracle, FixedAndPercentMatchSnprintf) {
   }
   std::size_t mismatches = 0;
   for (double x : values) {
-    // Up to 9 decimals: the rat.metrics.v1 *_sec fields.
-    for (int d = 0; d <= 9; ++d) {
+    // Up to 9 decimals: the rat.metrics.v1 *_sec fields. A negative
+    // count means 6, as in printf.
+    for (int d = -1; d <= 9; ++d) {
       const bool ok = fixed(x, d) == oracle_fixed(x, d) &&
                       percent(x, d) == oracle_fixed(x * 100.0, d, "%");
       if (!ok && ++mismatches <= 5)
@@ -123,7 +155,94 @@ TEST(FormatOracle, FixedAndPercentMatchSnprintf) {
                       << oracle_fixed(x, d);
     }
   }
-  EXPECT_EQ(mismatches, 0u) << "of " << 10 * values.size();
+  EXPECT_EQ(mismatches, 0u) << "of " << 11 * values.size();
+}
+
+/// A double for a clock, speedup or goal: special values, subnormals,
+/// integral and half-way MHz clocks, random bit patterns and log-uniform
+/// magnitudes, each with either sign.
+double sample_value(std::mt19937_64& rng) {
+  static const std::vector<double> edges = edge_values();
+  std::uniform_real_distribution<double> log10_scale(-3.0, 12.0);
+  double x = 0.0;
+  switch (rng() % 6) {
+    case 0: x = edges[rng() % edges.size()]; break;
+    case 1: x = from_bits(rng()); break;
+    case 2: x = core::mhz(static_cast<double>(rng() % 4096)); break;
+    case 3: x = core::mhz(static_cast<double>(rng() % 4096) + 0.5); break;
+    case 4: x = static_cast<double>(rng() % 100'000) / 10.0; break;
+    default: x = std::pow(10.0, log10_scale(rng)); break;
+  }
+  return rng() % 4 == 0 ? -x : x;
+}
+
+TEST(FormatOracle, LabelAndGateDetailsMatchTheirExpressions) {
+  // The values an exploration is least likely to meet, named once so
+  // every run covers them.
+  const std::vector<double> clocks = {
+      0.0, -0.0, Limits::quiet_NaN(), -Limits::quiet_NaN(),
+      Limits::infinity(), -Limits::infinity(), Limits::denorm_min(),
+      DBL_MIN / 3.0, core::mhz(99.5), core::mhz(100.5), core::mhz(100),
+      core::mhz(80), core::mhz(400)};
+  const std::vector<double> speedups = {
+      Limits::infinity(), -Limits::infinity(), Limits::quiet_NaN(),
+      -Limits::quiet_NaN(), 0.0, -0.0, 10.0, 9.95, 10.05};
+  std::mt19937_64 rng(20070103);
+  std::size_t mismatches = 0;
+  constexpr std::size_t kCases = 100'000;
+  for (std::size_t i = 0; i < kCases; ++i) {
+    core::DesignPoint p;
+    switch (rng() % 3) {
+      case 0: p.parallelism = 1 + rng() % 1024; break;
+      case 1: p.parallelism = rng(); break;
+      default: p.parallelism = rng() % 2 ? 0 : ~std::size_t{0}; break;
+    }
+    p.fclock_hz = i < clocks.size() ? clocks[i] : sample_value(rng);
+    p.format_bits = rng() % 2 ? static_cast<int>(2 + rng() % 62)
+                              : static_cast<int>(rng());
+    const std::string label = p.label();
+    const std::string want_label =
+        std::to_string(p.parallelism) + "x @ " +
+        oracle_fixed(core::to_mhz(p.fclock_hz), 0) + " MHz / " +
+        std::to_string(p.format_bits) + "-bit";
+
+    core::Requirements req;
+    req.double_buffered = rng() % 2 == 0;
+    req.min_speedup = i < speedups.size() ? speedups[speedups.size() - 1 - i]
+                                          : sample_value(rng);
+    core::ThroughputPrediction pred;
+    pred.speedup_sb = i < speedups.size() ? speedups[i] : sample_value(rng);
+    pred.speedup_db = i < speedups.size() ? speedups[i] : sample_value(rng);
+    core::CandidateEvaluation ev;
+    const bool passed = core::apply_throughput_gate(ev, i, label, req, pred);
+    const double speedup =
+        req.double_buffered ? pred.speedup_db : pred.speedup_sb;
+    const bool want_passed = speedup >= req.min_speedup;
+    const std::string want_detail = "predicted speedup " +
+                                    oracle_fixed(speedup, 1) +
+                                    " vs required " +
+                                    oracle_fixed(req.min_speedup, 1);
+
+    bool ok = label == want_label && passed == want_passed &&
+              ev.trace.size() == (want_passed ? 1u : 2u) &&
+              ev.trace[0].candidate_index == i &&
+              ev.trace[0].candidate_name == want_label &&
+              ev.trace[0].step == core::Step::kThroughputTest &&
+              ev.trace[0].passed == want_passed &&
+              ev.trace[0].detail == want_detail;
+    if (ok && !want_passed)
+      ok = ev.trace[1].candidate_index == i &&
+           ev.trace[1].candidate_name == want_label &&
+           ev.trace[1].step == core::Step::kRejected && !ev.trace[1].passed &&
+           ev.trace[1].detail == "insufficient comm. or comp. throughput" &&
+           ev.reject == core::RejectReason::kInsufficientThroughput;
+    if (!ok && ++mismatches <= 5)
+      ADD_FAILURE() << "case " << i << ": label " << label << " vs "
+                    << want_label << "; detail "
+                    << (ev.trace.empty() ? "" : ev.trace[0].detail) << " vs "
+                    << want_detail;
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << kCases;
 }
 
 }  // namespace
