@@ -189,7 +189,10 @@ ctest --test-dir build-tsan --output-on-failure \
 # (test_io) runs the worksheet parser's index arithmetic over 1,000
 # seeded mutants of the fixtures, the
 # FixedFormat, PercentFormat and FormatOracle suites (test_util) drive
-# std::to_chars into fixed char buffers, the Cli suite (test_util) reads
+# std::to_chars into fixed char buffers (FormatOracle's seeded labels and
+# throughput-gate details include NaN, infinite and subnormal values, so
+# UBSan checks the double-to-integer cast on append_fixed's integral
+# path), the Cli suite (test_util) reads
 # every numeric flag through std::from_chars, and the golden-byte suites
 # (SvcResponseGolden, BatchGolden; the Svc and Batch patterns cover
 # them) render whole responses and batch documents. The Svc pattern also

@@ -1,10 +1,19 @@
 #include "core/evaluation.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 #include "util/format.hpp"
 
 namespace rat::core {
+
+namespace {
+
+/// Capacity of the gate's detail string: its 31 fixed characters and two
+/// numbers of up to 16 characters each.
+constexpr std::size_t kGateDetailCapacity = 64;
+
+}  // namespace
 
 bool apply_throughput_gate(CandidateEvaluation& ev, std::size_t i,
                            const std::string& name, const Requirements& req,
@@ -13,10 +22,17 @@ bool apply_throughput_gate(CandidateEvaluation& ev, std::size_t i,
   const double speedup =
       req.double_buffered ? pred.speedup_db : pred.speedup_sb;
   const bool tp_ok = speedup >= req.min_speedup;
+  // Most candidates fail here, so a rejection's two entries and the
+  // detail each take one allocation.
+  ev.trace.reserve(ev.trace.size() + 2);
+  std::string detail;
+  detail.reserve(kGateDetailCapacity);
+  detail += "predicted speedup ";
+  util::append_fixed(detail, speedup, 1);
+  detail += " vs required ";
+  util::append_fixed(detail, req.min_speedup, 1);
   ev.trace.push_back(
-      {i, name, Step::kThroughputTest, tp_ok,
-       "predicted speedup " + util::fixed(speedup, 1) + " vs required " +
-           util::fixed(req.min_speedup, 1)});
+      {i, name, Step::kThroughputTest, tp_ok, std::move(detail)});
   if (!tp_ok) {
     ev.reject = RejectReason::kInsufficientThroughput;
     ev.trace.push_back({i, name, Step::kRejected, false,

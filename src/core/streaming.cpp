@@ -32,7 +32,7 @@ double StreamingPrediction::output_headroom() const {
 StreamingPrediction predict_streaming(const RatInputs& inputs,
                                       double fclock_hz) {
   inputs.validate();
-  if (fclock_hz <= 0.0)
+  if (!(fclock_hz > 0.0))
     throw std::invalid_argument("predict_streaming: non-positive clock");
   const auto& d = inputs.dataset;
   const auto& c = inputs.comm;

@@ -53,7 +53,7 @@ ThroughputPrediction predict_unchecked(const RatInputs& inputs,
 
 ThroughputPrediction predict(const RatInputs& inputs, double fclock_hz) {
   inputs.validate();
-  if (fclock_hz <= 0.0)
+  if (!(fclock_hz > 0.0))
     throw std::invalid_argument("predict: non-positive clock");
   return predict_unchecked(inputs, fclock_hz);
 }

@@ -21,7 +21,8 @@ using core::DesignCandidate;
 
 /// Final disposition of one grid point (docs/EXPLORATION.md). kUntouched
 /// points become points_pruned: neither the scan nor the search reached
-/// them (they lie past the winner).
+/// them (they lie past the winner), or an elided run's leaf met them and
+/// they failed validation.
 enum PointStatus : std::uint8_t {
   kUntouched = 0,
   kSkippedPoint,

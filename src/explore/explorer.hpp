@@ -64,7 +64,10 @@ struct ExploreStats {
   /// own prediction.
   std::size_t points_bounded = 0;
   std::size_t points_restored = 0;   ///< replayed from the plan cache
-  std::size_t points_pruned = 0;     ///< never touched (past the winner)
+  /// Never touched: past the winner or, in an elided run, a candidate
+  /// that failed validation at a leaf. (An invalid point inside a box
+  /// proven to fail counts as bounded.)
+  std::size_t points_pruned = 0;
 
   /// Candidates in the outcome, by the Figure-1 gate that rejected them.
   std::size_t rejected_throughput = 0;

@@ -19,7 +19,7 @@ ExecutionResult execute(const Workload& workload, const Link& link,
     throw std::invalid_argument("execute: workload callbacks not set");
   if (workload.n_iterations == 0)
     throw std::invalid_argument("execute: zero iterations");
-  if (config.fclock_hz <= 0.0)
+  if (!(config.fclock_hz > 0.0))
     throw std::invalid_argument("execute: non-positive clock");
 
   const std::size_t n = workload.n_iterations;

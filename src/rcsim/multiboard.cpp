@@ -13,7 +13,7 @@ MultiBoardResult execute_multiboard(const MultiBoardWorkload& workload,
     throw std::invalid_argument("execute_multiboard: no boards");
   if (workload.n_iterations == 0)
     throw std::invalid_argument("execute_multiboard: zero iterations");
-  if (fclock_hz <= 0.0)
+  if (!(fclock_hz > 0.0))
     throw std::invalid_argument("execute_multiboard: non-positive clock");
 
   const std::size_t k = workload.boards.size();

@@ -11,7 +11,7 @@ ExecutionResult execute_staged(const StagedWorkload& workload,
     throw std::invalid_argument("execute_staged: no stages");
   if (workload.n_iterations == 0)
     throw std::invalid_argument("execute_staged: zero iterations");
-  if (config.fclock_hz <= 0.0)
+  if (!(config.fclock_hz > 0.0))
     throw std::invalid_argument("execute_staged: non-positive clock");
   if (workload.stages.back().handoff_on_chip)
     throw std::invalid_argument(

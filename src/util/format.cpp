@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <limits>
 #include <stdexcept>
@@ -34,6 +35,27 @@ char* put_chars(char* first, char* last, double x, std::chars_format fmt,
 }  // namespace
 
 void append_fixed(std::string& out, double value, int decimals) {
+  // An integral value below 2^53 in magnitude (counts, MHz clocks) is
+  // its integer's digits, then '.' and zeros: an integer to_chars is
+  // much cheaper than the floating-point one. The cast is exact in
+  // that range; NaN fails the comparison.
+  if (std::fabs(value) < 0x1p53) {
+    const auto whole = static_cast<std::int64_t>(value);
+    if (static_cast<double>(whole) == value) {
+      char digits[24];
+      char* first = digits;
+      if (whole == 0 && std::signbit(value)) *first++ = '-';  // "-0"
+      char* last =
+          std::to_chars(first, digits + sizeof digits, whole).ptr;
+      out.append(digits, last);
+      if (decimals != 0) {
+        out += '.';
+        out.append(decimals < 0 ? 6 : static_cast<std::size_t>(decimals),
+                   '0');
+      }
+      return;
+    }
+  }
   // Sign, integer digits, '.', decimals; printf reads a negative
   // precision as 6.
   const std::size_t width =

@@ -3,7 +3,9 @@
 // perform zero heap allocations. validate() runs once per predict() call,
 // so a message string built on every check would dominate the Eqs. 1-11
 // flops. Parsing a worksheet, which every service request does, allocates
-// only the result's name and clock list.
+// only the result's name and clock list. An exploration allocates a fixed
+// count per candidate: the enumeration reserves its vectors once, and a
+// throughput rejection, the fate of most candidates, makes 5 allocations.
 //
 // This binary replaces the global operator new with a counting one, so it
 // stays its own test target, and the sanitizer builds (which bring their
@@ -23,10 +25,13 @@
 #include <string>
 #include <vector>
 
+#include "core/designspace.hpp"
 #include "core/evaluation.hpp"
 #include "core/parameters.hpp"
 #include "core/throughput.hpp"
 #include "core/units.hpp"
+#include "explore/explorer.hpp"
+#include "rcsim/device.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
@@ -121,6 +126,103 @@ TEST(AllocFree, ParseCaseStudyWorksheets) {
         << stem;
     EXPECT_EQ(in.comp.fclock_hz.size(), 3u) << stem;
   }
+}
+
+/// 16 x 64 x 4 = 4,096 points, labelled like ratbench's explore grid.
+DesignAxes grid_4096() {
+  DesignAxes axes;
+  axes.parallelism.clear();
+  for (std::size_t p = 1; p <= 16; ++p) axes.parallelism.push_back(p);
+  axes.fclock_hz.clear();
+  for (int k = 0; k < 64; ++k) axes.fclock_hz.push_back(mhz(80 + 5 * k));
+  axes.format_bits = {12, 14, 16, 18};
+  return axes;
+}
+
+/// A monotone pdf1d factory that names each candidate by its label.
+CandidateFactory labelled_factory() {
+  return [](const DesignPoint& p) -> std::optional<DesignCandidate> {
+    DesignCandidate c;
+    c.inputs = pdf1d_inputs();
+    c.inputs.name = p.label();
+    c.inputs.comp.throughput_ops_per_cycle =
+        0.5 * static_cast<double>(p.parallelism);
+    c.inputs.dataset.bytes_per_element =
+        static_cast<double>((p.format_bits + 7) / 8);
+    c.resources = {ResourceItem{"units", 1, p.format_bits, 0, 400,
+                                static_cast<int>(p.parallelism)}};
+    return c;
+  };
+}
+
+/// Allocations the factory itself makes over every point of @p axes, in
+/// enumeration order.
+std::uint64_t factory_allocations(const DesignAxes& axes,
+                                  const CandidateFactory& factory) {
+  return allocations_in([&] {
+    for (std::size_t p : axes.parallelism)
+      for (double f : axes.fclock_hz)
+        for (int bits : axes.format_bits) (void)factory({p, f, bits});
+  });
+}
+
+TEST(AllocCount, ThroughputRejection) {
+  // One allocation each: the trace's two entries, the candidate's name
+  // copied into both, the gate's detail and the rejection's detail.
+  const std::string name = DesignPoint{1, mhz(100), 18}.label();
+  ASSERT_EQ(name, "1x @ 100 MHz / 18-bit");
+  Requirements req;
+  req.min_speedup = 1e6;
+  const ThroughputPrediction pred = predict(pdf1d_inputs(), mhz(100));
+  CandidateEvaluation ev;
+  bool passed = true;
+  EXPECT_EQ(allocations_in([&] {
+              passed = apply_throughput_gate(ev, 0, name, req, pred);
+            }),
+            5u);
+  EXPECT_FALSE(passed);
+  ASSERT_EQ(ev.trace.size(), 2u);
+  EXPECT_EQ(ev.trace[1].step, Step::kRejected);
+}
+
+TEST(AllocCount, EnumerationReservesOnce) {
+  // The candidate and point vectors are reserved once from the grid size;
+  // every other allocation is the factory's.
+  const DesignAxes axes = grid_4096();
+  const CandidateFactory factory = labelled_factory();
+  const std::uint64_t own = factory_allocations(axes, factory);
+  std::vector<DesignCandidate> candidates;
+  std::vector<DesignPoint> points;
+  EXPECT_EQ(allocations_in([&] {
+              candidates =
+                  enumerate_design_space(axes, factory, nullptr, &points);
+            }),
+            own + 2);
+  EXPECT_EQ(candidates.size(), 4096u);
+  EXPECT_EQ(points.size(), 4096u);
+}
+
+TEST(AllocCount, FullTraceExplorationWithoutWinner) {
+  // Every candidate is a throughput rejection (5 allocations). The rest
+  // is per run, 303 on this grid: the enumeration's two reservations, the
+  // grid maps, the prediction window, the growth of the outcome's trace
+  // and prediction vectors, and the Pareto front's entries (a name each).
+  constexpr std::uint64_t kPerCandidate = 5;
+  constexpr std::uint64_t kPerRun = 303;
+  const DesignAxes axes = grid_4096();
+  const CandidateFactory factory = labelled_factory();
+  const std::uint64_t own = factory_allocations(axes, factory);
+  Requirements req;
+  req.min_speedup = 1e9;
+  const rcsim::Device device = rcsim::virtex4_lx100();
+  explore::ExploreResult result;
+  const std::uint64_t n = allocations_in([&] {
+    result = explore::explore_design_space_pruned(axes, factory, req, device);
+  });
+  ASSERT_FALSE(result.winner_index);
+  ASSERT_EQ(result.stats.points_bounded, 4096u);
+  EXPECT_LE(n, own + kPerCandidate * 4096 + kPerRun)
+      << "factory " << own << ", exploration " << n - own;
 }
 
 TEST(AllocFree, RejectionMessagesKeepTheirBytes) {

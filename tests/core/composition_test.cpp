@@ -2,9 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+#include <limits>
 #include <stdexcept>
 
+#include "core/streaming.hpp"
 #include "core/units.hpp"
+#include "rcsim/executor.hpp"
+#include "rcsim/multiboard.hpp"
+#include "rcsim/staged_executor.hpp"
 
 namespace rat::core {
 namespace {
@@ -100,6 +107,62 @@ TEST(Composite, Validation) {
   c.fclock_hz = 0.0;
   EXPECT_THROW(predict_composite({c}, CompositionMode::kSequential),
                std::invalid_argument);
+}
+
+TEST(ClockGuards, NaNClockIsNonPositive) {
+  // NaN compares false with everything, so each "non-positive clock"
+  // guard tests !(clock > 0) and rejects it with its usual message.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const rcsim::Link link("clean", 1e9, rcsim::LinkDirection{0.0, 1e9, 0.0},
+                         rcsim::LinkDirection{0.0, 1e9, 0.0});
+  rcsim::Workload work;
+  work.n_iterations = 1;
+  work.io = [](std::size_t) {
+    rcsim::IterationIo io;
+    io.input_chunks_bytes = {100};
+    io.output_chunks_bytes = {100};
+    return io;
+  };
+  work.cycles = [](std::size_t) { return std::uint64_t{10}; };
+  rcsim::ExecutionConfig config;
+  config.fclock_hz = nan;
+  rcsim::StagedWorkload staged;
+  staged.stages = {rcsim::StageWorkload{1000, 500, 100, false}};
+  staged.n_iterations = 1;
+  rcsim::MultiBoardWorkload boards;
+  boards.boards = {rcsim::BoardShare{100, 100, 10}};
+  boards.n_iterations = 1;
+  StageSpec nan_stage = stage(1000, 2.0);
+  nan_stage.fclock_hz = nan;
+
+  struct Case {
+    const char* what;
+    std::function<void()> call;
+  };
+  const Case cases[] = {
+      {"execute: non-positive clock",
+       [&] { (void)rcsim::execute(work, link, config); }},
+      {"execute_staged: non-positive clock",
+       [&] { (void)rcsim::execute_staged(staged, link, config); }},
+      {"execute_multiboard: non-positive clock",
+       [&] { (void)rcsim::execute_multiboard(boards, link, nan); }},
+      {"predict_composite: non-positive clock",
+       [&] {
+         (void)predict_composite({nan_stage}, CompositionMode::kSequential);
+       }},
+      {"predict_scaling: non-positive clock",
+       [&] { (void)predict_scaling(pdf1d_inputs(), nan, 2); }},
+      {"predict_streaming: non-positive clock",
+       [&] { (void)predict_streaming(pdf1d_inputs(), nan); }},
+  };
+  for (const Case& c : cases) {
+    try {
+      c.call();
+      ADD_FAILURE() << "accepted a NaN clock: " << c.what;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(), c.what);
+    }
+  }
 }
 
 TEST(Composite, TableRendersAllStages) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -41,6 +42,23 @@ TEST(DesignAxes, Validation) {
   EXPECT_THROW(axes.validate(), std::invalid_argument);
   EXPECT_NO_THROW(DesignAxes{}.validate());
   EXPECT_EQ((DesignAxes{}.size()), 8u);  // 4 x 2 x 1
+}
+
+TEST(DesignAxes, RejectsNaNClock) {
+  // NaN passes neither a "<= 0" guard nor the sorted-axis check (it
+  // compares false with every neighbour), so the guard tests "> 0".
+  DesignAxes axes;
+  axes.fclock_hz = {std::numeric_limits<double>::quiet_NaN(), mhz(100)};
+  try {
+    axes.validate();
+    ADD_FAILURE() << "DesignAxes accepted a NaN clock";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "DesignAxes: non-positive clock");
+  }
+  Requirements req;
+  EXPECT_THROW((void)explore_design_space(axes, simple_factory(), req,
+                                          rcsim::virtex4_lx100()),
+               std::invalid_argument);
 }
 
 TEST(DesignAxes, RejectsDuplicateAndUnsortedAxes) {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 
 #include "core/units.hpp"
@@ -170,6 +171,17 @@ TEST(Throughput, RejectsInvalidInputs) {
   bad.comm.alpha_write = 2.0;
   EXPECT_THROW(predict(bad, mhz(100)), std::invalid_argument);
   EXPECT_THROW(predict_all(bad), std::invalid_argument);
+}
+
+TEST(Throughput, RejectsNaNClock) {
+  // NaN compares false with everything, so it must fail the guard's
+  // "clock > 0" test rather than pass a "clock <= 0" one.
+  try {
+    (void)predict(pdf1d_inputs(), std::numeric_limits<double>::quiet_NaN());
+    ADD_FAILURE() << "predict accepted a NaN clock";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "predict: non-positive clock");
+  }
 }
 
 // Monotonicity sweep: speedup must rise monotonically with throughput_proc

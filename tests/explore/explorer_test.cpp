@@ -154,10 +154,10 @@ TEST(ExploreIdentity, FallbackModesStayIdentical) {
                    "prune=false, full_trace=false");
 }
 
-TEST(ExploreIdentity, NonMonotoneFactoryIsCaughtByBackfill) {
-  // Speedup peaks mid-axis: the monotonicity claim is wrong, corner
-  // bounds are inadmissible, and the full-trace backfill must repair
-  // every mis-pruned point (possibly moving the winner earlier).
+TEST(ExploreIdentity, NonMonotoneFactoryMatchesExhaustive) {
+  // Speedup peaks mid-axis, so corner bounds would be inadmissible. A
+  // full-trace run never searches: it is the exhaustive scan's ordered
+  // scan, so it matches that scan whatever the factory's shape.
   DesignAxes axes;
   axes.parallelism = {1, 2, 4, 8, 16, 32};
   axes.fclock_hz = {core::mhz(100), core::mhz(150)};
@@ -342,6 +342,56 @@ TEST(ExploreElide, SparseTraceKeepsWinnerAndPredictionBits) {
   EXPECT_EQ(std::memcmp(&sparse_winner, &full_winner, sizeof full_winner), 0);
   EXPECT_EQ(elided.design.outcome.trace.back().candidate_name,
             exhaustive.outcome.trace.back().candidate_name);
+  check_invariant(elided);
+}
+
+TEST(ExploreElide, InvalidCandidateIsSkippedNotThrown) {
+  // pdf1d at 100 MHz and 18 bits, 1 to 512 lanes, with an invalid
+  // worksheet at 2 lanes and a goal between the 8- and 16-lane speedups.
+  // The exhaustive scan throws when it reaches the invalid candidate. An
+  // elided run leaves a candidate that fails validation untouched at its
+  // leaf, so it names the 16-lane winner and counts the invalid point as
+  // pruned, beside the five past the winner.
+  DesignAxes axes;
+  axes.parallelism = {1, 2, 4, 8, 16, 32, 64, 128, 256, 512};
+  axes.fclock_hz = {core::mhz(100)};
+  axes.format_bits = {18};
+  const core::RatInputs base = core::pdf1d_inputs();
+  const CandidateFactory factory =
+      [base](const DesignPoint& p) -> std::optional<DesignCandidate> {
+    DesignCandidate c;
+    c.inputs = base;
+    c.inputs.name = p.label();
+    c.inputs.comp.throughput_ops_per_cycle =
+        0.5 * static_cast<double>(p.parallelism);
+    if (p.parallelism == 2) c.inputs.comm.alpha_write = 1.5;  // invalid
+    return c;
+  };
+  auto speedup = [&](std::size_t lanes) {
+    const DesignCandidate c = *factory({lanes, core::mhz(100), 18});
+    return core::predict(c.inputs, core::mhz(100)).speedup_sb;
+  };
+  Requirements req;
+  req.min_speedup = (speedup(8) + speedup(16)) / 2.0;
+  const auto device = rcsim::virtex4_lx100();
+
+  std::string exhaustive_error;
+  try {
+    (void)core::explore_design_space(axes, factory, req, device);
+  } catch (const std::invalid_argument& e) {
+    exhaustive_error = e.what();
+  }
+  EXPECT_EQ(exhaustive_error, "RatInputs: alpha_write outside (0,1]");
+
+  ExploreOptions elide;
+  elide.policy.full_trace = false;
+  const auto elided =
+      explore_design_space_pruned(axes, factory, req, device, elide);
+  EXPECT_EQ(elided.winner_index, std::optional<std::size_t>(4));
+  EXPECT_EQ(elided.stats.points_skipped, 0u);
+  EXPECT_EQ(elided.stats.points_bounded, 3u);
+  EXPECT_EQ(elided.stats.points_evaluated, 1u);
+  EXPECT_EQ(elided.stats.points_pruned, 6u);
   check_invariant(elided);
 }
 
