@@ -11,33 +11,28 @@
 namespace rat::core {
 
 std::string DesignPoint::label() const {
-  // "<p>x @ <MHz> MHz / <bits>-bit" in one buffer, sized for both integer
-  // fields and a clock of up to four MHz digits.
-  char lanes[20];
-  char bits[11];
-  char* lanes_end =
-      std::to_chars(std::begin(lanes), std::end(lanes), parallelism).ptr;
-  char* bits_end =
-      std::to_chars(std::begin(bits), std::end(bits), format_bits).ptr;
+  // "<p>x @ <MHz> MHz / <bits>-bit" in one buffer. 32 characters hold
+  // every label up to 9,999,999 lanes, 99,999 MHz and 99 bits.
+  char digits[20];
   std::string out;
-  out.reserve(static_cast<std::size_t>((lanes_end - lanes) +
-                                       (bits_end - bits)) +
-              19);
-  out.append(lanes, lanes_end);
+  out.reserve(32);
+  out.append(digits, std::to_chars(std::begin(digits), std::end(digits),
+                                   parallelism).ptr);
   out += "x @ ";
   util::append_fixed(out, to_mhz(fclock_hz), 0);
   out += " MHz / ";
-  out.append(bits, bits_end);
+  out.append(digits, std::to_chars(std::begin(digits), std::end(digits),
+                                   format_bits).ptr);
   out += "-bit";
   return out;
 }
 
 namespace {
 
-/// Most candidates enumerate_design_space reserves room for up front:
-/// four times ratbench's 16,384-point explore grid. Past it the vectors
-/// grow as they fill, so a factory that skips most of a huge grid does
-/// not reserve memory it never uses.
+/// The most candidates enumerate_design_space reserves room for up
+/// front: four times ratbench's 16,384-point explore grid. Past it the
+/// vectors grow as they fill, so a factory that skips most of a huge grid
+/// does not reserve memory it never uses.
 constexpr std::size_t kMaxReservedCandidates = std::size_t{1} << 16;
 
 /// Ascending, duplicate-free axis check. Works for any ordered value type.

@@ -45,8 +45,7 @@ void append_fixed(std::string& out, double value, int decimals) {
       char digits[24];
       char* first = digits;
       if (whole == 0 && std::signbit(value)) *first++ = '-';  // "-0"
-      char* last =
-          std::to_chars(first, digits + sizeof digits, whole).ptr;
+      char* last = std::to_chars(first, digits + sizeof digits, whole).ptr;
       out.append(digits, last);
       if (decimals != 0) {
         out += '.';
