@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
+#include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "core/designspace.hpp"
 #include "core/units.hpp"
@@ -221,6 +225,161 @@ TEST(ExploreIdentity, InvalidCandidateThrowsAtTheSamePoint) {
   }
   ASSERT_FALSE(exhaustive_error.empty());
   EXPECT_EQ(pruned_error, exhaustive_error);
+}
+
+/// Every call a factory receives, in call order: the point's label and
+/// the thread that made the call.
+struct FactoryLog {
+  std::mutex mu;
+  std::vector<std::string> labels;
+  std::vector<std::thread::id> threads;
+};
+
+CandidateFactory logged(CandidateFactory base, FactoryLog& log) {
+  return [base = std::move(base), &log](const DesignPoint& p) {
+    {
+      std::lock_guard lock(log.mu);
+      log.labels.push_back(p.label());
+      log.threads.push_back(std::this_thread::get_id());
+    }
+    return base(p);
+  };
+}
+
+/// Labels of every point of @p axes, in enumeration order.
+std::vector<std::string> grid_labels(const DesignAxes& axes) {
+  std::vector<std::string> out;
+  for (std::size_t p : axes.parallelism)
+    for (double f : axes.fclock_hz)
+      for (int bits : axes.format_bits)
+        out.push_back(DesignPoint{p, f, bits}.label());
+  return out;
+}
+
+/// The message of what @p run throws, or "no error".
+std::string error_of(const std::function<void()>& run) {
+  try {
+    run();
+  } catch (const std::exception& e) {
+    return e.what();
+  }
+  return "no error";
+}
+
+TEST(ExploreIdentity, FactoryRunsOncePerPointInOrder) {
+  // 32 x 2 x 2 = 128 points; every third parallelism is skipped, and the
+  // winner lies in the first 16 candidates, one window at 4 threads. The
+  // factory still sees every point once, in enumeration order, on the
+  // calling thread, as the reference's enumeration does.
+  DesignAxes axes;
+  axes.parallelism.clear();
+  for (std::size_t p = 1; p <= 32; ++p) axes.parallelism.push_back(p);
+  axes.fclock_hz = {core::mhz(100), core::mhz(150)};
+  axes.format_bits = {12, 18};
+  const CandidateFactory base = monotone_factory(core::pdf1d_inputs(), 2.5);
+  const CandidateFactory skipping =
+      [base](const DesignPoint& p) -> std::optional<DesignCandidate> {
+    if (p.parallelism % 3 == 0) return std::nullopt;
+    return base(p);
+  };
+  const std::vector<std::string> expected = grid_labels(axes);
+  // The 4-lane, 150 MHz, 12-bit design (candidate 10) reaches the goal.
+  Requirements req;
+  req.min_speedup =
+      core::predict(skipping({4, core::mhz(150), 12})->inputs, core::mhz(150))
+          .speedup_sb;
+  const auto device = rcsim::virtex4_lx100();
+
+  FactoryLog reference_log;
+  const auto exhaustive = core::explore_design_space(
+      axes, logged(skipping, reference_log), req, device);
+  ASSERT_TRUE(exhaustive.outcome.proceed);
+  ASSERT_LT(*exhaustive.outcome.accepted_index, 16u);
+  ASSERT_EQ(exhaustive.points_skipped, 40u);
+  EXPECT_EQ(reference_log.labels, expected);
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    FactoryLog log;
+    ExploreOptions opts;
+    opts.n_threads = threads;
+    const auto full = explore_design_space_pruned(
+        axes, logged(skipping, log), req, device, opts);
+    EXPECT_EQ(log.labels, expected) << threads << " threads";
+    std::size_t off_thread = 0;
+    for (const std::thread::id id : log.threads)
+      off_thread += id != std::this_thread::get_id();
+    EXPECT_EQ(off_thread, 0u) << threads << " threads";
+    EXPECT_EQ(full.design.skipped_labels, exhaustive.skipped_labels)
+        << threads << " threads";
+    EXPECT_EQ(render_result(full.design), render_result(exhaustive))
+        << threads << " threads";
+    check_invariant(full);
+  }
+}
+
+TEST(ExploreIdentity, FactoryErrorPrecedesEvaluationErrors) {
+  // 40 x 4 x 2 = 320 points, more than one serial window. The 2-lane
+  // candidates fail validation, and the factory throws at the last
+  // point. The reference enumerates the whole grid before it evaluates
+  // anything, so the factory's error escapes, not the validation error
+  // the scan reaches first; and a factory that throws past the winner
+  // fails the run too. A full trace must throw the same, at 1 and 4
+  // threads.
+  DesignAxes axes;
+  axes.parallelism.clear();
+  for (std::size_t p = 1; p <= 40; ++p) axes.parallelism.push_back(p);
+  axes.fclock_hz = {core::mhz(100), core::mhz(120), core::mhz(140),
+                    core::mhz(160)};
+  axes.format_bits = {12, 18};
+  const CandidateFactory base = monotone_factory(core::pdf1d_inputs(), 2.5);
+  auto factory_throwing_at = [base](std::size_t last_lanes) {
+    return [base, last_lanes](
+               const DesignPoint& p) -> std::optional<DesignCandidate> {
+      if (p.parallelism == last_lanes && p.fclock_hz == core::mhz(160) &&
+          p.format_bits == 18)
+        throw std::runtime_error("factory: cannot build " + p.label());
+      auto c = base(p);
+      if (p.parallelism == 2) c->inputs.dataset.elements_in = 0;  // invalid
+      return c;
+    };
+  };
+  const CandidateFactory throwing = factory_throwing_at(40);
+  const CandidateFactory never_throwing = factory_throwing_at(0);
+  const auto device = rcsim::virtex4_lx100();
+
+  struct Case {
+    double goal;
+    CandidateFactory factory;
+    const char* error;
+  };
+  const Case cases[] = {
+      // No winner: the factory's error beats the validation error.
+      {1e9, throwing, "factory: cannot build 40x @ 160 MHz / 18-bit"},
+      // The control: without it, the validation error escapes.
+      {1e9, never_throwing, "RatInputs: elements_in must be positive"},
+      // Candidate 0 wins; the factory still throws at the last point.
+      {0.5, throwing, "factory: cannot build 40x @ 160 MHz / 18-bit"},
+  };
+  for (const Case& c : cases) {
+    Requirements req;
+    req.min_speedup = c.goal;
+    EXPECT_EQ(error_of([&] {
+                (void)core::explore_design_space(axes, c.factory, req,
+                                                 device);
+              }),
+              c.error)
+        << "goal " << c.goal;
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      ExploreOptions opts;
+      opts.n_threads = threads;
+      EXPECT_EQ(error_of([&] {
+                  (void)explore_design_space_pruned(axes, c.factory, req,
+                                                    device, opts);
+                }),
+                c.error)
+          << "goal " << c.goal << ", " << threads << " threads";
+    }
+  }
 }
 
 TEST(ExplorePruning, LargeGridSavesMostFullEvaluations) {
