@@ -742,7 +742,7 @@ rm -f "$stdio_out"
 # complete evaluation, then rerun unthrottled on the same directory. The
 # rerun must replay cached evaluations (cache hits >= 1 on stderr) and
 # its stdout must be byte-for-byte identical to a cacheless clean run.
-echo "==== design_space_exploration kill -9 plan-cache resume smoke"
+echo "==== design_space_exploration kill -9 plan-cache resume smoke (1 and 4 threads)"
 plan_dir=$(mktemp -d)
 build/examples/design_space_exploration --goal=2 --tolerance=0.0001 \
   >"$plan_dir/plain.out" 2>/dev/null
@@ -768,6 +768,32 @@ fi
 cmp "$plan_dir/plain.out" "$plan_dir/resumed.out"
 echo "plan-cache crash-recovery OK: $(grep -o 'cache hits [0-9]*' \
   "$plan_dir/resumed.err"), resumed stdout byte-identical"
+# The same round at 4 threads, on a fresh cache directory: the merge
+# stores evaluations in enumeration order at any thread count, so the
+# resumed 4-thread stdout must match the single-thread plain.out.
+build/examples/design_space_exploration --goal=2 --tolerance=0.0001 \
+  --threads=4 --plan-cache="$plan_dir/cache4" --throttle-ms=100 \
+  >/dev/null 2>&1 &
+explore_pid=$!
+for _ in $(seq 200); do
+  size=$(stat -c %s "$plan_dir/cache4/journal" 2>/dev/null || echo 0)
+  [ "$size" -ge 350 ] && break
+  sleep 0.05
+done
+kill -9 "$explore_pid" 2>/dev/null || true
+wait "$explore_pid" 2>/dev/null || true
+build/examples/design_space_exploration --goal=2 --tolerance=0.0001 \
+  --threads=4 --plan-cache="$plan_dir/cache4" \
+  >"$plan_dir/resumed4.out" 2>"$plan_dir/resumed4.err"
+if ! grep -Eq 'cache hits [1-9]' "$plan_dir/resumed4.err"; then
+  echo "design_space_exploration --threads=4: resumed run replayed nothing"
+  cat "$plan_dir/resumed4.err"
+  exit 1
+fi
+cmp "$plan_dir/plain.out" "$plan_dir/resumed4.out"
+echo "plan-cache crash-recovery at 4 threads OK: $(grep -o \
+  'cache hits [0-9]*' "$plan_dir/resumed4.err"), resumed stdout" \
+  "byte-identical to the single-thread run"
 rm -rf "$plan_dir"
 
 # Warm-start smoke (docs/STORE.md): a --cache-dir server is run twice

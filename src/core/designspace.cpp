@@ -29,12 +29,6 @@ std::string DesignPoint::label() const {
 
 namespace {
 
-/// The most candidates enumerate_design_space reserves room for up
-/// front: four times ratbench's 16,384-point explore grid. Past it the
-/// vectors grow as they fill, so a factory that skips most of a huge grid
-/// does not reserve memory it never uses.
-constexpr std::size_t kMaxReservedCandidates = std::size_t{1} << 16;
-
 /// Ascending, duplicate-free axis check. Works for any ordered value type.
 template <typename T>
 void check_sorted_axis(const std::vector<T>& axis, const char* name) {
@@ -82,9 +76,6 @@ std::vector<DesignCandidate> enumerate_design_space(
     const DesignAxes& axes, const CandidateFactory& factory,
     std::vector<std::string>* skipped_labels,
     std::vector<DesignPoint>* points) {
-  axes.validate();
-  if (!factory)
-    throw std::invalid_argument("enumerate_design_space: null factory");
   // One reservation instead of a doubling per campaign: the candidate
   // vector of a 16k-point grid outgrows malloc's mmap threshold, so every
   // doubling past it mapped fresh pages and faulted them in.
@@ -92,22 +83,11 @@ std::vector<DesignCandidate> enumerate_design_space(
   std::vector<DesignCandidate> out;
   out.reserve(expected);
   if (points) points->reserve(points->size() + expected);
-  for (std::size_t p : axes.parallelism) {
-    for (double f : axes.fclock_hz) {
-      for (int bits : axes.format_bits) {
-        DesignPoint point{p, f, bits};
-        auto cand = factory(point);
-        if (!cand) {
-          if (skipped_labels) skipped_labels->push_back(point.label());
-          continue;
-        }
-        if (cand->inputs.name.empty()) cand->inputs.name = point.label();
-        cand->decision_clock_hz = f;
-        if (points) points->push_back(point);
-        out.push_back(std::move(*cand));
-      }
-    }
-  }
+  walk_design_space(axes, factory, skipped_labels,
+                    [&](const DesignPoint& point, DesignCandidate&& cand) {
+                      if (points) points->push_back(point);
+                      out.push_back(std::move(cand));
+                    });
   return out;
 }
 

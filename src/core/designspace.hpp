@@ -10,8 +10,12 @@
 // passing design.
 #pragma once
 
+#include <cstddef>
 #include <functional>
+#include <optional>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/methodology.hpp"
@@ -49,14 +53,51 @@ struct DesignAxes {
 using CandidateFactory =
     std::function<std::optional<DesignCandidate>(const DesignPoint&)>;
 
-/// Enumerate the cartesian product, cheapest first: ordered by
-/// parallelism, then clock, then format width (ascending). Points skipped
-/// by the factory have their labels appended to @p skipped_labels (in
-/// enumeration order) when it is non-null; the returned order is the
-/// evaluation order for run_methodology. @p points, when non-null,
-/// receives the design point behind each returned candidate (same order,
-/// same length) — the explorer uses it to map candidates back onto the
-/// axes grid without re-running the factory.
+/// The most candidates a run reserves room for up front, in
+/// enumerate_design_space's vectors and in a streamed full trace's
+/// outcome: four times ratbench's 16,384-point explore grid. Past it the
+/// vectors grow as they fill, so a factory that skips most of a huge grid
+/// does not reserve memory it never uses.
+inline constexpr std::size_t kMaxReservedCandidates = std::size_t{1} << 16;
+
+/// The one walk over the grid, cheapest first: ordered by parallelism,
+/// then clock, then format width (ascending). Validates @p axes, then
+/// calls @p factory once per point, on the calling thread. A skipped
+/// point's label is appended to @p skipped_labels when it is non-null. A
+/// candidate, named by its point's label when the factory left its name
+/// empty and decided at the point's clock, goes to
+/// take(point, std::move(candidate)).
+template <typename Take>
+void walk_design_space(const DesignAxes& axes, const CandidateFactory& factory,
+                       std::vector<std::string>* skipped_labels, Take&& take) {
+  axes.validate();
+  if (!factory)
+    throw std::invalid_argument("enumerate_design_space: null factory");
+  for (std::size_t p : axes.parallelism) {
+    for (double f : axes.fclock_hz) {
+      for (int bits : axes.format_bits) {
+        const DesignPoint point{p, f, bits};
+        std::optional<DesignCandidate> cand = factory(point);
+        if (!cand) {
+          if (skipped_labels) skipped_labels->push_back(point.label());
+          continue;
+        }
+        if (cand->inputs.name.empty()) cand->inputs.name = point.label();
+        cand->decision_clock_hz = f;
+        take(point, std::move(*cand));
+      }
+    }
+  }
+}
+
+/// Enumerate the cartesian product with walk_design_space, keeping every
+/// candidate; the returned order is the evaluation order for
+/// run_methodology. Points skipped by the factory have their labels
+/// appended to @p skipped_labels (in enumeration order) when it is
+/// non-null. @p points, when non-null, receives the design point behind
+/// each returned candidate (same order, same length); it serves the
+/// explorer's elided search, which maps candidates back onto the axes
+/// grid without re-running the factory.
 std::vector<DesignCandidate> enumerate_design_space(
     const DesignAxes& axes, const CandidateFactory& factory,
     std::vector<std::string>* skipped_labels = nullptr,

@@ -54,7 +54,7 @@ bool append_evaluation(MethodologyOutcome& out, std::size_t i,
                        CandidateEvaluation&& ev);
 
 /// Throughput predictions for a list of candidates, one predict() call
-/// each: an enumeration-order window (scan_in_order) or an arbitrary index
+/// each: an enumeration-order window (OrderedScan) or an arbitrary index
 /// list (the explorer's box corners and leaves). A candidate whose
 /// worksheet fails validation does not abort the fill: its error is
 /// deferred and rethrown only if and when that candidate is actually
@@ -91,59 +91,94 @@ struct WindowPredictions {
   WindowPredictions& operator=(const WindowPredictions&) = delete;
 };
 
-/// The one ordered scan over an enumeration-ordered candidate list, behind
-/// run_methodology and the explorer's full trace. Candidates are taken in
-/// windows of 256 when serial and threads * 4 when parallel; each window
-/// is predicted once by WindowPredictions::fill. evaluate(i, prediction)
-/// then runs per candidate, serially or through util::parallel_map, and
-/// take(i, result) consumes the results in enumeration order until it
-/// returns true (the winner). A candidate whose worksheet failed
-/// validation, or whose evaluate threw, holds its exception in its slot,
-/// and the exception is rethrown only when the merge reaches that slot.
-/// So the candidates taken, and which exception escapes, are the same at
-/// any thread count; work past the winner is bounded by one window.
-template <typename Evaluate, typename Take>
-void scan_in_order(const std::vector<DesignCandidate>& candidates,
-                   std::size_t n_threads, Evaluate&& evaluate, Take&& take) {
-  const std::size_t n = candidates.size();
-  const std::size_t threads =
-      std::min(util::resolve_thread_count(n_threads), n);
-  const std::size_t window = threads <= 1 ? 256 : threads * 4;
-  WindowPredictions preds;
-  auto run = [&](std::size_t start, std::size_t k) {
-    if (preds.errors[k]) std::rethrow_exception(preds.errors[k]);
-    return evaluate(start + k, preds.predictions[k]);
-  };
-  using Result = decltype(run(0, 0));
-  struct Slot {
-    Result result{};
-    std::exception_ptr error;
-  };
-  for (std::size_t start = 0; start < n; start += window) {
-    const std::size_t count = std::min(window, n - start);
-    preds.fill(candidates, start, count);
-    if (threads <= 1) {
+/// The one ordered scan behind run_methodology and the explorer's full
+/// trace, one window at a time. A window holds 256 candidates when serial
+/// and threads * 4 when parallel. step() predicts a window once by
+/// WindowPredictions::fill, runs evaluate(i, candidate, prediction) per
+/// candidate, serially or through util::parallel_map, and hands the
+/// results to take(i, result) in enumeration order until it returns true
+/// (the winner). A candidate whose worksheet failed validation, or whose
+/// evaluate threw, holds its exception in its slot, and the exception is
+/// rethrown only when the merge reaches that slot. So the candidates
+/// taken, and which exception escapes, are the same at any thread count;
+/// work past the winner is bounded by one window. scan_in_order feeds it
+/// the windows of a materialized list, and the explorer's full trace
+/// feeds it each window as its grid walk builds it.
+class OrderedScan {
+ public:
+  /// @p n_threads as util::resolve_thread_count takes it, capped at
+  /// @p n_candidates, the most the scan will see.
+  OrderedScan(std::size_t n_threads, std::size_t n_candidates)
+      : threads_(std::min(util::resolve_thread_count(n_threads),
+                          n_candidates)),
+        window_(threads_ <= 1 ? 256 : threads_ * 4) {}
+
+  /// Candidates per window.
+  std::size_t window() const { return window_; }
+
+  /// Scan candidates[begin, begin + count), the next @p count candidates
+  /// in enumeration order: the first has the index after the last
+  /// candidate of the previous step. Returns whether take accepted the
+  /// winner.
+  template <typename Evaluate, typename Take>
+  bool step(const std::vector<DesignCandidate>& candidates, std::size_t begin,
+            std::size_t count, Evaluate&& evaluate, Take&& take) {
+    const std::size_t first = next_;
+    next_ += count;
+    preds_.fill(candidates, begin, count);
+    auto run = [&](std::size_t k) {
+      if (preds_.errors[k]) std::rethrow_exception(preds_.errors[k]);
+      return evaluate(first + k, candidates[begin + k],
+                      preds_.predictions[k]);
+    };
+    if (threads_ <= 1) {
       for (std::size_t k = 0; k < count; ++k)
-        if (take(start + k, run(start, k))) return;
-      continue;
+        if (take(first + k, run(k))) return true;
+      return false;
     }
+    using Result = decltype(run(0));
+    struct Slot {
+      Result result{};
+      std::exception_ptr error;
+    };
     std::vector<Slot> slots = util::parallel_map(
         count,
         [&](std::size_t k) {
           Slot slot;
           try {
-            slot.result = run(start, k);
+            slot.result = run(k);
           } catch (...) {
             slot.error = std::current_exception();
           }
           return slot;
         },
-        threads);
+        threads_);
     for (std::size_t k = 0; k < count; ++k) {
       if (slots[k].error) std::rethrow_exception(slots[k].error);
-      if (take(start + k, std::move(slots[k].result))) return;
+      if (take(first + k, std::move(slots[k].result))) return true;
     }
+    return false;
   }
+
+ private:
+  std::size_t threads_;
+  std::size_t window_;
+  std::size_t next_ = 0;  ///< enumeration index of the next window's first
+  WindowPredictions preds_;
+};
+
+/// The ordered scan over a materialized, enumeration-ordered candidate
+/// list: every window of @p candidates through one OrderedScan, stopping
+/// at the winner.
+template <typename Evaluate, typename Take>
+void scan_in_order(const std::vector<DesignCandidate>& candidates,
+                   std::size_t n_threads, Evaluate&& evaluate, Take&& take) {
+  const std::size_t n = candidates.size();
+  OrderedScan scan(n_threads, n);
+  for (std::size_t start = 0; start < n; start += scan.window())
+    if (scan.step(candidates, start, std::min(scan.window(), n - start),
+                  evaluate, take))
+      return;
 }
 
 }  // namespace rat::core

@@ -39,7 +39,7 @@ MethodologyOutcome run_methodology(
     const rcsim::Device& device, std::size_t n_threads) {
   if (candidates.empty())
     throw std::invalid_argument("run_methodology: no candidates");
-  if (req.min_speedup <= 0.0)
+  if (!(req.min_speedup > 0.0))
     throw std::invalid_argument("run_methodology: min_speedup <= 0");
 
   MethodologyOutcome out;
@@ -48,8 +48,9 @@ MethodologyOutcome run_methodology(
   // serial run's at any thread count.
   scan_in_order(
       candidates, n_threads,
-      [&](std::size_t i, const ThroughputPrediction& pred) {
-        return evaluate_candidate(i, candidates[i], req, device, pred);
+      [&](std::size_t i, const DesignCandidate& cand,
+          const ThroughputPrediction& pred) {
+        return evaluate_candidate(i, cand, req, device, pred);
       },
       [&out](std::size_t i, CandidateEvaluation&& ev) {
         return append_evaluation(out, i, std::move(ev));

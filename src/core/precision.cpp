@@ -53,7 +53,7 @@ std::vector<QuantizedThroughputPoint> quantized_throughput_sweep(
     const std::vector<fx::PrecisionChoice>& sweep,
     double channel_word_bytes) {
   inputs.validate();
-  if (fclock_hz <= 0.0)
+  if (!(fclock_hz > 0.0))
     throw std::invalid_argument("quantized_throughput_sweep: fclock <= 0");
   std::vector<QuantizedThroughputPoint> out;
   out.reserve(sweep.size());

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
 #include <limits>
 #include <optional>
 #include <queue>
@@ -19,19 +20,10 @@ namespace {
 using core::CandidateEvaluation;
 using core::DesignCandidate;
 
-/// Final disposition of one grid point (docs/EXPLORATION.md). kUntouched
-/// points become points_pruned: neither the scan nor the search reached
-/// them (they lie past the winner), or an elided run's leaf met them and
-/// they failed validation.
-enum PointStatus : std::uint8_t {
-  kUntouched = 0,
-  kSkippedPoint,
-  /// A throughput rejection, proven by a corner bound or by the point's
-  /// own prediction.
-  kBoundedPoint,
-  kEvaluatedPoint,
-  kRestoredPoint,
-};
+/// How a taken candidate was decided (docs/EXPLORATION.md): its own
+/// prediction failed the throughput gate, the full gate pipeline ran, or
+/// the plan cache replayed it. A candidate nothing takes counts as pruned.
+enum class Fate : std::uint8_t { kBounded, kEvaluated, kRestored };
 
 /// An axis-aligned, inclusive box of axis indices.
 struct Box {
@@ -67,7 +59,7 @@ class PrunedExploration {
   ExploreResult run();
 
  private:
-  // --- grid ----------------------------------------------------------
+  // --- grid (elided runs only) --------------------------------------
   std::size_t lex(std::size_t ip, std::size_t ifc, std::size_t ib) const {
     return (ip * nf_ + ifc) * nb_ + ib;
   }
@@ -86,19 +78,21 @@ class PrunedExploration {
   // --- one candidate -------------------------------------------------
   struct Item {
     CandidateEvaluation ev;
-    PointStatus status = kEvaluatedPoint;
+    Fate fate = Fate::kEvaluated;
     std::string key;  ///< plan-cache key of a fresh evaluation
   };
   /// The per-candidate routine of the scan and the search's leaves: the
   /// throughput gate on the candidate's own prediction, then plan-cache
   /// replay, then the full gate pipeline. Safe on scan workers: it reads
-  /// only the candidates and the thread-safe cache.
-  Item evaluate(std::size_t ci, const core::ThroughputPrediction& pred) const;
-  /// Take one candidate's item: record its point's fate and the cache
-  /// effort, and store a fresh evaluation in the plan cache.
-  void take(std::size_t ci, const Item& item);
+  /// only the candidate and the thread-safe cache.
+  Item evaluate(std::size_t ci, const DesignCandidate& cand,
+                const core::ThroughputPrediction& pred) const;
+  /// Take one candidate's item: count its fate and the cache effort, and
+  /// store a fresh evaluation in the plan cache.
+  void take(const Item& item);
 
   // --- assembly ------------------------------------------------------
+  void count_skipped(core::DesignSpaceResult& design) const;
   void scan(ExploreResult& result);
   void assemble_elided(ExploreResult& result);
   void finalize(ExploreResult& result);
@@ -117,12 +111,13 @@ class PrunedExploration {
   const ExploreOptions& options_;
   const PruningPolicy& policy_;
 
-  std::size_t np_ = 0, nf_ = 0, nb_ = 0, total_ = 0;
+  std::size_t total_ = 0;
+  // The elided search's materialized grid. A full trace streams it and
+  // holds none of these.
+  std::size_t np_ = 0, nf_ = 0, nb_ = 0;
   std::vector<DesignCandidate> candidates_;
   std::vector<core::DesignPoint> points_;
   std::vector<std::ptrdiff_t> cand_of_point_;  ///< lex → candidate, -1 skip
-  std::vector<std::size_t> lex_of_cand_;
-  std::vector<std::uint8_t> status_;
 
   PlanCache* cache_ = nullptr;
   std::uint64_t context_fp_ = 0;
@@ -142,10 +137,8 @@ void PrunedExploration::build_grid() {
   nf_ = axes_.fclock_hz.size();
   nb_ = axes_.format_bits.size();
   cand_of_point_.assign(total_, -1);
-  lex_of_cand_.assign(candidates_.size(), 0);
-  status_.assign(total_, kSkippedPoint);
   // The factory was already consulted by enumerate_design_space; recover
-  // the lex ↔ candidate mapping by walking the grid in the same order and
+  // the lex → candidate mapping by walking the grid in the same order and
   // matching the per-candidate design points head-on.
   std::size_t next = 0;
   for (std::size_t ip = 0; ip < np_; ++ip) {
@@ -156,10 +149,8 @@ void PrunedExploration::build_grid() {
         if (p.parallelism == axes_.parallelism[ip] &&
             p.fclock_hz == axes_.fclock_hz[ifc] &&
             p.format_bits == axes_.format_bits[ib]) {
-          const std::size_t l = lex(ip, ifc, ib);
-          cand_of_point_[l] = static_cast<std::ptrdiff_t>(next);
-          lex_of_cand_[next] = l;
-          status_[l] = kUntouched;
+          cand_of_point_[lex(ip, ifc, ib)] =
+              static_cast<std::ptrdiff_t>(next);
           ++next;
         }
       }
@@ -229,29 +220,27 @@ std::optional<PrunedExploration::Bound> PrunedExploration::corner_bound(
 void PrunedExploration::mark_bounded(const Box& b) {
   for (std::size_t ip = b.lo[0]; ip <= b.hi[0]; ++ip)
     for (std::size_t ifc = b.lo[1]; ifc <= b.hi[1]; ++ifc)
-      for (std::size_t ib = b.lo[2]; ib <= b.hi[2]; ++ib) {
-        const std::size_t l = lex(ip, ifc, ib);
-        if (cand_of_point_[l] >= 0) status_[l] = kBoundedPoint;
-      }
+      for (std::size_t ib = b.lo[2]; ib <= b.hi[2]; ++ib)
+        if (cand_of_point_[lex(ip, ifc, ib)] >= 0) ++stats_.points_bounded;
 }
 
 PrunedExploration::Item PrunedExploration::evaluate(
-    std::size_t ci, const core::ThroughputPrediction& pred) const {
-  const DesignCandidate& cand = candidates_[ci];
+    std::size_t ci, const DesignCandidate& cand,
+    const core::ThroughputPrediction& pred) const {
   Item item;
   // The point's own prediction is an exact bound on itself: the gate's
   // rejection is byte-identical to a full evaluation's, at none of the
   // deeper gates' cost, and it is cheaper to recompute than to store.
   if (!core::apply_throughput_gate(item.ev, ci, cand.inputs.name, req_,
                                    pred)) {
-    item.status = kBoundedPoint;
+    item.fate = Fate::kBounded;
     return item;
   }
   if (cache_) {
     item.key = cache_key(cand);
     if (auto ev = cache_->lookup(item.key, ci, cand.inputs.name)) {
       item.ev = std::move(*ev);
-      item.status = kRestoredPoint;
+      item.fate = Fate::kRestored;
       return item;
     }
   }
@@ -259,13 +248,20 @@ PrunedExploration::Item PrunedExploration::evaluate(
   return item;
 }
 
-void PrunedExploration::take(std::size_t ci, const Item& item) {
-  status_[lex_of_cand_[ci]] = item.status;
-  if (!cache_ || item.status == kBoundedPoint) return;
-  if (item.status == kRestoredPoint) {
-    ++stats_.cache_hits;
-    return;
+void PrunedExploration::take(const Item& item) {
+  switch (item.fate) {
+    case Fate::kBounded:
+      ++stats_.points_bounded;
+      return;
+    case Fate::kRestored:
+      ++stats_.points_restored;
+      ++stats_.cache_hits;
+      return;
+    case Fate::kEvaluated:
+      ++stats_.points_evaluated;
+      break;
   }
+  if (!cache_) return;
   ++stats_.cache_misses;
   cache_->insert(item.key, item.ev);
   ++stats_.cache_puts;
@@ -290,8 +286,8 @@ void PrunedExploration::leaf_evaluate(const Box& b) {
     // A candidate whose worksheet fails validation cannot pass, and an
     // elided run does not throw for it: it stays untouched.
     if (preds.errors[k]) continue;
-    Item item = evaluate(ci, preds.predictions[k]);
-    take(ci, item);
+    Item item = evaluate(ci, candidates_[ci], preds.predictions[k]);
+    take(item);
     if (item.ev.passed && (!incumbent_ || ci < *incumbent_)) incumbent_ = ci;
     memo_.emplace(ci, std::move(item.ev));
   }
@@ -349,18 +345,62 @@ void PrunedExploration::search() {
   }
 }
 
+void PrunedExploration::count_skipped(core::DesignSpaceResult& design) const {
+  design.points_skipped = design.skipped_labels.size();
+  if (design.points_skipped == total_)
+    throw std::invalid_argument(
+        "explore_design_space_pruned: factory skipped every point");
+}
+
 void PrunedExploration::scan(ExploreResult& result) {
   obs::ScopedTimer timer("explore.assemble");
   core::MethodologyOutcome& out = result.design.outcome;
-  core::scan_in_order(
-      candidates_, options_.n_threads,
-      [this](std::size_t ci, const core::ThroughputPrediction& pred) {
-        return evaluate(ci, pred);
-      },
-      [&](std::size_t ci, Item&& item) {
-        take(ci, item);
-        return core::append_evaluation(out, ci, std::move(item.ev));
+  // Reserved once, from the grid size: two trace entries per throughput
+  // rejection. Grown by doubling instead, the vectors would map fresh
+  // pages past malloc's mmap threshold and fault them in every campaign.
+  const std::size_t expected = std::min(total_, core::kMaxReservedCandidates);
+  out.trace.reserve(2 * expected);
+  out.predictions.reserve(expected);
+  // The grid is walked once, in enumeration order, and scanned one window
+  // of candidates at a time; a scanned window is dropped before the walk
+  // builds the next. Once the winner is taken or the merge reaches an
+  // error, the walk goes on without keeping candidates: the factory still
+  // sees every point, so its skipped labels are complete and its own
+  // exceptions escape first, as when the whole grid was enumerated before
+  // the scan. The merge's error is rethrown when the walk ends.
+  core::OrderedScan ordered(options_.n_threads, total_);
+  std::vector<DesignCandidate> window;
+  window.reserve(std::min(ordered.window(), total_));
+  bool over = false;
+  std::exception_ptr error;
+  auto scan_window = [&] {
+    try {
+      over = ordered.step(
+          window, 0, window.size(),
+          [this](std::size_t ci, const DesignCandidate& cand,
+                 const core::ThroughputPrediction& pred) {
+            return evaluate(ci, cand, pred);
+          },
+          [this, &out](std::size_t ci, Item&& item) {
+            take(item);
+            return core::append_evaluation(out, ci, std::move(item.ev));
+          });
+    } catch (...) {
+      error = std::current_exception();
+      over = true;
+    }
+    window.clear();
+  };
+  core::walk_design_space(
+      axes_, factory_, &result.design.skipped_labels,
+      [&](const core::DesignPoint&, DesignCandidate&& cand) {
+        if (over) return;
+        window.push_back(std::move(cand));
+        if (window.size() == ordered.window()) scan_window();
       });
+  if (!window.empty()) scan_window();
+  count_skipped(result.design);
+  if (error) std::rethrow_exception(error);
   if (out.proceed) result.winner_index = out.accepted_index;
 }
 
@@ -385,6 +425,12 @@ void PrunedExploration::assemble_elided(ExploreResult& result) {
 
 void PrunedExploration::finalize(ExploreResult& result) {
   stats_.points_total = total_;
+  stats_.points_skipped = result.design.points_skipped;
+  // Every candidate the factory built and nothing took: past the winner
+  // or, in an elided run, invalid at a leaf.
+  stats_.points_pruned = total_ - stats_.points_skipped -
+                         stats_.points_bounded - stats_.points_evaluated -
+                         stats_.points_restored;
   // A rejected candidate's trace holds exactly one failing gate entry.
   for (const core::TraceEntry& e : result.design.outcome.trace) {
     if (e.passed) continue;
@@ -394,15 +440,6 @@ void PrunedExploration::finalize(ExploreResult& result) {
       case core::Step::kResourceTest: ++stats_.rejected_resource; break;
       case core::Step::kPowerTest: ++stats_.rejected_power; break;
       default: break;
-    }
-  }
-  for (const std::uint8_t s : status_) {
-    switch (s) {
-      case kSkippedPoint: ++stats_.points_skipped; break;
-      case kBoundedPoint: ++stats_.points_bounded; break;
-      case kEvaluatedPoint: ++stats_.points_evaluated; break;
-      case kRestoredPoint: ++stats_.points_restored; break;
-      default: ++stats_.points_pruned; break;
     }
   }
   result.stats = stats_;
@@ -434,24 +471,20 @@ void PrunedExploration::finalize(ExploreResult& result) {
 
 ExploreResult PrunedExploration::run() {
   obs::ScopedTimer timer("explore.design_space");
-  if (req_.min_speedup <= 0.0)
+  if (!(req_.min_speedup > 0.0))
     throw std::invalid_argument(
         "explore_design_space_pruned: min_speedup <= 0");
   ExploreResult result;
   total_ = axes_.size();
   result.design.points_total = total_;
-  candidates_ = core::enumerate_design_space(
-      axes_, factory_, &result.design.skipped_labels, &points_);
-  result.design.points_skipped = result.design.skipped_labels.size();
-  if (candidates_.empty())
-    throw std::invalid_argument(
-        "explore_design_space_pruned: factory skipped every point");
-  build_grid();
-
   cache_ = options_.plan_cache;
   if (cache_) context_fp_ = io::requirements_fingerprint(req_, device_);
 
   if (policy_.prune && !policy_.full_trace) {
+    candidates_ = core::enumerate_design_space(
+        axes_, factory_, &result.design.skipped_labels, &points_);
+    count_skipped(result.design);
+    build_grid();
     search();
     assemble_elided(result);
   } else {

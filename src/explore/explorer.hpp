@@ -1,15 +1,18 @@
 // Design-space exploration with an optional branch-and-bound search
 // (docs/EXPLORATION.md).
 //
-// A full-trace run (the default) is core::scan_in_order over the
-// enumerated candidates, the same scan core::explore_design_space runs:
-// its result is bit-identical to the exhaustive explorer's (winner,
-// trace, predictions, skipped labels) at any thread count. Each candidate
-// pays one predict() and the throughput gate; only those that pass it
-// are replayed from the plan cache or run through the deeper gates.
-// Figure 1 runs the cheap throughput test first, so a failing design
-// costs the same whether a bound or its own prediction proves it, and a
-// full trace has nothing to gain from searching first.
+// A full-trace run (the default) streams the grid: it walks the points
+// in enumeration order, builds one window of candidates at a time and
+// drops each window once core::OrderedScan has scanned it, the window
+// step that core::explore_design_space runs over its enumerated list.
+// Its result is bit-identical to the exhaustive explorer's (winner,
+// trace, predictions, skipped labels) at any thread count, and it throws
+// what that explorer throws. Each candidate pays one factory call, one
+// predict() and the throughput gate; only those that pass it are
+// replayed from the plan cache or run through the deeper gates. Figure 1
+// runs the cheap throughput test first, so a failing design costs the
+// same whether a bound or its own prediction proves it, and a full trace
+// has nothing to gain from searching first.
 //
 // An elided run (full_trace = false) searches instead. For the factories
 // the paper's case studies use, Eqs. 5-6 make predicted speedup monotone
@@ -105,7 +108,9 @@ struct ExploreOptions {
   /// Optional content-addressed plan cache: crash-resume of this
   /// campaign and reuse across overlapping ones. A full-trace run stores
   /// an evaluation when the scan's in-order merge takes it, so it leaves
-  /// the same entries at any thread count.
+  /// the same entries at any thread count. The merge runs as the grid is
+  /// walked, so a factory that throws partway leaves the evaluations of
+  /// the candidates taken before it stored.
   PlanCache* plan_cache = nullptr;
 };
 
@@ -124,8 +129,11 @@ struct ExploreResult {
 };
 
 /// The explorer behind core::explore_design_space's contract: same factory
-/// contract, same skipped-label bookkeeping; a full-trace run throws the
-/// same validation errors at the same points of the run.
+/// contract (one call per grid point, in enumeration order, on the
+/// calling thread), same skipped-label bookkeeping; a full-trace run
+/// throws what the exhaustive scan throws: an invalid axis or a null
+/// factory, then the factory's own exception, then "factory skipped every
+/// point", then the first evaluation error the in-order merge reaches.
 ExploreResult explore_design_space_pruned(
     const core::DesignAxes& axes, const core::CandidateFactory& factory,
     const core::Requirements& req, const rcsim::Device& device,

@@ -4,8 +4,9 @@
 // so a message string built on every check would dominate the Eqs. 1-11
 // flops. Parsing a worksheet, which every service request does, allocates
 // only the result's name and clock list. An exploration allocates a fixed
-// count per candidate: the enumeration reserves its vectors once, and a
-// throughput rejection, the fate of most candidates, makes 5 allocations.
+// count per candidate: the enumeration and a full trace's outcome reserve
+// their vectors once, and a throughput rejection, the fate of most
+// candidates, makes 5 allocations.
 //
 // This binary replaces the global operator new with a counting one, so it
 // stays its own test target, and the sanitizer builds (which bring their
@@ -204,11 +205,13 @@ TEST(AllocCount, EnumerationReservesOnce) {
 
 TEST(AllocCount, FullTraceExplorationWithoutWinner) {
   // Every candidate is a throughput rejection (5 allocations). The rest
-  // is per run, 303 on this grid: the enumeration's two reservations, the
-  // grid maps, the prediction window, the growth of the outcome's trace
-  // and prediction vectors, and the Pareto front's entries (a name each).
+  // is per run, 274 on this grid: the outcome's trace and prediction
+  // vectors, each reserved once from the grid size, the candidate window,
+  // the prediction window, and the Pareto front's entries (a name each).
+  // A full trace streams the grid, so it makes neither the enumeration's
+  // reservations nor the search's grid maps.
   constexpr std::uint64_t kPerCandidate = 5;
-  constexpr std::uint64_t kPerRun = 303;
+  constexpr std::uint64_t kPerRun = 274;
   const DesignAxes axes = grid_4096();
   const CandidateFactory factory = labelled_factory();
   const std::uint64_t own = factory_allocations(axes, factory);

@@ -7,6 +7,8 @@
 #include <limits>
 #include <stdexcept>
 
+#include "core/precision.hpp"
+#include "core/sensitivity.hpp"
 #include "core/streaming.hpp"
 #include "core/units.hpp"
 #include "rcsim/executor.hpp"
@@ -154,6 +156,13 @@ TEST(ClockGuards, NaNClockIsNonPositive) {
        [&] { (void)predict_scaling(pdf1d_inputs(), nan, 2); }},
       {"predict_streaming: non-positive clock",
        [&] { (void)predict_streaming(pdf1d_inputs(), nan); }},
+      {"solve_throughput_proc: bad clock",
+       [&] {
+         (void)solve_throughput_proc(pdf1d_inputs(), nan, 5.0,
+                                     BufferingMode::kSingle);
+       }},
+      {"quantized_throughput_sweep: fclock <= 0",
+       [&] { (void)quantized_throughput_sweep(pdf1d_inputs(), nan, {}, 4.0); }},
   };
   for (const Case& c : cases) {
     try {

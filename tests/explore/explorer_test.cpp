@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <functional>
+#include <limits>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
@@ -12,6 +15,7 @@
 #include <vector>
 
 #include "core/designspace.hpp"
+#include "core/sensitivity.hpp"
 #include "core/units.hpp"
 #include "obs/metrics.hpp"
 
@@ -593,6 +597,92 @@ TEST(ExploreStats, RejectionCountersNameTheGates) {
   check_invariant(sparse);
   EXPECT_LE(sparse.stats.rejected_throughput, full.stats.rejected_throughput);
   EXPECT_EQ(sparse.stats.rejected_resource, full.stats.rejected_resource);
+}
+
+TEST(ExploreStream, FullTraceHoldsOneWindowOfCandidates) {
+  // Each candidate's precision kernel holds a copy of one token, so the
+  // token's use count is the number of candidates alive. No requirement
+  // asks for a precision test, so no kernel runs. A full trace builds one
+  // window of candidates at a time: at each factory call, at most two
+  // serial windows (512) are alive, not the 4,095 earlier candidates of
+  // a grid materialized whole.
+  DesignAxes axes;
+  axes.parallelism.clear();
+  for (std::size_t p = 1; p <= 16; ++p) axes.parallelism.push_back(p);
+  axes.fclock_hz.clear();
+  for (int k = 0; k < 64; ++k) axes.fclock_hz.push_back(core::mhz(80 + 5 * k));
+  axes.format_bits = {12, 14, 16, 18};
+  ASSERT_EQ(axes.size(), 4096u);
+  const CandidateFactory base = monotone_factory(core::pdf1d_inputs(), 0.5);
+  const auto token = std::make_shared<int>(0);
+  const long baseline = token.use_count();
+  long most_alive = 0;
+  const CandidateFactory factory =
+      [&base, &token, baseline, &most_alive](
+          const DesignPoint& p) -> std::optional<DesignCandidate> {
+    most_alive = std::max(most_alive, token.use_count() - baseline);
+    auto c = base(p);
+    c->precision_kernel = [token](fx::Format) { return std::vector<double>{}; };
+    return c;
+  };
+  Requirements req;
+  req.min_speedup = 1e9;
+  const auto device = rcsim::virtex4_lx100();
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    most_alive = 0;
+    ExploreOptions opts;
+    opts.n_threads = threads;
+    const auto full =
+        explore_design_space_pruned(axes, factory, req, device, opts);
+    ASSERT_FALSE(full.winner_index);
+    EXPECT_EQ(full.stats.points_bounded, 4096u);
+    EXPECT_LE(most_alive, 512) << threads << " threads";
+    EXPECT_EQ(token.use_count(), baseline) << threads << " threads";
+  }
+}
+
+TEST(GoalGuards, NaNGoalIsNonPositive) {
+  // NaN compares false with everything, so each "non-positive goal"
+  // guard tests !(goal > 0) and rejects it with its usual message.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto device = rcsim::virtex4_lx100();
+  Requirements req;
+  req.min_speedup = nan;
+  const CandidateFactory factory = monotone_factory(core::pdf1d_inputs(), 2.5);
+  struct Case {
+    const char* what;
+    std::function<void()> call;
+  };
+  const Case cases[] = {
+      {"run_methodology: min_speedup <= 0",
+       [&] {
+         (void)core::run_methodology({*factory({1, core::mhz(100), 18})}, req,
+                                     device);
+       }},
+      {"explore_design_space_pruned: min_speedup <= 0",
+       [&] {
+         (void)explore_design_space_pruned(wide_axes(), factory, req, device);
+       }},
+      {"target speedup must be positive",
+       [&] {
+         (void)core::solve_throughput_proc(core::pdf1d_inputs(),
+                                           core::mhz(100), nan,
+                                           core::BufferingMode::kSingle);
+       }},
+      {"target speedup must be positive",
+       [&] {
+         (void)core::solve_fclock(core::pdf1d_inputs(), nan,
+                                  core::BufferingMode::kSingle);
+       }},
+  };
+  for (const Case& c : cases) {
+    try {
+      c.call();
+      ADD_FAILURE() << "accepted a NaN goal: " << c.what;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(), c.what);
+    }
+  }
 }
 
 TEST(ExploreValidation, RejectsDegenerateRuns) {
