@@ -92,6 +92,8 @@ class PrunedExploration {
   void take(const Item& item);
 
   // --- assembly ------------------------------------------------------
+  /// Record how many points the factory skipped; a grid it skipped whole
+  /// is an error.
   void count_skipped(core::DesignSpaceResult& design) const;
   void scan(ExploreResult& result);
   void assemble_elided(ExploreResult& result);
@@ -365,9 +367,10 @@ void PrunedExploration::scan(ExploreResult& result) {
   // of candidates at a time; a scanned window is dropped before the walk
   // builds the next. Once the winner is taken or the merge reaches an
   // error, the walk goes on without keeping candidates: the factory still
-  // sees every point, so its skipped labels are complete and its own
-  // exceptions escape first, as when the whole grid was enumerated before
-  // the scan. The merge's error is rethrown when the walk ends.
+  // sees every point, so the skipped labels are complete and the
+  // factory's exceptions escape before the merge's error, which is
+  // rethrown when the walk ends. The exhaustive scan, which enumerates
+  // the whole grid first, throws in that order too.
   core::OrderedScan ordered(options_.n_threads, total_);
   std::vector<DesignCandidate> window;
   window.reserve(std::min(ordered.window(), total_));
