@@ -348,14 +348,15 @@ print("service metrics OK:", c["svc.cache.hit"], "cache hits,",
 EOF
 rm -rf "$soak_dir"
 
-# Loop-answered hits (docs/SERVICE.md): 200 sequential requests for one
-# fixture on one connection, each alone in its poll turn. The event loop
-# looks a lone line up itself, so only the first (the miss) reaches the
-# pool; the 199 hits are answered on the loop with no thread hop, from
-# the entry's rendered tail. The ids cycle through a plain, an escaped
-# and an empty one, and every answer must be the miss's bytes with the
-# request's own id (an empty id renders as null).
-echo "==== rat_serve lone-request hits stay on the loop (TSan build)"
+# Loop-answered requests (docs/SERVICE.md): 200 sequential requests for
+# one fixture on one connection, each alone in its poll turn. The event
+# loop looks a lone line up itself and answers it there, so nothing
+# reaches the pool: it computes the first (the miss) itself, and answers
+# the 199 hits from the entry's rendered tail, with no thread hop. The
+# ids cycle through a plain, an escaped and an empty one, and every
+# answer must be the miss's bytes with the request's own id (an empty id
+# renders as null).
+echo "==== rat_serve lone requests stay on the loop (TSan build)"
 lone_dir=$(mktemp -d)
 build-tsan/src/apps/rat_serve --port=0 --port-file="$lone_dir/port" \
   --metrics="$lone_dir/metrics.json" \
@@ -410,10 +411,12 @@ import json, sys
 c = json.load(open(sys.argv[1]))["counters"]
 assert c["svc.requests"] == 200, c.get("svc.requests")
 assert c["svc.responses.ok"] == 200, c.get("svc.responses.ok")
-assert c["pool.tasks_submitted"] == 1, c.get("pool.tasks_submitted")
+# The miss is computed on the loop: no pool task at all.
+assert c.get("pool.tasks_submitted", 0) == 0, c.get("pool.tasks_submitted")
 assert c["svc.cache.miss"] == 1, c.get("svc.cache.miss")
 assert c["svc.cache.hit"] == 199, c.get("svc.cache.hit")
-print("lone-request metrics OK: 1 pool task, 1 miss, 199 loop-answered hits")
+print("lone-request metrics OK: 0 pool tasks, 1 loop-computed miss, "
+      "199 loop-answered hits")
 EOF
 rm -rf "$lone_dir"
 
@@ -799,7 +802,10 @@ rm -rf "$plan_dir"
 # Warm-start smoke (docs/STORE.md): a --cache-dir server is run twice
 # over stdio on the same directory; the second boot must warm-start the
 # journaled entry and answer the same request byte-identically to the
-# first (cold) evaluation.
+# first (cold) evaluation. A file request always goes to the pool; the
+# second round sends an inline worksheet, which the event loop looks up
+# itself. Its insert is journaled, so the cold miss still goes to the
+# pool (one task).
 echo "==== rat_serve warm-start byte-identity smoke (--cache-dir)"
 warm_dir=$(mktemp -d)
 req='{"schema":"rat.svc.v1","id":"w","op":"evaluate","file":"tests/fixtures/worksheets/pdf1d.rat"}'
@@ -813,6 +819,24 @@ grep -q 'warm-started 0 cached result(s)' "$warm_dir/cold.err"
 grep -q 'warm-started 1 cached result(s)' "$warm_dir/warm.err"
 cmp "$warm_dir/cold.out" "$warm_dir/warm.out"
 echo "warm-start OK: 1 entry restored, response byte-identical"
+req=$(python3 -c 'import json; print(json.dumps({"schema": "rat.svc.v1",
+  "id": "i", "op": "evaluate",
+  "worksheet": open("tests/fixtures/worksheets/md.rat").read()}))')
+for run in cold warm; do
+  printf '%s\n' "$req" | timeout 60 build/src/apps/rat_serve --stdio \
+    --no-tcp --cache-dir="$warm_dir/inline" \
+    --metrics="$warm_dir/inline_$run.json" \
+    >"$warm_dir/inline_$run.out" 2>"$warm_dir/inline_$run.err"
+done
+grep -q 'warm-started 1 cached result(s)' "$warm_dir/inline_warm.err"
+python3 - "$warm_dir/inline_cold.json" <<'EOF'
+import json, sys
+c = json.load(open(sys.argv[1]))["counters"]
+assert c.get("pool.tasks_submitted", 0) == 1, c.get("pool.tasks_submitted")
+EOF
+cmp "$warm_dir/inline_cold.out" "$warm_dir/inline_warm.out"
+echo "warm-start OK: an inline worksheet's journaled miss took 1 pool" \
+  "task; the warm boot restored it and answered byte-identically"
 rm -rf "$warm_dir"
 
 echo "ALL CHECKS PASSED"

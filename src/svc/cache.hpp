@@ -101,8 +101,9 @@ class ResultCache {
   Entry lookup(const std::string& key, std::uint64_t fp);
 
   /// lookup() that counts only a hit. The service's event-loop lookup
-  /// probes first; its miss is counted by the lookup the pool task
-  /// repeats before computing, so every request counts one lookup.
+  /// probes a worksheet whose miss it would queue; that miss is counted
+  /// by the lookup the pool task repeats before computing, so every
+  /// request counts one lookup.
   Entry probe(const std::string& key, std::uint64_t fp);
 
   /// Attach @p tail, rendered from @p value, to @p key's entry. Does

@@ -13,18 +13,21 @@
 // that was read. All but the first are submitted plainly: their lookup
 // and evaluation run on the shared ThreadPool. The first is submitted
 // last, with the caller-thread lookup (Service::Lookup::kCaller): the
-// loop parses, fingerprints and probes the cache for it itself, answers
-// a hit on the spot and queues a miss with its parse. Answers produced
-// on the loop thread are completed in the same turn; pool workers hand
-// theirs back through a notify pipe. Worker threads never touch sockets,
-// so a response is never lost to a racing connection teardown and a
-// blocked send can never stall a worker.
+// loop parses, fingerprints and looks it up itself, and answers a hit
+// from the cache and a miss by computing it, on the spot. Only a miss
+// whose insert is journaled (--cache-dir) or whose worksheet lists more
+// than Service::kCallerMaxClocks clocks is queued, with its parse.
+// Answers produced on the loop thread are completed in the same turn;
+// pool workers hand theirs back through a notify pipe. Worker threads
+// never touch sockets, so a response is never lost to a racing
+// connection teardown and a blocked send can never stall a worker.
 //
 // Why one line a turn: a lone request has no other work to overlap
-// with, so the two thread hops cost more than its lookup (stages add,
-// the paper's Eq. 5). In a busy turn the pool works on the rest while
-// the loop serves the first (overlap takes the max, Eq. 6), so one
-// rat_serve still spreads a burst over --threads workers.
+// with, so the two thread hops cost more than its lookup, or than a
+// short miss's predict_all (stages add, the paper's Eq. 5). In a busy
+// turn the pool works on the rest while the loop serves the first
+// (overlap takes the max, Eq. 6), so one rat_serve still spreads a
+// burst over --threads workers.
 //
 // Slow clients: each connection's outbound queue is bounded
 // (ClientPolicy::max_write_buffer_bytes of unsent bytes). A client that

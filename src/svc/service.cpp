@@ -135,12 +135,20 @@ bool Service::answer_on_caller(Job& job, const Responder& on_response) {
   try {
     if (parse(job, on_response)) {
       const Parsed& p = *job.parsed;
-      const ResultCache::Entry hit =
-          job.req.no_cache ? ResultCache::Entry{} : cache_.probe(p.key, p.fp);
+      // A journaled insert waits for an fsync, and a long clock list for
+      // its predict_all: such a miss goes to the pool, parsed, and only
+      // the pool's lookup counts it.
+      const bool compute =
+          !persist_ && p.inputs.comp.fclock_hz.size() <= kCallerMaxClocks;
+      ResultCache::Entry hit;
+      if (!job.req.no_cache)
+        hit = compute ? cache_.lookup(p.key, p.fp) : cache_.probe(p.key, p.fp);
       if (hit)
         respond(on_response, hit_response(job.req.id, p, hit), /*ok=*/true);
+      else if (compute)
+        respond(on_response, miss_response(job.req, p), /*ok=*/true);
       else
-        answered = false;  // the miss goes to the pool, parsed
+        answered = false;
     }
   } catch (const std::exception& e) {
     respond(on_response, internal_error_response(job.req.id, e.what()),
@@ -167,6 +175,21 @@ std::string Service::hit_response(const std::string& id, const Parsed& p,
     cache_.attach_tail(p.key, p.fp, hit.value, tail);
   }
   return evaluate_response(id, *tail);
+}
+
+std::string Service::miss_response(const Request& req, const Parsed& p) {
+  auto computed =
+      std::make_shared<const std::vector<core::ThroughputPrediction>>(
+          core::predict_all(p.inputs));
+  if (!req.no_cache) {
+    const ResultCache::PutOutcome outcome = cache_.put(p.key, p.fp, computed);
+    // Journal only genuine inserts: a refresh means another worker
+    // already computed (and persisted) this exact worksheet.
+    if (persist_ && (outcome == ResultCache::PutOutcome::kInserted ||
+                     outcome == ResultCache::PutOutcome::kInsertedEvicting))
+      persist_->append(p.key, computed);
+  }
+  return evaluate_response(req.id, p.fp, p.inputs, *computed);
 }
 
 void Service::admit(Job job, Responder on_response) {
@@ -238,26 +261,9 @@ void Service::run_evaluation(Job job, std::uint64_t deadline_ns,
       // queued behind an in-flight miss is answered from the cache.
       ResultCache::Entry hit;
       if (!req.no_cache) hit = cache_.lookup(p.key, p.fp);
-      if (hit) {
-        respond(on_response, hit_response(req.id, p, hit), /*ok=*/true);
-      } else {
-        auto computed =
-            std::make_shared<const std::vector<core::ThroughputPrediction>>(
-                core::predict_all(p.inputs));
-        if (!req.no_cache) {
-          const ResultCache::PutOutcome outcome =
-              cache_.put(p.key, p.fp, computed);
-          // Journal only genuine inserts: a refresh means another worker
-          // already computed (and persisted) this exact worksheet.
-          if (persist_ &&
-              (outcome == ResultCache::PutOutcome::kInserted ||
-               outcome == ResultCache::PutOutcome::kInsertedEvicting))
-            persist_->append(p.key, computed);
-        }
-        respond(on_response,
-                evaluate_response(req.id, p.fp, p.inputs, *computed),
-                /*ok=*/true);
-      }
+      respond(on_response,
+              hit ? hit_response(req.id, p, hit) : miss_response(req, p),
+              /*ok=*/true);
     }
   } catch (const std::exception& e) {
     respond(on_response, internal_error_response(req.id, e.what()),

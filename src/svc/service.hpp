@@ -26,13 +26,22 @@
 // Caller-thread lookup (Lookup::kCaller, what the server's event loop
 // asks for on one line per poll turn): an inline worksheet is parsed,
 // fingerprinted and looked up in the cache on the submitting thread. A
-// hit, or a worksheet diagnostic, is answered before submit() returns;
-// only a miss is queued, carrying its parsed inputs, key and
-// fingerprint so the pool does not parse it again. A request answered
-// this way is never queued: it is not counted in in_flight, and it is
-// never answered E_OVERLOADED or E_DEADLINE_EXPIRED. A draining service
-// still answers E_SHUTTING_DOWN first. A file request is always queued:
-// a read from a slow path must never stall the caller.
+// hit, a worksheet diagnostic or a miss is answered before submit()
+// returns: the miss is computed right there, by the routine the pool
+// runs, so both give the same bytes. Two kinds of miss are queued
+// instead, carrying their parsed inputs, key and fingerprint so the
+// pool does not parse them again: a miss on a service with a durable
+// store, whose insert is fsynced before it is answered, and a worksheet
+// that lists more than kCallerMaxClocks candidate clocks. A request
+// answered on the caller is never queued: it is not counted in
+// in_flight, and it is never answered E_OVERLOADED or
+// E_DEADLINE_EXPIRED. A draining service still answers E_SHUTTING_DOWN
+// first. A file request is always queued: a read from a slow path must
+// never stall the caller.
+//
+// Every request counts one cache lookup: a miss computed on the caller
+// is counted there, and a miss the caller queues is counted by the
+// pool's repeat lookup instead (ResultCache::probe).
 //
 // Admission control: at most queue_capacity evaluations may be queued or
 // running; the excess is rejected immediately with a structured
@@ -88,8 +97,15 @@ class Service {
   /// worksheet (see file comment).
   enum class Lookup {
     kPool,    ///< on the pool worker that evaluates it
-    kCaller,  ///< on the submitting thread; only a miss is queued
+    kCaller,  ///< on the submitting thread, which also computes a miss
+              ///< unless the store journals it or its clock list is long
   };
+
+  /// The most candidate clocks a miss may list to be computed on the
+  /// caller: about 45 us of predict_all and render at ~3 us per clock
+  /// (docs/SERVICE.md). A longer list is queued, so one line cannot hold
+  /// the server's event loop for longer than that.
+  static constexpr std::size_t kCallerMaxClocks = 16;
 
   struct Stats {
     std::uint64_t requests = 0;          ///< lines submitted
@@ -159,6 +175,10 @@ class Service {
   bool parse(Job& job, const Responder& on_response);
   /// The caller-thread lookup: true when @p job was answered here.
   bool answer_on_caller(Job& job, const Responder& on_response);
+  /// A miss: compute @p p's predictions, insert them (journaling a
+  /// genuine insert) unless the request says no_cache, and render the
+  /// response. The caller and the pool both answer a miss with it.
+  std::string miss_response(const Request& req, const Parsed& p);
   /// A cache hit's response: the head with @p id, then the entry's
   /// rendered tail, which the entry's first hit renders and attaches.
   std::string hit_response(const std::string& id, const Parsed& p,

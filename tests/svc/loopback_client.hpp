@@ -1,6 +1,6 @@
-// Loopback helpers the server and router suites share: a blocking
-// line-oriented client, raw sockets for clients that never read, and the
-// request-line and polling helpers around them.
+// Loopback helpers the svc suites share: a blocking line-oriented
+// client, raw sockets for clients that never read, and the request-line
+// and polling helpers around them.
 #pragma once
 
 #include <arpa/inet.h>
@@ -12,6 +12,7 @@
 
 #include <cerrno>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <functional>
@@ -19,6 +20,7 @@
 #include <string>
 #include <thread>
 
+#include "core/parameters.hpp"
 #include "io/json.hpp"
 
 namespace rat::svc {
@@ -86,6 +88,17 @@ inline std::string evaluate_line(const std::string& id,
   return "{\"id\":" + io::json_str(id) +
          ",\"op\":\"evaluate\",\"worksheet\":" + io::json_str(sheet) + extra +
          "}";
+}
+
+/// The 1-D PDF worksheet listing @p n candidate clocks. Above
+/// Service::kCallerMaxClocks, a caller-thread lookup queues its miss to
+/// the pool instead of computing it (docs/SERVICE.md).
+inline std::string sheet_with_clocks(std::size_t n) {
+  core::RatInputs inputs = core::pdf1d_inputs();
+  inputs.comp.fclock_hz.clear();
+  for (std::size_t i = 0; i < n; ++i)
+    inputs.comp.fclock_hz.push_back(75e6 + 1e6 * static_cast<double>(i));
+  return inputs.serialize();
 }
 
 /// Raw connected socket; rcvbuf (set before connect so it sizes the

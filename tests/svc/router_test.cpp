@@ -515,7 +515,9 @@ TEST(SvcRouter, DrainRecordsTheRouterStatsOnceAsMetrics) {
   // router records those into the registry next to the fleet sweep's
   // svc.fleet.* gauges. Every exported svc.router.* counter equals its
   // stats field, and the fleet's cache gauges equal the workers' own
-  // stats as the stats op reported them.
+  // stats as the stats op reported them. The late line lists more clocks
+  // than a worker's loop computes, so its miss is queued and expires
+  // there.
   obs::Registry::global().reset();
   obs::set_enabled(true);
   std::optional<std::string> stats_line;
@@ -524,11 +526,13 @@ TEST(SvcRouter, DrainRecordsTheRouterStatsOnceAsMetrics) {
   {
     Client client(router.port());
     const std::string pdf1d = core::pdf1d_inputs().serialize();
+    const std::string queued =
+        sheet_with_clocks(Service::kCallerMaxClocks + 1);
     for (const std::string& line :
          {evaluate_line("miss", pdf1d), evaluate_line("hit", pdf1d),
           evaluate_line("evict", core::md_inputs().serialize()),
           evaluate_line("bad", "not a worksheet"), std::string("{not json"),
-          evaluate_line("late", pdf1d, ",\"deadline_ms\":0.000001")}) {
+          evaluate_line("late", queued, ",\"deadline_ms\":0.000001")}) {
       client.send_line(line);
       ASSERT_TRUE(client.read_line().has_value());
     }

@@ -22,6 +22,7 @@
 #include "core/throughput.hpp"
 #include "io/json.hpp"
 #include "io/loader.hpp"
+#include "loopback_client.hpp"
 #include "obs/metrics.hpp"
 #include "store/store.hpp"
 #include "svc/fingerprint.hpp"
@@ -29,13 +30,6 @@
 
 namespace rat::svc {
 namespace {
-
-std::string evaluate_line(const std::string& id, const std::string& sheet,
-                          const std::string& extra = "") {
-  return "{\"id\":" + io::json_str(id) +
-         ",\"op\":\"evaluate\",\"worksheet\":" + io::json_str(sheet) + extra +
-         "}";
-}
 
 /// Collects responses from any thread and lets the test block until a
 /// given count has arrived.
@@ -443,18 +437,111 @@ TEST(SvcService, CallerLookupStillQueuesAFileRequest) {
   EXPECT_EQ(service.stats().cache.hits, 1u);
 }
 
-TEST(SvcService, CallerLookupMissCarriesItsParseToThePool) {
-  // A miss is looked up once on the caller (uncounted) and once more on
-  // the pool (counted): one miss, the same bytes as a plain submit.
-  Service service;
+TEST(SvcService, CallerLookupAnswersALoneMissItself) {
+  // On an in-memory service the caller computes a miss with the routine
+  // the pool runs: answered before submit() returns, with a plain
+  // submit's bytes, counted by the caller's lookup and never queued, so
+  // a full admission queue does not refuse it.
+  const std::string pdf2d = core::pdf2d_inputs().serialize();
+  const std::string pdf1d = core::pdf1d_inputs().serialize();
+  Service plain;
+  Collector plain_out;
+  plain.submit(evaluate_line("c", pdf2d), plain_out.sink());
+  plain_out.wait_for(1);
+  plain.submit(evaluate_line("p", pdf1d), plain_out.sink());
+  const std::vector<std::string> pooled = plain_out.wait_for(2);
+
   Collector out;
-  const std::string sheet = core::pdf2d_inputs().serialize();
-  service.submit(evaluate_line("c", sheet), out.sink(),
+  Service service({.queue_capacity = 1});
+  PoolBlocker blocker;  // released before ~Service drains
+  service.submit(evaluate_line("c", pdf2d), out.sink(),
                  Service::Lookup::kCaller);
-  const std::string via_caller = out.wait_for(1)[0];
+  ASSERT_EQ(out.count(), 1u) << "a lone miss waited for the pool";
+  EXPECT_EQ(out.wait_for(1)[0], pooled[0]);
+  Service::Stats st = service.stats();
+  EXPECT_EQ(st.cache.misses, 1u);
+  EXPECT_EQ(st.cache.hits, 0u);
+  EXPECT_EQ(st.in_flight, 0u);
+  EXPECT_EQ(st.in_flight_max, 0u);
+
+  // A miss fills the one admission slot and waits behind the pool.
+  service.submit(evaluate_line("m", core::md_inputs().serialize()),
+                 out.sink());
+  service.submit(evaluate_line("p", pdf1d), out.sink(),
+                 Service::Lookup::kCaller);
+  ASSERT_EQ(out.count(), 2u);
+  EXPECT_EQ(out.wait_for(2)[1], pooled[1]);
+  st = service.stats();
+  EXPECT_EQ(st.rejected_overloaded, 0u);
+  EXPECT_EQ(st.in_flight, 1u);  // the blocked miss only
+  EXPECT_EQ(st.cache.misses, 2u);  // the blocked miss has not looked yet
+
+  blocker.release();
   service.drain();
-  EXPECT_EQ(service.stats().cache.misses, 1u);
-  EXPECT_EQ(service.stats().cache.hits, 0u);
+  EXPECT_EQ(out.wait_for(3).size(), 3u);
+  st = service.stats();
+  EXPECT_EQ(st.responses_ok, 3u);
+  EXPECT_EQ(st.cache.misses, 3u);
+}
+
+TEST(SvcService, CallerLookupQueuesAMissAboveTheClockBound) {
+  // A worksheet that lists more than kCallerMaxClocks clocks would hold
+  // the caller for its predict_all, so its miss is queued and answered
+  // with a plain submit's bytes; exactly the bound is computed on the
+  // caller. Each counts one lookup.
+  const std::string over = sheet_with_clocks(Service::kCallerMaxClocks + 1);
+  const std::string at = sheet_with_clocks(Service::kCallerMaxClocks);
+  Service plain;
+  Collector plain_out;
+  plain.submit(evaluate_line("o", over), plain_out.sink());
+  plain_out.wait_for(1);
+  plain.submit(evaluate_line("a", at), plain_out.sink());
+  const std::vector<std::string> pooled = plain_out.wait_for(2);
+
+  Collector out;
+  Service service;
+  PoolBlocker blocker;  // released before ~Service drains
+  service.submit(evaluate_line("o", over), out.sink(),
+                 Service::Lookup::kCaller);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(out.count(), 0u) << "a long clock list was computed off the pool";
+  EXPECT_EQ(service.stats().in_flight, 1u);
+  EXPECT_EQ(service.stats().cache.misses, 0u);  // probed, not yet counted
+
+  service.submit(evaluate_line("a", at), out.sink(),
+                 Service::Lookup::kCaller);
+  ASSERT_EQ(out.count(), 1u) << "a miss at the clock bound was queued";
+  EXPECT_EQ(out.wait_for(1)[0], pooled[1]);
+
+  blocker.release();
+  EXPECT_EQ(out.wait_for(2)[1], pooled[0]);
+  service.drain();
+  const Service::Stats st = service.stats();
+  EXPECT_EQ(st.cache.misses, 2u);
+  EXPECT_EQ(st.cache.hits, 0u);
+}
+
+TEST(SvcService, CallerLookupMissCarriesItsParseToThePool) {
+  // A journaled miss is queued: it is looked up once on the caller
+  // (uncounted) and once more on the pool (counted), which computes and
+  // journals it: one miss, the same bytes as a plain submit.
+  const auto dir = std::filesystem::path(::testing::TempDir()) /
+                   "svc_service_caller_journaled_miss";
+  std::filesystem::remove_all(dir);
+  const std::string sheet = core::pdf2d_inputs().serialize();
+  std::string via_caller;
+  {
+    Service service({.cache_dir = dir.string()});
+    Collector out;
+    service.submit(evaluate_line("c", sheet), out.sink(),
+                   Service::Lookup::kCaller);
+    via_caller = out.wait_for(1)[0];
+    service.drain();
+    EXPECT_EQ(service.stats().cache.misses, 1u);
+    EXPECT_EQ(service.stats().cache.hits, 0u);
+  }
+  EXPECT_EQ(Service({.cache_dir = dir.string()}).stats().cache_warmed, 1u);
+  std::filesystem::remove_all(dir);
 
   Service plain;
   Collector plain_out;
@@ -463,8 +550,13 @@ TEST(SvcService, CallerLookupMissCarriesItsParseToThePool) {
 }
 
 TEST(SvcService, CallerLookupMissThatExpiresInTheQueueCountsNoLookup) {
+  // A journaled miss is queued; past its deadline it is answered without
+  // a counted lookup.
+  const auto dir = std::filesystem::path(::testing::TempDir()) /
+                   "svc_service_caller_journaled_expiry";
+  std::filesystem::remove_all(dir);
   PoolBlocker blocker;
-  Service service;
+  Service service({.cache_dir = dir.string()});
   Collector out;
   service.submit(evaluate_line("d", core::pdf1d_inputs().serialize(),
                                ",\"deadline_ms\":1"),
@@ -476,6 +568,7 @@ TEST(SvcService, CallerLookupMissThatExpiresInTheQueueCountsNoLookup) {
   const Service::Stats st = service.stats();
   EXPECT_EQ(st.deadline_expired, 1u);
   EXPECT_EQ(st.cache.hits + st.cache.misses, 0u);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(SvcService, CallerLookupAnswersShuttingDownFirst) {
