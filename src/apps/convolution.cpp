@@ -3,6 +3,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "util/require.hpp"
 #include "util/rng.hpp"
 
 namespace rat::apps {
@@ -14,8 +15,7 @@ void ConvConfig::validate() const {
     throw std::invalid_argument("ConvConfig: kernel_size must be odd");
   if (kernel_size > width || kernel_size > height)
     throw std::invalid_argument("ConvConfig: kernel larger than frame");
-  if (bytes_per_pixel <= 0.0)
-    throw std::invalid_argument("ConvConfig: bytes_per_pixel <= 0");
+  util::require_positive(bytes_per_pixel, "ConvConfig: bytes_per_pixel <= 0");
 }
 
 Image synthetic_frame(const ConvConfig& cfg, std::uint64_t seed) {

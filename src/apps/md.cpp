@@ -3,13 +3,15 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "util/require.hpp"
+
 namespace rat::apps {
 
 void MdConfig::validate() const {
-  if (cutoff <= 0.0) throw std::invalid_argument("MdConfig: cutoff <= 0");
-  if (epsilon <= 0.0) throw std::invalid_argument("MdConfig: epsilon <= 0");
-  if (sigma_lj <= 0.0) throw std::invalid_argument("MdConfig: sigma_lj <= 0");
-  if (dt <= 0.0) throw std::invalid_argument("MdConfig: dt <= 0");
+  util::require_positive(cutoff, "MdConfig: cutoff <= 0");
+  util::require_positive(epsilon, "MdConfig: epsilon <= 0");
+  util::require_positive(sigma_lj, "MdConfig: sigma_lj <= 0");
+  util::require_positive(dt, "MdConfig: dt <= 0");
 }
 
 namespace {

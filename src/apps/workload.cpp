@@ -3,6 +3,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "util/require.hpp"
 #include "util/rng.hpp"
 
 namespace rat::apps {
@@ -18,8 +19,8 @@ std::vector<double> gaussian_mixture_1d(
     throw std::invalid_argument("gaussian_mixture_1d: empty mixture");
   double total_weight = 0.0;
   for (const auto& c : mix) total_weight += c.weight;
-  if (total_weight <= 0.0)
-    throw std::invalid_argument("gaussian_mixture_1d: non-positive weights");
+  util::require_positive(total_weight,
+                         "gaussian_mixture_1d: non-positive weights");
 
   util::Rng rng(seed);
   std::vector<double> out;

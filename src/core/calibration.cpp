@@ -4,6 +4,8 @@
 #include <set>
 #include <stdexcept>
 
+#include "util/require.hpp"
+
 namespace rat::core {
 
 rcsim::LinkDirection LinkFit::to_direction(double rearm_sec) const {
@@ -22,8 +24,7 @@ LinkFit fit_link_direction(std::span<const TransferSample> samples) {
     throw std::invalid_argument("fit_link_direction: need >= 2 samples");
   std::set<std::size_t> sizes;
   for (const auto& s : samples) {
-    if (s.time_sec <= 0.0)
-      throw std::invalid_argument("fit_link_direction: non-positive time");
+    util::require_positive(s.time_sec, "fit_link_direction: non-positive time");
     sizes.insert(s.bytes);
   }
   if (sizes.size() < 2)
@@ -43,10 +44,10 @@ LinkFit fit_link_direction(std::span<const TransferSample> samples) {
   const double denom = n * sxx - sx * sx;
   const double b = (n * sxy - sx * sy) / denom;
   const double a = (sy - b * sx) / n;
-  if (b <= 0.0)
-    throw std::invalid_argument(
-        "fit_link_direction: non-positive per-byte cost; data does not fit "
-        "the latency+bandwidth model");
+  util::require_positive(
+      b,
+      "fit_link_direction: non-positive per-byte cost; data does not fit "
+      "the latency+bandwidth model");
 
   LinkFit fit;
   // A slightly negative intercept can fall out of noisy data; clamp to a

@@ -5,6 +5,7 @@
 
 #include "core/units.hpp"
 #include "util/format.hpp"
+#include "util/require.hpp"
 
 namespace rat::core {
 
@@ -51,8 +52,8 @@ CompositePrediction predict_composite(const std::vector<StageSpec>& stages,
   const std::size_t niter = stages.front().inputs.software.n_iterations;
   for (const auto& s : stages) {
     s.inputs.validate();
-    if (!(s.fclock_hz > 0.0))
-      throw std::invalid_argument("predict_composite: non-positive clock");
+    util::require_positive(s.fclock_hz,
+                           "predict_composite: non-positive clock");
     if (s.inputs.software.n_iterations != niter)
       throw std::invalid_argument(
           "predict_composite: stages disagree on Niter");
@@ -105,8 +106,7 @@ CompositePrediction predict_composite(const std::vector<StageSpec>& stages,
 std::vector<ScalingPoint> predict_scaling(const RatInputs& inputs,
                                           double fclock_hz, int max_fpgas) {
   inputs.validate();
-  if (!(fclock_hz > 0.0))
-    throw std::invalid_argument("predict_scaling: non-positive clock");
+  util::require_positive(fclock_hz, "predict_scaling: non-positive clock");
   if (max_fpgas < 1)
     throw std::invalid_argument("predict_scaling: max_fpgas < 1");
 

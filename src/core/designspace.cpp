@@ -7,6 +7,7 @@
 
 #include "core/units.hpp"
 #include "util/format.hpp"
+#include "util/require.hpp"
 
 namespace rat::core {
 
@@ -50,8 +51,7 @@ void DesignAxes::validate() const {
   for (std::size_t p : parallelism)
     if (p == 0) throw std::invalid_argument("DesignAxes: zero parallelism");
   for (double f : fclock_hz)
-    if (!(f > 0.0))
-      throw std::invalid_argument("DesignAxes: non-positive clock");
+    util::require_positive(f, "DesignAxes: non-positive clock");
   for (int b : format_bits)
     if (b < 2 || b > 63)
       throw std::invalid_argument("DesignAxes: format bits outside [2,63]");

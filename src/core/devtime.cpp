@@ -2,15 +2,17 @@
 
 #include <stdexcept>
 
+#include "util/require.hpp"
+
 namespace rat::core {
 
 BreakEvenResult break_even(const ThroughputPrediction& prediction,
                            double tsoft_sec, const BreakEvenInputs& inputs) {
-  if (tsoft_sec <= 0.0)
-    throw std::invalid_argument("break_even: non-positive tsoft");
-  if (inputs.development_hours < 0.0 || inputs.runs_per_month < 0.0 ||
-      inputs.months_horizon <= 0.0)
-    throw std::invalid_argument("break_even: bad economics inputs");
+  util::require_positive(tsoft_sec, "break_even: non-positive tsoft");
+  const char* const bad_economics = "break_even: bad economics inputs";
+  if (inputs.development_hours < 0.0 || inputs.runs_per_month < 0.0)
+    throw std::invalid_argument(bad_economics);
+  util::require_positive(inputs.months_horizon, bad_economics);
 
   BreakEvenResult r;
   r.time_saved_per_run_sec = tsoft_sec - prediction.t_rc_sb_sec;
@@ -29,8 +31,7 @@ BreakEvenResult break_even(const ThroughputPrediction& prediction,
 
 std::optional<double> required_speedup(double tsoft_sec,
                                        const BreakEvenInputs& inputs) {
-  if (tsoft_sec <= 0.0)
-    throw std::invalid_argument("required_speedup: non-positive tsoft");
+  util::require_positive(tsoft_sec, "required_speedup: non-positive tsoft");
   if (inputs.runs_per_month <= 0.0 || inputs.months_horizon <= 0.0)
     return std::nullopt;
   // Break even at the horizon: saved = dev_hours

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "core/evaluation.hpp"
+#include "util/require.hpp"
 
 namespace rat::core {
 
@@ -39,8 +40,7 @@ MethodologyOutcome run_methodology(
     const rcsim::Device& device, std::size_t n_threads) {
   if (candidates.empty())
     throw std::invalid_argument("run_methodology: no candidates");
-  if (!(req.min_speedup > 0.0))
-    throw std::invalid_argument("run_methodology: min_speedup <= 0");
+  util::require_positive(req.min_speedup, "run_methodology: min_speedup <= 0");
 
   MethodologyOutcome out;
   // Evaluated in enumeration-order windows, merged in order and stopped

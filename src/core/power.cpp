@@ -2,16 +2,17 @@
 
 #include <stdexcept>
 
+#include "util/require.hpp"
+
 namespace rat::core {
 
 PowerEstimate estimate_power(const rcsim::ResourceUsage& usage,
                              const ThroughputPrediction& prediction,
                              double tsoft_sec, const PowerModel& fpga,
                              const HostPowerModel& host) {
-  if (tsoft_sec <= 0.0)
-    throw std::invalid_argument("estimate_power: non-positive tsoft");
-  if (prediction.t_rc_sb_sec <= 0.0)
-    throw std::invalid_argument("estimate_power: non-positive tRC");
+  util::require_positive(tsoft_sec, "estimate_power: non-positive tsoft");
+  util::require_positive(prediction.t_rc_sb_sec,
+                         "estimate_power: non-positive tRC");
 
   const double clock_scale = prediction.fclock_hz / 100e6;
   PowerEstimate e;
@@ -36,9 +37,9 @@ PowerEstimate estimate_power(const rcsim::ResourceUsage& usage,
 
 double break_even_speedup_for_energy(double fpga_system_watts,
                                      const HostPowerModel& host) {
-  if (fpga_system_watts <= 0.0 || host.busy_watts <= 0.0)
-    throw std::invalid_argument(
-        "break_even_speedup_for_energy: non-positive power");
+  const char* const what = "break_even_speedup_for_energy: non-positive power";
+  util::require_positive(fpga_system_watts, what);
+  util::require_positive(host.busy_watts, what);
   // Energy parity: host.busy * tsoft == fpga_system * tRC
   //   => speedup = tsoft / tRC = fpga_system / host.busy.
   return fpga_system_watts / host.busy_watts;

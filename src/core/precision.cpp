@@ -4,13 +4,14 @@
 #include <stdexcept>
 
 #include "util/format.hpp"
+#include "util/require.hpp"
 
 namespace rat::core {
 
 double format_bytes_per_element(const fx::Format& format,
                                 double channel_word_bytes) {
-  if (channel_word_bytes <= 0.0)
-    throw std::invalid_argument("bytes_per_element: bad channel word");
+  util::require_positive(channel_word_bytes,
+                         "bytes_per_element: bad channel word");
   const double raw_bytes = static_cast<double>(format.total_bits) / 8.0;
   return std::ceil(raw_bytes / channel_word_bytes) * channel_word_bytes;
 }
@@ -33,8 +34,8 @@ util::Table PrecisionResult::to_table() const {
 PrecisionResult run_precision_test(const fx::FixedKernel& kernel,
                                    std::span<const double> reference,
                                    const PrecisionRequirements& req) {
-  if (req.max_error_percent <= 0.0)
-    throw std::invalid_argument("run_precision_test: tolerance <= 0");
+  util::require_positive(req.max_error_percent,
+                         "run_precision_test: tolerance <= 0");
   PrecisionResult result;
   result.sweep = fx::sweep_total_bits(kernel, reference, req.min_total_bits,
                                       req.max_total_bits, req.int_bits);
@@ -53,8 +54,7 @@ std::vector<QuantizedThroughputPoint> quantized_throughput_sweep(
     const std::vector<fx::PrecisionChoice>& sweep,
     double channel_word_bytes) {
   inputs.validate();
-  if (!(fclock_hz > 0.0))
-    throw std::invalid_argument("quantized_throughput_sweep: fclock <= 0");
+  util::require_positive(fclock_hz, "quantized_throughput_sweep: fclock <= 0");
   std::vector<QuantizedThroughputPoint> out;
   out.reserve(sweep.size());
   RatInputs scratch = inputs;

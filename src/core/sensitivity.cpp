@@ -3,14 +3,15 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "util/require.hpp"
+
 namespace rat::core {
 
 namespace {
 
 /// Per-iteration time budget implied by a target speedup.
 double per_iteration_budget(const RatInputs& inputs, double target_speedup) {
-  if (!(target_speedup > 0.0))
-    throw std::invalid_argument("target speedup must be positive");
+  util::require_positive(target_speedup, "target speedup must be positive");
   const double t_rc = inputs.software.tsoft_sec / target_speedup;
   return t_rc / static_cast<double>(inputs.software.n_iterations);
 }
@@ -31,8 +32,7 @@ std::optional<double> solve_throughput_proc(const RatInputs& inputs,
                                             double target_speedup,
                                             BufferingMode mode) {
   inputs.validate();
-  if (!(fclock_hz > 0.0))
-    throw std::invalid_argument("solve_throughput_proc: bad clock");
+  util::require_positive(fclock_hz, "solve_throughput_proc: bad clock");
   const double budget = per_iteration_budget(inputs, target_speedup);
   const double tcomm = comm_time(inputs);
 

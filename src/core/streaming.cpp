@@ -4,18 +4,19 @@
 #include <limits>
 #include <stdexcept>
 
+#include "util/require.hpp"
+
 namespace rat::core {
 
 double StreamingPrediction::time_for(std::size_t total_elements) const {
-  if (sustained_rate <= 0.0)
-    throw std::logic_error("StreamingPrediction: zero sustained rate");
+  util::require_positive<std::logic_error>(
+      sustained_rate, "StreamingPrediction: zero sustained rate");
   return static_cast<double>(total_elements) / sustained_rate;
 }
 
 double StreamingPrediction::speedup_for(std::size_t total_elements,
                                         double tsoft_sec) const {
-  if (tsoft_sec <= 0.0)
-    throw std::invalid_argument("speedup_for: non-positive tsoft");
+  util::require_positive(tsoft_sec, "speedup_for: non-positive tsoft");
   return tsoft_sec / time_for(total_elements);
 }
 
@@ -32,8 +33,7 @@ double StreamingPrediction::output_headroom() const {
 StreamingPrediction predict_streaming(const RatInputs& inputs,
                                       double fclock_hz) {
   inputs.validate();
-  if (!(fclock_hz > 0.0))
-    throw std::invalid_argument("predict_streaming: non-positive clock");
+  util::require_positive(fclock_hz, "predict_streaming: non-positive clock");
   const auto& d = inputs.dataset;
   const auto& c = inputs.comm;
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "util/require.hpp"
+
 namespace rat::core {
 
 ThroughputPrediction predict_unchecked(const RatInputs& inputs,
@@ -53,8 +55,7 @@ ThroughputPrediction predict_unchecked(const RatInputs& inputs,
 
 ThroughputPrediction predict(const RatInputs& inputs, double fclock_hz) {
   inputs.validate();
-  if (!(fclock_hz > 0.0))
-    throw std::invalid_argument("predict: non-positive clock");
+  util::require_positive(fclock_hz, "predict: non-positive clock");
   return predict_unchecked(inputs, fclock_hz);
 }
 

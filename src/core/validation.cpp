@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "util/format.hpp"
+#include "util/require.hpp"
 #include "util/stats.hpp"
 
 namespace rat::core {
@@ -13,10 +14,8 @@ Measured measured_from_totals(double fclock_hz, double total_comm_sec,
                               std::size_t n_iterations, double tsoft_sec) {
   if (n_iterations == 0)
     throw std::invalid_argument("measured_from_totals: zero iterations");
-  if (total_sec <= 0.0)
-    throw std::invalid_argument("measured_from_totals: non-positive total");
-  if (tsoft_sec <= 0.0)
-    throw std::invalid_argument("measured_from_totals: non-positive tsoft");
+  util::require_positive(total_sec, "measured_from_totals: non-positive total");
+  util::require_positive(tsoft_sec, "measured_from_totals: non-positive tsoft");
   Measured m;
   m.fclock_hz = fclock_hz;
   const double n = static_cast<double>(n_iterations);

@@ -12,6 +12,7 @@
 #include "core/evaluation.hpp"
 #include "io/codec.hpp"
 #include "obs/metrics.hpp"
+#include "util/require.hpp"
 
 namespace rat::explore {
 
@@ -474,9 +475,8 @@ void PrunedExploration::finalize(ExploreResult& result) {
 
 ExploreResult PrunedExploration::run() {
   obs::ScopedTimer timer("explore.design_space");
-  if (!(req_.min_speedup > 0.0))
-    throw std::invalid_argument(
-        "explore_design_space_pruned: min_speedup <= 0");
+  util::require_positive(req_.min_speedup,
+                         "explore_design_space_pruned: min_speedup <= 0");
   ExploreResult result;
   total_ = axes_.size();
   result.design.points_total = total_;

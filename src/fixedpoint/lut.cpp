@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "util/require.hpp"
+
 namespace rat::fx {
 
 FunctionLut::FunctionLut(const std::function<double(double)>& f, double lo,
@@ -78,8 +80,7 @@ int min_index_bits_for(const std::function<double(double)>& f, double lo,
                        double hi, Format input_format, Format value_format,
                        double tolerance, int min_bits, int max_bits,
                        bool interpolate) {
-  if (tolerance <= 0.0)
-    throw std::invalid_argument("min_index_bits_for: tolerance <= 0");
+  util::require_positive(tolerance, "min_index_bits_for: tolerance <= 0");
   for (int bits = min_bits; bits <= max_bits; ++bits) {
     const FunctionLut lut(f, lo, hi, bits, input_format, value_format,
                           interpolate);

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "util/require.hpp"
 #include "util/rng.hpp"
 
 namespace rat::load {
@@ -24,8 +25,7 @@ const char* arrival_name(Arrival kind) {
 std::vector<std::uint64_t> build_schedule(Arrival kind, double rate_hz,
                                           std::size_t count,
                                           std::uint64_t seed) {
-  if (!(rate_hz > 0.0))
-    throw std::invalid_argument("build_schedule: rate_hz must be > 0");
+  util::require_positive(rate_hz, "build_schedule: rate_hz must be > 0");
   std::vector<std::uint64_t> offsets;
   offsets.reserve(count);
   if (count == 0) return offsets;

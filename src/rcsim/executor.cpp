@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "util/require.hpp"
+
 namespace rat::rcsim {
 
 double ExecutionResult::per_iter_comm(std::size_t n) const {
@@ -19,8 +21,7 @@ ExecutionResult execute(const Workload& workload, const Link& link,
     throw std::invalid_argument("execute: workload callbacks not set");
   if (workload.n_iterations == 0)
     throw std::invalid_argument("execute: zero iterations");
-  if (!(config.fclock_hz > 0.0))
-    throw std::invalid_argument("execute: non-positive clock");
+  util::require_positive(config.fclock_hz, "execute: non-positive clock");
 
   const std::size_t n = workload.n_iterations;
   const std::size_t buffers = config.buffering == Buffering::kSingle ? 1 : 2;

@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "util/require.hpp"
+
 namespace rat::rcsim {
 
 Link::Link(std::string name, double documented_bw, LinkDirection host_to_fpga,
@@ -10,11 +12,11 @@ Link::Link(std::string name, double documented_bw, LinkDirection host_to_fpga,
       documented_bw_(documented_bw),
       h2f_(host_to_fpga),
       f2h_(fpga_to_host) {
-  if (documented_bw_ <= 0.0)
-    throw std::invalid_argument("Link: documented_bw must be positive");
+  util::require_positive(documented_bw_,
+                         "Link: documented_bw must be positive");
   for (const auto* d : {&h2f_, &f2h_}) {
-    if (d->sustained_bw <= 0.0)
-      throw std::invalid_argument("Link: sustained_bw must be positive");
+    util::require_positive(d->sustained_bw,
+                           "Link: sustained_bw must be positive");
     if (d->fixed_overhead_sec < 0.0 || d->rearm_sec < 0.0)
       throw std::invalid_argument("Link: negative overhead");
   }

@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "util/require.hpp"
+
 namespace rat::rcsim {
 
 MultiBoardResult execute_multiboard(const MultiBoardWorkload& workload,
@@ -13,8 +15,7 @@ MultiBoardResult execute_multiboard(const MultiBoardWorkload& workload,
     throw std::invalid_argument("execute_multiboard: no boards");
   if (workload.n_iterations == 0)
     throw std::invalid_argument("execute_multiboard: zero iterations");
-  if (!(fclock_hz > 0.0))
-    throw std::invalid_argument("execute_multiboard: non-positive clock");
+  util::require_positive(fclock_hz, "execute_multiboard: non-positive clock");
 
   const std::size_t k = workload.boards.size();
   const std::size_t n = workload.n_iterations;

@@ -13,6 +13,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "util/require.hpp"
+
 namespace rat::rcsim {
 
 struct PipelineSpec {
@@ -38,8 +40,7 @@ struct PipelineSpec {
       throw std::invalid_argument("PipelineSpec: negative stall");
     if (instances == 0)
       throw std::invalid_argument("PipelineSpec: instances == 0");
-    if (ops_per_item <= 0.0)
-      throw std::invalid_argument("PipelineSpec: ops_per_item <= 0");
+    util::require_positive(ops_per_item, "PipelineSpec: ops_per_item <= 0");
   }
 };
 

@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "util/require.hpp"
+
 namespace rat::rcsim {
 
 ExecutionResult execute_staged(const StagedWorkload& workload,
@@ -11,8 +13,8 @@ ExecutionResult execute_staged(const StagedWorkload& workload,
     throw std::invalid_argument("execute_staged: no stages");
   if (workload.n_iterations == 0)
     throw std::invalid_argument("execute_staged: zero iterations");
-  if (!(config.fclock_hz > 0.0))
-    throw std::invalid_argument("execute_staged: non-positive clock");
+  util::require_positive(config.fclock_hz,
+                         "execute_staged: non-positive clock");
   if (workload.stages.back().handoff_on_chip)
     throw std::invalid_argument(
         "execute_staged: final stage must return results over the bus");
