@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Re-run every program listed in tests/program_goldens.txt and compare its
-# stdout with tests/fixtures/golden/stdout/<name>.txt. Each golden that
-# would change gets its unified diff printed. Nothing is rewritten unless
+# stdout with tests/fixtures/golden/stdout/<name>.txt, then compare the
+# files generate_report_bundle writes with tests/fixtures/golden/
+# report_bundle/. Each golden that would change gets its unified diff
+# printed. Nothing is rewritten unless
 # --write is given; then each changed golden is replaced after its diff.
 #
 # Usage: scripts/regen_goldens.sh [--write] [BUILD_DIR]   (default: build)
@@ -54,6 +56,30 @@ while read -r name target args; do
     rm -f "$actual"
   fi
 done <tests/program_goldens.txt
+
+# The report bundle: the files generate_report_bundle writes, against
+# tests/fixtures/golden/report_bundle/ (ctest: ProgramGolden.report_bundle).
+bundle=tests/fixtures/golden/report_bundle
+bin="$build/examples/generate_report_bundle"
+if [ ! -x "$bin" ]; then
+  echo "generate_report_bundle: not built under $build" >&2
+  exit 1
+fi
+actual=$(mktemp -d)
+if ! "$bin" --out="$actual" </dev/null >/dev/null; then
+  echo "report_bundle: $bin --out=$actual failed" >&2
+  exit 1
+fi
+mkdir -p "$bundle"
+if ! diff -ruN "$bundle" "$actual"; then
+  changed=$((changed + 1))
+  if [ "$write" -eq 1 ]; then
+    find "$bundle" -maxdepth 1 -type f -delete
+    cp -R "$actual"/. "$bundle"/
+    echo "rewrote $bundle/"
+  fi
+fi
+rm -rf "$actual"
 
 if [ "$changed" -eq 0 ]; then
   echo "all program goldens match"
