@@ -24,19 +24,20 @@ if [ -n "$layering" ]; then
 fi
 
 # Positivity guard (src/util/require.hpp): `x <= 0.0` is false for a NaN,
-# so a guard that throws on it lets a NaN through. A `<= 0.0)` comparison
-# on the line of a throw, or on the line before one, fails the pass; such
-# a guard is written util::require_positive(x, what).
+# so a guard that throws on it lets a NaN through. A `<= 0.0)` or
+# `<= 0.0 ||` comparison on the line of a throw, or on the line before
+# one, fails the pass. Write such a guard util::require_positive(x, what),
+# or as a range that a NaN fails: !(0.0 < x && x < 1.0).
 echo "==== positivity guard"
 positivity=$(find src -name '*.cpp' -o -name '*.hpp' | sort | xargs awk '
   FNR == 1 { prev = "" }
-  /<= 0\.0\)/ && /throw/ { print FILENAME ":" FNR ": " $0 }
-  prev ~ /<= 0\.0\)/ && prev !~ /throw/ && /throw/ {
+  /<= 0\.0(\)| \|\|)/ && /throw/ { print FILENAME ":" FNR ": " $0 }
+  prev ~ /<= 0\.0(\)| \|\|)/ && prev !~ /throw/ && /throw/ {
     print FILENAME ":" FNR - 1 ": " prev
   }
   { prev = $0 }')
 if [ -n "$positivity" ]; then
-  echo "positivity guard: use util::require_positive for these guards:"
+  echo "positivity guard: these guards let a NaN through:"
   echo "$positivity"
   exit 1
 fi

@@ -7,7 +7,7 @@ namespace rat::apps {
 
 void Pdf1dConfig::validate() const {
   if (n_bins == 0) throw std::invalid_argument("Pdf1dConfig: n_bins == 0");
-  if (bandwidth <= 0.0 || bandwidth >= 1.0)
+  if (!(0.0 < bandwidth && bandwidth < 1.0))
     throw std::invalid_argument("Pdf1dConfig: bandwidth outside (0,1)");
   if (batch == 0) throw std::invalid_argument("Pdf1dConfig: batch == 0");
 }

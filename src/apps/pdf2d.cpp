@@ -8,7 +8,7 @@ namespace rat::apps {
 void Pdf2dConfig::validate() const {
   if (bins_per_dim == 0)
     throw std::invalid_argument("Pdf2dConfig: bins_per_dim == 0");
-  if (bandwidth <= 0.0 || bandwidth >= 1.0)
+  if (!(0.0 < bandwidth && bandwidth < 1.0))
     throw std::invalid_argument("Pdf2dConfig: bandwidth outside (0,1)");
   if (batch_words == 0 || batch_words % 2 != 0)
     throw std::invalid_argument("Pdf2dConfig: batch_words must be even > 0");

@@ -62,7 +62,7 @@ std::vector<std::array<double, 2>> gaussian_mixture_2d(std::size_t n,
 ParticleSystem particle_box(std::size_t n, double box_length,
                             double temperature, std::uint64_t seed) {
   if (n == 0) throw std::invalid_argument("particle_box: n == 0");
-  if (box_length <= 0.0 || temperature < 0.0)
+  if (!(box_length > 0.0) || !(temperature >= 0.0))
     throw std::invalid_argument("particle_box: bad box/temperature");
   util::Rng rng(seed);
   ParticleSystem sys;

@@ -142,7 +142,7 @@ std::vector<ScalingPoint> predict_scaling(const RatInputs& inputs,
 
 int max_useful_fpgas(const RatInputs& inputs, double fclock_hz,
                      double min_parallel_efficiency, int search_limit) {
-  if (min_parallel_efficiency <= 0.0 || min_parallel_efficiency > 1.0)
+  if (!(0.0 < min_parallel_efficiency && min_parallel_efficiency <= 1.0))
     throw std::invalid_argument("max_useful_fpgas: bad efficiency bound");
   const auto curve = predict_scaling(inputs, fclock_hz, search_limit);
   int best = 1;

@@ -32,7 +32,7 @@ BreakEvenResult break_even(const ThroughputPrediction& prediction,
 std::optional<double> required_speedup(double tsoft_sec,
                                        const BreakEvenInputs& inputs) {
   util::require_positive(tsoft_sec, "required_speedup: non-positive tsoft");
-  if (inputs.runs_per_month <= 0.0 || inputs.months_horizon <= 0.0)
+  if (!(inputs.runs_per_month > 0.0) || !(inputs.months_horizon > 0.0))
     return std::nullopt;
   // Break even at the horizon: saved = dev_hours
   //   (tsoft - tsoft/s) * runs * horizon / 3600 = dev_hours
@@ -40,7 +40,7 @@ std::optional<double> required_speedup(double tsoft_sec,
   const double frac = inputs.development_hours * 3600.0 /
                       (tsoft_sec * inputs.runs_per_month *
                        inputs.months_horizon);
-  if (frac >= 1.0) return std::nullopt;  // even s -> inf can't recoup
+  if (!(frac < 1.0)) return std::nullopt;  // even s -> inf can't recoup
   if (frac <= 0.0) return 1.0;           // zero effort: any speedup > 1 pays
   return 1.0 / (1.0 - frac);
 }

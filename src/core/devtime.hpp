@@ -41,7 +41,8 @@ BreakEvenResult break_even(const ThroughputPrediction& prediction,
 /// Minimum speedup that breaks even within the horizon for the given
 /// economics (the paper's "factor of ten or less" knob, derived instead of
 /// asserted). Returns nullopt when even infinite speedup cannot recoup the
-/// effort within the horizon.
+/// effort within the horizon, when runs_per_month or months_horizon is
+/// not positive, and when an input is NaN.
 std::optional<double> required_speedup(double tsoft_sec,
                                        const BreakEvenInputs& inputs);
 

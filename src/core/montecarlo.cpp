@@ -22,7 +22,7 @@ InputDistribution InputDistribution::uniform(double lo, double hi) {
 
 InputDistribution InputDistribution::normal(double mean, double sigma,
                                             double lo, double hi) {
-  if (sigma <= 0.0 || !(lo < hi))
+  if (!(sigma > 0.0) || !(lo < hi))
     throw std::invalid_argument("InputDistribution::normal: bad parameters");
   InputDistribution d;
   d.kind = Kind::kNormal;

@@ -97,7 +97,7 @@ std::vector<ThroughputPrediction> sweep_parameter(
 
 std::vector<TornadoEntry> tornado(const RatInputs& inputs, double fclock_hz,
                                   double fraction) {
-  if (fraction <= 0.0 || fraction >= 1.0)
+  if (!(0.0 < fraction && fraction < 1.0))
     throw std::invalid_argument("tornado: fraction outside (0,1)");
   struct Param {
     std::string name;

@@ -44,7 +44,7 @@ UtilizationReport utilization(const ResourceUsage& used,
 ResourceTracker::ResourceTracker(DeviceResources available,
                                  double practical_fill_limit)
     : available_(available), fill_limit_(practical_fill_limit) {
-  if (fill_limit_ <= 0.0 || fill_limit_ > 1.0)
+  if (!(0.0 < fill_limit_ && fill_limit_ <= 1.0))
     throw std::invalid_argument("ResourceTracker: fill limit out of (0,1]");
 }
 

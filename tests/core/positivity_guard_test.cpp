@@ -1,6 +1,7 @@
 // Every positivity guard goes through util::require_positive, which
-// rejects a NaN: each row feeds a NaN to one public entry point and
-// expects that guard's own exception type and message.
+// rejects a NaN, and every range guard is written so that a NaN fails
+// it: each row feeds a NaN to one public entry point and expects that
+// guard's own exception type and message.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -11,12 +12,17 @@
 
 #include "apps/convolution.hpp"
 #include "apps/md.hpp"
+#include "apps/pdf1d.hpp"
+#include "apps/pdf2d.hpp"
 #include "apps/workload.hpp"
 #include "core/calibration.hpp"
+#include "core/composition.hpp"
 #include "core/devtime.hpp"
+#include "core/montecarlo.hpp"
 #include "core/parameters.hpp"
 #include "core/power.hpp"
 #include "core/precision.hpp"
+#include "core/sensitivity.hpp"
 #include "core/streaming.hpp"
 #include "core/throughput.hpp"
 #include "core/units.hpp"
@@ -24,6 +30,7 @@
 #include "fixedpoint/lut.hpp"
 #include "rcsim/interconnect.hpp"
 #include "rcsim/pipeline.hpp"
+#include "rcsim/resources.hpp"
 
 namespace rat {
 namespace {
@@ -135,6 +142,25 @@ TEST(PositivityGuards, NaNIsNonPositive) {
          (void)core::measured_from_totals(core::mhz(100), 0.1, 0.1, 0.2, 1,
                                           nan);
        }},
+      // Range guards.
+      {"Pdf1dConfig: bandwidth outside (0,1)", false,
+       [&] { apps::Pdf1dConfig{.bandwidth = nan}.validate(); }},
+      {"Pdf2dConfig: bandwidth outside (0,1)", false,
+       [&] { apps::Pdf2dConfig{.bandwidth = nan}.validate(); }},
+      {"ResourceTracker: fill limit out of (0,1]", false,
+       [&] { (void)rcsim::ResourceTracker({}, nan); }},
+      {"max_useful_fpgas: bad efficiency bound", false,
+       [&] {
+         (void)core::max_useful_fpgas(core::md_inputs(), core::mhz(100), nan);
+       }},
+      {"InputDistribution::normal: bad parameters", false,
+       [&] { (void)core::InputDistribution::normal(0.5, nan, 0.0, 1.0); }},
+      {"particle_box: bad box/temperature", false,
+       [&] { (void)apps::particle_box(4, 1.0, nan, 1); }},
+      {"particle_box: bad box/temperature", false,
+       [&] { (void)apps::particle_box(4, nan, 1.0, 1); }},
+      {"tornado: fraction outside (0,1)", false,
+       [&] { (void)core::tornado(core::pdf1d_inputs(), core::mhz(100), nan); }},
   };
   for (const Case& c : cases) {
     try {
@@ -150,6 +176,12 @@ TEST(PositivityGuards, NaNIsNonPositive) {
       ADD_FAILURE() << c.what << ": threw " << e.what();
     }
   }
+}
+
+TEST(PositivityGuards, RequiredSpeedupHasNoAnswerForNaN) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(core::required_speedup(158.8, {.development_hours = 200.0,
+                                              .runs_per_month = nan}));
 }
 
 }  // namespace
