@@ -2,66 +2,23 @@
 // clocks. Quantifies the paper's §4.3 remark that double buffering would
 // have masked the communication misprediction behind the stable
 // computation time, and shows where each design's DB benefit saturates.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
+#include <utility>
 
 #include "bench_common.hpp"
 #include "util/format.hpp"
 
-namespace {
-
-using namespace rat;
-
-struct Case {
-  std::string name;
-  core::RatInputs inputs;
-  rcsim::Workload workload;
-  rcsim::Platform platform;
-};
-
-std::vector<Case> cases() {
-  std::vector<Case> out;
-  {
-    const apps::Pdf1dDesign d;
-    out.push_back({"1-D PDF", d.rat_inputs(), bench::pdf1d_workload(d),
-                   rcsim::nallatech_h101()});
-  }
-  {
-    const apps::Pdf2dDesign d;
-    out.push_back({"2-D PDF", d.rat_inputs(), bench::pdf2d_workload(d),
-                   rcsim::nallatech_h101()});
-  }
-  {
-    const apps::MdDesign d;
-    static const auto sys = apps::particle_box(16384, 1.0, 1.0, 2013);
-    static const auto cycles = d.cycles_for(sys);
-    out.push_back({"MD", d.rat_inputs(),
-                   bench::md_workload(d, cycles, 16384), rcsim::xd1000()});
-  }
-  return out;
-}
-
-void BM_Ablation_SbVsDb_OneSimulation(benchmark::State& state) {
-  const apps::Pdf2dDesign d;
-  const auto w = bench::pdf2d_workload(d);
-  const auto platform = rcsim::nallatech_h101();
-  for (auto _ : state) {
-    auto sb = apps::simulate_on_platform(w, platform, core::mhz(150),
-                                         rcsim::Buffering::kSingle, 158.8);
-    auto db = apps::simulate_on_platform(w, platform, core::mhz(150),
-                                         rcsim::Buffering::kDouble, 158.8);
-    benchmark::DoNotOptimize(sb);
-    benchmark::DoNotOptimize(db);
-  }
-}
-BENCHMARK(BM_Ablation_SbVsDb_OneSimulation);
-
-void print_report() {
+int main() {
+  using namespace rat;
+  const std::pair<const char*, apps::CaseStudyKind> cases[] = {
+      {"1-D PDF", apps::CaseStudyKind::kPdf1d},
+      {"2-D PDF", apps::CaseStudyKind::kPdf2d},
+      {"MD", apps::CaseStudyKind::kMd}};
   std::printf("\n==== Ablation: buffering mode (simulated actuals) ====\n\n");
   util::Table t({"case", "fclk (MHz)", "pred SB", "pred DB", "actual SB",
                  "actual DB", "DB gain"});
-  for (const auto& c : cases()) {
+  for (const auto& [name, kind] : cases) {
+    const auto c = apps::case_study(kind);
     for (double f : c.inputs.comp.fclock_hz) {
       const auto pred = core::predict(c.inputs, f);
       const auto sb = apps::simulate_on_platform(
@@ -70,7 +27,7 @@ void print_report() {
       const auto db = apps::simulate_on_platform(
           c.workload, c.platform, f, rcsim::Buffering::kDouble,
           c.inputs.software.tsoft_sec);
-      t.add_row({c.name, util::fixed(core::to_mhz(f), 0),
+      t.add_row({name, util::fixed(core::to_mhz(f), 0),
                  util::fixed(pred.speedup_sb, 1),
                  util::fixed(pred.speedup_db, 1),
                  util::fixed(sb.measured.speedup, 1),
@@ -84,14 +41,5 @@ void print_report() {
       "Shape: the 2-D PDF (19%% measured comm) gains the most from double\n"
       "buffering; MD (<1%% comm) gains nothing; the 1-D PDF's DB actual\n"
       "lands closer to its DB prediction than SB did to SB's (paper §4.3).\n");
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  print_report();
   return 0;
 }

@@ -3,12 +3,9 @@
 // 2-D worksheet used 48 against an achievable ~64. This bench sweeps the
 // derating factor and reports prediction error against the simulated
 // actuals — quantifying DESIGN.md's "conservatism as contingency" claim.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "core/sensitivity.hpp"
 #include "util/format.hpp"
 #include "util/stats.hpp"
 
@@ -16,26 +13,13 @@ namespace {
 
 using namespace rat;
 
-void BM_Ablation_PredictSweep(benchmark::State& state) {
-  const auto in = core::pdf1d_inputs();
-  for (auto _ : state) {
-    auto preds = core::sweep_parameter(
-        in,
-        [](core::RatInputs& r, double v) {
-          r.comp.throughput_ops_per_cycle = v;
-        },
-        {16, 18, 20, 22, 24}, core::mhz(150));
-    benchmark::DoNotOptimize(preds);
-  }
-}
-BENCHMARK(BM_Ablation_PredictSweep);
-
-void report_case(const char* name, const core::RatInputs& base,
-                 const rcsim::Workload& w, const rcsim::Platform& platform,
-                 double fclock, const std::vector<double>& proc_rates,
-                 double ideal_rate) {
+void report_case(const char* name, apps::CaseStudyKind kind,
+                 const std::vector<double>& proc_rates, double ideal_rate) {
+  const auto cs = apps::case_study(kind);
+  const core::RatInputs& base = cs.inputs;
+  const double fclock = cs.actual_clock_hz;
   const auto actual = apps::simulate_on_platform(
-      w, platform, fclock, rcsim::Buffering::kSingle,
+      cs.workload, cs.platform, fclock, rcsim::Buffering::kSingle,
       base.software.tsoft_sec);
   std::printf("---- %s at %.0f MHz (simulated actual speedup %.1f) ----\n",
               name, core::to_mhz(fclock), actual.measured.speedup);
@@ -57,35 +41,18 @@ void report_case(const char* name, const core::RatInputs& base,
   std::printf("%s\n", t.to_ascii().c_str());
 }
 
-void print_report() {
+}  // namespace
+
+int main() {
   std::printf("\n==== Ablation: throughput_proc conservatism ====\n\n");
-  {
-    const apps::Pdf1dDesign d;
-    report_case("1-D PDF (24 ideal, 20 assumed, ~18.7 achieved)",
-                d.rat_inputs(), rat::bench::pdf1d_workload(d),
-                rcsim::nallatech_h101(), core::mhz(150),
-                {16, 18, 20, 22, 24}, 24);
-  }
-  {
-    const apps::Pdf2dDesign d;
-    report_case("2-D PDF (96 ideal, 48 assumed, ~64 achieved)",
-                d.rat_inputs(), rat::bench::pdf2d_workload(d),
-                rcsim::nallatech_h101(), core::mhz(150),
-                {32, 48, 64, 80, 96}, 96);
-  }
+  report_case("1-D PDF (24 ideal, 20 assumed, ~18.7 achieved)",
+              apps::CaseStudyKind::kPdf1d, {16, 18, 20, 22, 24}, 24);
+  report_case("2-D PDF (96 ideal, 48 assumed, ~64 achieved)",
+              apps::CaseStudyKind::kPdf2d, {32, 48, 64, 80, 96}, 96);
   std::printf(
       "Shape: the 1-D worksheet's derate (20 of 24) tracks the achieved\n"
       "~18.7 closely; the 2-D worksheet's deeper derate (48 of 96) over-\n"
       "predicts tcomp, which §5.1 credits with absorbing the 6x\n"
       "communication surprise — 'a victory in contingency planning'.\n");
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  print_report();
   return 0;
 }

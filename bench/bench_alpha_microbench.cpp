@@ -2,8 +2,6 @@
 // transfer sweeps on both simulated platforms, tabulating alpha(size,
 // direction) against the documented maximum, and the probe-size derivation
 // of Table 2's alpha_write = 0.37 / alpha_read = 0.16 at 2 KB.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "rcsim/microbench.hpp"
@@ -12,26 +10,6 @@
 namespace {
 
 using namespace rat;
-
-void BM_Microbench_SingleMeasurement(benchmark::State& state) {
-  const auto link = rcsim::nallatech_pcix_link();
-  rcsim::Microbench mb(link);
-  for (auto _ : state) {
-    auto s = mb.measure(2048, rcsim::Direction::kHostToFpga);
-    benchmark::DoNotOptimize(s);
-  }
-}
-BENCHMARK(BM_Microbench_SingleMeasurement);
-
-void BM_Microbench_DefaultSweep(benchmark::State& state) {
-  const auto link = rcsim::nallatech_pcix_link();
-  rcsim::Microbench mb(link);
-  for (auto _ : state) {
-    auto v = mb.sweep_default();
-    benchmark::DoNotOptimize(v);
-  }
-}
-BENCHMARK(BM_Microbench_DefaultSweep);
 
 void print_report() {
   for (const auto& platform :
@@ -57,10 +35,7 @@ void print_report() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+int main() {
   print_report();
   return 0;
 }

@@ -6,10 +6,10 @@
 // gate spares (the headline: >= 10x fewer), reports the corner bounds of
 // the elided branch-and-bound run, and replays the whole campaign from a
 // warm plan cache (>= 90% of the remaining evaluations eliminated).
-// scripts/check.sh merges the explore.* metrics into BENCH_RAT.json and
-// gates on them.
-#include <benchmark/benchmark.h>
-
+// --json=PATH writes them as a rat.bench.v1 record; scripts/check.sh
+// merges its explore.* metrics into BENCH_RAT.json and gates on them.
+//
+// Usage: bench_explore_pruning [--json=PATH]
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -21,6 +21,7 @@
 #include "core/parameters.hpp"
 #include "core/units.hpp"
 #include "explore/explorer.hpp"
+#include "util/cli.hpp"
 
 namespace {
 
@@ -75,22 +76,7 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-void BM_Explore_PrunedSearch(benchmark::State& state) {
-  const auto axes = bench_axes();
-  const auto factory = bench_factory();
-  const auto req = bench_requirements();
-  const auto device = rcsim::virtex4_lx100();
-  explore::ExploreOptions opt;
-  opt.policy.full_trace = false;  // the wall-clock mode
-  for (auto _ : state) {
-    auto r = explore::explore_design_space_pruned(axes, factory, req, device,
-                                                  opt);
-    benchmark::DoNotOptimize(r);
-  }
-}
-BENCHMARK(BM_Explore_PrunedSearch)->Unit(benchmark::kMillisecond);
-
-void print_report(const std::string& json_path) {
+void print_report(const std::optional<std::string>& json_path) {
   bench::BenchJson json("bench_explore_pruning", json_path);
   const auto axes = bench_axes();
   const auto factory = bench_factory();
@@ -202,10 +188,8 @@ void print_report(const std::string& json_path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string json_path =
-      rat::bench::BenchJson::extract_json_path(argc, argv);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  print_report(json_path);
+  const rat::util::Cli cli(argc, argv);
+  cli.require_known({"json"});
+  print_report(cli.get("json"));
   return 0;
 }

@@ -2,8 +2,6 @@
 // §3.1 streaming remark): multi-FPGA scaling curves, multi-kernel
 // composition, streaming-mode rates, and Monte-Carlo prediction intervals
 // for all three case studies.
-#include <benchmark/benchmark.h>
-
 #include <cmath>
 #include <cstdio>
 
@@ -16,25 +14,6 @@
 namespace {
 
 using namespace rat;
-
-void BM_MonteCarlo_4000Samples(benchmark::State& state) {
-  const auto in = core::md_inputs();
-  const auto model = core::UncertaintyModel::typical(in);
-  for (auto _ : state) {
-    auto r = core::run_monte_carlo(in, model, 4000, 10.0);
-    benchmark::DoNotOptimize(r);
-  }
-}
-BENCHMARK(BM_MonteCarlo_4000Samples);
-
-void BM_Scaling_64Boards(benchmark::State& state) {
-  const auto in = core::md_inputs();
-  for (auto _ : state) {
-    auto c = core::predict_scaling(in, core::mhz(100), 64);
-    benchmark::DoNotOptimize(c);
-  }
-}
-BENCHMARK(BM_Scaling_64Boards);
 
 void print_scaling() {
   std::printf("==== Multi-FPGA strong scaling (shared host bus, double "
@@ -157,10 +136,7 @@ void print_montecarlo() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+int main() {
   std::printf("\n");
   print_scaling();
   print_composition();

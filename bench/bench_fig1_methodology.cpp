@@ -2,8 +2,6 @@
 // the real case-study designs. Shows a redesign loop (under-parallelized
 // candidate rejected on throughput, final design accepted) and a
 // resource-gated rejection.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "apps/pdf1d.hpp"
@@ -32,20 +30,6 @@ core::DesignCandidate pdf1d_candidate(double ops_per_cycle) {
   c.resources = design.resource_items();
   return c;
 }
-
-void BM_Methodology_FullRun(benchmark::State& state) {
-  core::Requirements req;
-  req.min_speedup = 5.0;
-  req.precision = core::PrecisionRequirements{2.0, 12, 20, 0};
-  const std::vector<core::DesignCandidate> candidates = {
-      pdf1d_candidate(20.0)};
-  const auto device = rcsim::virtex4_lx100();
-  for (auto _ : state) {
-    auto out = core::run_methodology(candidates, req, device);
-    benchmark::DoNotOptimize(out);
-  }
-}
-BENCHMARK(BM_Methodology_FullRun);
 
 void print_report() {
   std::printf("\nFigure 1: RAT methodology trace, 1-D PDF design space\n\n");
@@ -79,10 +63,7 @@ void print_report() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+int main() {
   print_report();
   return 0;
 }

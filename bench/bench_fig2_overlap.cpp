@@ -2,8 +2,6 @@
 // scenarios — single buffered, double buffered computation bound, and
 // double buffered communication bound — as ASCII Gantt charts from the
 // executor's event timeline, plus the Eq. (5)/(6) totals each implies.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "core/units.hpp"
@@ -34,33 +32,6 @@ rcsim::Workload workload(std::size_t iters, std::size_t in_bytes,
   return w;
 }
 
-void BM_Executor_SingleBuffered(benchmark::State& state) {
-  const auto link = clean_link();
-  const auto w = workload(400, 2048, 1024, 20000);
-  rcsim::ExecutionConfig cfg;
-  cfg.fclock_hz = 150e6;
-  for (auto _ : state) {
-    auto r = rcsim::execute(w, link, cfg);
-    benchmark::DoNotOptimize(r);
-  }
-  state.SetItemsProcessed(state.iterations() * 400);
-}
-BENCHMARK(BM_Executor_SingleBuffered);
-
-void BM_Executor_DoubleBuffered(benchmark::State& state) {
-  const auto link = clean_link();
-  const auto w = workload(400, 2048, 1024, 20000);
-  rcsim::ExecutionConfig cfg;
-  cfg.buffering = rcsim::Buffering::kDouble;
-  cfg.fclock_hz = 150e6;
-  for (auto _ : state) {
-    auto r = rcsim::execute(w, link, cfg);
-    benchmark::DoNotOptimize(r);
-  }
-  state.SetItemsProcessed(state.iterations() * 400);
-}
-BENCHMARK(BM_Executor_DoubleBuffered);
-
 void show(const char* title, const rcsim::Workload& w,
           rcsim::Buffering buffering) {
   rcsim::ExecutionConfig cfg;
@@ -88,10 +59,7 @@ void print_report() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+int main() {
   print_report();
   return 0;
 }

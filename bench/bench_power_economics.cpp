@@ -4,8 +4,6 @@
 // point (time of development versus time saved at execution)" framing of
 // the go/no-go decision. Also ranks the quadratic-vs-Gaussian 1-D PDF
 // design permutations side by side.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "apps/md.hpp"
@@ -21,21 +19,6 @@
 namespace {
 
 using namespace rat;
-
-void BM_RankDesigns(benchmark::State& state) {
-  std::vector<core::RankedCandidate> candidates;
-  core::RankedCandidate c;
-  c.inputs = core::pdf1d_inputs();
-  c.fclock_hz = core::mhz(150);
-  c.resources = apps::Pdf1dDesign().resource_items();
-  c.device = rcsim::virtex4_lx100();
-  candidates.push_back(c);
-  for (auto _ : state) {
-    auto r = core::rank_designs(candidates);
-    benchmark::DoNotOptimize(r);
-  }
-}
-BENCHMARK(BM_RankDesigns);
 
 void print_power() {
   std::printf("==== Power & energy (paper intro: \"savings could come in "
@@ -149,10 +132,7 @@ void print_ranking() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+int main() {
   std::printf("\n");
   print_power();
   print_economics();

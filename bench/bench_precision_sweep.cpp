@@ -2,8 +2,6 @@
 // point widths for the 1-D PDF estimator against the double-precision
 // reference, confirm the 18-bit format sits inside the ~2% error budget,
 // and show the minimal format a 2% tolerance selects.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "apps/pdf1d.hpp"
@@ -23,18 +21,6 @@ const auto& samples() {
       apps::gaussian_mixture_1d(16384, apps::default_mixture_1d(), 2011);
   return s;
 }
-
-void BM_Precision_SingleWidthEvaluation(benchmark::State& state) {
-  const apps::Pdf1dDesign design;
-  const fx::Format fmt{static_cast<int>(state.range(0)),
-                       static_cast<int>(state.range(0)) - 1, true};
-  const std::span<const double> batch(samples().data(), 2048);
-  for (auto _ : state) {
-    auto out = design.estimate_with_format(batch, fmt);
-    benchmark::DoNotOptimize(out);
-  }
-}
-BENCHMARK(BM_Precision_SingleWidthEvaluation)->Arg(12)->Arg(18)->Arg(32);
 
 void print_report() {
   const apps::Pdf1dDesign design;
@@ -84,10 +70,7 @@ void print_report() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+int main() {
   print_report();
   return 0;
 }

@@ -1,62 +1,15 @@
 // Reproduces paper Tables 2 and 3 (and the Fig. 3 architecture summary):
-// the 1-D PDF estimation case study on the Nallatech H101 model.
-//
-// Benchmarks time the real software baseline and the fixed-point hardware
-// functional model; the report section prints the RAT worksheet with the
+// the 1-D PDF estimation case study on the Nallatech H101 model. Prints
+// the design's cycle-level occupancy and the RAT worksheet with the
 // predicted 75/100/150 MHz columns and the simulated actual column.
-#include <benchmark/benchmark.h>
+#include <cstdio>
 
+#include "apps/pdf1d.hpp"
 #include "bench_common.hpp"
 #include "rcsim/cycle_sim.hpp"
 
-namespace {
-
-using namespace rat;
-
-const auto& samples() {
-  static const auto s =
-      apps::gaussian_mixture_1d(204800, apps::default_mixture_1d(), 2007);
-  return s;
-}
-
-void BM_Pdf1d_SoftwareBaseline_Batch(benchmark::State& state) {
-  const apps::Pdf1dConfig cfg;
-  const std::span<const double> batch(samples().data(), cfg.batch);
-  for (auto _ : state) {
-    auto pdf = apps::estimate_pdf1d_quadratic(batch, cfg);
-    benchmark::DoNotOptimize(pdf);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(cfg.batch));
-}
-BENCHMARK(BM_Pdf1d_SoftwareBaseline_Batch);
-
-void BM_Pdf1d_FixedPointHw_Batch(benchmark::State& state) {
-  const apps::Pdf1dDesign design;
-  const std::span<const double> batch(samples().data(),
-                                      design.config().batch);
-  for (auto _ : state) {
-    auto pdf = design.estimate(batch);
-    benchmark::DoNotOptimize(pdf);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(design.config().batch));
-}
-BENCHMARK(BM_Pdf1d_FixedPointHw_Batch);
-
-void BM_Pdf1d_PlatformSimulation_FullRun(benchmark::State& state) {
-  const apps::Pdf1dDesign design;
-  const auto workload = bench::pdf1d_workload(design);
-  const auto platform = rcsim::nallatech_h101();
-  for (auto _ : state) {
-    auto run = apps::simulate_on_platform(workload, platform, core::mhz(150),
-                                          rcsim::Buffering::kSingle, 0.578);
-    benchmark::DoNotOptimize(run);
-  }
-}
-BENCHMARK(BM_Pdf1d_PlatformSimulation_FullRun);
-
-void print_report() {
+int main() {
+  using namespace rat;
   const apps::Pdf1dDesign design;
   const auto breakdown = rcsim::simulate_pipeline(design.pipeline_spec(),
                                                   design.config().batch);
@@ -82,16 +35,6 @@ void print_report() {
       design.ideal_ops_per_cycle(),
       design.rat_inputs().comp.throughput_ops_per_cycle);
   bench::print_case_study("Table 2+3: 1-D PDF estimation",
-                          design.rat_inputs(), bench::pdf1d_workload(design),
-                          rcsim::nallatech_h101(), core::mhz(150));
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  print_report();
+                          apps::case_study(apps::CaseStudyKind::kPdf1d));
   return 0;
 }

@@ -1,9 +1,6 @@
 // Reproduces paper Tables 4, 7 and 10: a-priori resource utilization of
 // the three case-study designs on their target devices, via the vendor
-// DSP/BRAM cost models. Benchmarks time the resource-lowering pass itself
-// (it sits inside the iterative Fig. 1 loop, so it should be cheap).
-#include <benchmark/benchmark.h>
-
+// DSP/BRAM cost models.
 #include <cstdio>
 
 #include "apps/md.hpp"
@@ -15,26 +12,6 @@
 namespace {
 
 using namespace rat;
-
-void BM_ResourceTest_Pdf1d(benchmark::State& state) {
-  const auto items = apps::Pdf1dDesign().resource_items();
-  const auto device = rcsim::virtex4_lx100();
-  for (auto _ : state) {
-    auto r = core::run_resource_test(items, device);
-    benchmark::DoNotOptimize(r);
-  }
-}
-BENCHMARK(BM_ResourceTest_Pdf1d);
-
-void BM_ResourceTest_Md(benchmark::State& state) {
-  const auto items = apps::MdDesign().resource_items();
-  const auto device = rcsim::stratix2_ep2s180();
-  for (auto _ : state) {
-    auto r = core::run_resource_test(items, device);
-    benchmark::DoNotOptimize(r);
-  }
-}
-BENCHMARK(BM_ResourceTest_Md);
 
 void print_one(const char* title, const std::vector<core::ResourceItem>& items,
                const rcsim::Device& device) {
@@ -62,10 +39,7 @@ void print_report() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+int main() {
   print_report();
   return 0;
 }

@@ -2,45 +2,13 @@
 // including the reconstructed actual column (the scan's actual column is
 // partly illegible; §5.1's prose pins communication at ~6x the prediction
 // and 19% of the execution time — see EXPERIMENTS.md).
-#include <benchmark/benchmark.h>
+#include <cstdio>
 
+#include "apps/pdf2d.hpp"
 #include "bench_common.hpp"
 
-namespace {
-
-using namespace rat;
-
-const auto& samples() {
-  static const auto s = apps::gaussian_mixture_2d(8192, 2008);
-  return s;
-}
-
-void BM_Pdf2d_SoftwareBaseline_Batch(benchmark::State& state) {
-  const apps::Pdf2dConfig cfg;
-  const std::span<const apps::Sample2d> batch(samples().data(),
-                                              cfg.samples_per_batch());
-  for (auto _ : state) {
-    auto pdf = apps::estimate_pdf2d_quadratic(batch, cfg);
-    benchmark::DoNotOptimize(pdf);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(cfg.samples_per_batch()));
-}
-BENCHMARK(BM_Pdf2d_SoftwareBaseline_Batch);
-
-void BM_Pdf2d_PlatformSimulation_FullRun(benchmark::State& state) {
-  const apps::Pdf2dDesign design;
-  const auto workload = bench::pdf2d_workload(design);
-  const auto platform = rcsim::nallatech_h101();
-  for (auto _ : state) {
-    auto run = apps::simulate_on_platform(workload, platform, core::mhz(150),
-                                          rcsim::Buffering::kSingle, 158.8);
-    benchmark::DoNotOptimize(run);
-  }
-}
-BENCHMARK(BM_Pdf2d_PlatformSimulation_FullRun);
-
-void print_report() {
+int main() {
+  using namespace rat;
   const apps::Pdf2dDesign design;
   std::printf(
       "\nDesign: %zu pipelines x %zu bins each, output drained in %zu-byte "
@@ -52,16 +20,6 @@ void print_report() {
                                      design.config().batch_words),
       design.rat_inputs().comp.throughput_ops_per_cycle);
   bench::print_case_study("Table 5+6: 2-D PDF estimation",
-                          design.rat_inputs(), bench::pdf2d_workload(design),
-                          rcsim::nallatech_h101(), core::mhz(150));
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  print_report();
+                          apps::case_study(apps::CaseStudyKind::kPdf2d));
   return 0;
 }

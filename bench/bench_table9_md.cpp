@@ -2,62 +2,17 @@
 // the XD1000 model, including the inverse-model tuning step (§5.2: solve
 // throughput_proc for the ~10x goal -> 50 ops/cycle) and the
 // data-dependent shortfall that produced the actual 6.6x.
-#include <benchmark/benchmark.h>
+#include <cstdio>
 
+#include "apps/md.hpp"
 #include "bench_common.hpp"
 #include "core/sensitivity.hpp"
 
-namespace {
-
-using namespace rat;
-
-apps::MdConfig md_cfg() { return apps::MdConfig{}; }
-
-const apps::ParticleSystem& system16k() {
-  static const auto sys = apps::particle_box(16384, 1.0, 1.0, 2009);
-  return sys;
-}
-
-std::uint64_t md_cycles() {
-  static const std::uint64_t c = apps::MdDesign(md_cfg()).cycles_for(system16k());
-  return c;
-}
-
-void BM_Md_SoftwareForceEvaluation(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  auto sys = apps::particle_box(n, 1.0, 1.0, 77);
-  for (auto _ : state) {
-    auto res = apps::compute_forces(sys, md_cfg());
-    benchmark::DoNotOptimize(res);
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
-}
-BENCHMARK(BM_Md_SoftwareForceEvaluation)->Arg(1024)->Arg(4096);
-
-void BM_Md_F32HardwareFunctionalModel(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  auto sys = apps::particle_box(n, 1.0, 1.0, 78);
-  for (auto _ : state) {
-    auto res = apps::compute_forces_f32(sys, md_cfg());
-    benchmark::DoNotOptimize(res);
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
-}
-BENCHMARK(BM_Md_F32HardwareFunctionalModel)->Arg(1024)->Arg(4096);
-
-void BM_Md_VerletStep(benchmark::State& state) {
-  auto sys = apps::particle_box(1024, 1.0, 0.1, 79);
-  apps::compute_forces(sys, md_cfg());
-  for (auto _ : state) {
-    auto res = apps::velocity_verlet_step(sys, md_cfg());
-    benchmark::DoNotOptimize(res);
-  }
-}
-BENCHMARK(BM_Md_VerletStep);
-
-void print_report() {
-  const apps::MdDesign design(md_cfg());
-  const auto inputs = design.rat_inputs();
+int main() {
+  using namespace rat;
+  const apps::MdDesign design;
+  const auto cs = apps::case_study(apps::CaseStudyKind::kMd);
+  const auto& inputs = cs.inputs;
 
   // §5.2's tuning step: the worksheet's 50 ops/cycle is the inverse
   // solution for the ~10x goal.
@@ -68,24 +23,15 @@ void print_report() {
       "100 MHz = %.1f ops/cycle (worksheet uses 50)\n",
       tp.value_or(-1.0));
 
-  const double eff =
-      inputs.comp.ops_per_element * 16384.0 / static_cast<double>(md_cycles());
+  // One iteration: the whole dataset's cycles.
+  const double eff = inputs.comp.ops_per_element *
+                     static_cast<double>(inputs.dataset.elements_in) /
+                     static_cast<double>(cs.workload.cycles(0));
   std::printf(
       "Data-dependent shortfall: dataset locality sustains only %.1f "
       "effective ops/cycle on the %d-lane array\n\n",
       eff, design.lanes());
 
-  bench::print_case_study("Table 8+9: Molecular dynamics", inputs,
-                          bench::md_workload(design, md_cycles(), 16384),
-                          rcsim::xd1000(), core::mhz(100));
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  print_report();
+  bench::print_case_study("Table 8+9: Molecular dynamics", cs);
   return 0;
 }

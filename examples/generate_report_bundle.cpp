@@ -5,80 +5,35 @@
 //
 // Usage: generate_report_bundle [--out=reports]
 #include <cstdio>
+#include <utility>
 
+#include "apps/case_study.hpp"
 #include "apps/hw_run.hpp"
-#include "apps/md.hpp"
-#include "apps/pdf1d.hpp"
-#include "apps/pdf2d.hpp"
-#include "apps/workload.hpp"
 #include "core/report.hpp"
-#include "core/units.hpp"
-#include "rcsim/platform.hpp"
 #include "util/cli.hpp"
-
-namespace {
-
-using namespace rat;
-
-core::Report make_report(const core::RatInputs& inputs,
-                         const rcsim::Workload& workload,
-                         const rcsim::Platform& platform,
-                         double actual_clock_hz,
-                         std::vector<core::ResourceItem> items) {
-  core::Report r;
-  r.inputs = inputs;
-  const auto run = apps::simulate_on_platform(
-      workload, platform, actual_clock_hz, rcsim::Buffering::kSingle,
-      inputs.software.tsoft_sec);
-  r.measurements.push_back(run.measured);
-  r.finalize();
-  r.device = platform.device;
-  r.resources = core::run_resource_test(items, platform.device,
-                                        platform.practical_fill_limit);
-  return r;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace rat;
   const util::Cli cli(argc, argv);
   const std::string out = cli.get_or("out", "reports");
 
-  {
-    const apps::Pdf1dDesign d;
-    rcsim::Workload w;
-    w.n_iterations = 400;
-    w.io = [d](std::size_t i) { return d.io(i, 400); };
-    w.cycles = [c = d.cycles_per_iteration()](std::size_t) { return c; };
-    const auto path = make_report(d.rat_inputs(), w, rcsim::nallatech_h101(),
-                                  core::mhz(150), d.resource_items())
-                          .write(out, "pdf1d");
-    std::printf("wrote %s\n", path.string().c_str());
-  }
-  {
-    const apps::Pdf2dDesign d;
-    rcsim::Workload w;
-    w.n_iterations = 400;
-    w.io = [d](std::size_t i) { return d.io(i, 400); };
-    w.cycles = [c = d.cycles_per_iteration()](std::size_t) { return c; };
-    const auto path = make_report(d.rat_inputs(), w, rcsim::nallatech_h101(),
-                                  core::mhz(150), d.resource_items())
-                          .write(out, "pdf2d");
-    std::printf("wrote %s\n", path.string().c_str());
-  }
-  {
-    const apps::MdDesign d;
-    const auto sys = apps::particle_box(16384, 1.0, 1.0, 123);
-    const auto cycles = d.cycles_for(sys);
-    rcsim::Workload w;
-    w.n_iterations = 1;
-    w.io = [d](std::size_t) { return d.io(16384); };
-    w.cycles = [cycles](std::size_t) { return cycles; };
-    const auto path = make_report(d.rat_inputs(), w, rcsim::xd1000(),
-                                  core::mhz(100), d.resource_items())
-                          .write(out, "md");
-    std::printf("wrote %s\n", path.string().c_str());
+  const std::pair<apps::CaseStudyKind, const char*> bundle[] = {
+      {apps::CaseStudyKind::kPdf1d, "pdf1d"},
+      {apps::CaseStudyKind::kPdf2d, "pdf2d"},
+      {apps::CaseStudyKind::kMd, "md"}};
+  for (const auto& [kind, stem] : bundle) {
+    const auto cs = apps::case_study(kind);
+    core::Report r;
+    r.inputs = cs.inputs;
+    const auto run = apps::simulate_on_platform(
+        cs.workload, cs.platform, cs.actual_clock_hz,
+        rcsim::Buffering::kSingle, cs.inputs.software.tsoft_sec);
+    r.measurements.push_back(run.measured);
+    r.finalize();
+    r.device = cs.platform.device;
+    r.resources = core::run_resource_test(cs.resource_items, cs.platform.device,
+                                          cs.platform.practical_fill_limit);
+    std::printf("wrote %s\n", r.write(out, stem).string().c_str());
   }
   std::printf("report bundle complete in %s/\n", out.c_str());
   return 0;

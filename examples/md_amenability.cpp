@@ -72,13 +72,9 @@ int main(int argc, char** argv) {
                   static_cast<double>(n),
               static_cast<unsigned long long>(cycles));
 
-  rcsim::Workload w;
-  w.n_iterations = 1;
-  w.io = [&](std::size_t) { return design.io(n); };
-  w.cycles = [&](std::size_t) { return cycles; };
   const auto run = apps::simulate_on_platform(
-      w, platform, core::mhz(100), rcsim::Buffering::kSingle,
-      in.software.tsoft_sec);
+      design.workload(cycles, n), platform, core::mhz(100),
+      rcsim::Buffering::kSingle, in.software.tsoft_sec);
   std::printf("%s\n", core::render_worksheet(
                           in, {run.measured},
                           core::WorksheetMode::kSingleBuffered)

@@ -86,12 +86,8 @@ int main(int argc, char** argv) {
   in.comm.alpha_read = alphas.alpha_read;
   in.comp.ops_per_element = ops_per_element;
 
-  rcsim::Workload w;
-  w.n_iterations = in.software.n_iterations;
-  w.io = [&](std::size_t i) { return design.io(i, w.n_iterations); };
-  w.cycles = [&](std::size_t) { return design.cycles_per_iteration(); };
   const auto run = apps::simulate_on_platform(
-      w, platform, core::mhz(150), rcsim::Buffering::kSingle,
+      design.workload(), platform, core::mhz(150), rcsim::Buffering::kSingle,
       in.software.tsoft_sec);
   std::printf("%s\n", core::render_worksheet(
                           in, {run.measured},

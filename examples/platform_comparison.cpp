@@ -46,17 +46,9 @@ int main(int argc, char** argv) {
     c.device = platform.device;
     candidates.push_back(c);
 
-    rcsim::Workload w;
-    w.n_iterations = in.software.n_iterations;
-    w.io = [&design, n = w.n_iterations](std::size_t i) {
-      return design.io(i, n);
-    };
-    w.cycles = [&design](std::size_t) {
-      return design.cycles_per_iteration();
-    };
     const auto run = apps::simulate_on_platform(
-        w, platform, core::mhz(150), rcsim::Buffering::kSingle,
-        in.software.tsoft_sec);
+        design.workload(), platform, core::mhz(150),
+        rcsim::Buffering::kSingle, in.software.tsoft_sec);
     detail.add_row({platform.name, util::fixed(alphas.alpha_write, 2),
                     util::fixed(alphas.alpha_read, 2),
                     util::fixed(core::predict(in, core::mhz(150)).speedup_sb,

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Full verification pass: configure, build, run every test and every
-# benchmark binary. Mirrors what CI would run. Every tree (main, TSan,
+# bench program. Mirrors what CI would run. Every tree (main, TSan,
 # ASan+UBSan) builds with -Werror, so a new compiler warning fails the
 # pass.
 set -euo pipefail
@@ -53,13 +53,11 @@ for b in build/bench/bench_*; do
     # bench_parallel_scaling writes the canonical rat.bench.v1 perf
     # trajectory, BENCH_RAT.json at the repo root (committed PR over PR),
     # schema-validated below.
-    bench_parallel_scaling) "$b" --benchmark_min_time=0.05s \
-      --json=BENCH_RAT.json ;;
+    bench_parallel_scaling) "$b" --json=BENCH_RAT.json ;;
     # The branch-and-bound explorer's headline (identity + pruning win +
     # warm plan cache), merged into BENCH_RAT.json and gated below.
-    bench_explore_pruning) "$b" --benchmark_min_time=0.05s \
-      --json=build/bench_explore.json ;;
-    *) "$b" --benchmark_min_time=0.05s ;;
+    bench_explore_pruning) "$b" --json=build/bench_explore.json ;;
+    *) "$b" ;;
   esac
 done
 

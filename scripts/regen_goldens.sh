@@ -9,7 +9,7 @@
 # Usage: scripts/regen_goldens.sh [--write] [BUILD_DIR]   (default: build)
 # Exit status: 0 when every golden matches (or was rewritten), 1 otherwise.
 set -euo pipefail
-set -f  # program arguments such as ^$ are passed as written
+set -f  # program arguments are passed as written, never globbed
 cd "$(dirname "$0")/.."
 
 write=0

@@ -308,6 +308,15 @@ rcsim::IterationIo MdDesign::io(std::size_t n_molecules) const {
   return io;
 }
 
+rcsim::Workload MdDesign::workload(std::uint64_t cycles,
+                                   std::size_t n_molecules) const {
+  rcsim::Workload w;
+  w.n_iterations = 1;
+  w.io = [d = *this, n_molecules](std::size_t) { return d.io(n_molecules); };
+  w.cycles = [cycles](std::size_t) { return cycles; };
+  return w;
+}
+
 std::vector<core::ResourceItem> MdDesign::resource_items() const {
   std::vector<core::ResourceItem> items;
   // Each lane's force pipeline: ~18 single-precision multipliers (36-bit

@@ -109,6 +109,11 @@ class MdDesign {
   /// I/O: the whole dataset in and out once (Niter = 1).
   rcsim::IterationIo io(std::size_t n_molecules) const;
 
+  /// One iteration: io(@p n_molecules) and @p cycles of computation, as
+  /// returned by cycles_for or cycles_from_counts.
+  rcsim::Workload workload(std::uint64_t cycles,
+                           std::size_t n_molecules) const;
+
   std::vector<core::ResourceItem> resource_items() const;
   core::RatInputs rat_inputs() const { return core::md_inputs(); }
 

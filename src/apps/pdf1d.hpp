@@ -81,6 +81,10 @@ class Pdf1dDesign {
   /// read every iteration, plus the final result drain on the last one.
   rcsim::IterationIo io(std::size_t iter, std::size_t n_iterations) const;
 
+  /// The whole run: the worksheet's Niter iterations of io() and
+  /// cycles_per_iteration().
+  rcsim::Workload workload() const;
+
   /// Full-run fixed-point estimate (functional model of the VHDL design):
   /// processes samples in batches, accumulating in a 48-bit MAC register
   /// per bin, truncating like the hardware. Returns the normalized PDF.

@@ -159,6 +159,14 @@ rcsim::IterationIo Pdf2dDesign::io(std::size_t iter,
   return io;
 }
 
+rcsim::Workload Pdf2dDesign::workload() const {
+  rcsim::Workload w;
+  w.n_iterations = rat_inputs().software.n_iterations;
+  w.io = [d = *this, n = w.n_iterations](std::size_t i) { return d.io(i, n); };
+  w.cycles = [c = cycles_per_iteration()](std::size_t) { return c; };
+  return w;
+}
+
 std::vector<double> Pdf2dDesign::estimate(
     std::span<const Sample2d> samples) const {
   return estimate_with_format(samples, format_);

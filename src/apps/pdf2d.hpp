@@ -86,6 +86,10 @@ class Pdf2dDesign {
   rcsim::IterationIo io(std::size_t iter, std::size_t n_iterations) const;
   std::size_t output_chunk_bytes() const { return 512; }
 
+  /// The whole run: the worksheet's Niter iterations of io() and
+  /// cycles_per_iteration().
+  rcsim::Workload workload() const;
+
   /// Functional fixed-point estimate of one whole run.
   std::vector<double> estimate(std::span<const Sample2d> samples) const;
   std::vector<double> estimate_with_format(std::span<const Sample2d> samples,

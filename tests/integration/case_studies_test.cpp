@@ -6,10 +6,9 @@
 
 #include <cmath>
 
+#include "apps/case_study.hpp"
 #include "apps/hw_run.hpp"
 #include "apps/md.hpp"
-#include "apps/pdf1d.hpp"
-#include "apps/pdf2d.hpp"
 #include "apps/workload.hpp"
 #include "core/throughput.hpp"
 #include "core/units.hpp"
@@ -19,49 +18,19 @@
 namespace rat {
 namespace {
 
+using apps::CaseStudyKind;
 using core::mhz;
 
-apps::SimulatedRun run_pdf1d(double fclock,
-                             rcsim::Buffering buf = rcsim::Buffering::kSingle) {
-  const apps::Pdf1dDesign d;
-  const auto in = d.rat_inputs();
-  rcsim::Workload w;
-  w.n_iterations = in.software.n_iterations;
-  w.io = [d, n = w.n_iterations](std::size_t i) { return d.io(i, n); };
-  w.cycles = [c = d.cycles_per_iteration()](std::size_t) { return c; };
-  return apps::simulate_on_platform(w, rcsim::nallatech_h101(), fclock, buf,
-                                    in.software.tsoft_sec);
-}
-
-apps::SimulatedRun run_pdf2d(double fclock) {
-  const apps::Pdf2dDesign d;
-  const auto in = d.rat_inputs();
-  rcsim::Workload w;
-  w.n_iterations = in.software.n_iterations;
-  w.io = [d, n = w.n_iterations](std::size_t i) { return d.io(i, n); };
-  w.cycles = [c = d.cycles_per_iteration()](std::size_t) { return c; };
-  return apps::simulate_on_platform(w, rcsim::nallatech_h101(), fclock,
-                                    rcsim::Buffering::kSingle,
-                                    in.software.tsoft_sec);
-}
-
-apps::SimulatedRun run_md(double fclock) {
-  const apps::MdDesign d;
-  const auto in = d.rat_inputs();
-  static const auto sys = apps::particle_box(16384, 1.0, 1.0, 123);
-  static const std::uint64_t cycles = d.cycles_for(sys);  // data dependent
-  rcsim::Workload w;
-  w.n_iterations = 1;
-  w.io = [d](std::size_t) { return d.io(16384); };
-  w.cycles = [](std::size_t) { return cycles; };
-  return apps::simulate_on_platform(w, rcsim::xd1000(), fclock,
-                                    rcsim::Buffering::kSingle,
-                                    in.software.tsoft_sec);
+apps::SimulatedRun simulate(CaseStudyKind kind, double fclock,
+                            rcsim::Buffering buf = rcsim::Buffering::kSingle) {
+  const auto cs = apps::case_study(kind);
+  return apps::simulate_on_platform(cs.workload, cs.platform, fclock, buf,
+                                    cs.inputs.software.tsoft_sec);
 }
 
 // ----------------------------------------------------------- 1-D PDF (§4)
 TEST(CaseStudyPdf1d, Table3ActualColumnShape) {
-  const auto run = run_pdf1d(mhz(150));
+  const auto run = simulate(CaseStudyKind::kPdf1d, mhz(150));
   const core::Measured& m = run.measured;
   // Paper actual column at 150 MHz: tcomm 2.5E-5, tcomp 1.39E-4,
   // tRC 7.45E-2, speedup 7.8, utilcomm 15%.
@@ -75,7 +44,7 @@ TEST(CaseStudyPdf1d, Table3ActualColumnShape) {
 
 TEST(CaseStudyPdf1d, ErrorStructureMatchesSection43) {
   const auto pred = core::predict(core::pdf1d_inputs(), mhz(150));
-  const auto m = run_pdf1d(mhz(150)).measured;
+  const auto m = simulate(CaseStudyKind::kPdf1d, mhz(150)).measured;
   const auto rep = core::validate(pred, m);
   // "The discrepancy in speed in this case is due to the inaccuracies in
   // the tcomm estimation": comm badly under-predicted, comp within a few %.
@@ -89,7 +58,7 @@ TEST(CaseStudyPdf1d, ErrorStructureMatchesSection43) {
 TEST(CaseStudyPdf1d, SpeedupGrowsWithClock) {
   double prev = 0.0;
   for (double f : {mhz(75), mhz(100), mhz(150)}) {
-    const double s = run_pdf1d(f).measured.speedup;
+    const double s = simulate(CaseStudyKind::kPdf1d, f).measured.speedup;
     EXPECT_GT(s, prev);
     prev = s;
   }
@@ -101,8 +70,10 @@ TEST(CaseStudyPdf1d, DoubleBufferingMasksCommunicationError) {
   // inaccuracies in the communication time could have been masked behind
   // the more stable computation time for a more accurate (and higher)
   // speedup."
-  const auto sb = run_pdf1d(mhz(150), rcsim::Buffering::kSingle);
-  const auto db = run_pdf1d(mhz(150), rcsim::Buffering::kDouble);
+  const auto sb =
+      simulate(CaseStudyKind::kPdf1d, mhz(150), rcsim::Buffering::kSingle);
+  const auto db =
+      simulate(CaseStudyKind::kPdf1d, mhz(150), rcsim::Buffering::kDouble);
   EXPECT_GT(db.measured.speedup, sb.measured.speedup);
   const auto pred = core::predict(core::pdf1d_inputs(), mhz(150));
   const double sb_err =
@@ -115,7 +86,7 @@ TEST(CaseStudyPdf1d, DoubleBufferingMasksCommunicationError) {
 // ----------------------------------------------------------- 2-D PDF (§5.1)
 TEST(CaseStudyPdf2d, CommunicationSixTimesLargerThanPredicted) {
   const auto pred = core::predict(core::pdf2d_inputs(), mhz(150));
-  const auto m = run_pdf2d(mhz(150)).measured;
+  const auto m = simulate(CaseStudyKind::kPdf2d, mhz(150)).measured;
   const double ratio = m.t_comm_sec / pred.t_comm_sec;
   EXPECT_NEAR(ratio, 6.0, 0.5);          // "communication six times larger"
   EXPECT_NEAR(m.util_comm, 0.19, 0.02);  // "19% of the total execution"
@@ -123,7 +94,7 @@ TEST(CaseStudyPdf2d, CommunicationSixTimesLargerThanPredicted) {
 
 TEST(CaseStudyPdf2d, ConservativeComputationBalancesCommunication) {
   const auto pred = core::predict(core::pdf2d_inputs(), mhz(150));
-  const auto m = run_pdf2d(mhz(150)).measured;
+  const auto m = simulate(CaseStudyKind::kPdf2d, mhz(150)).measured;
   // Computation over-predicted...
   EXPECT_LT(m.t_comp_sec, pred.t_comp_sec);
   // ...so overall speedup lands close to (slightly above) the prediction.
@@ -134,14 +105,14 @@ TEST(CaseStudyPdf2d, ConservativeComputationBalancesCommunication) {
 TEST(CaseStudyPdf2d, LowerSpeedupThan1dDespiteMoreParallelism) {
   // Paper: increased communication demands of the higher order reduced
   // the speedup relative to the 1-D design.
-  const double s1 = run_pdf1d(mhz(150)).measured.speedup;
-  const double s2 = run_pdf2d(mhz(150)).measured.speedup;
+  const double s1 = simulate(CaseStudyKind::kPdf1d, mhz(150)).measured.speedup;
+  const double s2 = simulate(CaseStudyKind::kPdf2d, mhz(150)).measured.speedup;
   EXPECT_LT(s2, s1);
 }
 
 // ------------------------------------------------------------- MD (§5.2)
 TEST(CaseStudyMd, Table9ActualColumnShape) {
-  const auto m = run_md(mhz(100)).measured;
+  const auto m = simulate(CaseStudyKind::kMd, mhz(100)).measured;
   // Paper actual at 100 MHz: tcomm 1.39E-3, tcomp 8.79E-1, tRC 8.80E-1,
   // speedup 6.6.
   EXPECT_NEAR(m.t_comm_sec, 1.39e-3, 0.1e-3);
@@ -152,7 +123,7 @@ TEST(CaseStudyMd, Table9ActualColumnShape) {
 
 TEST(CaseStudyMd, PredictionsSameOrderOfMagnitude) {
   const auto pred = core::predict(core::md_inputs(), mhz(100));
-  const auto m = run_md(mhz(100)).measured;
+  const auto m = simulate(CaseStudyKind::kMd, mhz(100)).measured;
   const auto rep = core::validate(pred, m);
   // "The actual communication times is the same order of magnitude as the
   // predicted value... Computation dominated the overall RC execution time
@@ -164,7 +135,7 @@ TEST(CaseStudyMd, PredictionsSameOrderOfMagnitude) {
 }
 
 TEST(CaseStudyMd, ComputationUtterlyDominates) {
-  const auto m = run_md(mhz(100)).measured;
+  const auto m = simulate(CaseStudyKind::kMd, mhz(100)).measured;
   EXPECT_GT(m.util_comp, 0.99);
   EXPECT_LT(m.util_comm, 0.01);
 }
