@@ -10,6 +10,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "apps/case_study.hpp"
 #include "apps/hw_run.hpp"

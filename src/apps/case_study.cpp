@@ -12,6 +12,7 @@
 namespace rat::apps {
 namespace {
 
+// Table 9's particle box: the numbers EXPERIMENTS.md quotes come from it.
 constexpr std::uint64_t kMdBoxSeed = 2009;
 
 template <class Design>
