@@ -1,21 +1,18 @@
-# Run PROGRAM with ARGS (split like a shell command line) plus
-# --out=OUT_DIR, after emptying OUT_DIR, and compare every file it writes
-# byte for byte with the file of the same name in GOLDEN_DIR. A file
-# present on one side only fails the test too. The actual files stay in
-# OUT_DIR; scripts/regen_goldens.sh prints the diff.
+# Run PROGRAM --out=OUT_DIR, after emptying OUT_DIR, and compare every
+# file it writes byte for byte with the file of the same name in
+# GOLDEN_DIR. A file present on one side only fails the test too. The
+# actual files stay in OUT_DIR; scripts/regen_goldens.sh prints the diff.
 #
-#   cmake -DPROGRAM=... -DARGS=... -DGOLDEN_DIR=... -DOUT_DIR=... \
-#     -P compare_dir.cmake
-separate_arguments(args UNIX_COMMAND "${ARGS}")
+#   cmake -DPROGRAM=... -DGOLDEN_DIR=... -DOUT_DIR=... -P compare_dir.cmake
 file(REMOVE_RECURSE "${OUT_DIR}")
-execute_process(COMMAND "${PROGRAM}" ${args} "--out=${OUT_DIR}"
+execute_process(COMMAND "${PROGRAM}" "--out=${OUT_DIR}"
   INPUT_FILE /dev/null
   OUTPUT_QUIET
   ERROR_VARIABLE errors
   RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "${PROGRAM} ${ARGS} --out=${OUT_DIR} exited with "
-    "${rc}:\n${errors}")
+  message(FATAL_ERROR "${PROGRAM} --out=${OUT_DIR} exited with ${rc}:\n"
+    "${errors}")
 endif()
 file(GLOB expected RELATIVE "${GOLDEN_DIR}" "${GOLDEN_DIR}/*")
 file(GLOB actual RELATIVE "${OUT_DIR}" "${OUT_DIR}/*")
