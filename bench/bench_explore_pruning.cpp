@@ -1,13 +1,13 @@
 // The explorer against the exhaustive sweep on a grid two orders of
 // magnitude larger than the paper's: 64 pipeline counts x 32 clock
 // estimates x 8 fixed-point widths = 16,384 permutations. The report
-// verifies the full-trace explorer returns the byte-identical winner and
-// trace, counts how many full gate-pipeline evaluations the throughput
-// gate spares (the headline: >= 10x fewer), reports the corner bounds of
-// the elided branch-and-bound run, and replays the whole campaign from a
-// warm plan cache (>= 90% of the remaining evaluations eliminated).
-// --json=PATH writes them as a rat.bench.v1 record; scripts/check.sh
-// merges its explore.* metrics into BENCH_RAT.json and gates on them.
+// verifies the explorer returns the byte-identical winner and trace,
+// counts how many full gate-pipeline evaluations the throughput gate
+// spares (the headline: >= 10x fewer), and replays the whole campaign
+// from a warm plan cache (>= 90% of the remaining evaluations
+// eliminated). --json=PATH writes them as a rat.bench.v1 record;
+// scripts/check.sh merges its explore.* metrics into BENCH_RAT.json and
+// gates on them.
 //
 // Usage: bench_explore_pruning [--json=PATH]
 #include <chrono>
@@ -93,20 +93,12 @@ void print_report(const std::optional<std::string>& json_path) {
   const double exhaustive_evals =
       static_cast<double>(exhaustive.outcome.predictions.size());
 
-  explore::ExploreOptions full;  // the ordered scan: byte-identical trace
   t0 = std::chrono::steady_clock::now();
   const auto pruned =
-      explore::explore_design_space_pruned(axes, factory, req, device, full);
+      explore::explore_design_space_pruned(axes, factory, req, device);
   const double pruned_sec = seconds_since(t0);
   const bool identical = render(pruned.design) == render(exhaustive) &&
                          pruned.winner_index == exhaustive.outcome.accepted_index;
-
-  explore::ExploreOptions elide;
-  elide.policy.full_trace = false;
-  t0 = std::chrono::steady_clock::now();
-  const auto sparse =
-      explore::explore_design_space_pruned(axes, factory, req, device, elide);
-  const double elide_sec = seconds_since(t0);
 
   // Cold then warm through a plan cache: the warm campaign should replay
   // every previously evaluated point instead of recomputing it.
@@ -131,7 +123,6 @@ void print_report(const std::optional<std::string>& json_path) {
   std::filesystem::remove_all(cache_dir);
 
   const auto& st = pruned.stats;
-  const auto& search = sparse.stats;  // where the branch-and-bound runs
   const double pruned_evals = static_cast<double>(st.points_evaluated);
   const double reduction = exhaustive_evals / std::max(1.0, pruned_evals);
   const double cold_evals = static_cast<double>(cold.points_evaluated);
@@ -146,20 +137,16 @@ void print_report(const std::optional<std::string>& json_path) {
                   ? pruned.design.outcome.trace.back().candidate_name.c_str()
                   : "<none>",
               pruned.winner_index ? *pruned.winner_index : 0);
-  std::printf("full evaluations: exhaustive %.0f, full-trace %.0f (%.1fx "
+  std::printf("full evaluations: exhaustive %.0f, explorer %.0f (%.1fx "
               "fewer; the other %zu points fail the throughput gate)\n",
               exhaustive_evals, pruned_evals, reduction, st.points_bounded);
-  std::printf("candidates predicted: exhaustive %zu, full-trace %zu (the "
+  std::printf("candidates predicted: exhaustive %zu, explorer %zu (the "
               "same ordered scan)\n",
               exhaustive.outcome.predictions.size(),
               pruned.design.outcome.predictions.size());
-  std::printf("elided search: %zu corner model runs, %zu points bounded, "
-              "%zu regions pruned by bound\n",
-              search.corner_evaluations, search.points_bounded,
-              search.regions_pruned_bound);
   std::printf("identical result: %s\n", identical ? "yes" : "NO — BUG");
-  std::printf("wall clock: exhaustive %.3fs, full-trace %.3fs, "
-              "elided %.3fs\n", exhaustive_sec, pruned_sec, elide_sec);
+  std::printf("wall clock: exhaustive %.3fs, explorer %.3fs\n",
+              exhaustive_sec, pruned_sec);
   std::printf("plan cache: cold %.0f evaluations, warm %.0f "
               "(%.1f%% eliminated, %zu hits)\n",
               cold_evals, warm_evals, 100.0 * warm_elimination,
@@ -170,18 +157,11 @@ void print_report(const std::optional<std::string>& json_path) {
   json.add("explore.exact_evals_exhaustive", exhaustive_evals);
   json.add("explore.exact_evals_pruned", pruned_evals);
   json.add("explore.evaluation_reduction", reduction);
-  json.add("explore.corner_evaluations",
-           static_cast<double>(search.corner_evaluations));
-  json.add("explore.points_bounded",
-           static_cast<double>(search.points_bounded));
-  json.add("explore.regions_pruned_bound",
-           static_cast<double>(search.regions_pruned_bound));
   json.add("explore.identical", identical ? 1.0 : 0.0);
   json.add("explore.warm_evaluations", warm_evals);
   json.add("explore.warm_elimination_ratio", warm_elimination);
   json.add("explore.pareto_points", static_cast<double>(pruned.front.size()));
   json.add("explore.exhaustive_sec", exhaustive_sec);
-  json.add("explore.pruned_elide_sec", elide_sec);
   json.write();
 }
 

@@ -54,8 +54,9 @@ for b in build/bench/bench_*; do
     # trajectory, BENCH_RAT.json at the repo root (committed PR over PR),
     # schema-validated below.
     bench_parallel_scaling) "$b" --json=BENCH_RAT.json ;;
-    # The branch-and-bound explorer's headline (identity + pruning win +
-    # warm plan cache), merged into BENCH_RAT.json and gated below.
+    # The explorer's headline (identity with the exhaustive scan, full
+    # evaluations the throughput gate spares, warm plan cache), merged
+    # into BENCH_RAT.json and gated below.
     bench_explore_pruning) "$b" --json=build/bench_explore.json ;;
     *) "$b" ;;
   esac

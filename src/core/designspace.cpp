@@ -74,20 +74,16 @@ std::size_t DesignAxes::size() const {
 
 std::vector<DesignCandidate> enumerate_design_space(
     const DesignAxes& axes, const CandidateFactory& factory,
-    std::vector<std::string>* skipped_labels,
-    std::vector<DesignPoint>* points) {
+    std::vector<std::string>* skipped_labels) {
   // One reservation instead of a doubling per campaign: the candidate
   // vector of a 16k-point grid outgrows malloc's mmap threshold, so every
   // doubling past it mapped fresh pages and faulted them in.
   const std::size_t expected = std::min(axes.size(), kMaxReservedCandidates);
   std::vector<DesignCandidate> out;
   out.reserve(expected);
-  if (points) points->reserve(points->size() + expected);
-  walk_design_space(axes, factory, skipped_labels,
-                    [&](const DesignPoint& point, DesignCandidate&& cand) {
-                      if (points) points->push_back(point);
-                      out.push_back(std::move(cand));
-                    });
+  walk_design_space(axes, factory, skipped_labels, [&](DesignCandidate&& cand) {
+    out.push_back(std::move(cand));
+  });
   return out;
 }
 

@@ -33,9 +33,9 @@ struct DesignPoint {
 
 /// The axes to sweep. Each axis must be non-empty, sorted ascending and
 /// duplicate-free (validate() throws otherwise): duplicates would
-/// silently double-evaluate points and skew points_total, and the
-/// branch-and-bound explorer's corner bounds (docs/EXPLORATION.md) are
-/// only admissible over monotonically ordered axes.
+/// silently double-evaluate points and skew points_total, and the winner
+/// and the Pareto front rest on the cheapest-first order that sorted axes
+/// give the enumeration.
 struct DesignAxes {
   std::vector<std::size_t> parallelism = {1, 2, 4, 8};
   std::vector<double> fclock_hz = {100e6, 150e6};
@@ -54,7 +54,7 @@ using CandidateFactory =
     std::function<std::optional<DesignCandidate>(const DesignPoint&)>;
 
 /// The most candidates a run reserves room for up front, in
-/// enumerate_design_space's vectors and in a streamed full trace's
+/// enumerate_design_space's vector and in a streamed exploration's
 /// outcome: four times ratbench's 16,384-point explore grid. Past it the
 /// vectors grow as they fill, so a factory that skips most of a huge grid
 /// does not reserve memory it never uses.
@@ -66,7 +66,7 @@ inline constexpr std::size_t kMaxReservedCandidates = std::size_t{1} << 16;
 /// point's label is appended to @p skipped_labels when it is non-null. A
 /// candidate, named by its point's label when the factory left its name
 /// empty and decided at the point's clock, goes to
-/// take(point, std::move(candidate)).
+/// take(std::move(candidate)).
 template <typename Take>
 void walk_design_space(const DesignAxes& axes, const CandidateFactory& factory,
                        std::vector<std::string>* skipped_labels, Take&& take) {
@@ -84,7 +84,7 @@ void walk_design_space(const DesignAxes& axes, const CandidateFactory& factory,
         }
         if (cand->inputs.name.empty()) cand->inputs.name = point.label();
         cand->decision_clock_hz = f;
-        take(point, std::move(*cand));
+        take(std::move(*cand));
       }
     }
   }
@@ -94,14 +94,10 @@ void walk_design_space(const DesignAxes& axes, const CandidateFactory& factory,
 /// candidate; the returned order is the evaluation order for
 /// run_methodology. Points skipped by the factory have their labels
 /// appended to @p skipped_labels (in enumeration order) when it is
-/// non-null. @p points, when non-null, receives the design point behind
-/// each returned candidate (same order, same length); it serves the
-/// explorer's elided search, which maps candidates back onto the axes
-/// grid without re-running the factory.
+/// non-null.
 std::vector<DesignCandidate> enumerate_design_space(
     const DesignAxes& axes, const CandidateFactory& factory,
-    std::vector<std::string>* skipped_labels = nullptr,
-    std::vector<DesignPoint>* points = nullptr);
+    std::vector<std::string>* skipped_labels = nullptr);
 
 /// An exploration's outcome plus exactly which points the factory
 /// skipped — so parallel and serial runs can assert identical coverage.

@@ -131,40 +131,21 @@ bool append_evaluation(MethodologyOutcome& out, std::size_t i,
 
 // --- Deferred-validation window fill ----------------------------------------
 
-namespace {
-
-/// Fill @p w with the candidates candidates[index_of(0..count-1)].
-template <typename IndexOf>
-void fill_predictions(WindowPredictions& w,
-                      const std::vector<DesignCandidate>& candidates,
-                      std::size_t count, IndexOf index_of) {
-  w.predictions.clear();
-  w.predictions.reserve(count);
-  w.errors.assign(count, nullptr);
+void WindowPredictions::fill(const std::vector<DesignCandidate>& candidates,
+                             std::size_t start, std::size_t count) {
+  predictions.clear();
+  predictions.reserve(count);
+  errors.assign(count, nullptr);
   for (std::size_t k = 0; k < count; ++k) {
-    const DesignCandidate& cand = candidates[index_of(k)];
+    const DesignCandidate& cand = candidates[start + k];
     ThroughputPrediction p;
     try {
       p = predict(cand.inputs, cand.decision_clock_hz);
     } catch (...) {
-      w.errors[k] = std::current_exception();
+      errors[k] = std::current_exception();
     }
-    w.predictions.push_back(p);
+    predictions.push_back(p);
   }
-}
-
-}  // namespace
-
-void WindowPredictions::fill(const std::vector<DesignCandidate>& candidates,
-                             std::size_t start, std::size_t count) {
-  fill_predictions(*this, candidates, count,
-                   [start](std::size_t k) { return start + k; });
-}
-
-void WindowPredictions::fill(const std::vector<DesignCandidate>& candidates,
-                             const std::vector<std::size_t>& indices) {
-  fill_predictions(*this, candidates, indices.size(),
-                   [&indices](std::size_t k) { return indices[k]; });
 }
 
 }  // namespace rat::core

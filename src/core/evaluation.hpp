@@ -31,9 +31,9 @@ struct CandidateEvaluation {
 
 /// The throughput gate alone: records @p pred and the gate's trace
 /// entries on @p ev and returns whether the candidate may proceed to the
-/// later tests. Shared by evaluate_candidate and the explorer's
-/// bound-synthesized rejections, so a rejection proven by a subregion
-/// bound carries the exact trace bytes a full evaluation would have.
+/// later tests. Shared by evaluate_candidate and the explorer, which
+/// gates each candidate before its plan-cache lookup, so the explorer's
+/// rejection carries the exact trace bytes a full evaluation would have.
 bool apply_throughput_gate(CandidateEvaluation& ev, std::size_t i,
                            const std::string& name, const Requirements& req,
                            const ThroughputPrediction& pred);
@@ -53,17 +53,16 @@ CandidateEvaluation evaluate_candidate(std::size_t i,
 bool append_evaluation(MethodologyOutcome& out, std::size_t i,
                        CandidateEvaluation&& ev);
 
-/// Throughput predictions for a list of candidates, one predict() call
-/// each: an enumeration-order window (OrderedScan) or an arbitrary index
-/// list (the explorer's box corners and leaves). A candidate whose
-/// worksheet fails validation does not abort the fill: its error is
-/// deferred and rethrown only if and when that candidate is actually
-/// evaluated, so the serial early-exit semantics (an accepted design
-/// before the bad candidate means the bad candidate is never touched) are
-/// preserved exactly. Entry k of predictions/errors belongs to the k-th
-/// listed candidate, and predictions[k] is meaningful only when errors[k]
-/// is null. A reused instance keeps its capacity, so a warm fill
-/// allocates nothing.
+/// Throughput predictions for an enumeration-order window of candidates
+/// (OrderedScan), one predict() call each. A candidate whose worksheet
+/// fails validation does not abort the fill: its error is deferred and
+/// rethrown only if and when that candidate is actually evaluated, so the
+/// serial early-exit semantics (an accepted design before the bad
+/// candidate means the bad candidate is never touched) are preserved
+/// exactly. Entry k of predictions/errors belongs to the window's k-th
+/// candidate, and predictions[k] is meaningful only when errors[k] is
+/// null. A reused instance keeps its capacity, so a warm fill allocates
+/// nothing.
 struct WindowPredictions {
   std::vector<ThroughputPrediction> predictions;
   std::vector<std::exception_ptr> errors;
@@ -71,9 +70,6 @@ struct WindowPredictions {
   /// Candidates [start, start + count).
   void fill(const std::vector<DesignCandidate>& candidates,
             std::size_t start, std::size_t count);
-  /// Candidates candidates[indices[0]], candidates[indices[1]], ...
-  void fill(const std::vector<DesignCandidate>& candidates,
-            const std::vector<std::size_t>& indices);
 
   /// A bounds-checked read of predictions[k]. Kept for ratbench/driver.cpp,
   /// which reads batch.prediction(k), until the next benchmark change
@@ -102,8 +98,8 @@ struct WindowPredictions {
 /// rethrown only when the merge reaches that slot. So the candidates
 /// taken, and which exception escapes, are the same at any thread count;
 /// work past the winner is bounded by one window. scan_in_order feeds it
-/// the windows of a materialized list, and the explorer's full trace
-/// feeds it each window as its grid walk builds it.
+/// the windows of a materialized list, and the explorer feeds it each
+/// window as its grid walk builds it.
 class OrderedScan {
  public:
   /// @p n_threads as util::resolve_thread_count takes it, capped at

@@ -1,13 +1,10 @@
 #include "explore/explorer.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <cstdint>
 #include <exception>
 #include <limits>
-#include <optional>
-#include <queue>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "core/evaluation.hpp"
 #include "io/codec.hpp"
@@ -26,28 +23,6 @@ using core::DesignCandidate;
 /// the plan cache replayed it. A candidate nothing takes counts as pruned.
 enum class Fate : std::uint8_t { kBounded, kEvaluated, kRestored };
 
-/// An axis-aligned, inclusive box of axis indices.
-struct Box {
-  std::size_t lo[3];
-  std::size_t hi[3];
-  std::size_t key = 0;  ///< lex index of the low corner (queue priority)
-
-  std::size_t points() const {
-    return (hi[0] - lo[0] + 1) * (hi[1] - lo[1] + 1) * (hi[2] - lo[2] + 1);
-  }
-  bool splittable() const {
-    return hi[0] > lo[0] || hi[1] > lo[1] || hi[2] > lo[2];
-  }
-};
-
-struct ByKey {
-  bool operator()(const Box& a, const Box& b) const { return a.key > b.key; }
-};
-
-/// Boxes of at most this many grid points are evaluated exactly instead
-/// of split further.
-constexpr std::size_t kLeafPoints = 8;
-
 class PrunedExploration {
  public:
   PrunedExploration(const core::DesignAxes& axes,
@@ -55,56 +30,31 @@ class PrunedExploration {
                     const core::Requirements& req,
                     const rcsim::Device& device, const ExploreOptions& options)
       : axes_(axes), factory_(factory), req_(req), device_(device),
-        options_(options), policy_(options.policy) {}
+        options_(options) {}
 
   ExploreResult run();
 
  private:
-  // --- grid (elided runs only) --------------------------------------
-  std::size_t lex(std::size_t ip, std::size_t ifc, std::size_t ib) const {
-    return (ip * nf_ + ifc) * nb_ + ib;
-  }
-  void build_grid();
-
-  // --- search (elided runs only) ------------------------------------
-  void search();
-  std::optional<std::size_t> min_cand_in_box(const Box& b) const;
-  struct Bound {
-    double lb = 0.0, ub = 0.0;
-  };
-  std::optional<Bound> corner_bound(const Box& b);
-  void mark_bounded(const Box& b);
-  void leaf_evaluate(const Box& b);
-
-  // --- one candidate -------------------------------------------------
   struct Item {
     CandidateEvaluation ev;
     Fate fate = Fate::kEvaluated;
     std::string key;  ///< plan-cache key of a fresh evaluation
   };
-  /// The per-candidate routine of the scan and the search's leaves: the
-  /// throughput gate on the candidate's own prediction, then plan-cache
-  /// replay, then the full gate pipeline. Safe on scan workers: it reads
-  /// only the candidate and the thread-safe cache.
+  /// The per-candidate routine of the scan: the throughput gate on the
+  /// candidate's own prediction, then plan-cache replay, then the full
+  /// gate pipeline. Safe on scan workers: it reads only the candidate and
+  /// the thread-safe cache.
   Item evaluate(std::size_t ci, const DesignCandidate& cand,
                 const core::ThroughputPrediction& pred) const;
   /// Take one candidate's item: count its fate and the cache effort, and
   /// store a fresh evaluation in the plan cache.
   void take(const Item& item);
 
-  // --- assembly ------------------------------------------------------
-  /// Record how many points the factory skipped; a grid it skipped whole
-  /// is an error.
-  void count_skipped(core::DesignSpaceResult& design) const;
   void scan(ExploreResult& result);
-  void assemble_elided(ExploreResult& result);
   void finalize(ExploreResult& result);
 
   std::string cache_key(const DesignCandidate& cand) const {
     return PlanCache::key(io::candidate_fingerprint(cand), context_fp_);
-  }
-  double gate_speedup(const core::ThroughputPrediction& pred) const {
-    return req_.double_buffered ? pred.speedup_db : pred.speedup_sb;
   }
 
   const core::DesignAxes& axes_;
@@ -112,120 +62,12 @@ class PrunedExploration {
   const core::Requirements& req_;
   const rcsim::Device& device_;
   const ExploreOptions& options_;
-  const PruningPolicy& policy_;
 
   std::size_t total_ = 0;
-  // The elided search's materialized grid. A full trace streams it and
-  // holds none of these.
-  std::size_t np_ = 0, nf_ = 0, nb_ = 0;
-  std::vector<DesignCandidate> candidates_;
-  std::vector<core::DesignPoint> points_;
-  std::vector<std::ptrdiff_t> cand_of_point_;  ///< lex → candidate, -1 skip
-
   PlanCache* cache_ = nullptr;
   std::uint64_t context_fp_ = 0;
-
-  std::optional<std::size_t> incumbent_;
-  /// The search's leaf evaluations, by candidate index.
-  std::unordered_map<std::size_t, CandidateEvaluation> memo_;
-  /// Corner-prediction memo: lex index → gate-mode speedup (NaN when the
-  /// corner candidate failed validation and cannot bound anything).
-  std::unordered_map<std::size_t, double> corner_speedup_;
-
   ExploreStats stats_;
 };
-
-void PrunedExploration::build_grid() {
-  np_ = axes_.parallelism.size();
-  nf_ = axes_.fclock_hz.size();
-  nb_ = axes_.format_bits.size();
-  cand_of_point_.assign(total_, -1);
-  // The factory was already consulted by enumerate_design_space; recover
-  // the lex → candidate mapping by walking the grid in the same order and
-  // matching the per-candidate design points head-on.
-  std::size_t next = 0;
-  for (std::size_t ip = 0; ip < np_; ++ip) {
-    for (std::size_t ifc = 0; ifc < nf_; ++ifc) {
-      for (std::size_t ib = 0; ib < nb_; ++ib) {
-        if (next >= points_.size()) return;
-        const core::DesignPoint& p = points_[next];
-        if (p.parallelism == axes_.parallelism[ip] &&
-            p.fclock_hz == axes_.fclock_hz[ifc] &&
-            p.format_bits == axes_.format_bits[ib]) {
-          cand_of_point_[lex(ip, ifc, ib)] =
-              static_cast<std::ptrdiff_t>(next);
-          ++next;
-        }
-      }
-    }
-  }
-}
-
-std::optional<std::size_t> PrunedExploration::min_cand_in_box(
-    const Box& b) const {
-  for (std::size_t ip = b.lo[0]; ip <= b.hi[0]; ++ip)
-    for (std::size_t ifc = b.lo[1]; ifc <= b.hi[1]; ++ifc)
-      for (std::size_t ib = b.lo[2]; ib <= b.hi[2]; ++ib) {
-        const std::ptrdiff_t ci = cand_of_point_[lex(ip, ifc, ib)];
-        if (ci >= 0) return static_cast<std::size_t>(ci);
-      }
-  return std::nullopt;
-}
-
-std::optional<PrunedExploration::Bound> PrunedExploration::corner_bound(
-    const Box& b) {
-  // Distinct corners: {lo, hi} per axis, collapsed where the axis span
-  // is a single index. At most 8 points.
-  std::size_t corners[8];
-  std::size_t n_corners = 0;
-  const std::size_t pe = b.lo[0] == b.hi[0] ? 1 : 2;
-  const std::size_t fe = b.lo[1] == b.hi[1] ? 1 : 2;
-  const std::size_t be = b.lo[2] == b.hi[2] ? 1 : 2;
-  for (std::size_t a = 0; a < pe; ++a)
-    for (std::size_t c = 0; c < fe; ++c)
-      for (std::size_t d = 0; d < be; ++d)
-        corners[n_corners++] = lex(a ? b.hi[0] : b.lo[0],
-                                   c ? b.hi[1] : b.lo[1],
-                                   d ? b.hi[2] : b.lo[2]);
-  // A skipped corner leaves the box unbounded: the factory punched a hole
-  // where the extremum would be read. The caller splits further instead.
-  for (std::size_t c = 0; c < n_corners; ++c)
-    if (cand_of_point_[corners[c]] < 0) return std::nullopt;
-
-  std::vector<std::size_t> fresh_lex, fresh_ci;
-  for (std::size_t c = 0; c < n_corners; ++c)
-    if (corner_speedup_.find(corners[c]) == corner_speedup_.end()) {
-      fresh_lex.push_back(corners[c]);
-      fresh_ci.push_back(
-          static_cast<std::size_t>(cand_of_point_[corners[c]]));
-    }
-  if (!fresh_ci.empty()) {
-    core::WindowPredictions preds;
-    preds.fill(candidates_, fresh_ci);
-    stats_.corner_evaluations += fresh_ci.size();
-    for (std::size_t k = 0; k < fresh_ci.size(); ++k)
-      corner_speedup_[fresh_lex[k]] =
-          preds.errors[k] ? std::numeric_limits<double>::quiet_NaN()
-                          : gate_speedup(preds.predictions[k]);
-  }
-
-  Bound bound{std::numeric_limits<double>::infinity(),
-              -std::numeric_limits<double>::infinity()};
-  for (std::size_t c = 0; c < n_corners; ++c) {
-    const double s = corner_speedup_.at(corners[c]);
-    if (std::isnan(s)) return std::nullopt;
-    bound.lb = std::min(bound.lb, s);
-    bound.ub = std::max(bound.ub, s);
-  }
-  return bound;
-}
-
-void PrunedExploration::mark_bounded(const Box& b) {
-  for (std::size_t ip = b.lo[0]; ip <= b.hi[0]; ++ip)
-    for (std::size_t ifc = b.lo[1]; ifc <= b.hi[1]; ++ifc)
-      for (std::size_t ib = b.lo[2]; ib <= b.hi[2]; ++ib)
-        if (cand_of_point_[lex(ip, ifc, ib)] >= 0) ++stats_.points_bounded;
-}
 
 PrunedExploration::Item PrunedExploration::evaluate(
     std::size_t ci, const DesignCandidate& cand,
@@ -270,91 +112,6 @@ void PrunedExploration::take(const Item& item) {
   ++stats_.cache_puts;
 }
 
-void PrunedExploration::leaf_evaluate(const Box& b) {
-  std::vector<std::size_t> cids;
-  for (std::size_t ip = b.lo[0]; ip <= b.hi[0]; ++ip)
-    for (std::size_t ifc = b.lo[1]; ifc <= b.hi[1]; ++ifc)
-      for (std::size_t ib = b.lo[2]; ib <= b.hi[2]; ++ib) {
-        const std::ptrdiff_t ci = cand_of_point_[lex(ip, ifc, ib)];
-        if (ci >= 0) cids.push_back(static_cast<std::size_t>(ci));
-      }
-  if (cids.empty()) return;
-  core::WindowPredictions preds;
-  preds.fill(candidates_, cids);
-  // cids ascend with the box's lex order, so the first full pass makes
-  // every later leaf point prunable on the spot.
-  for (std::size_t k = 0; k < cids.size(); ++k) {
-    const std::size_t ci = cids[k];
-    if (incumbent_ && ci > *incumbent_) break;
-    // A candidate whose worksheet fails validation cannot pass, and an
-    // elided run does not throw for it: it stays untouched.
-    if (preds.errors[k]) continue;
-    Item item = evaluate(ci, candidates_[ci], preds.predictions[k]);
-    take(item);
-    if (item.ev.passed && (!incumbent_ || ci < *incumbent_)) incumbent_ = ci;
-    memo_.emplace(ci, std::move(item.ev));
-  }
-}
-
-void PrunedExploration::search() {
-  obs::ScopedTimer timer("explore.search");
-  std::priority_queue<Box, std::vector<Box>, ByKey> queue;
-  queue.push(Box{{0, 0, 0}, {np_ - 1, nf_ - 1, nb_ - 1}, 0});
-  while (!queue.empty()) {
-    const Box b = queue.top();
-    queue.pop();
-    ++stats_.regions_examined;
-    const std::optional<std::size_t> min_ci = min_cand_in_box(b);
-    if (!min_ci) continue;  // the factory skipped the whole box
-    if (incumbent_ && *min_ci > *incumbent_) {
-      ++stats_.regions_pruned_incumbent;
-      continue;
-    }
-    bool proven_all_pass = false;
-    if (b.points() > 1) {
-      if (const std::optional<Bound> bound = corner_bound(b)) {
-        if (bound->ub < req_.min_speedup) {
-          ++stats_.regions_pruned_bound;
-          mark_bounded(b);
-          continue;
-        }
-        // Every point passes the throughput gate: splitting further can
-        // prune nothing, so walk the box in enumeration order directly.
-        proven_all_pass = bound->lb >= req_.min_speedup;
-      }
-    }
-    if (proven_all_pass || b.points() <= kLeafPoints ||
-        !b.splittable()) {
-      leaf_evaluate(b);
-      continue;
-    }
-    int axis = 0;
-    std::size_t span = b.hi[0] - b.lo[0];
-    for (int a = 1; a < 3; ++a)
-      if (b.hi[a] - b.lo[a] > span) {
-        span = b.hi[a] - b.lo[a];
-        axis = a;
-      }
-    const std::size_t mid = b.lo[axis] + (b.hi[axis] - b.lo[axis]) / 2;
-    Box left = b;
-    left.hi[axis] = mid;
-    Box right = b;
-    right.lo[axis] = mid + 1;
-    left.key = lex(left.lo[0], left.lo[1], left.lo[2]);
-    right.key = lex(right.lo[0], right.lo[1], right.lo[2]);
-    queue.push(left);
-    queue.push(right);
-    ++stats_.regions_split;
-  }
-}
-
-void PrunedExploration::count_skipped(core::DesignSpaceResult& design) const {
-  design.points_skipped = design.skipped_labels.size();
-  if (design.points_skipped == total_)
-    throw std::invalid_argument(
-        "explore_design_space_pruned: factory skipped every point");
-}
-
 void PrunedExploration::scan(ExploreResult& result) {
   obs::ScopedTimer timer("explore.assemble");
   core::MethodologyOutcome& out = result.design.outcome;
@@ -395,43 +152,26 @@ void PrunedExploration::scan(ExploreResult& result) {
     }
     window.clear();
   };
-  core::walk_design_space(
-      axes_, factory_, &result.design.skipped_labels,
-      [&](const core::DesignPoint&, DesignCandidate&& cand) {
-        if (over) return;
-        window.push_back(std::move(cand));
-        if (window.size() == ordered.window()) scan_window();
-      });
+  core::walk_design_space(axes_, factory_, &result.design.skipped_labels,
+                          [&](DesignCandidate&& cand) {
+                            if (over) return;
+                            window.push_back(std::move(cand));
+                            if (window.size() == ordered.window())
+                              scan_window();
+                          });
   if (!window.empty()) scan_window();
-  count_skipped(result.design);
+  result.design.points_skipped = result.design.skipped_labels.size();
+  if (result.design.points_skipped == total_)
+    throw std::invalid_argument(
+        "explore_design_space_pruned: factory skipped every point");
   if (error) std::rethrow_exception(error);
   if (out.proceed) result.winner_index = out.accepted_index;
-}
-
-void PrunedExploration::assemble_elided(ExploreResult& result) {
-  obs::ScopedTimer timer("explore.assemble");
-  core::MethodologyOutcome& out = result.design.outcome;
-  std::vector<std::size_t> order;
-  order.reserve(memo_.size());
-  for (const auto& [ci, ev] : memo_) order.push_back(ci);
-  std::sort(order.begin(), order.end());
-  for (const std::size_t ci : order) {
-    if (incumbent_ && ci > *incumbent_) break;
-    // The sparse trace still names real enumeration indices; the accepted
-    // index addresses the sparse predictions vector.
-    if (core::append_evaluation(out, out.predictions.size(),
-                                std::move(memo_.at(ci)))) {
-      result.winner_index = ci;
-      break;
-    }
-  }
 }
 
 void PrunedExploration::finalize(ExploreResult& result) {
   stats_.points_total = total_;
   stats_.points_skipped = result.design.points_skipped;
-  // Every candidate the factory built and nothing took: past the winner
-  // or, in an elided run, invalid at a leaf.
+  // Every candidate the factory built and nothing took: past the winner.
   stats_.points_pruned = total_ - stats_.points_skipped -
                          stats_.points_bounded - stats_.points_evaluated -
                          stats_.points_restored;
@@ -456,13 +196,6 @@ void PrunedExploration::finalize(ExploreResult& result) {
     reg.add_counter("explore.points_bounded", stats_.points_bounded);
     reg.add_counter("explore.points_restored", stats_.points_restored);
     reg.add_counter("explore.points_pruned", stats_.points_pruned);
-    reg.add_counter("explore.regions_examined", stats_.regions_examined);
-    reg.add_counter("explore.regions_split", stats_.regions_split);
-    reg.add_counter("explore.regions_pruned_bound",
-                    stats_.regions_pruned_bound);
-    reg.add_counter("explore.regions_pruned_incumbent",
-                    stats_.regions_pruned_incumbent);
-    reg.add_counter("explore.corner_evaluations", stats_.corner_evaluations);
     reg.add_counter("explore.cache.hit", stats_.cache_hits);
     reg.add_counter("explore.cache.miss", stats_.cache_misses);
     reg.add_counter("explore.cache.put", stats_.cache_puts);
@@ -482,17 +215,7 @@ ExploreResult PrunedExploration::run() {
   result.design.points_total = total_;
   cache_ = options_.plan_cache;
   if (cache_) context_fp_ = io::requirements_fingerprint(req_, device_);
-
-  if (policy_.prune && !policy_.full_trace) {
-    candidates_ = core::enumerate_design_space(
-        axes_, factory_, &result.design.skipped_labels, &points_);
-    count_skipped(result.design);
-    build_grid();
-    search();
-    assemble_elided(result);
-  } else {
-    scan(result);
-  }
+  scan(result);
   finalize(result);
   return result;
 }

@@ -187,20 +187,16 @@ TEST(AllocCount, ThroughputRejection) {
 }
 
 TEST(AllocCount, EnumerationReservesOnce) {
-  // The candidate and point vectors are reserved once from the grid size;
-  // every other allocation is the factory's.
+  // The candidate vector is reserved once from the grid size; every other
+  // allocation is the factory's.
   const DesignAxes axes = grid_4096();
   const CandidateFactory factory = labelled_factory();
   const std::uint64_t own = factory_allocations(axes, factory);
   std::vector<DesignCandidate> candidates;
-  std::vector<DesignPoint> points;
-  EXPECT_EQ(allocations_in([&] {
-              candidates =
-                  enumerate_design_space(axes, factory, nullptr, &points);
-            }),
-            own + 2);
+  EXPECT_EQ(allocations_in(
+                [&] { candidates = enumerate_design_space(axes, factory); }),
+            own + 1);
   EXPECT_EQ(candidates.size(), 4096u);
-  EXPECT_EQ(points.size(), 4096u);
 }
 
 TEST(AllocCount, FullTraceExplorationWithoutWinner) {
@@ -208,8 +204,8 @@ TEST(AllocCount, FullTraceExplorationWithoutWinner) {
   // is per run, 274 on this grid: the outcome's trace and prediction
   // vectors, each reserved once from the grid size, the candidate window,
   // the prediction window, and the Pareto front's entries (a name each).
-  // A full trace streams the grid, so it makes neither the enumeration's
-  // reservations nor the search's grid maps.
+  // A full trace streams the grid, so it makes none of the enumeration's
+  // reservations.
   constexpr std::uint64_t kPerCandidate = 5;
   constexpr std::uint64_t kPerRun = 274;
   const DesignAxes axes = grid_4096();

@@ -151,9 +151,8 @@ TEST(BatchIdentityKernel, FillValidatesLikePredict) {
 }
 
 TEST(BatchIdentityKernel, ClearKeepsIdentityAcrossReuse) {
-  // A reused window (the explorer's and the methodology's pattern) must
-  // not leak state between fills: a refill gives the same bits as a
-  // fresh one, through both the range and the index-list fill.
+  // A reused window (the ordered scan's pattern) must not leak state
+  // between fills: a refill gives the same bits as a fresh one.
   const auto worksheets = fuzzed_worksheets(37, 0xF00D);
   util::Rng rng(11);
   std::vector<DesignCandidate> candidates;
@@ -161,18 +160,12 @@ TEST(BatchIdentityKernel, ClearKeepsIdentityAcrossReuse) {
     candidates.push_back(candidate_of(in, fuzz_clock(rng)));
   WindowPredictions reused;
   for (std::size_t pass = 0; pass < 3; ++pass) {
-    // Shrinking fills; the middle one goes through the index-list
-    // overload, in reverse.
-    const std::size_t n = candidates.size() - pass;
-    std::vector<std::size_t> order(n);
-    for (std::size_t k = 0; k < n; ++k) order[k] = pass == 1 ? n - 1 - k : k;
-    if (pass == 1)
-      reused.fill(candidates, order);
-    else
-      reused.fill(candidates, 0, n);
+    // Shrinking fills, each starting one candidate later.
+    const std::size_t n = candidates.size() - 2 * pass;
+    reused.fill(candidates, pass, n);
     ASSERT_EQ(reused.predictions.size(), n);
     for (std::size_t k = 0; k < n; ++k) {
-      const DesignCandidate& c = candidates[order[k]];
+      const DesignCandidate& c = candidates[pass + k];
       EXPECT_TRUE(same_bits(predict(c.inputs, c.decision_clock_hz),
                             reused.predictions[k]))
           << "pass=" << pass << " k=" << k;

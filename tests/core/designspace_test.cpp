@@ -63,7 +63,8 @@ TEST(DesignAxes, RejectsNaNClock) {
 
 TEST(DesignAxes, RejectsDuplicateAndUnsortedAxes) {
   // Duplicates would double-evaluate points; unsorted axes break the
-  // explorer's corner bounds. Both are caught per axis.
+  // cheapest-first order the winner and the Pareto front rest on. Both
+  // are caught per axis.
   DesignAxes axes;
   axes.parallelism = {1, 2, 2, 4};
   EXPECT_THROW(axes.validate(), std::invalid_argument);
@@ -93,28 +94,6 @@ TEST(DesignAxes, SizeOverflowIsAStructuredError) {
   EXPECT_THROW((void)axes.size(), std::overflow_error);
 }
 
-TEST(DesignSpace, EnumerateReportsThePointBehindEachCandidate) {
-  DesignAxes axes;
-  axes.parallelism = {1, 3, 4};
-  axes.fclock_hz = {mhz(100), mhz(150)};
-  std::vector<std::string> skipped;
-  std::vector<DesignPoint> points;
-  const auto candidates = enumerate_design_space(
-      axes,
-      [](const DesignPoint& p) -> std::optional<DesignCandidate> {
-        if (p.parallelism == 3) return std::nullopt;
-        return simple_factory()(p);
-      },
-      &skipped, &points);
-  ASSERT_EQ(points.size(), candidates.size());
-  EXPECT_EQ(skipped.size(), 2u);
-  for (std::size_t i = 0; i < candidates.size(); ++i)
-    EXPECT_EQ(candidates[i].inputs.name, points[i].label());
-  EXPECT_EQ(points[0].parallelism, 1u);
-  EXPECT_EQ(points[2].parallelism, 4u);
-  EXPECT_DOUBLE_EQ(points[1].fclock_hz, mhz(150));
-}
-
 TEST(DesignSpace, EnumeratesCheapestFirst) {
   DesignAxes axes;
   axes.parallelism = {2, 8};
@@ -132,13 +111,25 @@ TEST(DesignSpace, EnumeratesCheapestFirst) {
 TEST(DesignSpace, FactoryCanSkipPoints) {
   DesignAxes axes;
   axes.parallelism = {1, 3, 4};
-  axes.fclock_hz = {mhz(100)};
+  axes.fclock_hz = {mhz(100), mhz(150)};
+  std::vector<std::string> skipped;
   const auto candidates = enumerate_design_space(
-      axes, [](const DesignPoint& p) -> std::optional<DesignCandidate> {
+      axes,
+      [](const DesignPoint& p) -> std::optional<DesignCandidate> {
         if (p.parallelism == 3) return std::nullopt;  // indivisible
         return simple_factory()(p);
-      });
-  EXPECT_EQ(candidates.size(), 2u);
+      },
+      &skipped);
+  EXPECT_EQ(skipped, (std::vector<std::string>{"3x @ 100 MHz / 18-bit",
+                                                "3x @ 150 MHz / 18-bit"}));
+  // The kept candidates, in enumeration order, each named by its point.
+  const DesignPoint kept[] = {{1, mhz(100), 18}, {1, mhz(150), 18},
+                              {4, mhz(100), 18}, {4, mhz(150), 18}};
+  ASSERT_EQ(candidates.size(), 4u);
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    EXPECT_EQ(candidates[i].inputs.name, kept[i].label());
+    EXPECT_DOUBLE_EQ(candidates[i].decision_clock_hz, kept[i].fclock_hz);
+  }
 }
 
 TEST(DesignSpace, ExploreSettlesOnCheapestPassingDesign) {

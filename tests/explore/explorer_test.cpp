@@ -65,8 +65,8 @@ void check_invariant(const ExploreResult& r) {
 }
 
 /// Monotone factory: speedup rises with parallelism and clock, falls with
-/// format width (wider elements cost communication throughput) — exactly
-/// the shape the corner bounds assume.
+/// format width (wider elements cost communication throughput) — the
+/// shape Eqs. 5-6 give the paper's case studies.
 CandidateFactory monotone_factory(const core::RatInputs& base,
                                   double ops_per_unit,
                                   int multipliers_per_unit = 1) {
@@ -387,8 +387,8 @@ TEST(ExploreIdentity, FactoryErrorPrecedesEvaluationErrors) {
 }
 
 TEST(ExplorePruning, LargeGridSavesMostFullEvaluations) {
-  // 32 x 8 x 4 = 1024 points with a deep winner: branch-and-bound must
-  // prove the failing bulk from corner predictions alone.
+  // 32 x 8 x 4 = 1024 points with a deep winner: the throughput gate on
+  // each point's own prediction spares the failing bulk the deeper gates.
   DesignAxes axes;
   axes.parallelism.clear();
   for (std::size_t p = 1; p <= 32; ++p) axes.parallelism.push_back(p);
@@ -414,21 +414,11 @@ TEST(ExplorePruning, LargeGridSavesMostFullEvaluations) {
   EXPECT_GE(exhaustive_evals, 10 * pruned.stats.points_evaluated)
       << "evaluated " << pruned.stats.points_evaluated << " of "
       << exhaustive_evals;
-
-  // The elided run is where the search runs: corner bounds prove the
-  // failing bulk there.
-  ExploreOptions elide;
-  elide.policy.full_trace = false;
-  const auto elided =
-      explore_design_space_pruned(axes, factory, req, device, elide);
-  EXPECT_EQ(elided.winner_index, exhaustive.outcome.accepted_index);
-  EXPECT_GT(elided.stats.corner_evaluations, 0u);
 }
 
 TEST(ExplorePruning, FullTraceIsTheOrderedScanWithoutSearch) {
-  // Figure 1 gates throughput first, so a failing point costs the same
-  // whether a corner bound or its own prediction proves it: a full-trace
-  // run never searches. An elided run on the same grid still bounds.
+  // Figure 1 gates throughput first, so a failing point's own prediction
+  // proves it: the run spends no model evaluations on bounds.
   Requirements req;
   req.min_speedup = 7.0;
   const auto device = rcsim::virtex4_lx100();
@@ -439,17 +429,9 @@ TEST(ExplorePruning, FullTraceIsTheOrderedScanWithoutSearch) {
     const auto full =
         explore_design_space_pruned(wide_axes(), factory, req, device, opts);
     EXPECT_EQ(full.stats.corner_evaluations, 0u) << threads << " threads";
-    EXPECT_EQ(full.stats.regions_examined, 0u) << threads << " threads";
     EXPECT_GT(full.stats.points_bounded, 0u) << threads << " threads";
     check_invariant(full);
   }
-  ExploreOptions elide;
-  elide.policy.full_trace = false;
-  const auto elided =
-      explore_design_space_pruned(wide_axes(), factory, req, device, elide);
-  EXPECT_GT(elided.stats.regions_examined, 0u);
-  EXPECT_GT(elided.stats.corner_evaluations, 0u);
-  check_invariant(elided);
 }
 
 TEST(ExplorePareto, FrontIsTheIncreasingSubsequenceAndMatchesExhaustive) {
@@ -478,84 +460,6 @@ TEST(ExplorePareto, FrontIsTheIncreasingSubsequenceAndMatchesExhaustive) {
   }
   // Cheapest-first enumeration: the front starts at the first candidate.
   EXPECT_EQ(expected.front().candidate_index, 0u);
-}
-
-TEST(ExploreElide, SparseTraceKeepsWinnerAndPredictionBits) {
-  Requirements req;
-  req.min_speedup = 7.0;
-  const auto device = rcsim::virtex4_lx100();
-  const CandidateFactory factory = monotone_factory(core::pdf1d_inputs(), 2.5);
-  const auto exhaustive =
-      core::explore_design_space(wide_axes(), factory, req, device);
-  ASSERT_TRUE(exhaustive.outcome.proceed);
-
-  ExploreOptions opts;
-  opts.policy.full_trace = false;
-  const auto elided =
-      explore_design_space_pruned(wide_axes(), factory, req, device, opts);
-  ASSERT_TRUE(elided.design.outcome.proceed);
-  EXPECT_EQ(elided.winner_index, exhaustive.outcome.accepted_index);
-  // Sparse: at most as many scored points, same winner prediction bits.
-  EXPECT_LE(elided.design.outcome.predictions.size(),
-            exhaustive.outcome.predictions.size());
-  const auto& sparse_winner =
-      elided.design.outcome.predictions[*elided.design.outcome.accepted_index];
-  const auto& full_winner =
-      exhaustive.outcome.predictions[*exhaustive.outcome.accepted_index];
-  EXPECT_EQ(std::memcmp(&sparse_winner, &full_winner, sizeof full_winner), 0);
-  EXPECT_EQ(elided.design.outcome.trace.back().candidate_name,
-            exhaustive.outcome.trace.back().candidate_name);
-  check_invariant(elided);
-}
-
-TEST(ExploreElide, InvalidCandidateIsSkippedNotThrown) {
-  // pdf1d at 100 MHz and 18 bits, 1 to 512 lanes, with an invalid
-  // worksheet at 2 lanes and a goal between the 8- and 16-lane speedups.
-  // The exhaustive scan throws when it reaches the invalid candidate. An
-  // elided run leaves a candidate that fails validation untouched at its
-  // leaf, so it names the 16-lane winner and counts the invalid point as
-  // pruned, beside the five past the winner.
-  DesignAxes axes;
-  axes.parallelism = {1, 2, 4, 8, 16, 32, 64, 128, 256, 512};
-  axes.fclock_hz = {core::mhz(100)};
-  axes.format_bits = {18};
-  const core::RatInputs base = core::pdf1d_inputs();
-  const CandidateFactory factory =
-      [base](const DesignPoint& p) -> std::optional<DesignCandidate> {
-    DesignCandidate c;
-    c.inputs = base;
-    c.inputs.name = p.label();
-    c.inputs.comp.throughput_ops_per_cycle =
-        0.5 * static_cast<double>(p.parallelism);
-    if (p.parallelism == 2) c.inputs.comm.alpha_write = 1.5;  // invalid
-    return c;
-  };
-  auto speedup = [&](std::size_t lanes) {
-    const DesignCandidate c = *factory({lanes, core::mhz(100), 18});
-    return core::predict(c.inputs, core::mhz(100)).speedup_sb;
-  };
-  Requirements req;
-  req.min_speedup = (speedup(8) + speedup(16)) / 2.0;
-  const auto device = rcsim::virtex4_lx100();
-
-  std::string exhaustive_error;
-  try {
-    (void)core::explore_design_space(axes, factory, req, device);
-  } catch (const std::invalid_argument& e) {
-    exhaustive_error = e.what();
-  }
-  EXPECT_EQ(exhaustive_error, "RatInputs: alpha_write outside (0,1]");
-
-  ExploreOptions elide;
-  elide.policy.full_trace = false;
-  const auto elided =
-      explore_design_space_pruned(axes, factory, req, device, elide);
-  EXPECT_EQ(elided.winner_index, std::optional<std::size_t>(4));
-  EXPECT_EQ(elided.stats.points_skipped, 0u);
-  EXPECT_EQ(elided.stats.points_bounded, 3u);
-  EXPECT_EQ(elided.stats.points_evaluated, 1u);
-  EXPECT_EQ(elided.stats.points_pruned, 6u);
-  check_invariant(elided);
 }
 
 TEST(ExploreStats, RejectionCountersNameTheGates) {
@@ -587,16 +491,6 @@ TEST(ExploreStats, RejectionCountersNameTheGates) {
             full.stats.rejected_resource);
   EXPECT_EQ(counters.at("explore.rejected.precision"), 0u);
   EXPECT_EQ(counters.at("explore.rejected.power"), 0u);
-
-  // The elided trace drops proven-fail regions, so only throughput
-  // rejections go missing; every resource rejection is a full evaluation.
-  ExploreOptions elide;
-  elide.policy.full_trace = false;
-  const auto sparse =
-      explore_design_space_pruned(axes, factory, req, device, elide);
-  check_invariant(sparse);
-  EXPECT_LE(sparse.stats.rejected_throughput, full.stats.rejected_throughput);
-  EXPECT_EQ(sparse.stats.rejected_resource, full.stats.rejected_resource);
 }
 
 TEST(ExploreStream, FullTraceHoldsOneWindowOfCandidates) {

@@ -1,8 +1,8 @@
 // Property: whatever the axes, requirements and factory look like, the
-// branch-and-bound explorer in full-trace mode is indistinguishable from
-// the exhaustive scan — including factories that break the monotonicity
-// the corner bounds assume, factories that skip points, and spaces with
-// no solution — and its per-point accounting always partitions the grid.
+// explorer is indistinguishable from the exhaustive scan at 1-4 threads —
+// including factories whose speedup is not monotone along the axes,
+// factories that skip points, and spaces with no solution — and its
+// per-point accounting always partitions the grid.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -146,16 +146,6 @@ TEST(ExploreProperty, FuzzedSpacesMatchExhaustiveBitForBit) {
                                 : point.prediction.speedup_sb;
       EXPECT_GT(s_mode, prev);
       prev = s_mode;
-    }
-
-    // Elide mode must land on the same winner whenever the monotonicity
-    // claim actually holds.
-    if (!non_monotone) {
-      ExploreOptions elide = opts;
-      elide.policy.full_trace = false;
-      const auto sparse =
-          explore_design_space_pruned(axes, factory, req, device, elide);
-      EXPECT_EQ(sparse.winner_index, exhaustive.outcome.accepted_index);
     }
   }
 }
