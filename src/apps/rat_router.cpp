@@ -39,6 +39,7 @@
 // stop accepting, answer every admitted request, close the workers'
 // stdins so each drains and exits cleanly, reap them, exit 0.
 #include <cstdio>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -79,6 +80,7 @@ int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
 
   svc::RouterConfig cfg;
+  std::optional<std::string> port_file;
   std::string metrics_path;
   try {
     cli.require_known({"workers", "port", "port-file", "worker-bin",
@@ -91,6 +93,7 @@ int main(int argc, char** argv) {
       throw std::invalid_argument("unexpected positional argument");
     cfg.n_workers = cli.get_size_t("workers", 4, 1, 256);
     cfg.client = svc::parse_client_flags(cli);
+    port_file = cli.get("port-file");
     cfg.max_worker_pipe_bytes = cli.get_size_t(
         "worker-buffer-bytes", cfg.max_worker_pipe_bytes, 1);
     cfg.cache_dir = cli.get_or("cache-dir", "");
@@ -130,7 +133,7 @@ int main(int argc, char** argv) {
   std::printf("rat_router: listening on 127.0.0.1:%d (%zu workers)\n",
               router.port(), cfg.n_workers);
   std::fflush(stdout);
-  if (!svc::write_port_file(cli, router.port())) {
+  if (!svc::write_port_file(port_file, router.port())) {
     std::fprintf(stderr, "rat_router: cannot write port file\n");
     return 1;
   }

@@ -67,6 +67,7 @@ int main(int argc, char** argv) {
   svc::ServiceConfig svc_cfg;
   svc::ServerConfig srv_cfg;
   std::size_t n_threads = 0;
+  std::optional<std::string> port_file;
   std::string metrics_path;
   try {
     cli.require_known({"port", "port-file", "stdio", "no-tcp", "threads",
@@ -77,6 +78,7 @@ int main(int argc, char** argv) {
     if (!cli.positional().empty())
       throw std::invalid_argument("unexpected positional argument");
     srv_cfg.client = svc::parse_client_flags(cli);
+    port_file = cli.get("port-file");
     n_threads = cli.get_size_t("threads", 0, 0, 256);
     svc_cfg.cache_capacity =
         cli.get_size_t("cache-capacity", svc_cfg.cache_capacity);
@@ -131,7 +133,7 @@ int main(int argc, char** argv) {
     // ephemeral port; --port-file is the race-free variant.
     std::printf("rat_serve: listening on 127.0.0.1:%d\n", server.port());
     std::fflush(stdout);
-    if (!svc::write_port_file(cli, server.port())) {
+    if (!svc::write_port_file(port_file, server.port())) {
       std::fprintf(stderr, "rat_serve: cannot write port file\n");
       return 1;
     }

@@ -35,8 +35,7 @@ ClientPolicy parse_client_flags(const util::Cli& cli) {
   return policy;
 }
 
-bool write_port_file(const util::Cli& cli, int port) {
-  const auto path = cli.get("port-file");
+bool write_port_file(const std::optional<std::string>& path, int port) {
   if (!path) return true;
   std::ofstream f(*path);
   if (!f) return false;

@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -65,10 +66,11 @@ struct ClientPolicy {
 ///                           OS default)
 ClientPolicy parse_client_flags(const util::Cli& cli);
 
-/// --port-file=<path>: write @p port and a newline there, for scripts
-/// (the race-free variant of the announcement); false when the flag is
-/// given and the file cannot be written.
-bool write_port_file(const util::Cli& cli, int port);
+/// --port-file=<path>, read with the other flags before the listener
+/// binds: write @p port and a newline to @p path, for scripts (the
+/// race-free variant of the announcement); false when a path is given
+/// and the file cannot be written.
+bool write_port_file(const std::optional<std::string>& path, int port);
 
 class ClientSet {
  public:

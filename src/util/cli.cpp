@@ -35,7 +35,7 @@ Cli::Cli(int argc, const char* const* argv) {
       arg.erase(0, 2);
       const auto eq = arg.find('=');
       if (eq == std::string::npos)
-        values_[arg] = "true";
+        values_[arg] = std::nullopt;
       else
         values_[arg.substr(0, eq)] = arg.substr(eq + 1);
     } else {
@@ -49,6 +49,8 @@ bool Cli::has(const std::string& key) const { return values_.count(key) > 0; }
 std::optional<std::string> Cli::get(const std::string& key) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return std::nullopt;
+  if (!it->second)
+    throw std::invalid_argument("Cli: --" + key + " needs a value");
   return it->second;
 }
 
@@ -96,8 +98,10 @@ std::size_t Cli::get_size_t(const std::string& key, std::size_t fallback,
 }
 
 bool Cli::get_bool(const std::string& key, bool fallback) const {
-  const auto v = get(key);
-  if (!v) return fallback;
+  const auto it = values_.find(key);
+  if (it == values_.end()) return fallback;
+  const std::optional<std::string>& v = it->second;
+  if (!v) return true;
   if (*v == "true" || *v == "1" || *v == "yes") return true;
   if (*v == "false" || *v == "0" || *v == "no") return false;
   throw std::invalid_argument("Cli: --" + key + " is not a boolean: " + *v);

@@ -1,7 +1,9 @@
 // Minimal command-line flag parser for the example/bench executables.
 //
 // Accepts "--key=value" and "--flag" forms; anything else is a positional
-// argument. Unknown keys are kept so callers can report them.
+// argument. A bare --flag is a switch: get_bool() reads it as true, and a
+// getter that needs a value throws for it. Unknown keys are kept so
+// callers can report them.
 #pragma once
 
 #include <cstddef>
@@ -30,13 +32,16 @@ class Cli {
 
   bool has(const std::string& key) const;
 
-  /// String value of --key=value, or nullopt when absent.
+  /// String value of --key=value, or nullopt when absent. Throws
+  /// std::invalid_argument("Cli: --<key> needs a value") for a bare
+  /// --key, and so do get_or and the number getters.
   std::optional<std::string> get(const std::string& key) const;
 
   std::string get_or(const std::string& key, const std::string& fallback) const;
   /// Number flag, read by parse_finite.
   double get_double(const std::string& key, double fallback) const;
   long long get_int(const std::string& key, long long fallback) const;
+  /// true/1/yes or false/0/no; a bare --key is true.
   bool get_bool(const std::string& key, bool fallback) const;
 
   /// Non-negative integer flag with range validation: throws when the value
@@ -57,7 +62,8 @@ class Cli {
 
  private:
   std::string program_;
-  std::map<std::string, std::string> values_;
+  /// nullopt for a bare --key.
+  std::map<std::string, std::optional<std::string>> values_;
   std::vector<std::string> positional_;
 };
 

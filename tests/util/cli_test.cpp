@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -22,7 +23,13 @@ TEST(Cli, ParsesKeyValueAndFlags) {
   EXPECT_TRUE(cli.has("verbose"));
   EXPECT_FALSE(cli.has("missing"));
   EXPECT_EQ(cli.get("clock").value(), "150");
-  EXPECT_EQ(cli.get("verbose").value(), "true");
+  // A bare flag has no value: reading one is an error, not "true".
+  try {
+    (void)cli.get("verbose");
+    ADD_FAILURE() << "a bare --verbose read as a value";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "Cli: --verbose needs a value");
+  }
   ASSERT_EQ(cli.positional().size(), 1u);
   EXPECT_EQ(cli.positional()[0], "positional");
 }
@@ -39,18 +46,34 @@ TEST(Cli, TypedAccessors) {
 }
 
 TEST(Cli, TypedAccessorErrors) {
-  const Cli cli = make({"--f=abc", "--n=1.5", "--b=maybe"});
+  const Cli cli = make({"--f=abc", "--n=1.5", "--b=maybe", "--bare"});
   EXPECT_THROW(cli.get_double("f", 0.0), std::invalid_argument);
   EXPECT_THROW(cli.get_int("n", 0), std::invalid_argument);
   EXPECT_THROW(cli.get_bool("b", false), std::invalid_argument);
+  // Every getter that needs a value rejects a bare flag the same way.
+  const std::function<void()> reads[] = {
+      [&] { (void)cli.get_or("bare", "reports"); },
+      [&] { (void)cli.get_double("bare", 0.0); },
+      [&] { (void)cli.get_int("bare", 0); },
+      [&] { (void)cli.get_size_t("bare", 0); },
+  };
+  for (const auto& read : reads) {
+    try {
+      read();
+      ADD_FAILURE() << "a bare --bare read as a value";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(), "Cli: --bare needs a value");
+    }
+  }
 }
 
 TEST(Cli, BooleanSpellings) {
-  const Cli cli = make({"--a=1", "--b=yes", "--c=0", "--d=no"});
+  const Cli cli = make({"--a=1", "--b=yes", "--c=0", "--d=no", "--e"});
   EXPECT_TRUE(cli.get_bool("a", false));
   EXPECT_TRUE(cli.get_bool("b", false));
   EXPECT_FALSE(cli.get_bool("c", true));
   EXPECT_FALSE(cli.get_bool("d", true));
+  EXPECT_TRUE(cli.get_bool("e", false));  // a bare flag is a switch
 }
 
 TEST(Cli, KeysListsAllFlags) {
