@@ -23,16 +23,22 @@ if [ -n "$layering" ]; then
   exit 1
 fi
 
-# Positivity guard (src/util/require.hpp): `x <= 0.0` is false for a NaN,
-# so a guard that throws on it lets a NaN through. A `<= 0.0)` or
-# `<= 0.0 ||` comparison on the line of a throw, or on the line before
-# one, fails the pass. Write such a guard util::require_positive(x, what),
-# or as a range that a NaN fails: !(0.0 < x && x < 1.0).
+# Positivity guard (src/util/require.hpp): `x <= 0.0` and `x < 0.0` are
+# false for a NaN, so a guard that throws on them lets a NaN through. A
+# `<= 0.0)` or `<= 0.0 ||` comparison, or an `x < <decimal>)` or
+# `x < <decimal> ||` one outside a `!( ... )` range, on the line of a
+# throw or on the line before one, fails the pass. Write such a guard
+# util::require_positive(x, what), or as a test that a NaN fails:
+# !(x >= 0.0), !(0.0 < x && x < 1.0).
 echo "==== positivity guard"
 positivity=$(find src -name '*.cpp' -o -name '*.hpp' | sort | xargs awk '
+  function lets_nan_through(line) {
+    return line ~ /<= 0\.0(\)| \|\|)/ ||
+           (line ~ / < [0-9]+\.[0-9]+(\)| \|\|)/ && line !~ /!\(/)
+  }
   FNR == 1 { prev = "" }
-  /<= 0\.0(\)| \|\|)/ && /throw/ { print FILENAME ":" FNR ": " $0 }
-  prev ~ /<= 0\.0(\)| \|\|)/ && prev !~ /throw/ && /throw/ {
+  lets_nan_through($0) && /throw/ { print FILENAME ":" FNR ": " $0 }
+  lets_nan_through(prev) && prev !~ /throw/ && /throw/ {
     print FILENAME ":" FNR - 1 ": " prev
   }
   { prev = $0 }')

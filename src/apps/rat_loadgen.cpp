@@ -139,7 +139,7 @@ int main(int argc, char** argv) {
     cfg.seed = static_cast<std::uint64_t>(cli.get_size_t("seed", 1));
     cfg.duplicate_ratio =
         cli.get_double("duplicate-ratio", cfg.duplicate_ratio);
-    if (cfg.duplicate_ratio < 0.0 || cfg.duplicate_ratio > 1.0)
+    if (!(0.0 <= cfg.duplicate_ratio && cfg.duplicate_ratio <= 1.0))
       throw std::invalid_argument("--duplicate-ratio outside [0, 1]");
     cfg.deadline_ms = cli.get_double("deadline-ms", cfg.deadline_ms);
     cfg.no_cache = cli.get_bool("no-cache", false);

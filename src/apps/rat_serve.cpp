@@ -85,7 +85,7 @@ int main(int argc, char** argv) {
     svc_cfg.queue_capacity =
         cli.get_size_t("queue-capacity", svc_cfg.queue_capacity, 1);
     svc_cfg.default_deadline_ms = cli.get_double("deadline-ms", 0.0);
-    if (svc_cfg.default_deadline_ms < 0.0)
+    if (!(svc_cfg.default_deadline_ms >= 0.0))
       throw std::invalid_argument("--deadline-ms must be >= 0");
     svc_cfg.cache_dir = cli.get_or("cache-dir", "");
     if (cli.has("cache-dir") && svc_cfg.cache_dir.empty())

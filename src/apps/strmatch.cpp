@@ -162,7 +162,7 @@ std::string random_text(std::size_t n, const StrMatchConfig& cfg,
                         double plant_rate, std::uint64_t seed,
                         char alphabet_lo, char alphabet_hi) {
   cfg.validate();
-  if (plant_rate < 0.0 || plant_rate > 1.0)
+  if (!(0.0 <= plant_rate && plant_rate <= 1.0))
     throw std::invalid_argument("random_text: plant_rate outside [0,1]");
   if (alphabet_lo > alphabet_hi)
     throw std::invalid_argument("random_text: empty alphabet");

@@ -10,7 +10,7 @@ BreakEvenResult break_even(const ThroughputPrediction& prediction,
                            double tsoft_sec, const BreakEvenInputs& inputs) {
   util::require_positive(tsoft_sec, "break_even: non-positive tsoft");
   const char* const bad_economics = "break_even: bad economics inputs";
-  if (inputs.development_hours < 0.0 || inputs.runs_per_month < 0.0)
+  if (!(inputs.development_hours >= 0.0 && inputs.runs_per_month >= 0.0))
     throw std::invalid_argument(bad_economics);
   util::require_positive(inputs.months_horizon, bad_economics);
 

@@ -17,7 +17,7 @@ Link::Link(std::string name, double documented_bw, LinkDirection host_to_fpga,
   for (const auto* d : {&h2f_, &f2h_}) {
     util::require_positive(d->sustained_bw,
                            "Link: sustained_bw must be positive");
-    if (d->fixed_overhead_sec < 0.0 || d->rearm_sec < 0.0)
+    if (!(d->fixed_overhead_sec >= 0.0 && d->rearm_sec >= 0.0))
       throw std::invalid_argument("Link: negative overhead");
   }
 }
@@ -42,7 +42,7 @@ double Link::measured_alpha(std::size_t bytes, Direction dir) const {
 }
 
 void Link::set_jitter(double fraction) {
-  if (fraction < 0.0 || fraction >= 1.0)
+  if (!(0.0 <= fraction && fraction < 1.0))
     throw std::invalid_argument("Link: jitter fraction out of [0,1)");
   jitter_fraction_ = fraction;
 }

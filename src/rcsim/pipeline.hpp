@@ -34,9 +34,9 @@ struct PipelineSpec {
 
   void validate() const {
     if (depth == 0) throw std::invalid_argument("PipelineSpec: depth == 0");
-    if (initiation_interval < 1.0)
+    if (!(initiation_interval >= 1.0))
       throw std::invalid_argument("PipelineSpec: II < 1");
-    if (stall_per_item < 0.0)
+    if (!(stall_per_item >= 0.0))
       throw std::invalid_argument("PipelineSpec: negative stall");
     if (instances == 0)
       throw std::invalid_argument("PipelineSpec: instances == 0");

@@ -1,7 +1,7 @@
 // Every positivity guard goes through util::require_positive, which
-// rejects a NaN, and every range guard is written so that a NaN fails
-// it: each row feeds a NaN to one public entry point and expects that
-// guard's own exception type and message.
+// rejects a NaN, and every range or lower-bound guard is written so that
+// a NaN fails it: each row feeds a NaN to one public entry point and
+// expects that guard's own exception type and message.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -14,6 +14,7 @@
 #include "apps/md.hpp"
 #include "apps/pdf1d.hpp"
 #include "apps/pdf2d.hpp"
+#include "apps/strmatch.hpp"
 #include "apps/workload.hpp"
 #include "core/calibration.hpp"
 #include "core/composition.hpp"
@@ -161,6 +162,39 @@ TEST(PositivityGuards, NaNIsNonPositive) {
        [&] { (void)apps::particle_box(4, nan, 1.0, 1); }},
       {"tornado: fraction outside (0,1)", false,
        [&] { (void)core::tornado(core::pdf1d_inputs(), core::mhz(100), nan); }},
+      {"Link: jitter fraction out of [0,1)", false,
+       [&] { rcsim::Link("nan", 1e9, dir, dir).set_jitter(nan); }},
+      {"random_text: plant_rate outside [0,1]", false,
+       [&] { (void)apps::random_text(16, {.patterns = {"ab"}}, nan, 1); }},
+      // Lower-bound guards.
+      {"break_even: bad economics inputs", false,
+       [&] {
+         (void)core::break_even(pred, 1.0, {.development_hours = nan});
+       }},
+      {"break_even: bad economics inputs", false,
+       [&] { (void)core::break_even(pred, 1.0, {.runs_per_month = nan}); }},
+      {"Link: negative overhead", false,
+       [&] {
+         (void)rcsim::Link("nan", 1e9, rcsim::LinkDirection{nan, 1e9, 0.0},
+                           dir);
+       }},
+      {"Link: negative overhead", false,
+       [&] {
+         (void)rcsim::Link("nan", 1e9, dir,
+                           rcsim::LinkDirection{0.0, 1e9, nan});
+       }},
+      {"PipelineSpec: II < 1", false,
+       [&] {
+         rcsim::PipelineSpec spec;
+         spec.initiation_interval = nan;
+         spec.validate();
+       }},
+      {"PipelineSpec: negative stall", false,
+       [&] {
+         rcsim::PipelineSpec spec;
+         spec.stall_per_item = nan;
+         spec.validate();
+       }},
   };
   for (const Case& c : cases) {
     try {
