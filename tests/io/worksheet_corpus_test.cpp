@@ -7,10 +7,10 @@
 // tests/fixtures/golden/worksheet_corpus.jsonl, so a parser rewrite must
 // keep every diagnostic byte and every accepted value.
 //
-// The golden changes only through a printed diff: on a mismatch the test
-// prints each changed case and writes the full actual outcomes to
-// golden_actual/worksheet_corpus.jsonl in the test's working directory;
-// copying that file over the golden accepts the change.
+// The golden changes only through a printed diff (tests/golden_lines.hpp):
+// on a mismatch the test prints each changed case and writes the full
+// actual outcomes to golden_actual/worksheet_corpus.jsonl in the test's
+// working directory; copying that file over the golden accepts the change.
 //
 // Every rejection must also name one of the parser's E_* codes and point
 // inside the text: a line within its line count and a column at most
@@ -20,15 +20,14 @@
 // gives the same canonical text.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <iterator>
 #include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "golden_lines.hpp"
 #include "io/json.hpp"
 #include "io/loader.hpp"
 #include "svc/fingerprint.hpp"
@@ -38,6 +37,7 @@ namespace rat::io {
 namespace {
 
 namespace fs = std::filesystem;
+using golden::read_bytes;
 
 const fs::path kFixtures = fs::path(RAT_SOURCE_DIR) / "tests" / "fixtures";
 
@@ -53,12 +53,6 @@ const std::string_view kTokens[] = {
     "alpha_read", "ops_per_element", "throughput_ops_per_cycle",
     "fclock_hz", "tsoft_sec", "n_iterations", "bogus", "Name", "fclock",
     "n_iterations_", "name ="};
-
-std::string read_bytes(const fs::path& path) {
-  std::ifstream f(path, std::ios::binary);
-  EXPECT_TRUE(f) << "cannot read " << path;
-  return {std::istreambuf_iterator<char>(f), std::istreambuf_iterator<char>()};
-}
 
 /// The text's lines as the parser splits them: on '\n', with no empty
 /// line after a final '\n', and one trailing '\r' stripped.
@@ -160,13 +154,6 @@ std::vector<std::string> corpus() {
   return cases;
 }
 
-std::vector<std::string> split_lines(const std::string& text) {
-  std::vector<std::string> lines;
-  std::istringstream is(text);
-  for (std::string line; std::getline(is, line);) lines.push_back(line);
-  return lines;
-}
-
 bool is_parser_code(core::ParseErrorCode code) {
   using C = core::ParseErrorCode;
   switch (code) {
@@ -240,28 +227,8 @@ TEST(WorksheetCorpus, OutcomesMatchTheGoldenAndStayInsideTheText) {
   EXPECT_GE(accepted, 25u);
   EXPECT_GE(cases.size() - accepted, 500u);
 
-  const fs::path golden_path = kFixtures / "golden" / "worksheet_corpus.jsonl";
-  const std::string golden = read_bytes(golden_path);
-  if (actual == golden) return;
-
-  const fs::path out_dir = fs::absolute("golden_actual");
-  fs::create_directories(out_dir);
-  const fs::path out = out_dir / "worksheet_corpus.jsonl";
-  std::ofstream(out, std::ios::binary) << actual;
-  const std::vector<std::string> want = split_lines(golden);
-  const std::vector<std::string> got = split_lines(actual);
-  std::size_t changed = 0;
-  std::ostringstream diff;
-  for (std::size_t i = 0; i < std::max(want.size(), got.size()); ++i) {
-    const std::string w = i < want.size() ? want[i] : "(none)";
-    const std::string g = i < got.size() ? got[i] : "(none)";
-    if (w != g && changed++ < 20)
-      diff << "line " << i + 1 << ":\n- " << w << "\n+ " << g << '\n';
-  }
-  ADD_FAILURE() << changed << " outcome line(s) differ from " << golden_path
-                << " (the first 20 at most below). Actual outcomes: " << out
-                << "; copy that file over the golden to accept.\n"
-                << diff.str();
+  golden::expect_matches_golden(
+      actual, kFixtures / "golden" / "worksheet_corpus.jsonl");
 }
 
 // CR is a blank, so no value ends in one. Were it not, `x\r\r\n` would
