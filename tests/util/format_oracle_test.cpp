@@ -2,7 +2,10 @@
 // C printf algorithms it replaced, byte for byte. The oracles below are
 // the old implementations, kept only here: json_number's "%.*g" loop
 // checked by sscanf, and "%.*f" into a buffer wide enough for any
-// double. The design-point labels and throughput-gate details, which an
+// double. Beside random bit patterns, the round-trip oracle runs over
+// value classes those patterns almost never draw: powers of two and
+// their neighbours, k-digit decimals, integers near 2^53, and the
+// numbers a miss renders for perturbed worksheets. The design-point labels and throughput-gate details, which an
 // exploration writes for every candidate, are checked against the string
 // expressions they were first written as, with the numbers from the same
 // "%.*f" oracle.
@@ -15,14 +18,21 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <limits>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/designspace.hpp"
 #include "core/evaluation.hpp"
+#include "core/parameters.hpp"
+#include "core/throughput.hpp"
 #include "core/units.hpp"
+#include "io/diagnostics.hpp"
+#include "load/mix.hpp"
+#include "util/rng.hpp"
 
 namespace rat::util {
 namespace {
@@ -106,6 +116,109 @@ TEST(FormatOracle, RoundTripMatchesSnprintfOnRandomBitPatterns) {
                     << ", got " << got;
   }
   EXPECT_EQ(mismatches, 0u) << "of " << kCases;
+}
+
+/// Every power of two from 2^-1074 to 2^1023, with both neighbours and
+/// 3·2^e. A power of two's lower neighbour is half as far away as its
+/// upper one, so its shortest 16-digit text can name the neighbour
+/// while "%.16g" does not: the case append_round_trip keeps its loop
+/// for, and one the random bit patterns almost never draw.
+std::vector<double> power_of_two_values() {
+  std::vector<double> v;
+  for (int e = -1074; e <= 1023; ++e) {
+    const double p = std::ldexp(1.0, e);
+    v.push_back(p);
+    v.push_back(std::nextafter(p, 0.0));
+    v.push_back(std::nextafter(p, Limits::infinity()));
+    v.push_back(std::ldexp(3.0, e));
+  }
+  return v;
+}
+
+/// k-digit decimals for k = 1..17 at every normal decimal exponent, two
+/// seeded significands each, with both neighbours: %.15g, %.16g and
+/// %.17g part ways at 15, 16 and 17 digits.
+std::vector<double> decimal_values() {
+  std::mt19937_64 rng(20070104);
+  std::vector<double> v;
+  for (int k = 1; k <= 17; ++k) {
+    for (int e = Limits::min_exponent10; e <= Limits::max_exponent10; ++e) {
+      for (int draw = 0; draw < 2; ++draw) {
+        std::string text(1, static_cast<char>('1' + rng() % 9));
+        text += '.';
+        for (int d = 1; d < k; ++d)
+          text += static_cast<char>('0' + rng() % 10);
+        text += 'e' + std::to_string(e);
+        double x = 0.0;
+        if (std::sscanf(text.c_str(), "%lf", &x) != 1 || !std::isfinite(x))
+          continue;
+        v.push_back(x);
+        v.push_back(std::nextafter(x, 0.0));
+        v.push_back(std::nextafter(x, Limits::infinity()));
+      }
+    }
+  }
+  return v;
+}
+
+/// Every integer within 10^5 of 2^53, where doubles stop holding every
+/// integer and the 16th and 17th digits decide.
+std::vector<double> near_two53_values() {
+  const double two53 = std::ldexp(1.0, 53);
+  std::vector<double> v;
+  for (int d = -100'000; d <= 100'000; ++d) v.push_back(two53 + d);
+  return v;
+}
+
+/// The numbers a miss renders (its inputs and every prediction) for 300
+/// fixture worksheets perturbed as load::Mix perturbs routed_cold's
+/// unique requests.
+std::vector<double> perturbed_worksheet_values() {
+  load::Mix mix = load::Mix::from_fixture_dir(
+      std::filesystem::path(RAT_SOURCE_DIR) / "tests" / "fixtures" /
+      "worksheets");
+  util::Rng rng(20070105);
+  std::vector<double> v;
+  for (int i = 0; i < 300; ++i) {
+    core::RatInputs in;
+    try {
+      in = core::RatInputs::parse(mix.next(rng, 0.0));
+    } catch (const core::ParseError&) {
+      continue;  // the broken fixture's variants
+    }
+    v.insert(v.end(), {in.dataset.bytes_per_element,
+                       in.comm.ideal_bw_bytes_per_sec, in.comm.alpha_write,
+                       in.comm.alpha_read, in.comp.ops_per_element,
+                       in.comp.throughput_ops_per_cycle,
+                       in.software.tsoft_sec});
+    v.insert(v.end(), in.comp.fclock_hz.begin(), in.comp.fclock_hz.end());
+    for (const core::ThroughputPrediction& p : core::predict_all(in))
+      v.insert(v.end(),
+               {p.fclock_hz, p.t_write_sec, p.t_read_sec, p.t_comm_sec,
+                p.t_comp_sec, p.t_rc_sb_sec, p.t_rc_db_sec, p.speedup_sb,
+                p.speedup_db, p.util_comp_sb, p.util_comm_sb,
+                p.util_comp_db, p.util_comm_db});
+  }
+  return v;
+}
+
+TEST(FormatOracle, RoundTripMatchesSnprintfOnValueClassesRandomBitsMiss) {
+  const std::pair<const char*, std::vector<double>> classes[] = {
+      {"powers of two", power_of_two_values()},
+      {"k-digit decimals", decimal_values()},
+      {"integers near 2^53", near_two53_values()},
+      {"perturbed worksheets", perturbed_worksheet_values()}};
+  for (const auto& [name, values] : classes) {
+    EXPECT_GT(values.size(), 1000u) << name;
+    std::size_t mismatches = 0;
+    for (double x : values) {
+      const std::string want = oracle_round_trip(x);
+      const std::string got = round_trip(x);
+      if (got != want && ++mismatches <= 5)
+        ADD_FAILURE() << name << ": want " << want << ", got " << got;
+    }
+    EXPECT_EQ(mismatches, 0u) << name << ", of " << values.size();
+  }
 }
 
 /// Integral doubles: the small counts and clocks the tables print, both
