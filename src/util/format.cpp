@@ -1,6 +1,7 @@
 #include "util/format.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <charconv>
 #include <cmath>
 #include <cstdint>
@@ -71,8 +72,62 @@ void append_fixed(std::string& out, double value, int decimals) {
 }
 
 void append_round_trip(std::string& out, double x) {
-  // '-', 17 digits, '.', "e-308": 24 characters at most.
+  // '-', 17 digits, '.', "e-308": 24 characters at most, and so is
+  // "-0.0000" and 17 digits.
   char buf[32];
+  if (std::isnormal(x)) {
+    // The shortest round-trip digits d1..dn and exponent X of x.
+    const std::to_chars_result r =
+        std::to_chars(buf, buf + sizeof buf, x, std::chars_format::scientific);
+    const char* p = buf;
+    const bool negative = *p == '-';
+    if (negative) ++p;
+    char digits[17];
+    int n = 0;
+    for (; *p != 'e'; ++p)
+      if (*p != '.') digits[n++] = *p;
+    const bool negative_exponent = p[1] == '-';
+    int exponent = 0;
+    for (p += 2; p != r.ptr; ++p) exponent = exponent * 10 + (*p - '0');
+    if (negative_exponent) exponent = -exponent;
+    const bool power_of_two =
+        (std::bit_cast<std::uint64_t>(x) & ((std::uint64_t{1} << 52) - 1)) ==
+        0;
+    if (n != 16 || !power_of_two) {
+      // "%.Pg" with P = 15 for at most 15 digits, else n; it drops
+      // trailing zeros, so it shows d1..dn.
+      const int precision = n <= 15 ? 15 : n;
+      char* q = buf;
+      if (negative) *q++ = '-';
+      if (exponent < -4 || exponent >= precision) {
+        *q++ = digits[0];
+        if (n > 1) {
+          *q++ = '.';
+          q = std::copy(digits + 1, digits + n, q);
+        }
+        *q++ = 'e';
+        *q++ = exponent < 0 ? '-' : '+';
+        const int magnitude = exponent < 0 ? -exponent : exponent;
+        if (magnitude >= 100) *q++ = static_cast<char>('0' + magnitude / 100);
+        *q++ = static_cast<char>('0' + magnitude / 10 % 10);
+        *q++ = static_cast<char>('0' + magnitude % 10);
+      } else if (exponent < 0) {
+        *q++ = '0';
+        *q++ = '.';
+        q = std::fill_n(q, -exponent - 1, '0');
+        q = std::copy(digits, digits + n, q);
+      } else if (n <= exponent + 1) {
+        q = std::copy(digits, digits + n, q);
+        q = std::fill_n(q, exponent + 1 - n, '0');
+      } else {
+        q = std::copy(digits, digits + exponent + 1, q);
+        *q++ = '.';
+        q = std::copy(digits + exponent + 1, digits + n, q);
+      }
+      out.append(buf, q);
+      return;
+    }
+  }
   char* end = buf;
   for (int precision = 15; precision <= 17; ++precision) {
     end = put_chars(buf, buf + sizeof buf, x, std::chars_format::general,

@@ -33,6 +33,22 @@ void append_fixed(std::string& out, double value, int decimals);
 /// parses back (std::from_chars) to @p x. That is not always the shortest
 /// round-trip text: denorm_min is "4.94065645841247e-324", not "5e-324".
 /// NaN never compares equal, so it takes "%.17g", which prints "nan".
+///
+/// A normal x takes one pass: std::to_chars gives its shortest
+/// round-trip digits, n of them, and they are laid out as "%.Pg" would.
+/// The bytes are the three trials' because "%.Pg" prints the P-digit
+/// decimal nearest x. With n <= 15 that is the shortest digits (x lies
+/// within half a binary ulp of them, under half a step of the 15-digit
+/// grid), so "%.15g" prints them and parses back. With n = 17 neither
+/// "%.15g" nor "%.16g" can parse back, and the nearest 17-digit decimal
+/// is the shortest digits. With n = 16, "%.15g" fails, and the nearest
+/// 16-digit decimal lies no farther from x than the shortest digits; when
+/// x's significand is not a power of two, x's rounding interval is
+/// symmetric, so that decimal is inside it and is the shortest digits.
+/// A power-of-two significand has a lower neighbour half as far away as
+/// the upper one, so "%.16g" can miss (0x1p-921 takes "%.17g"'s
+/// "5.6412324245775924e-278", not "5.641232424577593e-278"). That case,
+/// zero, subnormal and non-finite x keep the three trials.
 void append_round_trip(std::string& out, double x);
 
 /// Human-readable byte count ("2.0 KB", "1.0 GB"); powers of 1024.
