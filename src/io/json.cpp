@@ -1,5 +1,6 @@
 #include "io/json.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -25,23 +26,26 @@ std::string json_number(double x) {
 
 namespace {
 
+/// Each run of bytes that stand for themselves takes one append.
 void append_escaped(std::string& out, std::string_view s) {
-  for (char ch : s) {
+  for (;;) {
+    const auto stop = std::find_if_not(s.begin(), s.end(), json_verbatim);
+    out.append(s.begin(), stop);
+    if (stop == s.end()) return;
+    const char ch = *stop;
     switch (ch) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", ch);
-          out += buf;
-        } else {
-          out += ch;
-        }
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof buf, "\\u%04x", ch);
+        out += buf;
+      }
     }
+    s.remove_prefix(static_cast<std::size_t>(stop - s.begin()) + 1);
   }
 }
 
@@ -247,15 +251,14 @@ class Parser {
     expect('"');
     std::string out;
     for (;;) {
+      // Each run of bytes that stand for themselves takes one append.
+      const std::size_t run = pos_;
+      while (pos_ < text_.size() && json_verbatim(text_[pos_])) ++pos_;
+      out.append(text_.substr(run, pos_ - run));
       const char c = peek();
       ++pos_;
       if (c == '"') return out;
-      if (static_cast<unsigned char>(c) < 0x20)
-        fail("unescaped control character in string");
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
+      if (c != '\\') fail("unescaped control character in string");
       const char e = peek();
       ++pos_;
       switch (e) {

@@ -33,6 +33,13 @@ void append_json_number(std::string& out, double x);
 /// append_json_number's text as a string.
 std::string json_number(double x);
 
+/// True for a byte a JSON string holds as itself: anything but the
+/// quote, the backslash and control bytes, which append_json_str
+/// escapes and parse_json reads only escaped.
+constexpr bool json_verbatim(char ch) {
+  return static_cast<unsigned char>(ch) >= 0x20 && ch != '"' && ch != '\\';
+}
+
 /// Backslash-escape @p s for inclusion inside a JSON string literal
 /// (quotes, backslashes, control characters; no surrounding quotes).
 std::string json_escape(std::string_view s);

@@ -95,12 +95,6 @@ constexpr std::pair<Request::Op, std::string_view> kOps[] = {
     {Request::Op::kStats, "stats"},
     {Request::Op::kShutdown, "shutdown"}};
 
-/// A byte a JSON string renders as itself (append_json_str escapes the
-/// quote, the backslash and control bytes).
-bool renders_verbatim(char ch) {
-  return static_cast<unsigned char>(ch) >= 0x20 && ch != '"' && ch != '\\';
-}
-
 }  // namespace
 
 Request parse_request(const std::string& line) {
@@ -348,7 +342,7 @@ std::string_view response_token(std::string_view line) {
   const std::string_view id = line.substr(kHeadBeforeId.size());
   if (id.empty() || id.front() != '"') return {};
   std::size_t end = 1;
-  while (end < id.size() && renders_verbatim(id[end])) ++end;
+  while (end < id.size() && io::json_verbatim(id[end])) ++end;
   if (end == 1 || end == id.size() || id[end] != '"' ||
       !id.substr(end + 1).starts_with(kStatusKey))
     return {};
