@@ -211,9 +211,10 @@ ctest --test-dir build-tsan --output-on-failure \
 # number pattern and metrics document the writers produce, JsonNonFinite
 # renders overflowing predictions as null, the WorksheetCorpus suite
 # (test_io) runs the worksheet parser's index arithmetic over 1,000
-# seeded mutants of the fixtures, the
-# FixedFormat, PercentFormat and FormatOracle suites (test_util) drive
-# std::to_chars into fixed char buffers (FormatOracle's seeded labels and
+# seeded mutants of the fixtures, the RequestCorpus suite (test_svc)
+# runs the JSON string reader over 1,000 seeded mutants of request
+# lines, the FixedFormat, PercentFormat and FormatOracle suites
+# (test_util) drive std::to_chars into fixed char buffers (FormatOracle's seeded labels and
 # throughput-gate details include NaN, infinite and subnormal values, so
 # UBSan checks the double-to-integer cast on append_fixed's integral
 # path), the Cli suite (test_util) reads
@@ -228,9 +229,9 @@ cmake -B build-asan -G Ninja -DRAT_SANITIZE=address,undefined \
 cmake --build build-asan --target test_io test_store test_batch test_svc \
   test_load test_explore test_util rat_batch rat_serve
 ctest --test-dir build-asan --output-on-failure \
-  -R '^(LoadWorksheet|WorksheetDir|WorksheetCorpus|Batch|Store|Svc|Load|Explore|Json|JsonParse|JsonRoundTrip|JsonNonFinite|FixedFormat|PercentFormat|FormatOracle|Cli)'
+  -R '^(LoadWorksheet|WorksheetDir|WorksheetCorpus|RequestCorpus|Batch|Store|Svc|Load|Explore|Json|JsonParse|JsonRoundTrip|JsonNonFinite|FixedFormat|PercentFormat|FormatOracle|Cli)'
 
-echo "==== rat_batch smoke (fixture directory with one malformed file)"
+echo "==== rat_batch smoke (fixture directory with one malformed file, bare path flags)"
 smoke_out=$(mktemp)
 smoke_err=$(mktemp)
 rc=0
@@ -251,6 +252,20 @@ if ! grep -q '4 worksheet(s): 3 ok, 1 failed' "$smoke_out"; then
   cat "$smoke_out"
   exit 1
 fi
+# A path flag given bare (no =value) is a usage error before any work:
+# exit 1, the usage on stderr, nothing on stdout.
+for flag in dir out json csv; do
+  rc=0
+  build-asan/src/apps/rat_batch "--$flag" tests/fixtures/worksheets/pdf1d.rat \
+    >"$smoke_out" 2>"$smoke_err" || rc=$?
+  if [ "$rc" -ne 1 ] || [ -s "$smoke_out" ] || ! grep -q '^usage:' "$smoke_err"
+  then
+    echo "rat_batch --$flag (bare): expected exit 1, the usage on stderr" \
+      "and an empty stdout; got exit $rc"
+    cat "$smoke_out" "$smoke_err"
+    exit 1
+  fi
+done
 rm -f "$smoke_out" "$smoke_err"
 
 # Observability smoke: --metrics must emit a valid rat.metrics.v1 document

@@ -32,6 +32,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -79,6 +80,9 @@ int main(int argc, char** argv) {
   std::string mode_flag;
   std::size_t n_threads = 0;
   std::string metrics_path;
+  // Read with the other flags, so a bare one is a usage error before
+  // any work.
+  std::optional<std::string> dir, out, json, csv;
   try {
     cli.require_known({"dir", "out", "json", "csv", "threads", "mode",
                        "quiet", "metrics", "help"});
@@ -87,6 +91,10 @@ int main(int argc, char** argv) {
     if (mode_flag != "sb" && mode_flag != "db")
       throw std::invalid_argument("--mode must be sb or db");
     n_threads = cli.get_size_t("threads", 0, 0, 4096);
+    dir = cli.get("dir");
+    out = cli.get("out");
+    json = cli.get("json");
+    csv = cli.get("csv");
     // Observability: --metrics=<path> (RAT_METRICS as the env fallback)
     // turns collection on before any evaluation runs.
     metrics_path = obs::enable_export(cli.get("metrics"));
@@ -103,9 +111,9 @@ int main(int argc, char** argv) {
 
   // Collect the work list: every *.rat in --dir, plus positional files.
   std::vector<std::filesystem::path> files;
-  if (cli.has("dir")) {
+  if (dir) {
     try {
-      files = io::list_worksheets(cli.get("dir").value());
+      files = io::list_worksheets(*dir);
     } catch (const core::ParseError& e) {
       std::fprintf(stderr, "rat_batch: %s\n", e.what());
       return 1;
@@ -161,17 +169,15 @@ int main(int argc, char** argv) {
   }
 
   bool write_failed = false;
-  if (cli.has("out")) {
-    const std::filesystem::path out_dir = cli.get("out").value();
+  if (out) {
+    const std::filesystem::path out_dir = *out;
     std::error_code ec;
     std::filesystem::create_directories(out_dir, ec);
     write_failed |= !write_file(out_dir / "batch.json", batch_json(result));
     write_failed |= !write_file(out_dir / "batch.csv", batch_csv(result));
   }
-  if (cli.has("json"))
-    write_failed |= !write_file(cli.get("json").value(), batch_json(result));
-  if (cli.has("csv"))
-    write_failed |= !write_file(cli.get("csv").value(), batch_csv(result));
+  if (json) write_failed |= !write_file(*json, batch_json(result));
+  if (csv) write_failed |= !write_file(*csv, batch_csv(result));
 
   if (!metrics_path.empty()) {
     // Quiesce the pool first: a worker's trailing counters land after the
