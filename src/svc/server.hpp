@@ -16,7 +16,9 @@
 // loop parses, fingerprints and looks it up itself, and answers a hit
 // from the cache and a miss by computing it, on the spot. Only a miss
 // whose insert is journaled (--cache-dir) or whose worksheet lists more
-// than Service::kCallerMaxClocks clocks is queued, with its parse.
+// than Service::kCallerMaxClocks clocks is queued, with its parse; a
+// worksheet longer than Service::kCallerMaxWorksheetBytes is queued
+// before it.
 // Answers produced on the loop thread are completed in the same turn;
 // pool workers hand theirs back through a notify pipe. Worker threads
 // never touch sockets, so a response is never lost to a racing

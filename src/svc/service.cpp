@@ -102,8 +102,9 @@ void Service::submit(const std::string& line, Responder on_response,
   }
 
   // A file is read on the pool only: a slow path must not stall the
-  // caller (the server's event loop).
+  // caller (the server's event loop). Nor may a long worksheet's parse.
   if (lookup == Lookup::kCaller && !req.has_file &&
+      req.worksheet.size() <= kCallerMaxWorksheetBytes &&
       answer_on_caller(job, on_response))
     return;
   admit(std::move(job), std::move(on_response));

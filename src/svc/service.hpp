@@ -37,7 +37,8 @@
 // in_flight, and it is never answered E_OVERLOADED or
 // E_DEADLINE_EXPIRED. A draining service still answers E_SHUTTING_DOWN
 // first. A file request is always queued: a read from a slow path must
-// never stall the caller.
+// never stall the caller. So is a worksheet longer than
+// kCallerMaxWorksheetBytes, before its parse.
 //
 // Every request counts one cache lookup: a miss computed on the caller
 // is counted there, and a miss the caller queues is counted by the
@@ -102,10 +103,18 @@ class Service {
   };
 
   /// The most candidate clocks a miss may list to be computed on the
-  /// caller: about 45 us of predict_all and render at ~3 us per clock
+  /// caller: about 15 us of predict_all and render at ~0.8 us per clock
   /// (docs/SERVICE.md). A longer list is queued, so one line cannot hold
   /// the server's event loop for longer than that.
   static constexpr std::size_t kCallerMaxClocks = 16;
+
+  /// The longest inline worksheet the caller parses and fingerprints:
+  /// about 21 us for 2 KiB of clock values, the costliest bytes a
+  /// worksheet holds (docs/SERVICE.md). A longer worksheet is queued
+  /// unparsed, so one line cannot hold the event loop for its parse.
+  /// Every fixture and load-test worksheet (about 310 bytes) and a
+  /// 17-clock one (424 bytes) stay below it.
+  static constexpr std::size_t kCallerMaxWorksheetBytes = 2048;
 
   struct Stats {
     std::uint64_t requests = 0;          ///< lines submitted

@@ -521,6 +521,58 @@ TEST(SvcService, CallerLookupQueuesAMissAboveTheClockBound) {
   EXPECT_EQ(st.cache.hits, 0u);
 }
 
+/// @p inputs' worksheet padded by a trailing comment to @p bytes.
+std::string padded_sheet(const core::RatInputs& inputs, std::size_t bytes) {
+  std::string sheet = inputs.serialize() + "#";
+  sheet.append(bytes - sheet.size() - 1, 'x');
+  return sheet + '\n';
+}
+
+TEST(SvcService, CallerLookupQueuesAWorksheetAboveTheByteBound) {
+  // A worksheet longer than kCallerMaxWorksheetBytes would hold the
+  // caller for its parse, so it is queued unparsed and answered with a
+  // plain submit's bytes; exactly the bound is answered on the caller.
+  // Each counts one lookup.
+  const std::size_t bound = Service::kCallerMaxWorksheetBytes;
+  const std::string over = padded_sheet(core::pdf1d_inputs(), bound + 1);
+  const std::string at = padded_sheet(core::md_inputs(), bound);
+  ASSERT_EQ(over.size(), bound + 1);
+  ASSERT_EQ(at.size(), bound);
+  // Every fixture, and the clock bound's own worksheets, stay below it.
+  for (const char* stem : {"md", "pdf1d", "pdf2d"})
+    EXPECT_LT(fixture_text(stem).size(), bound) << stem;
+  EXPECT_LT(sheet_with_clocks(Service::kCallerMaxClocks + 1).size(), bound);
+
+  Service plain;
+  Collector plain_out;
+  plain.submit(evaluate_line("o", over), plain_out.sink());
+  plain_out.wait_for(1);
+  plain.submit(evaluate_line("a", at), plain_out.sink());
+  const std::vector<std::string> pooled = plain_out.wait_for(2);
+
+  Collector out;
+  Service service;
+  PoolBlocker blocker;  // released before ~Service drains
+  service.submit(evaluate_line("o", over), out.sink(),
+                 Service::Lookup::kCaller);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(out.count(), 0u) << "a long worksheet was parsed off the pool";
+  EXPECT_EQ(service.stats().in_flight, 1u);
+  EXPECT_EQ(service.stats().cache.misses, 0u);  // not looked up yet
+
+  service.submit(evaluate_line("a", at), out.sink(),
+                 Service::Lookup::kCaller);
+  ASSERT_EQ(out.count(), 1u) << "a worksheet at the byte bound was queued";
+  EXPECT_EQ(out.wait_for(1)[0], pooled[1]);
+
+  blocker.release();
+  EXPECT_EQ(out.wait_for(2)[1], pooled[0]);
+  service.drain();
+  const Service::Stats st = service.stats();
+  EXPECT_EQ(st.cache.misses, 2u);
+  EXPECT_EQ(st.cache.hits, 0u);
+}
+
 TEST(SvcService, CallerLookupMissCarriesItsParseToThePool) {
   // A journaled miss is queued: it is looked up once on the caller
   // (uncounted) and once more on the pool (counted), which computes and
