@@ -23,14 +23,84 @@ constexpr int kMaxIntegerDigits =
 constexpr int kStackDecimals = 32;
 
 /// std::to_chars of @p x into [first, last), which the caller sized for
-/// the widest output of (@p fmt, @p precision).
+/// the widest output of (@p fmt, @p precision), or of @p fmt's shortest
+/// round-trip form when @p precision is omitted.
+template <typename... Precision>
 char* put_chars(char* first, char* last, double x, std::chars_format fmt,
-                int precision) {
+                Precision... precision) {
   const std::to_chars_result r =
-      std::to_chars(first, last, x, fmt, precision);
+      std::to_chars(first, last, x, fmt, precision...);
   if (r.ec != std::errc{})
     throw std::logic_error("util: number buffer too small for to_chars");
   return r.ptr;
+}
+
+/// The shortest round-trip digits d1..dn of a finite x and its decimal
+/// exponent, as std::to_chars writes them in scientific form.
+struct Shortest {
+  bool negative = false;
+  char digits[17] = {};
+  int n = 0;
+  int exponent = 0;
+};
+
+Shortest shortest(double x) {
+  char buf[32];  // "-1.2345678901234567e-308"
+  const char* const end =
+      put_chars(buf, buf + sizeof buf, x, std::chars_format::scientific);
+  Shortest s;
+  const char* p = buf;
+  s.negative = *p == '-';
+  if (s.negative) ++p;
+  for (; *p != 'e'; ++p)
+    if (*p != '.') s.digits[s.n++] = *p;
+  const bool negative_exponent = p[1] == '-';
+  for (p += 2; p != end; ++p) s.exponent = s.exponent * 10 + (*p - '0');
+  if (negative_exponent) s.exponent = -s.exponent;
+  return s;
+}
+
+/// True when @p x's 52 stored significand bits are all zero.
+bool power_of_two_significand(double x) {
+  return (std::bit_cast<std::uint64_t>(x) &
+          ((std::uint64_t{1} << 52) - 1)) == 0;
+}
+
+/// Write @p s's digits at @p q as printf "%.<precision>g" writes them
+/// when precision >= s.n (so no digit is rounded away and the trailing
+/// zeros it drops are not written): d.ddde±XX when the exponent is
+/// below -4 or at least @p precision, else positional. Returns the end.
+char* put_g(char* q, const Shortest& s, int precision) {
+  const char* const digits = s.digits;
+  const int n = s.n;
+  const int e = s.exponent;
+  if (s.negative) *q++ = '-';
+  if (e < -4 || e >= precision) {
+    *q++ = digits[0];
+    if (n > 1) {
+      *q++ = '.';
+      q = std::copy(digits + 1, digits + n, q);
+    }
+    *q++ = 'e';
+    *q++ = e < 0 ? '-' : '+';
+    const int magnitude = e < 0 ? -e : e;
+    if (magnitude >= 100) *q++ = static_cast<char>('0' + magnitude / 100);
+    *q++ = static_cast<char>('0' + magnitude / 10 % 10);
+    *q++ = static_cast<char>('0' + magnitude % 10);
+  } else if (e < 0) {  // 0.000ddd
+    *q++ = '0';
+    *q++ = '.';
+    q = std::fill_n(q, -e - 1, '0');
+    q = std::copy(digits, digits + n, q);
+  } else if (n <= e + 1) {  // ddd000
+    q = std::copy(digits, digits + n, q);
+    q = std::fill_n(q, e + 1 - n, '0');
+  } else {  // ddd.ddd
+    q = std::copy(digits, digits + e + 1, q);
+    *q++ = '.';
+    q = std::copy(digits + e + 1, digits + n, q);
+  }
+  return q;
 }
 
 }  // namespace
@@ -76,55 +146,9 @@ void append_round_trip(std::string& out, double x) {
   // "-0.0000" and 17 digits.
   char buf[32];
   if (std::isnormal(x)) {
-    // The shortest round-trip digits d1..dn and exponent X of x.
-    const std::to_chars_result r =
-        std::to_chars(buf, buf + sizeof buf, x, std::chars_format::scientific);
-    const char* p = buf;
-    const bool negative = *p == '-';
-    if (negative) ++p;
-    char digits[17];
-    int n = 0;
-    for (; *p != 'e'; ++p)
-      if (*p != '.') digits[n++] = *p;
-    const bool negative_exponent = p[1] == '-';
-    int exponent = 0;
-    for (p += 2; p != r.ptr; ++p) exponent = exponent * 10 + (*p - '0');
-    if (negative_exponent) exponent = -exponent;
-    const bool power_of_two =
-        (std::bit_cast<std::uint64_t>(x) & ((std::uint64_t{1} << 52) - 1)) ==
-        0;
-    if (n != 16 || !power_of_two) {
-      // "%.Pg" with P = 15 for at most 15 digits, else n; it drops
-      // trailing zeros, so it shows d1..dn.
-      const int precision = n <= 15 ? 15 : n;
-      char* q = buf;
-      if (negative) *q++ = '-';
-      if (exponent < -4 || exponent >= precision) {
-        *q++ = digits[0];
-        if (n > 1) {
-          *q++ = '.';
-          q = std::copy(digits + 1, digits + n, q);
-        }
-        *q++ = 'e';
-        *q++ = exponent < 0 ? '-' : '+';
-        const int magnitude = exponent < 0 ? -exponent : exponent;
-        if (magnitude >= 100) *q++ = static_cast<char>('0' + magnitude / 100);
-        *q++ = static_cast<char>('0' + magnitude / 10 % 10);
-        *q++ = static_cast<char>('0' + magnitude % 10);
-      } else if (exponent < 0) {
-        *q++ = '0';
-        *q++ = '.';
-        q = std::fill_n(q, -exponent - 1, '0');
-        q = std::copy(digits, digits + n, q);
-      } else if (n <= exponent + 1) {
-        q = std::copy(digits, digits + n, q);
-        q = std::fill_n(q, exponent + 1 - n, '0');
-      } else {
-        q = std::copy(digits, digits + exponent + 1, q);
-        *q++ = '.';
-        q = std::copy(digits + exponent + 1, digits + n, q);
-      }
-      out.append(buf, q);
+    const Shortest s = shortest(x);
+    if (s.n != 16 || !power_of_two_significand(x)) {
+      out.append(buf, put_g(buf, s, s.n <= 15 ? 15 : s.n));
       return;
     }
   }
