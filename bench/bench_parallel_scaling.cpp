@@ -1,11 +1,11 @@
 // Serial-vs-N-thread throughput of the parallel evaluation engine on the
-// two heaviest explorer loops: a 10,000-point design-space sweep (every
-// candidate runs the throughput + precision tests) and a 100,000-sample
-// Monte-Carlo band, plus the one-core Eqs. 1-11 kernel rate. The report
-// shows the speedup-vs-threads curve; --json=PATH also writes it as a
-// rat.bench.v1 record. Results are thread-count-invariant by
-// construction (see docs/PARALLELISM.md), so every configuration computes
-// the identical outcome — only the wall clock should move.
+// two heaviest loops: a 10,000-point design-space sweep through the
+// explorer (every candidate runs the throughput + precision tests) and a
+// 100,000-sample Monte-Carlo band, plus the one-core Eqs. 1-11 kernel
+// rate. The report shows the speedup-vs-threads curve; --json=PATH also
+// writes it as a rat.bench.v1 record. Results are thread-count-invariant
+// by construction (see docs/PARALLELISM.md), so every configuration
+// computes the identical outcome — only the wall clock should move.
 //
 // Usage: bench_parallel_scaling [--json=PATH]
 #include <chrono>
@@ -19,6 +19,7 @@
 #include "core/montecarlo.hpp"
 #include "core/throughput.hpp"
 #include "core/units.hpp"
+#include "explore/explorer.hpp"
 #include "fixedpoint/fixed.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
@@ -89,10 +90,12 @@ core::Requirements exhaustive_requirements() {
   return req;
 }
 
-core::DesignSpaceResult run_design_space(std::size_t threads) {
-  return core::explore_design_space(big_axes(), heavy_factory(),
-                                    exhaustive_requirements(),
-                                    rcsim::virtex4_lx100(), threads);
+explore::ExploreResult run_design_space(std::size_t threads) {
+  explore::ExploreOptions opt;
+  opt.n_threads = threads;
+  return explore::explore_design_space_pruned(big_axes(), heavy_factory(),
+                                              exhaustive_requirements(),
+                                              rcsim::virtex4_lx100(), opt);
 }
 
 // ---- 100k-sample Monte-Carlo ---------------------------------------------

@@ -90,8 +90,7 @@ std::vector<DesignCandidate> enumerate_design_space(
 DesignSpaceResult explore_design_space(const DesignAxes& axes,
                                        const CandidateFactory& factory,
                                        const Requirements& requirements,
-                                       const rcsim::Device& device,
-                                       std::size_t n_threads) {
+                                       const rcsim::Device& device) {
   DesignSpaceResult result;
   result.points_total = axes.size();
   const auto candidates =
@@ -100,7 +99,7 @@ DesignSpaceResult explore_design_space(const DesignAxes& axes,
   if (candidates.empty())
     throw std::invalid_argument(
         "explore_design_space: factory skipped every point");
-  result.outcome = run_methodology(candidates, requirements, device, n_threads);
+  result.outcome = run_methodology(candidates, requirements, device);
   return result;
 }
 

@@ -7,7 +7,9 @@
 // designer actually turns — parallelism, clock estimate, numeric format —
 // materialized as ordered DesignCandidates via a caller-supplied factory,
 // cheapest first so the methodology settles on the least resource-hungry
-// passing design.
+// passing design. explore_design_space runs them through the serial
+// Figure-1 loop (run_methodology) as the reference; campaigns stream the
+// same walk through the explorer in src/explore.
 #pragma once
 
 #include <cstddef>
@@ -100,7 +102,8 @@ std::vector<DesignCandidate> enumerate_design_space(
     std::vector<std::string>* skipped_labels = nullptr);
 
 /// An exploration's outcome plus exactly which points the factory
-/// skipped — so parallel and serial runs can assert identical coverage.
+/// skipped — so the explorer and the reference can assert identical
+/// coverage.
 struct DesignSpaceResult {
   MethodologyOutcome outcome;
   std::size_t points_total = 0;
@@ -110,20 +113,16 @@ struct DesignSpaceResult {
   std::vector<std::string> skipped_labels;
 };
 
-/// The exhaustive reference scan: enumerate_design_space +
-/// run_methodology, no pruning and no persistence. Campaigns run through
+/// The exhaustive reference scan: enumerate_design_space, then the serial
+/// run_methodology loop over every candidate, no pruning, no persistence
+/// and no threads. Campaigns run through
 /// explore::explore_design_space_pruned (src/explore), which resumes via
-/// its plan cache; this scan is the oracle the identity suites and
-/// benches compare that explorer against.
-///
-/// @p n_threads > 1 (or 0 = auto) evaluates the enumerated candidates
-/// concurrently; results are merged in enumeration order, so the outcome
-/// (cheapest passing design, trace, predictions) is byte-identical to the
-/// serial run. Factories and precision kernels must then be thread-safe.
+/// its plan cache and takes a thread count; this scan is the independent
+/// oracle the identity suites and bench_explore_pruning compare that
+/// explorer against.
 DesignSpaceResult explore_design_space(const DesignAxes& axes,
                                        const CandidateFactory& factory,
                                        const Requirements& requirements,
-                                       const rcsim::Device& device,
-                                       std::size_t n_threads = 1);
+                                       const rcsim::Device& device);
 
 }  // namespace rat::core

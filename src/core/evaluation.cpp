@@ -50,8 +50,6 @@ CandidateEvaluation evaluate_candidate(std::size_t i,
   const std::string& name = cand.inputs.name;
 
   // --- Throughput test -------------------------------------------------
-  // The prediction was computed up front, one predict() per candidate of
-  // the enumeration window (WindowPredictions).
   if (!apply_throughput_gate(ev, i, name, req, pred)) return ev;
 
   // --- Precision test ---------------------------------------------------
@@ -129,7 +127,7 @@ bool append_evaluation(MethodologyOutcome& out, std::size_t i,
   return false;
 }
 
-// --- Deferred-validation window fill ----------------------------------------
+// --- The ratbench shim ------------------------------------------------------
 
 void WindowPredictions::fill(const std::vector<DesignCandidate>& candidates,
                              std::size_t start, std::size_t count) {

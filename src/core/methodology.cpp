@@ -37,24 +37,20 @@ std::string MethodologyOutcome::render_trace() const {
 
 MethodologyOutcome run_methodology(
     const std::vector<DesignCandidate>& candidates, const Requirements& req,
-    const rcsim::Device& device, std::size_t n_threads) {
+    const rcsim::Device& device) {
   if (candidates.empty())
     throw std::invalid_argument("run_methodology: no candidates");
   util::require_positive(req.min_speedup, "run_methodology: min_speedup <= 0");
 
   MethodologyOutcome out;
-  // Evaluated in enumeration-order windows, merged in order and stopped
-  // at the first passing design (scan_in_order), so the outcome is the
-  // serial run's at any thread count.
-  scan_in_order(
-      candidates, n_threads,
-      [&](std::size_t i, const DesignCandidate& cand,
-          const ThroughputPrediction& pred) {
-        return evaluate_candidate(i, cand, req, device, pred);
-      },
-      [&out](std::size_t i, CandidateEvaluation&& ev) {
-        return append_evaluation(out, i, std::move(ev));
-      });
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    const DesignCandidate& cand = candidates[i];
+    const ThroughputPrediction pred =
+        predict(cand.inputs, cand.decision_clock_hz);
+    if (append_evaluation(out, i,
+                          evaluate_candidate(i, cand, req, device, pred)))
+      return out;  // PROCEED
+  }
   return out;  // all permutations exhausted without a satisfactory solution
 }
 

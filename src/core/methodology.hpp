@@ -13,8 +13,8 @@
 //   PROCEED (build in HDL/HLL, verify on the HW platform)
 //
 // A DesignCandidate packages one design's worksheet plus the artifacts the
-// later tests need; MethodologyRun walks an ordered list of candidates and
-// records a full decision trace.
+// later tests need; run_methodology walks an ordered list of candidates,
+// one at a time on the calling thread, and records a full decision trace.
 #pragma once
 
 #include <functional>
@@ -104,21 +104,14 @@ struct MethodologyOutcome {
   std::string render_trace() const;
 };
 
-/// Evaluate candidates in order against the requirements on the device;
-/// stops at the first candidate that passes all applicable tests.
-///
-/// @p n_threads > 1 (or 0 = auto, i.e. util::default_thread_count())
-/// evaluates candidates concurrently in enumeration-order windows while
-/// producing a byte-identical outcome: the merged trace, predictions and
-/// accepted index match the serial run exactly, because candidates are
-/// independent and results are merged in order, truncated at the first
-/// passing design. A candidate that throws (e.g. fails validation) throws
-/// only if the merge reaches it, so the exception that escapes is the
-/// serial run's too. Parallel runs require the candidates' precision
-/// kernels (when any) to be safe to call from different threads.
+/// Figure 1 itself: evaluate the candidates in order against the
+/// requirements on the device, one predict() and one gate pipeline each,
+/// and stop at the first candidate that passes all applicable tests. A
+/// candidate that fails validation throws when the loop reaches it, so
+/// one past the accepted design is never touched. This serial loop is the
+/// reference the explorer (src/explore) is checked against.
 MethodologyOutcome run_methodology(const std::vector<DesignCandidate>& candidates,
                                    const Requirements& req,
-                                   const rcsim::Device& device,
-                                   std::size_t n_threads = 1);
+                                   const rcsim::Device& device);
 
 }  // namespace rat::core

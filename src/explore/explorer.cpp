@@ -5,10 +5,13 @@
 #include <exception>
 #include <limits>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "core/evaluation.hpp"
 #include "io/codec.hpp"
 #include "obs/metrics.hpp"
+#include "util/parallel_for.hpp"
 #include "util/require.hpp"
 
 namespace rat::explore {
@@ -17,6 +20,72 @@ namespace {
 
 using core::CandidateEvaluation;
 using core::DesignCandidate;
+
+/// The explorer's scan, one window of candidates at a time. A window holds
+/// 256 candidates when serial and threads * 4 when parallel. step() runs
+/// evaluate(i, candidate) per candidate, serially or through
+/// util::parallel_map, and hands the results to take(i, result) in
+/// enumeration order until it returns true (the winner). A candidate whose
+/// evaluate threw (a worksheet that fails validation, say) holds its
+/// exception in its slot, and the exception is rethrown only when the
+/// merge reaches that slot. So the candidates taken, and which exception
+/// escapes, are those of the serial Figure-1 loop (core::run_methodology)
+/// at any thread count; work past the winner is bounded by one window.
+class OrderedScan {
+ public:
+  /// @p n_threads as util::resolve_thread_count takes it, capped at
+  /// @p n_candidates, the most the scan will see.
+  OrderedScan(std::size_t n_threads, std::size_t n_candidates)
+      : threads_(std::min(util::resolve_thread_count(n_threads),
+                          n_candidates)),
+        window_(threads_ <= 1 ? 256 : threads_ * 4) {}
+
+  /// Candidates per window.
+  std::size_t window() const { return window_; }
+
+  /// Scan @p candidates, the next ones in enumeration order: the first
+  /// has the index after the last candidate of the previous step. Returns
+  /// whether take accepted the winner.
+  template <typename Evaluate, typename Take>
+  bool step(const std::vector<DesignCandidate>& candidates,
+            Evaluate&& evaluate, Take&& take) {
+    const std::size_t first = next_;
+    const std::size_t count = candidates.size();
+    next_ += count;
+    if (threads_ <= 1) {
+      for (std::size_t k = 0; k < count; ++k)
+        if (take(first + k, evaluate(first + k, candidates[k]))) return true;
+      return false;
+    }
+    using Result = decltype(evaluate(first, candidates[0]));
+    struct Slot {
+      Result result{};
+      std::exception_ptr error;
+    };
+    std::vector<Slot> slots = util::parallel_map(
+        count,
+        [&](std::size_t k) {
+          Slot slot;
+          try {
+            slot.result = evaluate(first + k, candidates[k]);
+          } catch (...) {
+            slot.error = std::current_exception();
+          }
+          return slot;
+        },
+        threads_);
+    for (std::size_t k = 0; k < count; ++k) {
+      if (slots[k].error) std::rethrow_exception(slots[k].error);
+      if (take(first + k, std::move(slots[k].result))) return true;
+    }
+    return false;
+  }
+
+ private:
+  std::size_t threads_;
+  std::size_t window_;
+  std::size_t next_ = 0;  ///< enumeration index of the next window's first
+};
 
 /// How a taken candidate was decided (docs/EXPLORATION.md): its own
 /// prediction failed the throughput gate, the full gate pipeline ran, or
@@ -40,14 +109,14 @@ class PrunedExploration {
     Fate fate = Fate::kEvaluated;
     std::string key;  ///< plan-cache key of a fresh evaluation
   };
-  /// The per-candidate routine of the scan: the throughput gate on the
-  /// candidate's own prediction, then plan-cache replay, then the full
-  /// gate pipeline. Safe on scan workers: it reads only the candidate and
-  /// the thread-safe cache.
-  Item evaluate(std::size_t ci, const DesignCandidate& cand,
-                const core::ThroughputPrediction& pred) const;
-  /// Take one candidate's item: count its fate and the cache effort, and
-  /// store a fresh evaluation in the plan cache.
+  /// The per-candidate routine of the scan: the candidate's predict(),
+  /// the throughput gate on that prediction, then plan-cache replay, then
+  /// the full gate pipeline. Safe on scan workers: it reads only the
+  /// candidate and the thread-safe cache.
+  Item evaluate(std::size_t ci, const DesignCandidate& cand) const;
+  /// Take one candidate's item: count its fate, the gate that rejected
+  /// it and the cache effort, and store a fresh evaluation in the plan
+  /// cache.
   void take(const Item& item);
 
   void scan(ExploreResult& result);
@@ -70,9 +139,10 @@ class PrunedExploration {
 };
 
 PrunedExploration::Item PrunedExploration::evaluate(
-    std::size_t ci, const DesignCandidate& cand,
-    const core::ThroughputPrediction& pred) const {
+    std::size_t ci, const DesignCandidate& cand) const {
   Item item;
+  const core::ThroughputPrediction pred =
+      core::predict(cand.inputs, cand.decision_clock_hz);
   // The point's own prediction is an exact bound on itself: the gate's
   // rejection is byte-identical to a full evaluation's, at none of the
   // deeper gates' cost, and it is cheaper to recompute than to store.
@@ -94,6 +164,21 @@ PrunedExploration::Item PrunedExploration::evaluate(
 }
 
 void PrunedExploration::take(const Item& item) {
+  switch (item.ev.reject) {
+    case core::RejectReason::kNone: break;
+    case core::RejectReason::kInsufficientThroughput:
+      ++stats_.rejected_throughput;
+      break;
+    case core::RejectReason::kUnrealizablePrecision:
+      ++stats_.rejected_precision;
+      break;
+    case core::RejectReason::kInsufficientResources:
+      ++stats_.rejected_resource;
+      break;
+    case core::RejectReason::kInsufficientEnergySavings:
+      ++stats_.rejected_power;
+      break;
+  }
   switch (item.fate) {
     case Fate::kBounded:
       ++stats_.points_bounded;
@@ -129,7 +214,7 @@ void PrunedExploration::scan(ExploreResult& result) {
   // factory's exceptions escape before the merge's error, which is
   // rethrown when the walk ends. The exhaustive scan, which enumerates
   // the whole grid first, throws in that order too.
-  core::OrderedScan ordered(options_.n_threads, total_);
+  OrderedScan ordered(options_.n_threads, total_);
   std::vector<DesignCandidate> window;
   window.reserve(std::min(ordered.window(), total_));
   bool over = false;
@@ -137,10 +222,9 @@ void PrunedExploration::scan(ExploreResult& result) {
   auto scan_window = [&] {
     try {
       over = ordered.step(
-          window, 0, window.size(),
-          [this](std::size_t ci, const DesignCandidate& cand,
-                 const core::ThroughputPrediction& pred) {
-            return evaluate(ci, cand, pred);
+          window,
+          [this](std::size_t ci, const DesignCandidate& cand) {
+            return evaluate(ci, cand);
           },
           [this, &out](std::size_t ci, Item&& item) {
             take(item);
@@ -175,17 +259,6 @@ void PrunedExploration::finalize(ExploreResult& result) {
   stats_.points_pruned = total_ - stats_.points_skipped -
                          stats_.points_bounded - stats_.points_evaluated -
                          stats_.points_restored;
-  // A rejected candidate's trace holds exactly one failing gate entry.
-  for (const core::TraceEntry& e : result.design.outcome.trace) {
-    if (e.passed) continue;
-    switch (e.step) {
-      case core::Step::kThroughputTest: ++stats_.rejected_throughput; break;
-      case core::Step::kPrecisionTest: ++stats_.rejected_precision; break;
-      case core::Step::kResourceTest: ++stats_.rejected_resource; break;
-      case core::Step::kPowerTest: ++stats_.rejected_power; break;
-      default: break;
-    }
-  }
   result.stats = stats_;
   result.front = pareto_front(result.design.outcome, req_.double_buffered);
   if (obs::enabled()) {

@@ -2,11 +2,12 @@
 //
 // One run streams the grid: it walks the points in enumeration order,
 // builds one window of candidates at a time and drops each window once
-// core::OrderedScan has scanned it, the window step that
-// core::explore_design_space runs over its enumerated list. Its result is
-// bit-identical to the exhaustive explorer's (winner, trace, predictions,
-// skipped labels) at any thread count, and it throws what that explorer
-// throws. Each candidate pays one factory call, one predict() and the
+// its ordered scan has taken it, serially or on n_threads pool threads.
+// Its result is bit-identical to the serial reference
+// core::explore_design_space (winner, trace, predictions, skipped labels)
+// at any thread count, and it throws what that reference throws; the two
+// share the per-candidate gate functions (core/evaluation.hpp), not the
+// scan. Each candidate pays one factory call, one predict() and the
 // throughput gate; only those that pass it are replayed from the plan
 // cache or run through the deeper gates. Figure 1 runs the cheap
 // throughput test first, so a design that fails it costs one prediction
@@ -76,8 +77,11 @@ struct ExploreOptions {
   /// Kept for ratbench/driver.cpp, which sets it, until the next
   /// benchmark change. No code reads it.
   PruningPolicy policy;
-  /// Threads for the scan (same semantics and byte-identical results as
-  /// core::explore_design_space's n_threads).
+  /// Threads for the scan: 1 is serial, 0 is auto
+  /// (util::default_thread_count()). The result is byte-identical at any
+  /// count. Factories run on the calling thread; precision kernels run
+  /// on pool threads when this is not 1, so they must then be
+  /// thread-safe.
   std::size_t n_threads = 1;
   /// Optional content-addressed plan cache: crash-resume of this
   /// campaign and reuse across overlapping ones. A run stores an

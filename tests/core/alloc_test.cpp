@@ -201,13 +201,12 @@ TEST(AllocCount, EnumerationReservesOnce) {
 
 TEST(AllocCount, FullTraceExplorationWithoutWinner) {
   // Every candidate is a throughput rejection (5 allocations). The rest
-  // is per run, 274 on this grid: the outcome's trace and prediction
-  // vectors, each reserved once from the grid size, the candidate window,
-  // the prediction window, and the Pareto front's entries (a name each).
-  // A full trace streams the grid, so it makes none of the enumeration's
-  // reservations.
+  // is per run, 272 on this grid: the outcome's trace and prediction
+  // vectors, each reserved once from the grid size, the candidate window
+  // and the Pareto front's entries (a name each). A full trace streams
+  // the grid, so it makes none of the enumeration's reservations.
   constexpr std::uint64_t kPerCandidate = 5;
-  constexpr std::uint64_t kPerRun = 274;
+  constexpr std::uint64_t kPerRun = 272;
   const DesignAxes axes = grid_4096();
   const CandidateFactory factory = labelled_factory();
   const std::uint64_t own = factory_allocations(axes, factory);

@@ -1,10 +1,13 @@
 // Property suite pinning the per-point identity contract: for every
 // worksheet, predict(), predict_unchecked() and a WindowPredictions fill
 // produce byte-identical predictions — and every consumer that evaluates
-// many points (Monte Carlo, sweeps, tornado, the quantized sweep,
-// methodology windows) returns exactly what a plain loop of predict()
+// many points (Monte Carlo, sweeps, tornado, the quantized sweep, the
+// explorer's windows) returns exactly what a plain loop of predict()
 // calls returns, at any thread count, with identical validation
-// diagnostics.
+// diagnostics. The parallel entry points (the explorer, run_monte_carlo,
+// io::run_batch) are checked at 1, 2, 4 and 7 threads: the explorer
+// against the serial run_methodology loop, the others against their
+// 1-thread run.
 //
 // Comparisons are memcmp over the raw double bit patterns, not
 // EXPECT_DOUBLE_EQ: the contract is identity, not closeness.
@@ -12,7 +15,10 @@
 
 #include <algorithm>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <iterator>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -28,6 +34,7 @@
 #include "core/throughput.hpp"
 #include "core/units.hpp"
 #include "explore/explorer.hpp"
+#include "io/batch.hpp"
 #include "rcsim/device.hpp"
 #include "util/rng.hpp"
 
@@ -151,8 +158,8 @@ TEST(BatchIdentityKernel, FillValidatesLikePredict) {
 }
 
 TEST(BatchIdentityKernel, ClearKeepsIdentityAcrossReuse) {
-  // A reused window (the ordered scan's pattern) must not leak state
-  // between fills: a refill gives the same bits as a fresh one.
+  // A reused window must not leak state between fills: a refill gives the
+  // same bits as a fresh one.
   const auto worksheets = fuzzed_worksheets(37, 0xF00D);
   util::Rng rng(11);
   std::vector<DesignCandidate> candidates;
@@ -369,7 +376,7 @@ TEST(BatchIdentitySweep, QuantizedThroughputSweepMatchesScalarLoop) {
   EXPECT_EQ(format_bytes_per_element(fx::Format{12, 11, true}, 2.0), 2.0);
 }
 
-// ---- methodology windows ---------------------------------------------------
+// ---- the explorer's windows against the serial loop ------------------------
 
 DesignCandidate passing_candidate(const std::string& name) {
   DesignCandidate c;
@@ -399,25 +406,53 @@ Requirements lenient_requirements() {
   return req;
 }
 
+const std::size_t kThreadCounts[] = {1, 2, 4, 7};
+
+/// The explorer's outcome on @p candidates behind a design-space factory:
+/// parallelism p is candidate p - 1, on a one-clock, one-format grid at
+/// the candidates' 100 MHz decision clock.
+MethodologyOutcome explore_list(const std::vector<DesignCandidate>& candidates,
+                                const Requirements& req,
+                                const rcsim::Device& device,
+                                std::size_t threads) {
+  DesignAxes axes;
+  axes.parallelism.clear();
+  for (std::size_t p = 1; p <= candidates.size(); ++p)
+    axes.parallelism.push_back(p);
+  axes.fclock_hz = {core::mhz(100)};
+  axes.format_bits = {18};
+  const CandidateFactory factory =
+      [&candidates](const DesignPoint& p) -> std::optional<DesignCandidate> {
+    return candidates[p.parallelism - 1];
+  };
+  explore::ExploreOptions opt;
+  opt.n_threads = threads;
+  return explore::explore_design_space_pruned(axes, factory, req, device, opt)
+      .design.outcome;
+}
+
 TEST(BatchIdentityMethodology, InvalidCandidateAfterAcceptedIsNeverRaised) {
-  // Serial early-exit semantics: the run stops at the first accepted
-  // candidate, so a later invalid worksheet — even one sitting in the
-  // same pre-evaluated window, whose validation error is deferred — must
-  // not surface. The parallel run evaluates the whole window, but holds
-  // each candidate's error until the in-order merge reaches it, so it
-  // answers the same.
+  // Figure-1 early exit: the serial loop stops at the first accepted
+  // candidate, so a later invalid worksheet never surfaces. A parallel
+  // explorer evaluates the whole window, but holds each candidate's error
+  // until the in-order merge reaches it, so it answers the same.
   std::vector<DesignCandidate> candidates;
   candidates.push_back(failing_candidate("reject-me"));
   candidates.push_back(passing_candidate("accept-me"));
   candidates.push_back(invalid_candidate("never-reached"));
-  for (const std::size_t threads : {1u, 4u}) {
+  const auto req = lenient_requirements();
+  const auto device = rcsim::virtex4_lx100();
+  MethodologyOutcome serial;
+  ASSERT_NO_THROW(serial = run_methodology(candidates, req, device));
+  ASSERT_TRUE(serial.accepted_index.has_value());
+  EXPECT_EQ(*serial.accepted_index, 1u);
+  for (const std::size_t threads : kThreadCounts) {
     MethodologyOutcome out;
-    ASSERT_NO_THROW(out = run_methodology(candidates, lenient_requirements(),
-                                          rcsim::virtex4_lx100(), threads))
+    ASSERT_NO_THROW(out = explore_list(candidates, req, device, threads))
         << threads << " threads";
     EXPECT_TRUE(out.proceed);
-    ASSERT_TRUE(out.accepted_index.has_value());
-    EXPECT_EQ(*out.accepted_index, 1u) << threads << " threads";
+    EXPECT_EQ(out.accepted_index, serial.accepted_index)
+        << threads << " threads";
   }
 }
 
@@ -425,16 +460,18 @@ TEST(BatchIdentityMethodology, InvalidCandidateBeforeAcceptedStillThrows) {
   std::vector<DesignCandidate> candidates;
   candidates.push_back(invalid_candidate("bad-first"));
   candidates.push_back(passing_candidate("good-second"));
-  for (std::size_t threads : {1u, 4u}) {
-    EXPECT_THROW(run_methodology(candidates, lenient_requirements(),
-                                 rcsim::virtex4_lx100(), threads),
+  const auto req = lenient_requirements();
+  const auto device = rcsim::virtex4_lx100();
+  EXPECT_THROW(run_methodology(candidates, req, device),
+               std::invalid_argument);
+  for (const std::size_t threads : kThreadCounts)
+    EXPECT_THROW(explore_list(candidates, req, device, threads),
                  std::invalid_argument)
         << threads << " threads";
-  }
 }
 
 TEST(BatchIdentityMethodology, WindowedRunMatchesSerialBitwise) {
-  // 600 candidates exceed both the serial window (256) and any parallel
+  // 600 candidates exceed both the serial window (256) and every parallel
   // window, with the accepted design deep enough (index 517) that
   // several windows fill and merge before the early exit.
   std::vector<DesignCandidate> candidates;
@@ -445,14 +482,13 @@ TEST(BatchIdentityMethodology, WindowedRunMatchesSerialBitwise) {
       candidates.push_back(failing_candidate("loser-" + std::to_string(i)));
   }
   const auto req = lenient_requirements();
-  const auto serial =
-      run_methodology(candidates, req, rcsim::virtex4_lx100(), 1);
+  const auto device = rcsim::virtex4_lx100();
+  const auto serial = run_methodology(candidates, req, device);
   EXPECT_TRUE(serial.proceed);
   ASSERT_TRUE(serial.accepted_index.has_value());
   EXPECT_EQ(*serial.accepted_index, 517u);
-  for (std::size_t threads : {2u, 8u}) {
-    const auto par =
-        run_methodology(candidates, req, rcsim::virtex4_lx100(), threads);
+  for (const std::size_t threads : kThreadCounts) {
+    const auto par = explore_list(candidates, req, device, threads);
     EXPECT_EQ(serial.proceed, par.proceed);
     EXPECT_EQ(serial.accepted_index, par.accepted_index);
     EXPECT_EQ(serial.last_reject, par.last_reject);
@@ -491,10 +527,10 @@ std::string observed(Run run) {
 TEST(BatchIdentityScan, InvalidCandidatesGiveOneOutcomeAtAnyThreadCount) {
   // Random candidate lists mixing rejected, accepted and invalid designs,
   // with invalid ones before and after the winner (often right after it,
-  // in the same parallel window). run_methodology and the explorer's
-  // full-trace scan must answer what the serial run answers at every
-  // thread count, including which validation error escapes: each invalid
-  // kind below has its own message.
+  // in the same parallel window). The explorer's full-trace scan must
+  // answer what the serial run_methodology loop answers at every thread
+  // count, including which validation error escapes: each invalid kind
+  // below has its own message.
   using Invalidate = void (*)(RatInputs&);
   const Invalidate kinds[] = {
       [](RatInputs& in) { in.dataset.elements_in = 0; },
@@ -530,36 +566,139 @@ TEST(BatchIdentityScan, InvalidCandidatesGiveOneOutcomeAtAnyThreadCount) {
       }
     }
 
-    const std::string serial = observed(
-        [&] { return run_methodology(candidates, req, device, 1); });
-    // The same list behind a design-space factory: parallelism p is
-    // candidate p - 1, on a one-clock, one-format grid.
-    DesignAxes axes;
-    axes.parallelism.clear();
-    for (std::size_t p = 1; p <= n; ++p) axes.parallelism.push_back(p);
-    axes.fclock_hz = {core::mhz(100)};
-    axes.format_bits = {18};
-    const CandidateFactory factory =
-        [&candidates](const DesignPoint& p) -> std::optional<DesignCandidate> {
-      return candidates[p.parallelism - 1];
-    };
-    for (const std::size_t threads : {1u, 2u, 4u, 7u}) {
+    const std::string serial =
+        observed([&] { return run_methodology(candidates, req, device); });
+    for (const std::size_t threads : kThreadCounts)
       EXPECT_EQ(observed([&] {
-                  return run_methodology(candidates, req, device, threads);
-                }),
-                serial)
-          << "run_methodology, " << threads << " threads";
-      explore::ExploreOptions opt;
-      opt.n_threads = threads;
-      EXPECT_EQ(observed([&] {
-                  return explore::explore_design_space_pruned(
-                             axes, factory, req, device, opt)
-                      .design.outcome;
+                  return explore_list(candidates, req, device, threads);
                 }),
                 serial)
           << "explorer, " << threads << " threads";
+  }
+}
+
+// ---- the other parallel entry points ---------------------------------------
+
+template <typename T>
+void append_bytes(std::string& out, const T& value) {
+  out.append(reinterpret_cast<const char*>(&value), sizeof value);
+}
+
+/// What a caller observes of one Monte-Carlo run: every field of the
+/// result as raw bytes, or the message of the exception that escaped.
+std::string observed_monte_carlo(const RatInputs& in,
+                                 const UncertaintyModel& model, std::size_t n,
+                                 std::uint64_t seed, std::size_t threads) {
+  try {
+    const MonteCarloResult r = run_monte_carlo(in, model, n, 10.0, seed,
+                                               threads);
+    std::string s;
+    append_bytes(s, r.n_samples);
+    for (const Percentiles& p : {r.speedup_sb, r.speedup_db, r.t_rc_sb_sec,
+                                 r.t_comm_sec, r.t_comp_sec})
+      append_bytes(s, p);
+    append_bytes(s, r.probability_of_goal);
+    for (const double x : r.speedup_sb_samples) append_bytes(s, x);
+    return s;
+  } catch (const std::invalid_argument& e) {
+    return std::string("threw: ") + e.what();
+  }
+}
+
+TEST(BatchIdentityThreads, MonteCarloGivesOneResultAtAnyThreadCount) {
+  // Seeded runs with sample counts on and off the 1,024-sample chunk
+  // boundary, in three kinds. The typical bands stay in the model domain.
+  // Rare bands let ops/element and tsoft dip to or below zero in about one
+  // sample in 8,000 and 12,000: whether a run throws, and which of their
+  // two messages escapes, depends on the first bad sample of the first
+  // chunk that holds one, while later chunks on other threads may throw
+  // too. A bad band puts ops/element wholly below zero, so every sample
+  // throws. Each run must give its 1-thread bytes or message at 2, 4 and
+  // 7 threads.
+  const RatInputs in = md_inputs();
+  const double ops = in.comp.ops_per_element;
+  const double tsoft = in.software.tsoft_sec;
+  const std::size_t on_boundary[] = {1024, 2048, 4096};
+  util::Rng rng(20261021);
+  std::size_t threw = 0;
+  constexpr int kRuns = 18;
+  for (int iter = 0; iter < kRuns; ++iter) {
+    SCOPED_TRACE("iteration " + std::to_string(iter));
+    const std::size_t n = iter % 2 == 0
+                              ? on_boundary[rng.uniform_index(3)]
+                              : 2 + rng.uniform_index(5000);
+    UncertaintyModel model = UncertaintyModel::typical(in);
+    if (iter % 3 == 1) {
+      model.ops_per_element = InputDistribution::uniform(-ops / 8000, ops);
+      model.tsoft_sec = InputDistribution::uniform(-tsoft / 12000, tsoft);
+    } else if (iter % 3 == 2) {
+      model.ops_per_element =
+          InputDistribution::normal(-5.0, 0.1, -10.0, -1.0);
+    }
+    const std::uint64_t seed = rng.next_u64();
+    const std::string serial = observed_monte_carlo(in, model, n, seed, 1);
+    threw += serial.rfind("threw: ", 0) == 0;
+    for (const std::size_t threads : kThreadCounts)
+      EXPECT_EQ(observed_monte_carlo(in, model, n, seed, threads), serial)
+          << n << " samples, " << threads << " threads";
+  }
+  // Every bad-band run throws and no typical one does; the rare bands
+  // make some runs throw and leave others whole.
+  EXPECT_GT(threw, std::size_t{kRuns / 3});
+  EXPECT_LT(threw, std::size_t{2 * kRuns / 3});
+}
+
+TEST(BatchIdentityThreads, WorksheetBatchGivesOneResultAtAnyThreadCount) {
+  // Seeded file lists drawn, with repeats, from good worksheets (the case
+  // studies and fuzzed mutants), malformed ones (each with its own
+  // diagnostic) and paths that do not exist. io::run_batch must give the
+  // same entries, diagnostics included, at every thread count: compared
+  // as its JSON and CSV documents, which carry every input, prediction
+  // and diagnostic.
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(::testing::TempDir()) / "batch_identity_files";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  std::vector<fs::path> pool;
+  auto add = [&](const std::string& name, const std::string& text) {
+    std::ofstream(dir / name) << text;
+    pool.push_back(dir / name);
+  };
+  const auto good = fuzzed_worksheets(5, 0xBA7C4);
+  for (std::size_t i = 0; i < good.size(); ++i)
+    add("good-" + std::to_string(i) + ".rat", good[i].serialize());
+  const std::string pdf1d = pdf1d_inputs().serialize();
+  RatInputs out_of_domain = pdf1d_inputs();
+  out_of_domain.comm.alpha_write = 0.0;
+  RatInputs non_finite = pdf1d_inputs();
+  non_finite.software.tsoft_sec = std::numeric_limits<double>::infinity();
+  add("bad-list.rat", "name = broken\nfclock_hz = 75e6 oops\n");
+  add("duplicate-key.rat", pdf1d + "alpha_write = 0.5\n");
+  add("out-of-domain.rat", out_of_domain.serialize());
+  add("non-finite.rat", non_finite.serialize());
+  add("truncated.rat", pdf1d.substr(0, pdf1d.size() / 2));
+  add("empty.rat", "");
+  for (int i = 0; i < 3; ++i)
+    pool.push_back(dir / ("missing-" + std::to_string(i) + ".rat"));
+
+  util::Rng rng(20261022);
+  for (int iter = 0; iter < 20; ++iter) {
+    SCOPED_TRACE("iteration " + std::to_string(iter));
+    std::vector<fs::path> files;
+    for (std::size_t k = 1 + rng.uniform_index(24); k > 0; --k)
+      files.push_back(pool[rng.uniform_index(pool.size())]);
+    const io::BatchResult serial = io::run_batch(files, 1);
+    ASSERT_EQ(serial.entries.size(), files.size());
+    const std::string json = io::batch_json(serial);
+    const std::string csv = io::batch_csv(serial);
+    for (const std::size_t threads : kThreadCounts) {
+      const io::BatchResult r = io::run_batch(files, threads);
+      EXPECT_EQ(r.n_ok, serial.n_ok) << threads << " threads";
+      EXPECT_EQ(io::batch_json(r), json) << threads << " threads";
+      EXPECT_EQ(io::batch_csv(r), csv) << threads << " threads";
     }
   }
+  fs::remove_all(dir);
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 // Determinism proofs for the parallel evaluation engine: every parallel
 // entry point must produce results bit-identical to its serial run, at any
-// thread count, and identical across repeated runs with the same seed.
+// thread count, and identical across repeated runs with the same seed. The
+// explorer is compared with the serial reference core::explore_design_space,
+// a separate implementation that takes no thread count.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -8,6 +10,7 @@
 #include "core/designspace.hpp"
 #include "core/montecarlo.hpp"
 #include "core/units.hpp"
+#include "explore/explorer.hpp"
 
 namespace rat::core {
 namespace {
@@ -59,37 +62,39 @@ void expect_same_outcome(const DesignSpaceResult& a,
   EXPECT_EQ(a.skipped_labels, b.skipped_labels);
 }
 
+/// The explorer's result on wide_axes() at @p threads threads.
+DesignSpaceResult explore_at(const Requirements& req, std::size_t threads) {
+  explore::ExploreOptions opt;
+  opt.n_threads = threads;
+  return explore::explore_design_space_pruned(wide_axes(), scaling_factory(),
+                                              req, rcsim::virtex4_lx100(), opt)
+      .design;
+}
+
 TEST(ParallelDeterminism, ExploreAcceptedDesignThreadCountInvariant) {
   Requirements req;
   req.min_speedup = 7.0;  // accepted mid-space: later points never evaluated
   const auto serial = explore_design_space(wide_axes(), scaling_factory(),
-                                           req, rcsim::virtex4_lx100(), 1);
+                                           req, rcsim::virtex4_lx100());
   ASSERT_TRUE(serial.outcome.proceed) << serial.outcome.render_trace();
-  for (std::size_t threads : kThreadCounts) {
-    const auto parallel = explore_design_space(
-        wide_axes(), scaling_factory(), req, rcsim::virtex4_lx100(), threads);
-    expect_same_outcome(serial, parallel);
-  }
+  for (std::size_t threads : kThreadCounts)
+    expect_same_outcome(serial, explore_at(req, threads));
 }
 
 TEST(ParallelDeterminism, ExploreExhaustedSpaceThreadCountInvariant) {
   Requirements req;
   req.min_speedup = 1e9;  // unreachable: every candidate is evaluated
   const auto serial = explore_design_space(wide_axes(), scaling_factory(),
-                                           req, rcsim::virtex4_lx100(), 1);
+                                           req, rcsim::virtex4_lx100());
   ASSERT_FALSE(serial.outcome.proceed);
-  for (std::size_t threads : kThreadCounts) {
-    const auto parallel = explore_design_space(
-        wide_axes(), scaling_factory(), req, rcsim::virtex4_lx100(), threads);
-    expect_same_outcome(serial, parallel);
-  }
+  for (std::size_t threads : kThreadCounts)
+    expect_same_outcome(serial, explore_at(req, threads));
 }
 
 TEST(ParallelDeterminism, ExploreRecordsSkippedLabelsInEnumerationOrder) {
   Requirements req;
   req.min_speedup = 7.0;
-  const auto result = explore_design_space(wide_axes(), scaling_factory(),
-                                           req, rcsim::virtex4_lx100(), 8);
+  const auto result = explore_at(req, 8);
   // 3x is skipped for every clock x format combination: 3 x 3 = 9 points.
   ASSERT_EQ(result.points_skipped, 9u);
   ASSERT_EQ(result.skipped_labels.size(), 9u);
