@@ -613,8 +613,8 @@ TEST(BatchIdentityThreads, MonteCarloGivesOneResultAtAnyThreadCount) {
   // two messages escapes, depends on the first bad sample of the first
   // chunk that holds one, while later chunks on other threads may throw
   // too. A bad band puts ops/element wholly below zero, so every sample
-  // throws. Each run must give its 1-thread bytes or message at 2, 4 and
-  // 7 threads.
+  // throws. Each run must give its 1-thread bytes or message again at 1,
+  // 2, 4 and 7 threads.
   const RatInputs in = md_inputs();
   const double ops = in.comp.ops_per_element;
   const double tsoft = in.software.tsoft_sec;
